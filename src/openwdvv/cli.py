@@ -27,6 +27,7 @@ import sys
 from .coxeter import (
     classify_I2,
     correlator_recursion_A,
+    coxeter_spec,
     coxeter_structure,
     lambda_rescale,
     obstruction_check,
@@ -347,15 +348,14 @@ def _cmd_verify(args) -> int:
 def _cmd_classify(args) -> int:
     if args.family != "I2":
         raise PolyError("the classification verb covers I2 only")
+    coxeter_spec(_tag(args.family, args.n))  # an unknown group exits 2, not 1
     lam = _scalar(args.lam)
     try:
         fam = classify_I2(args.n)
-        member = fam.member(lam, args.branch) if args.branch in fam.branches else None
     except PolyError as exc:
         print(f"classification failed: {exc}", file=sys.stderr)
         return 1
-    if member is None:
-        raise PolyError(f"{fam.spec.tag} has no {args.branch} branch")
+    member = fam.member(lam, args.branch)
     if args.format == "json":
         print(
             json.dumps(
@@ -399,7 +399,8 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="lam",
         default="1",
         metavar="P/Q",
-        help="rescaling parameter, a rational like 2 or -1/3",
+        help="rescaling parameter, a rational like 2 or 1/2; "
+        "attach a negative one with '=', as in --lambda=-1/3",
     )
     lam.add_argument(
         "--branch", choices=("plus", "minus"), default="plus", help="sign branch"

@@ -1,11 +1,13 @@
 """Frobenius potentials of the non-simply-laced Coxeter families and the
 classification of their open extensions.
 
-B_N, I2(k) and H3 descend from the A and D potentials by substituting
-zeros (and, for H3, an imaginary multiple of t2) into the flat
-coordinates; F4 and H4 carry printed potentials in a normalization that
-differs from the substitution path by coordinate rescalings, so they
-are stored as fixtures and every claim about them is checked in place.
+B_N, I2(k) and H3 are built by running the A_{2N-1}, A_{k-1} and D6
+pipelines on a linear subspace of their flat coordinates: the images of
+the source coordinates are target coordinates, zeros, and for H3 an
+imaginary multiple of t2, and the result is the source potential there.
+F4 and H4 carry printed potentials in a normalization that differs from
+that route by coordinate rescalings, so they are stored as fixtures and
+every claim about them is checked in place.
 The open solution families of A_N, B_N and I2(k) are built here, with
 the lambda-rescaling action, the boundary correlator recursion, the
 sign-branch classification for I2, and the exact nonexistence checks
@@ -30,13 +32,20 @@ from .exactalg import (
     sqrt_coefficient,
 )
 from .milnor import build_closed_algebra, build_unfolding, structure_constants
-from .openext import extended_table, open_extension, open_potential_A
+from .openext import (
+    extended_table,
+    open_extension,
+    open_generator_A,
+    open_potential_A,
+)
 from .report import Report
 from .saito import (
     FrobeniusStructure,
     _weighted_tuples,
     from_potential,
     frobenius_structure,
+    metric_and_potential,
+    singularity_data,
 )
 
 __all__ = [
@@ -91,7 +100,8 @@ class CoxeterSpec:
 
 
 def coxeter_spec(tag: str) -> CoxeterSpec:
-    """Parse a group tag: 'A5', 'B3', 'D4', 'E7', 'F4', 'H3', 'H4', 'I2(6)'."""
+    """Parse a group tag: 'A5', 'B3', 'D4', 'E7', 'F4', 'H3', 'H4', 'I2(6)'.
+    The spec carries the tag in that canonical spelling."""
     if tag.startswith("I2(") and tag.endswith(")"):
         family, n = "I2", int(tag[3:-1])
     else:
@@ -112,7 +122,8 @@ def coxeter_spec(tag: str) -> CoxeterSpec:
         degrees = (n, 2)
     else:
         raise PolyError(f"unknown Coxeter group {tag!r}")
-    spec = CoxeterSpec(tag, family, n, 2 if family == "I2" else n, degrees)
+    canonical = f"I2({n})" if family == "I2" else f"{family}{n}"
+    spec = CoxeterSpec(canonical, family, n, 2 if family == "I2" else n, degrees)
     if spec.q[0] != 1 or spec.h != max(degrees):
         raise PolyError(f"degree table of {tag} is inconsistent")
     if Fraction(1 - spec.delta, 2) != Fraction(1, spec.h):
@@ -152,7 +163,7 @@ def printed_open_potential(tag: str) -> MPoly:
     return parse(_fixture_text(f"{tag.lower()}_open.txt"), extended_table(fs))
 
 
-# ---------- substituted potentials ----------
+# ---------- restricted potentials ----------
 
 
 def _source_family(spec: CoxeterSpec) -> tuple:
@@ -162,47 +173,44 @@ def _source_family(spec: CoxeterSpec) -> tuple:
         return "A", spec.n - 1
     if spec.tag == "H3":
         return "D", 6
-    raise PolyError(f"{spec.tag} has no substitution source")
+    raise PolyError(f"{spec.tag} has no restriction source")
 
 
-def _substitution_images(spec: CoxeterSpec, src_names, target: VarTable) -> dict:
-    """Map every source flat coordinate to a target coordinate, zero, or
-    (for H3) an imaginary multiple of t2."""
-    zero = MPoly.zero(target)
-    images = {nm: zero for nm in src_names}
+def _substitution_images(spec: CoxeterSpec, target: VarTable) -> tuple:
+    """Every source flat coordinate, in order, as a target coordinate,
+    zero, or (for H3) an imaginary multiple of t2."""
+    _, m = _source_family(spec)
+    images = [MPoly.zero(target)] * m
     if spec.family == "B":
         for a in range(1, spec.n + 1):
-            images[src_names[2 * a - 2]] = MPoly.variable(target, f"t{a}")
+            images[2 * a - 2] = MPoly.variable(target, f"t{a}")
     elif spec.family == "I2":
-        images[src_names[0]] = MPoly.variable(target, "t1")
-        images[src_names[spec.n - 2]] = MPoly.variable(target, "t2")
+        images[0] = MPoly.variable(target, "t1")
+        images[spec.n - 2] = MPoly.variable(target, "t2")
     else:  # H3 from D6
-        images[src_names[0]] = MPoly.variable(target, "t1")
-        images[src_names[2]] = MPoly.variable(target, "t2")
-        images[src_names[4]] = MPoly.variable(target, "t3")
-        images[src_names[5]] = MPoly.monomial(
-            target, GaussianRational(0, 1), {"t2": 1}
-        )
-    return images
+        images[0] = MPoly.variable(target, "t1")
+        images[2] = MPoly.variable(target, "t2")
+        images[4] = MPoly.variable(target, "t3")
+        images[5] = MPoly.monomial(target, GaussianRational(0, 1), {"t2": 1})
+    return tuple(images)
 
 
-def _substituted_potential(spec: CoxeterSpec) -> MPoly:
+def _restricted_structure(spec: CoxeterSpec) -> FrobeniusStructure:
+    """The source singularity's pipeline run on the group's subspace of its
+    flat coordinates; the potential is the source potential there."""
     family, m = _source_family(spec)
-    src = frobenius_structure(family, m)
-    tab = spec.table()
-    out = src.potential.substitute(_substitution_images(spec, src.table.names, tab), tab)
-    if any(c.im for c in out.terms.values()):
-        raise PolyError(f"substitution for {spec.tag} left imaginary parts")
-    return out
+    u, tensor, coords = singularity_data(family, m)
+    images = _substitution_images(spec, spec.table())
+    fs = metric_and_potential(u, tensor, coords, images, spec.tag)
+    if any(c.im for c in fs.potential.terms.values()):
+        raise PolyError(f"restriction for {spec.tag} left imaginary parts")
+    return fs
 
 
-def potential_coxeter(group, source: str = "auto") -> MPoly:
-    """The Frobenius potential of B_N, I2(k), H3, F4 or H4.
-
-    H3 supports both sources; F4 and H4 exist only in printed form (the
-    substitution route runs through E-type flat coordinates, which this
-    library does not construct)."""
-    spec = _spec(group)
+def _route(spec: CoxeterSpec, source: str) -> str:
+    """How (group, source) is built: 'printed' or 'restricted'."""
+    if source not in ("auto", "substitution", "printed"):
+        raise PolyError(f"unknown potential source {source!r}")
     if spec.family in ("A", "D"):
         raise PolyError(f"{spec.tag} is covered by the singularity pipeline")
     if spec.family == "E":
@@ -212,21 +220,45 @@ def potential_coxeter(group, source: str = "auto") -> MPoly:
             raise PolyError(
                 f"substitution for {spec.tag} needs E-type flat coordinates"
             )
-        return printed_potential(spec.tag)
-    if source == "printed":
-        return printed_potential(spec.tag)  # only H3 has one
-    return _substituted_potential(spec)
+        return "printed"
+    return "printed" if source == "printed" else "restricted"
 
 
 @lru_cache(maxsize=None)
-def coxeter_structure(group, source: str = "auto") -> FrobeniusStructure:
-    """potential_coxeter wrapped as a Frobenius structure; the weighted
-    degree of the potential must reproduce the group's delta."""
-    spec = _spec(group)
-    fs = from_potential(spec.tag, potential_coxeter(spec, source))
-    if fs.delta != spec.delta:
-        raise PolyError(f"degree of the {spec.tag} potential is off")
+def _built_structure(tag: str, route: str) -> FrobeniusStructure:
+    spec = coxeter_spec(tag)
+    if route == "printed":
+        fs = from_potential(tag, printed_potential(tag))
+    else:
+        fs = _restricted_structure(spec)
+    if fs.potential.weighted_degree() != 3 - spec.delta:
+        raise PolyError(f"degree of the {tag} potential is off")
     return fs
+
+
+def coxeter_structure(group, source: str = "auto") -> FrobeniusStructure:
+    """The Frobenius structure of B_N, I2(k), H3, F4 or H4; the weighted
+    degree of the potential must reproduce the group's delta.
+
+    B_N, I2(k) and H3 (source 'auto' or 'substitution') come from the
+    A_{2N-1}, A_{k-1} and D6 pipelines restricted to the group's subspace;
+    H3 also has a printed source, and F4 and H4 exist only in printed form
+    (the substitution route runs through E-type flat coordinates, which
+    this library does not construct).  The cache is keyed by the
+    canonical tag and construction, so every spelling of a group shares
+    one entry; cache_info and cache_clear are those of that cache."""
+    spec = _spec(group)
+    return _built_structure(spec.tag, _route(spec, source))
+
+
+coxeter_structure.cache_info = _built_structure.cache_info
+coxeter_structure.cache_clear = _built_structure.cache_clear
+
+
+def potential_coxeter(group, source: str = "auto") -> MPoly:
+    """The Frobenius potential of B_N, I2(k), H3, F4 or H4 (see
+    coxeter_structure)."""
+    return coxeter_structure(group, source).potential
 
 
 # ---------- open solution families ----------
@@ -280,25 +312,21 @@ def lambda_rescale(fo: MPoly, lam) -> MPoly:
 
 
 @lru_cache(maxsize=None)
-def open_family(group) -> SolutionFamily:
-    """The open solution family of A_N, B_N or I2(k).
-
-    The generator comes from F°_{A_m} by the same substitution as the
-    closed potential; the lambda-domain is read off mechanically (0 is
-    admissible exactly when the s-free part vanishes) and must agree
-    with the classification table."""
-    spec = _spec(group)
+def _built_family(tag: str) -> SolutionFamily:
+    spec = coxeter_spec(tag)
     if spec.family == "A":
         ext = open_potential_A(spec.n)
         base, gen = ext.base, ext.potential
     elif spec.family in ("B", "I2"):
-        base = coxeter_structure(spec)
-        _, m = _source_family(spec)
-        src = open_potential_A(m)
+        base = coxeter_structure(tag)
+        src = coxeter_spec(f"A{_source_family(spec)[1]}")
+        src_tab = VarTable(
+            src.table().names + ("s",), src.q + ((1 - src.delta) / 2,), "s"
+        )
         tab = extended_table(base)
-        images = _substitution_images(spec, src.base.table.names, tab)
+        images = dict(zip(src_tab.names, _substitution_images(spec, tab)))
         images["s"] = MPoly.variable(tab, "s")
-        gen = src.potential.substitute(images, tab)
+        gen = open_generator_A(src.n, src_tab).substitute(images, tab)
     else:
         raise PolyError(f"{spec.tag} has no polynomial open solutions")
     li = gen.table.laurent_index
@@ -320,6 +348,21 @@ def open_family(group) -> SolutionFamily:
     return SolutionFamily(spec, base, domain, branches, gen)
 
 
+def open_family(group) -> SolutionFamily:
+    """The open solution family of A_N, B_N or I2(k).
+
+    The generator of B_N and I2(k) is F°_{A_m}, built from its closed form
+    over the flat coordinates of A_m, restricted to the group's subspace
+    like the closed potential; the lambda-domain is read off mechanically
+    (0 is admissible exactly when the s-free part vanishes) and must agree
+    with the classification table.  Cached by canonical tag."""
+    return _built_family(_spec(group).tag)
+
+
+open_family.cache_info = _built_family.cache_info
+open_family.cache_clear = _built_family.cache_clear
+
+
 # ---------- boundary correlators of A_N ----------
 
 
@@ -331,6 +374,9 @@ def correlator_recursion_A(N: int, max_n: int) -> dict:
     homogeneity and tuples with k < 0 are omitted (their value is 0).
     Reciprocal factorials of negative integers vanish, which silently
     prunes inadmissible splittings."""
+    coxeter_spec(f"A{N}")
+    if max_n < 0:
+        raise PolyError("the insertion count bound must be nonnegative")
     fact = math.factorial
 
     def kof(t):

@@ -679,37 +679,61 @@ class MPoly:
         exponents; at most a simple pole is accepted in stored values."""
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # malformed, an over-long integer literal, or nested too deeply
             raise ParseError(f"bad JSON: {exc}") from None
         if not isinstance(obj, dict) or set(obj) != {"vars", "terms"}:
             raise ParseError("JSON object must have exactly 'vars' and 'terms'")
         names = obj["vars"]
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise ParseError("'vars' must be a list of names")
-        laurent = None
+        if not isinstance(obj["terms"], list):
+            raise ParseError("'terms' must be a list")
+        parsed = []
         for t in obj["terms"]:
-            for j, e in enumerate(t["exp"]):
+            if not isinstance(t, dict) or set(t) != {"exp", "re", "im"}:
+                raise ParseError("term must have exactly 'exp', 're', 'im'")
+            exp = t["exp"]
+            if not isinstance(exp, list) or not all(type(e) is int for e in exp):
+                raise ParseError("exponents must be a list of integers")
+            if len(exp) != len(names):
+                raise ParseError("exponent arity mismatch")
+            if any(e < -1 for e in exp):
+                raise ParseError("stored values admit at most a simple pole")
+            c = GaussianRational(_json_rational(t["re"]), _json_rational(t["im"]))
+            parsed.append((tuple(exp), c))
+        laurent = None
+        for exp, _ in parsed:
+            for j, e in enumerate(exp):
                 if e < 0:
                     if laurent not in (None, names[j]):
                         raise ParseError("negative exponents in two slots")
                     laurent = names[j]
-        tab = VarTable(tuple(names), None, laurent)
+        try:
+            tab = VarTable(tuple(names), None, laurent)
+        except PolyError as exc:
+            raise ParseError(str(exc)) from None
         terms = {}
-        for t in obj["terms"]:
-            if set(t) != {"exp", "re", "im"}:
-                raise ParseError("term must have exactly 'exp', 're', 'im'")
-            exp = tuple(t["exp"])
-            if len(exp) != tab.arity:
-                raise ParseError("exponent arity mismatch")
-            if any(e < -1 for e in exp):
-                raise ParseError("stored values admit at most a simple pole")
-            c = GaussianRational(rat(*t["re"]), rat(*t["im"]))
+        for exp, c in parsed:
             if not c:
                 raise ParseError("explicit zero coefficient")
             if exp in terms:
                 raise ParseError("duplicate exponent tuple")
             terms[exp] = c
         return MPoly(tab, terms)
+
+
+def _json_rational(pair):
+    """An exact rational from a stored [numerator, denominator] pair."""
+    if (
+        not isinstance(pair, list)
+        or len(pair) != 2
+        or not all(type(x) is int for x in pair)
+    ):
+        raise ParseError("coefficients must be [numerator, denominator] integer pairs")
+    if not pair[1]:
+        raise ParseError("zero denominator in a coefficient")
+    return rat(pair[0], pair[1])
 
 
 def _render_term(tab: VarTable, exp: Exponent, c: GaussianRational):

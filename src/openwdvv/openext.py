@@ -46,6 +46,7 @@ __all__ = [
     "OmegaSequence",
     "extended_table",
     "open_extension",
+    "open_generator_A",
     "open_potential_A",
     "open_potential_D",
     "check_foan_relation",
@@ -132,15 +133,13 @@ def _multiplicity_vectors(n: int) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
-def open_potential_A(n: int) -> OpenExtension:
-    """F° of the A extension from the closed correlator formula.
+def open_generator_A(n: int, tab: VarTable) -> MPoly:
+    """F° of the A_n extension from the closed correlator formula, over the
+    table t1..tn, s.
 
     The coefficient of prod (t^a)^{m_a} * s^k is (n_pts + k - 2)! divided
     by the automorphisms prod m_a! * k!, summed over the admissible
     multiplicity vectors of _multiplicity_vectors."""
-    base = frobenius_structure("A", n)
-    tab = extended_table(base)
     terms = {}
     for mult, k in _multiplicity_vectors(n):
         pts = sum(mult)
@@ -148,7 +147,14 @@ def open_potential_A(n: int) -> OpenExtension:
         for m in mult:
             c = c / math.factorial(m)
         terms[mult + (k,)] = GaussianRational(c)
-    return open_extension(base, MPoly(tab, terms))
+    return MPoly(tab, terms)
+
+
+@lru_cache(maxsize=None)
+def open_potential_A(n: int) -> OpenExtension:
+    """F° of the A extension (open_generator_A) over the A_n structure."""
+    base = frobenius_structure("A", n)
+    return open_extension(base, open_generator_A(n, extended_table(base)))
 
 
 @lru_cache(maxsize=None)

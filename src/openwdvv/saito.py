@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .exactalg import GaussianRational, MPoly, PolyError, VarTable, rat
 from .milnor import (
@@ -33,6 +34,7 @@ __all__ = [
     "invert_coords",
     "metric_and_potential",
     "frobenius_structure",
+    "singularity_data",
     "verify_wdvv",
     "verify_homogeneity",
     "t_table",
@@ -41,12 +43,10 @@ __all__ = [
 ]
 
 
-def t_table(weights, laurent_s: bool = False) -> VarTable:
-    """Flat-coordinate table t1..tN, optionally extended by the Laurent s."""
+def t_table(weights) -> VarTable:
+    """Flat-coordinate table t1..tN with the given weights."""
     names = tuple(f"t{k}" for k in range(1, len(weights) + 1))
-    if not laurent_s:
-        return VarTable(names, tuple(Fraction(w) for w in weights))
-    raise PolyError("use openext.extended_table for the s slot")
+    return VarTable(names, tuple(Fraction(w) for w in weights))
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,9 @@ class FrobeniusStructure:
     """A potential in flat coordinates with its constant metric and grading.
 
     t_of_v / v_of_t are the exact coordinate changes when the structure
-    comes from a singularity; they are None for the Coxeter potentials
-    obtained by substitution.
+    comes from a singularity; they are None for the Coxeter potentials,
+    which live on a subspace of a singularity's flat coordinates or are
+    printed.
     """
 
     label: str
@@ -72,9 +73,6 @@ class FrobeniusStructure:
     @property
     def weights(self) -> tuple:
         return self.table.weights
-
-    def t_var(self, a: int) -> str:
-        return self.table.names[a - 1]
 
 
 # ---------- exact linear algebra ----------
@@ -175,39 +173,36 @@ def _check_flat_homogeneity(coords, u: Unfolding):
             raise PolyError(f"t^{g} of {u.label()} is not homogeneous of q_{g}")
 
 
-def invert_coords(t_of_v, ttab: VarTable):
-    """Exact inverse v_a(t) of a graded triangular coordinate change.
+def invert_coords(t_of_v, ttab: VarTable, images=None):
+    """Exact inverse v_a(t) of a graded triangular coordinate change, taken
+    along a linear embedding of ttab into the flat coordinates.
 
-    Iterates v <- t - h(v) where h collects the nonlinear terms; the weight
-    grading makes this a nilpotent fixed-point problem, and the result is
-    checked by exact back-substitution.
+    images[a] is the flat coordinate t^a as a weight-preserving linear form
+    over ttab; by default it is the a-th variable of ttab.  Iterates
+    v <- images - h(v), where h collects the nonlinear terms of t(v); the
+    weight grading makes this a nilpotent fixed-point problem, and the
+    result is checked by exact back-substitution against the images.
     """
     vtab = t_of_v[0].table
     n = len(t_of_v)
-    hs = []
-    for a, t in enumerate(t_of_v, start=1):
-        h = t - MPoly.variable(vtab, vtab.names[a - 1])
-        hs.append(h)
-    current = {
-        nm: MPoly.variable(ttab, ttab.names[k]) for k, nm in enumerate(vtab.names)
-    }
+    if images is None:
+        images = [MPoly.variable(ttab, nm) for nm in ttab.names]
+    if len(images) != n:
+        raise PolyError(f"{len(images)} images given for {n} flat coordinates")
+    hs = [t - MPoly.variable(vtab, nm) for t, nm in zip(t_of_v, vtab.names)]
+    current = dict(zip(vtab.names, images))
     for _ in range(n + 1):
-        nxt = {}
-        for a, nm in enumerate(vtab.names):
-            img = MPoly.variable(ttab, ttab.names[a]) - hs[a].substitute(
-                current, ttab
-            )
-            nxt[nm] = img
+        nxt = {
+            nm: img - h.substitute(current, ttab)
+            for nm, img, h in zip(vtab.names, images, hs)
+        }
         if nxt == current:
             break
         current = nxt
     else:
         raise PolyError("coordinate inversion did not stabilize")
-    back = {
-        ttab.names[k]: t.substitute(current, ttab) for k, t in enumerate(t_of_v)
-    }
-    for k, nm in enumerate(ttab.names):
-        if back[nm] != MPoly.variable(ttab, nm):
+    for t, img in zip(t_of_v, images):
+        if t.substitute(current, ttab) != img:
             raise PolyError("inverse fails exact back-substitution")
     return [current[nm] for nm in vtab.names]
 
@@ -227,67 +222,86 @@ def _euler_primitive(p: MPoly) -> MPoly:
 
 
 def metric_and_potential(
-    u: Unfolding, tensor: StructureTensor, t_of_v
+    u: Unfolding, tensor: StructureTensor, t_of_v, images=None, label=None
 ) -> FrobeniusStructure:
     """Flat metric, structure constants in flat coordinates, and the
-    potential they integrate to.
+    potential they integrate to, on the flat coordinates of u or on a
+    linear subspace of them.
 
     The fully lowered tensor is the phi_l-coefficient of triple products;
-    pulling it through the inverse Jacobian gives d3F/dt.dt.dt directly,
+    pulling it through the Jacobian of v(t) gives d3F/dt.dt.dt directly,
     whose t1 slice must be a constant nondegenerate matrix.
+
+    images gives every flat coordinate t^a as a weight-preserving linear
+    form over a target table whose t1 is the unit coordinate; the default
+    is the identity onto t_table(u.weights).  The Euler field is diagonal,
+    so restriction commutes with every step: v(t) is inverted over the
+    target table, the Jacobian has one column per target coordinate, and
+    only source indices whose Jacobian row is nonzero enter the lowered
+    triples and the contractions.  The potential is then F(images); the
+    coordinate changes are kept only for the identity.
     """
     n = u.rank
     q = u.weights
-    delta = u.delta
-    ttab = t_table(q)
-    v_of_t = invert_coords(t_of_v, ttab)
-    jac = [
-        [v_of_t[a].diff(ttab.names[b]) for b in range(n)] for a in range(n)
-    ]
+    if images is None:
+        ttab = t_table(q)
+        images = [MPoly.variable(ttab, nm) for nm in ttab.names]
+        restricted = False
+    else:
+        ttab = images[0].table
+        restricted = True
+        for a, img in enumerate(images):
+            if img and (img.total_degree() != 1 or img.weighted_degree() != q[a]):
+                raise PolyError(
+                    f"image of t{a + 1} is not a linear form of weight {q[a]}"
+                )
+    tnames = ttab.names
+    m = ttab.arity
+    v_of_t = invert_coords(t_of_v, ttab, images)
+    jac = [[v.diff(nm) for nm in tnames] for v in v_of_t]
+    live = [a for a in range(1, n + 1) if any(jac[a - 1])]
+    cols = {
+        al: [(a, jac[a - 1][al - 1]) for a in live if jac[a - 1][al - 1]]
+        for al in range(1, m + 1)
+    }
 
     # c_{abc} = sum_d c^d_{ab} * c^l_{dc}, then v -> v(t).
     vmap = dict(zip(tensor.table.names, v_of_t))
     low = {}
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            for c in range(b, n + 1):
-                s = MPoly.zero(tensor.table)
-                for d in range(1, n + 1):
-                    s = s + tensor.c(d, a, b) * tensor.c(tensor.l, d, c)
-                low[(a, b, c)] = s.substitute(vmap, ttab)
+    for a, b, c in combinations_with_replacement(live, 3):
+        s = MPoly.zero(tensor.table)
+        for d in range(1, n + 1):
+            s = s + tensor.c(d, a, b) * tensor.c(tensor.l, d, c)
+        low[(a, b, c)] = s.substitute(vmap, ttab)
 
     def lget(tbl, key):
         return tbl[tuple(sorted(key))]
 
     t1 = {}
-    for al in range(1, n + 1):
-        for b in range(1, n + 1):
-            for c in range(b, n + 1):
-                s = MPoly.zero(ttab)
-                for a in range(1, n + 1):
-                    s = s + jac[a - 1][al - 1] * lget(low, (a, b, c))
-                t1[(al, b, c)] = s
+    for al in range(1, m + 1):
+        for b, c in combinations_with_replacement(live, 2):
+            s = MPoly.zero(ttab)
+            for a, j in cols[al]:
+                s = s + j * lget(low, (a, b, c))
+            t1[(al, b, c)] = s
     t2 = {}
-    for al in range(1, n + 1):
-        for be in range(al, n + 1):
-            for c in range(1, n + 1):
-                s = MPoly.zero(ttab)
-                for b in range(1, n + 1):
-                    s = s + jac[b - 1][be - 1] * t1[(al,) + tuple(sorted((b, c)))]
-                t2[(al, be, c)] = s
+    for al, be in combinations_with_replacement(range(1, m + 1), 2):
+        for c in live:
+            s = MPoly.zero(ttab)
+            for b, j in cols[be]:
+                s = s + j * t1[(al,) + tuple(sorted((b, c)))]
+            t2[(al, be, c)] = s
     cflat = {}
-    for al in range(1, n + 1):
-        for be in range(al, n + 1):
-            for ga in range(be, n + 1):
-                s = MPoly.zero(ttab)
-                for c in range(1, n + 1):
-                    s = s + jac[c - 1][ga - 1] * t2[(al, be, c)]
-                cflat[(al, be, ga)] = s
+    for al, be, ga in combinations_with_replacement(range(1, m + 1), 3):
+        s = MPoly.zero(ttab)
+        for c, j in cols[ga]:
+            s = s + j * t2[(al, be, c)]
+        cflat[(al, be, ga)] = s
 
     eta_rows = []
-    for b in range(1, n + 1):
+    for b in range(1, m + 1):
         row = []
-        for c in range(1, n + 1):
+        for c in range(1, m + 1):
             e = lget(cflat, (1, b, c))
             if e.total_degree() > 0:
                 raise PolyError(f"metric entry ({b},{c}) is not constant: {e.text()}")
@@ -296,60 +310,63 @@ def metric_and_potential(
     eta = tuple(tuple(row) for row in eta_rows)
     eta_inv = invert_matrix(eta_rows)
 
-    tnames = ttab.names
+    euler = [
+        MPoly.variable(ttab, nm) * rat(w.numerator, w.denominator)
+        for nm, w in zip(tnames, ttab.weights)
+    ]
     f2 = {}
-    for al in range(1, n + 1):
-        for be in range(al, n + 1):
-            s = MPoly.zero(ttab)
-            for ga in range(1, n + 1):
-                s = s + MPoly.variable(ttab, tnames[ga - 1]) * rat(
-                    q[ga - 1].numerator, q[ga - 1].denominator
-                ) * lget(cflat, (al, be, ga))
-            f2[(al, be)] = _euler_primitive(s)
-    f1 = {}
-    for al in range(1, n + 1):
+    for al, be in combinations_with_replacement(range(1, m + 1), 2):
         s = MPoly.zero(ttab)
-        for be in range(1, n + 1):
-            s = s + MPoly.variable(ttab, tnames[be - 1]) * rat(
-                q[be - 1].numerator, q[be - 1].denominator
-            ) * f2[tuple(sorted((al, be)))]
+        for ga in range(1, m + 1):
+            s = s + euler[ga - 1] * lget(cflat, (al, be, ga))
+        f2[(al, be)] = _euler_primitive(s)
+    f1 = {}
+    for al in range(1, m + 1):
+        s = MPoly.zero(ttab)
+        for be in range(1, m + 1):
+            s = s + euler[be - 1] * f2[tuple(sorted((al, be)))]
         f1[al] = _euler_primitive(s)
     s = MPoly.zero(ttab)
-    for al in range(1, n + 1):
-        s = s + MPoly.variable(ttab, tnames[al - 1]) * rat(
-            q[al - 1].numerator, q[al - 1].denominator
-        ) * f1[al]
+    for al in range(1, m + 1):
+        s = s + euler[al - 1] * f1[al]
     potential = _euler_primitive(s)
 
+    label = label or u.label()
     for (al, be, ga), want in cflat.items():
         got = potential.diff_many(tnames[al - 1], tnames[be - 1], tnames[ga - 1])
         if got != want:
-            raise PolyError(
-                f"integrability failure at ({al},{be},{ga}) for {u.label()}"
-            )
+            raise PolyError(f"integrability failure at ({al},{be},{ga}) for {label}")
 
+    maps = {} if restricted else {
+        "v_table": tensor.table,
+        "t_of_v": tuple(t_of_v),
+        "v_of_t": tuple(v_of_t),
+    }
     return FrobeniusStructure(
-        label=u.label(),
-        rank=n,
+        label=label,
+        rank=m,
         table=ttab,
-        delta=delta,
+        delta=u.delta,
         eta=eta,
         eta_inv=eta_inv,
         potential=potential,
-        v_table=tensor.table,
-        t_of_v=tuple(t_of_v),
-        v_of_t=tuple(v_of_t),
+        **maps,
     )
+
+
+def singularity_data(family: str, n: int) -> tuple:
+    """The unfolding, structure tensor and flat coordinates of A_n or D_n,
+    the inputs of metric_and_potential."""
+    u = build_unfolding(family, n)
+    tensor = structure_constants(build_closed_algebra(u))
+    coords = flat_coords_A(n) if family == "A" else flat_coords_D(n)
+    return u, tensor, coords
 
 
 @lru_cache(maxsize=None)
 def frobenius_structure(family: str, n: int) -> FrobeniusStructure:
     """Cached full pipeline for A_n or D_n."""
-    u = build_unfolding(family, n)
-    alg = build_closed_algebra(u)
-    tensor = structure_constants(alg)
-    coords = flat_coords_A(n) if family == "A" else flat_coords_D(n)
-    return metric_and_potential(u, tensor, coords)
+    return metric_and_potential(*singularity_data(family, n))
 
 
 def from_potential(label: str, potential: MPoly) -> FrobeniusStructure:

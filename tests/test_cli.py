@@ -126,11 +126,28 @@ class TestUsageErrors:
             ("verify", "foan", "D", "4"),
             ("verify", "wdvv"),
             ("classify", "A", "3"),
+            ("classify", "I2", "2"),
+            ("classify", "I2", "3", "--lambda", "0"),
+            ("classify", "I2", "5", "--branch", "minus"),
+            ("correlators", "A", "0"),
+            ("correlators", "A", "2", "--max-n", "-1"),
             ("obstruction", "A", "3"),
         ):
             code, _, err = run(capsys, *argv)
             assert code == 2, argv
-            assert err.strip(), argv
+            assert err.startswith("error: "), argv
+
+    def test_negative_lambda_spelling(self, capsys):
+        # the spelling the --lambda help text documents
+        code, out, _ = run(capsys, "open-potential", "I2", "5", "--lambda=-1/3")
+        assert code == 0
+        assert out.strip() == open_family("I2(5)").member("-1/3").text()
+        code, out, _ = run(
+            capsys, "classify", "I2", "4", "--branch", "minus", "--lambda=-1/3"
+        )
+        assert code == 0
+        want = classify_I2(4).member("-1/3", "minus").text()
+        assert out.strip().splitlines()[-1] == f"member(lambda=-1/3, minus) = {want}"
 
     def test_lambda_zero_admissible_family(self, capsys):
         code, out, _ = run(capsys, "open-potential", "B", "2", "--lambda", "0")

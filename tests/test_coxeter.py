@@ -21,7 +21,7 @@ from openwdvv.coxeter import (
 )
 from openwdvv.exactalg import GaussianRational, MPoly, PolyError, rat
 from openwdvv.openext import verify_open_wdvv
-from openwdvv.saito import frobenius_structure, verify_wdvv
+from openwdvv.saito import frobenius_structure, from_potential, verify_wdvv
 
 DEGREES = {
     "A3": (4, 3, 2),
@@ -36,6 +36,32 @@ DEGREES = {
     "H4": (30, 20, 12, 2),
     "I2(7)": (7, 2),
 }
+
+
+def _substitution_reference(tag):
+    """The potential of B_N, I2(k) or H3 obtained by substituting into the
+    full source potential, the construction the restricted pipeline
+    replaces: B_N keeps the odd coordinates of A_{2N-1}, I2(k) the first
+    and last of A_{k-1}, and H3 is D6 at t6 = i*t2."""
+    spec = coxeter_spec(tag)
+    tab = spec.table()
+
+    def t(a):
+        return MPoly.variable(tab, f"t{a}")
+
+    if spec.family == "B":
+        src = frobenius_structure("A", 2 * spec.n - 1)
+        images = {f"t{2 * a - 1}": t(a) for a in range(1, spec.n + 1)}
+    elif spec.family == "I2":
+        src = frobenius_structure("A", spec.n - 1)
+        images = {"t1": t(1), f"t{spec.n - 1}": t(2)}
+    else:
+        src = frobenius_structure("D", 6)
+        images = {"t1": t(1), "t3": t(2), "t5": t(3), "t6": t(2) * GaussianRational(0, 1)}
+    zero = MPoly.zero(tab)
+    return src.potential.substitute(
+        {nm: images.get(nm, zero) for nm in src.table.names}, tab
+    )
 
 
 class TestSpecs:
@@ -82,6 +108,39 @@ class TestSubstitutedPotentials:
             "t5": MPoly.variable(tab, "t3"),
         }
         assert potential_coxeter("B3") == src.potential.substitute(images, tab)
+
+    def test_restricted_matches_substitution(self):
+        tags = ["B2", "B3", "B4", "B5", "H3"] + [f"I2({k})" for k in range(3, 11)]
+        for tag in tags:
+            ref = _substitution_reference(tag)
+            fs = coxeter_structure(tag)
+            assert fs.potential.text() == ref.text(), tag
+            assert fs == from_potential(tag, ref), tag
+
+    def test_no_source_build(self):
+        frobenius_structure.cache_clear()
+        coxeter_structure.cache_clear()
+        open_family.cache_clear()
+        coxeter_structure("B4", "auto")
+        open_family("B4")
+        assert frobenius_structure.cache_info().currsize == 0
+
+    def test_one_build_per_group(self):
+        coxeter_structure.cache_clear()
+        open_family.cache_clear()
+        assert verify_wdvv(coxeter_structure("I2(5)")).ok
+        open_family(coxeter_spec("I2(5)"))
+        classify_I2(5)
+        potential_coxeter("I2(5)", "substitution")
+        assert coxeter_structure("I2(05)") is coxeter_structure("I2(5)")
+        assert coxeter_structure.cache_info().misses == 1
+        coxeter_structure.cache_clear()
+        assert verify_wdvv(coxeter_structure("H3", "printed")).ok
+        assert obstruction_check("H3").ok
+        assert verify_wdvv(coxeter_structure("F4")).ok
+        assert obstruction_check(coxeter_spec("F4")).ok
+        potential_coxeter("F4", "printed")
+        assert coxeter_structure.cache_info().misses == 2
 
     def test_h3_imaginary_parts_cancel(self):
         p = potential_coxeter("H3")
@@ -160,6 +219,11 @@ class TestOpenFamilies:
 
 
 class TestCorrelators:
+    def test_rejects_bad_arguments(self):
+        for N, max_n in ((0, 2), (-1, 2), (3, -1)):
+            with pytest.raises(PolyError):
+                correlator_recursion_A(N, max_n)
+
     def test_seeds(self):
         for N in (2, 3, 4):
             table = correlator_recursion_A(N, 2)

@@ -1,6 +1,7 @@
 """Scalar and polynomial layer: hand cases, hypothesis properties, and a
 sympy cross-check of products and derivatives."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,56 @@ class TestPolyBasics:
                 parse(bad, tab)
         with pytest.raises(PolyError):
             parse("y", tab)
+
+    def test_from_json_rejects_malformed_terms(self):
+        def doc(**term):
+            return json.dumps({"vars": ["x"], "terms": [term]})
+
+        good = {"exp": [1], "re": [1, 2], "im": [0, 1]}
+        assert MPoly.from_json(doc(**good)).text() == "1/2*x"
+        bad = [
+            doc(**{**good, "exp": [1.5]}),
+            doc(**{**good, "exp": [1.0]}),
+            doc(**{**good, "exp": [True]}),
+            doc(**{**good, "exp": ["1"]}),
+            doc(**{**good, "exp": 1}),
+            doc(**{**good, "exp": [1, 0]}),
+            doc(**{**good, "re": [1, 0]}),
+            doc(**{**good, "re": [1]}),
+            doc(**{**good, "re": [1, 2, 3]}),
+            doc(**{**good, "re": [1.5, 2]}),
+            doc(**{**good, "im": [False, 1]}),
+            doc(**{**good, "im": "0"}),
+            doc(exp=[1], re=[1, 1]),
+            json.dumps({"vars": ["x"], "terms": [[1]]}),
+            json.dumps({"vars": ["x"], "terms": {"exp": [1]}}),
+            json.dumps({"vars": ["x", "x"], "terms": []}),
+            json.dumps({"vars": ["1x"], "terms": []}),
+            "[" * 100000 + "]" * 100000,
+            doc(**{**good, "re": ["N", 1]}).replace('"N"', "1" * 5000),
+        ]
+        for text in bad:
+            with pytest.raises(ParseError):
+                MPoly.from_json(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3)
+            | st.text("xs1", max_size=2),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.sampled_from(["exp", "re", "im", "k"]), inner),
+            max_leaves=12,
+        ),
+        st.lists(st.sampled_from(["x", "s", "x"]), max_size=2),
+    )
+    def test_from_json_fuzz(self, term, names):
+        text = json.dumps({"vars": names, "terms": [term]})
+        try:
+            p = MPoly.from_json(text)
+        except ParseError:
+            return
+        assert MPoly.from_json(p.to_json()) == p
 
     def test_division_by_monomial(self):
         s = MPoly.variable(LTAB, "s")

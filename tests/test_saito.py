@@ -13,6 +13,8 @@ from openwdvv.saito import (
     from_potential,
     invert_coords,
     invert_matrix,
+    metric_and_potential,
+    singularity_data,
     verify_homogeneity,
     verify_wdvv,
 )
@@ -53,6 +55,36 @@ class TestFlatCoordinates:
         bad = 2 * MPoly.variable(vtab, "v1")
         with pytest.raises(PolyError):
             invert_coords([bad], ttab)
+
+    def test_invert_along_zero_images(self):
+        # A5 on the t2 = t4 = 0 subspace: the inverse equals the full
+        # inverse restricted there, and passes back-substitution inside
+        fs = frobenius_structure("A", 5)
+        tab = VarTable(("t1", "t2", "t3"), (Fraction(1), Fraction(2, 3), Fraction(1, 3)))
+        zero = MPoly.zero(tab)
+        x1, x2, x3 = (MPoly.variable(tab, nm) for nm in tab.names)
+        images = [x1, zero, x2, zero, x3]
+        got = invert_coords(list(fs.t_of_v), tab, images)
+        full = {f"t{a}": img for a, img in enumerate(images, start=1)}
+        assert got == [v.substitute(full, tab) for v in fs.v_of_t]
+        assert got[1] == zero and got[3] == zero
+        with pytest.raises(PolyError):
+            invert_coords(list(fs.t_of_v), tab, images[:4])
+
+    def test_restriction_needs_weight_preserving_linear_images(self):
+        tab = VarTable(("t1", "t2"), (Fraction(1), Fraction(1, 2)))
+        x1, x2 = (MPoly.variable(tab, nm) for nm in tab.names)
+        # A3 has weights 1, 3/4, 1/2: t2 cannot go to a weight-1/2 form
+        for images in ([x1, x2, MPoly.zero(tab)], [x1, MPoly.zero(tab), x2 * x2]):
+            with pytest.raises(PolyError):
+                metric_and_potential(*singularity_data("A", 3), images)
+        fs = metric_and_potential(
+            *singularity_data("A", 3), [x1, MPoly.zero(tab), x2], "B2"
+        )
+        assert fs.potential == frobenius_structure("A", 3).potential.substitute(
+            {"t1": x1, "t2": MPoly.zero(tab), "t3": x2}, tab
+        )
+        assert fs.label == "B2" and fs.t_of_v is None
 
     def test_invert_matrix(self):
         one = GaussianRational(1)
