@@ -12,9 +12,21 @@ Examples:
     openwdvv obstruction H 3
 
 Groups are named by a family token and an integer, so 'I2 6' stands
-for I2(6).  Exit status is 0 when every requested identity holds, 1
-when a verification or classification fails, and 2 for requests the
-library cannot serve (unknown groups, inadmissible lambda, and so on).
+for I2(6).  The groups each 'verify' identity takes:
+
+    wdvv                every constructed group: A, B, D, I2, F4, H3, H4
+    open-wdvv, vector   A, B, D and I2
+    extension           A and D
+    foan                A
+    extract, omega      D
+
+'verify all' takes no group; it sweeps those identities, the I2
+classification and the obstructions over every group up to --max-rank
+(the list is _sweep), through the builders the single requests use.
+
+Exit status is 0 when every requested identity holds, 1 when a
+verification or classification fails, and 2 for requests the library
+cannot serve (unknown groups, inadmissible lambda, and so on).
 """
 
 from __future__ import annotations
@@ -23,6 +35,7 @@ import argparse
 import json
 import re
 import sys
+from typing import Callable, NamedTuple
 
 from .coxeter import (
     classify_I2,
@@ -52,17 +65,6 @@ from .openext import (
 )
 from .report import Report, merge
 from .saito import frobenius_structure, verify_wdvv
-
-_IDENTITIES = (
-    "wdvv",
-    "open-wdvv",
-    "extension",
-    "foan",
-    "extract",
-    "vector",
-    "omega",
-    "all",
-)
 
 
 def _tag(family: str, n: int) -> str:
@@ -230,7 +232,44 @@ def _open_ext_for(family: str, n: int, lam, branch: str):
     return open_family(_tag(family, n)).extension(lam, branch)
 
 
-def _omega_report(n: int) -> Report:
+# ---------- identities ----------
+#
+# Every builder takes (family, n, lam, branch) and returns one Report.  The
+# builders name the library functions at call time, so wrappers installed
+# on the module globals (tracing, for one) see every call.
+
+
+def _wdvv(family, n, lam, branch) -> Report:
+    if family in ("A", "D"):
+        return verify_wdvv(frobenius_structure(family, n))
+    return verify_wdvv(coxeter_structure(_tag(family, n)))
+
+
+def _open_wdvv(family, n, lam, branch) -> Report:
+    return verify_open_wdvv(_open_ext_for(family, n, lam, branch))
+
+
+def _extension(family, n, lam, branch) -> Report:
+    return verify_extension_theorems(family, n)
+
+
+def _foan(family, n, lam, branch) -> Report:
+    ok = check_foan_relation(open_potential_A(n))
+    return Report(f"foan(A{n})", 1, () if ok else ("s-derivative expansion",))
+
+
+def _extract(family, n, lam, branch) -> Report:
+    ext = open_potential_D(n)
+    ok = extract_v_from_open_D(ext) == list(ext.base.v_of_t)
+    return Report(f"extract(D{n})", 1, () if ok else ("recovered v(t)",))
+
+
+def _vector(family, n, lam, branch) -> Report:
+    ext = _open_ext_for(family, n, lam, branch)
+    return verify_vector_potential(ext.vector_potential(), f"vector({ext.label})")
+
+
+def _omega(family, n, lam, branch) -> Report:
     failures = []
     try:
         omega_sequence(n, 2 * n)
@@ -243,105 +282,99 @@ def _omega_report(n: int) -> Report:
     return Report(f"omega(D{n})", 3, tuple(failures))
 
 
-def _foan_report(n: int) -> Report:
-    ok = check_foan_relation(open_potential_A(n))
-    return Report(f"foan(A{n})", 1, () if ok else ("s-derivative expansion",))
-
-
-def _extract_report(n: int) -> Report:
-    ext = open_potential_D(n)
-    got = extract_v_from_open_D(ext)
-    ok = got == list(ext.base.v_of_t)
-    return Report(f"extract(D{n})", 1, () if ok else ("recovered v(t)",))
-
-
-def _classification_report(k: int) -> Report:
+def _classification(family, n, lam, branch) -> Report:
+    label = f"classification(I2({n}))"
     try:
-        classify_I2(k)
+        classify_I2(n)
     except PolyError as exc:
-        return Report(f"classification(I2({k}))", 1, (str(exc),))
-    return Report(f"classification(I2({k}))", 1)
+        return Report(label, 1, (str(exc),))
+    return Report(label, 1)
 
 
-def _verify_all(max_rank: int) -> tuple:
-    reports = []
-    for n in range(1, max_rank + 1):
-        reports.append(verify_wdvv(frobenius_structure("A", n)))
-    for n in range(3, max_rank + 1):
-        reports.append(verify_wdvv(frobenius_structure("D", n)))
-    for n in range(2, max_rank + 1):
-        reports.append(verify_wdvv(coxeter_structure(f"B{n}")))
+def _obstruction(family, n, lam, branch) -> Report:
+    return obstruction_check(_tag(family, n))
+
+
+class _Identity(NamedTuple):
+    build: Callable  # (family, n, lam, branch) -> Report
+    families: tuple | None = None  # None: the library refuses what it lacks
+    refusal: str = ""  # the error for a family outside families
+    choice: bool = True  # a 'verify' choice, not only a part of 'verify all'
+
+
+_CHECKS = {
+    "wdvv": _Identity(_wdvv),
+    "open-wdvv": _Identity(_open_wdvv),
+    "extension": _Identity(
+        _extension, ("A", "D"), "extension theorems cover A and D only"
+    ),
+    "foan": _Identity(_foan, ("A",), "the s-derivative expansion is an A identity"),
+    "extract": _Identity(_extract, ("D",), "coordinate recovery is a D identity"),
+    "vector": _Identity(_vector),
+    "omega": _Identity(_omega, ("D",), "the omega identities are D identities"),
+    # reached from the command line by 'classify' and 'obstruction'
+    "classification": _Identity(_classification, choice=False),
+    "obstruction": _Identity(_obstruction, choice=False),
+}
+
+_IDENTITIES = (*(k for k, c in _CHECKS.items() if c.choice), "all")
+
+_PRINTED = (("F", 4), ("H", 3), ("H", 4))  # swept whatever the rank bound
+
+
+def _sweep(max_rank: int):
+    """Every part of 'verify all', in order, as (identity, family, n, branch)."""
+
+    def ranks(lo):
+        return range(lo, max_rank + 1)
+
+    for family, lo in (("A", 1), ("D", 3), ("B", 2)):
+        for n in ranks(lo):
+            yield "wdvv", family, n, "plus"
     for k in range(3, 9):
-        reports.append(verify_wdvv(coxeter_structure(f"I2({k})")))
-    for tag in ("F4", "H3", "H4"):
-        reports.append(verify_wdvv(coxeter_structure(tag)))
-    for n in range(1, max_rank + 1):
-        reports.append(verify_open_wdvv(open_potential_A(n)))
-        reports.append(verify_extension_theorems("A", n))
-        reports.append(_foan_report(n))
-        funcs = open_potential_A(n).vector_potential()
-        reports.append(verify_vector_potential(funcs, f"vector(A{n})"))
-    for n in range(3, max_rank + 1):
-        reports.append(verify_open_wdvv(open_potential_D(n)))
-        reports.append(verify_extension_theorems("D", n))
-        reports.append(_extract_report(n))
-        funcs = open_potential_D(n).vector_potential()
-        reports.append(verify_vector_potential(funcs, f"vector(D{n})"))
-        reports.append(_omega_report(n))
-    for n in range(2, max_rank + 1):
-        reports.append(verify_open_wdvv(open_family(f"B{n}").extension()))
+        yield "wdvv", "I2", k, "plus"
+    for family, n in _PRINTED:
+        yield "wdvv", family, n, "plus"
+    for n in ranks(1):
+        for ident in ("open-wdvv", "extension", "foan", "vector"):
+            yield ident, "A", n, "plus"
+    for n in ranks(3):
+        for ident in ("open-wdvv", "extension", "extract", "vector", "omega"):
+            yield ident, "D", n, "plus"
+    for n in ranks(2):
+        yield "open-wdvv", "B", n, "plus"
     for k in range(3, 9):
-        fam = open_family(f"I2({k})")
-        for br in fam.branches:
-            reports.append(verify_open_wdvv(fam.extension(branch=br)))
-        reports.append(_classification_report(k))
-    for n in range(4, max_rank + 1):
-        reports.append(obstruction_check(f"D{n}"))
-    for n in (6, 7, 8):
-        if n <= max_rank:
-            reports.append(obstruction_check(f"E{n}"))
-    for tag in ("F4", "H3", "H4"):
-        reports.append(obstruction_check(tag))
-    return merge(f"all(max_rank={max_rank})", reports), reports
+        for branch in open_family(f"I2({k})").branches:
+            yield "open-wdvv", "I2", k, branch
+        yield "classification", "I2", k, "plus"
+    for n in ranks(4):
+        yield "obstruction", "D", n, "plus"
+    for n in range(6, min(max_rank, 8) + 1):
+        yield "obstruction", "E", n, "plus"
+    for family, n in _PRINTED:
+        yield "obstruction", family, n, "plus"
 
 
 def _cmd_verify(args) -> int:
     if args.identity == "all":
-        rep, parts = _verify_all(args.max_rank)
+        if args.family is not None:
+            raise PolyError("verify all takes no group; bound it with --max-rank")
+        if args.max_rank < 1:
+            raise PolyError(f"--max-rank must be at least 1, not {args.max_rank}")
+        one = GaussianRational(1)
+        parts = [
+            _CHECKS[ident].build(family, n, one, branch)
+            for ident, family, n, branch in _sweep(args.max_rank)
+        ]
+        rep = merge(f"all(max_rank={args.max_rank})", parts)
         return _emit_report(rep, args.format, parts)
     if args.family is None or args.n is None:
         raise PolyError(f"verify {args.identity} needs a group")
-    family, n = args.family, args.n
-    tag = _tag(family, n)
     lam = _scalar(args.lam)
-    if args.identity == "wdvv":
-        fs = (
-            frobenius_structure(family, n)
-            if family in ("A", "D")
-            else coxeter_structure(tag)
-        )
-        rep = verify_wdvv(fs)
-    elif args.identity == "open-wdvv":
-        rep = verify_open_wdvv(_open_ext_for(family, n, lam, args.branch))
-    elif args.identity == "extension":
-        if family not in ("A", "D"):
-            raise PolyError("extension theorems cover A and D only")
-        rep = verify_extension_theorems(family, n)
-    elif args.identity == "foan":
-        if family != "A":
-            raise PolyError("the s-derivative expansion is an A identity")
-        rep = _foan_report(n)
-    elif args.identity == "extract":
-        if family != "D":
-            raise PolyError("coordinate recovery is a D identity")
-        rep = _extract_report(n)
-    elif args.identity == "vector":
-        ext = _open_ext_for(family, n, lam, args.branch)
-        rep = verify_vector_potential(ext.vector_potential(), f"vector({ext.label})")
-    else:  # omega
-        if family != "D":
-            raise PolyError("the omega identities are D identities")
-        rep = _omega_report(n)
+    check = _CHECKS[args.identity]
+    if check.families is not None and args.family not in check.families:
+        raise PolyError(check.refusal)
+    rep = check.build(args.family, args.n, lam, args.branch)
     return _emit_report(rep, args.format)
 
 

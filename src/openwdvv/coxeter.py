@@ -17,6 +17,7 @@ for all remaining groups.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,6 +47,7 @@ from .saito import (
     frobenius_structure,
     metric_and_potential,
     singularity_data,
+    third_derivatives,
 )
 
 __all__ = [
@@ -102,10 +104,11 @@ class CoxeterSpec:
 def coxeter_spec(tag: str) -> CoxeterSpec:
     """Parse a group tag: 'A5', 'B3', 'D4', 'E7', 'F4', 'H3', 'H4', 'I2(6)'.
     The spec carries the tag in that canonical spelling."""
-    if tag.startswith("I2(") and tag.endswith(")"):
-        family, n = "I2", int(tag[3:-1])
-    else:
-        family, n = tag[0], int(tag[1:])
+    m = re.fullmatch(r"I2\(([0-9]+)\)|([A-Z])([0-9]+)", tag)
+    if m is None:
+        raise PolyError(f"unknown Coxeter group {tag!r}")
+    family = "I2" if m[1] else m[2]
+    n = int(m[1] or m[3])
     if family == "A" and n >= 1:
         degrees = tuple(n + 2 - a for a in range(1, n + 1))
     elif family == "B" and n >= 2:
@@ -146,12 +149,9 @@ def _fixture_text(name: str) -> str:
 
 def printed_potential(tag: str) -> MPoly:
     """A potential transcribed verbatim from its published display."""
-    if tag in ("D4", "D5"):
-        tab = frobenius_structure("D", int(tag[1])).table
-    elif tag in ("F4", "H3", "H4"):
-        tab = _spec(tag).table()
-    else:
+    if tag not in ("D4", "D5", "F4", "H3", "H4"):
         raise PolyError(f"no printed potential stored for {tag}")
+    tab = coxeter_spec(tag).table()
     return parse(_fixture_text(f"{tag.lower()}_closed.txt" if tag[0] == "D" else f"{tag.lower()}.txt"), tab)
 
 
@@ -495,16 +495,10 @@ def _obstruction_printed(spec: CoxeterSpec) -> Report:
     t2^2 rules the remaining open WDVV term out."""
     fs = coxeter_structure(spec)
     tab = fs.table
-    nm = tab.names
     checked = []
     failures = []
-    d22 = fs.potential.diff_many("t2", "t2")
-    for mu in range(1, fs.rank + 1):
-        c = MPoly.zero(tab)
-        for v in range(1, fs.rank + 1):
-            e = fs.eta_inv[mu - 1][v - 1]
-            if e:
-                c = c + d22.diff(nm[v - 1]) * e
+    _, raised = third_derivatives(fs.potential, fs.eta_inv, tab.names)
+    for mu, c in enumerate(raised[(2, 2)], start=1):
         checked.append(2)
         if c.constant_term():
             failures.append(f"c^{mu}_(2,2) at t=0")
@@ -552,14 +546,9 @@ def _obstruction_h3() -> Report:
     F = fs.potential.substitute({}, btab)
     r = fo.diff_many("t3", "t2") * fo.diff_many("s", "s")
     r = r - fo.diff_many("t3", "s") * fo.diff_many("t2", "s")
-    for mu in range(1, 4):
-        f3 = F.diff_many("t3", "t2", f"t{mu}")
-        if not f3:
-            continue
-        for v in range(1, 4):
-            e = fs.eta_inv[mu - 1][v - 1]
-            if e:
-                r = r + f3 * e * fo.diff_many(f"t{v}", "s")
+    _, raised = third_derivatives(F, fs.eta_inv, btab.names[:3])
+    for v, c in enumerate(raised[(2, 3)], start=1):
+        r = r + c * fo.diff_many(f"t{v}", "s")
     r = r.diff_many("t2", "t2")
     free = MPoly._make(
         btab, {e: c for e, c in r.terms.items() if not any(e[:4])}

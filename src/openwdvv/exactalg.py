@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Mapping, Union
 
 try:
     from gmpy2 import mpq as _Q
@@ -168,19 +168,6 @@ class GaussianRational:
             n >>= 1
         return acc
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational._make(self.re, -self.im)
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.im
-
-    def real_fraction(self) -> Fraction:
-        """Real part as Fraction; raises if the imaginary part is nonzero."""
-        if self.im:
-            raise PolyError(f"not a real rational: {self!r}")
-        return _as_fraction(self.re)
-
     def __repr__(self) -> str:
         if not self.im:
             return f"GaussianRational({self.re!s})"
@@ -248,20 +235,6 @@ class VarTable:
     @property
     def laurent_index(self) -> int | None:
         return None if self.laurent is None else self.names.index(self.laurent)
-
-    def weight(self, name: str) -> Fraction:
-        if self.weights is None:
-            raise PolyError("table has no weights")
-        return self.weights[self.index(name)]
-
-    def with_weights(self, weights: Sequence[Fraction]) -> "VarTable":
-        return VarTable(self.names, tuple(weights), self.laurent)
-
-
-def table(names: Iterable[str], weights=None, laurent: str | None = None) -> VarTable:
-    """Convenience VarTable constructor accepting any iterables."""
-    w = None if weights is None else tuple(Fraction(x) for x in weights)
-    return VarTable(tuple(names), w, laurent)
 
 
 class MPoly:
@@ -331,9 +304,6 @@ class MPoly:
 
     # ---------- basic queries ----------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -357,13 +327,6 @@ class MPoly:
                 out[tuple(e)] = c
         return MPoly._make(self.table, out)
 
-    def min_exponent(self, name: str) -> int:
-        """Smallest exponent of name across terms (0 for the zero polynomial)."""
-        j = self.table.index(name)
-        if not self.terms:
-            return 0
-        return min(exp[j] for exp in self.terms)
-
     def max_exponent(self, name: str) -> int:
         j = self.table.index(name)
         if not self.terms:
@@ -382,9 +345,6 @@ class MPoly:
     def sorted_terms(self) -> list:
         """Terms in canonical graded-lex order."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def __iter__(self) -> Iterator:
-        return iter(self.sorted_terms())
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -618,25 +578,6 @@ class MPoly:
                 if e:
                     term = term * power(names[j], e)
             acc = acc + term
-        return acc
-
-    def evaluate(self, values: Mapping[str, GaussianRational]) -> GaussianRational:
-        """Evaluate at a point; every variable the polynomial uses must be given.
-
-        A zero value for the Laurent variable raises if a pole term is present.
-        """
-        vals = {}
-        for j, nm in enumerate(self.table.names):
-            if nm in values:
-                vals[j] = _coerce(values[nm])
-            elif self.depends_on(nm):
-                raise PolyError(f"no value for variable {nm}")
-        acc = _GR0
-        for exp, c in self.terms.items():
-            for j, e in enumerate(exp):
-                if e:
-                    c = c * vals[j] ** e
-            acc = acc + c
         return acc
 
     # ---------- serialization ----------

@@ -44,12 +44,6 @@ _E_BASIS = {
     8: ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (3, 0), (2, 1), (3, 1)),
 }
 
-_E_MONOMIALS = {
-    6: ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (2, 1)),
-    7: ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (3, 0), (4, 0)),
-    8: ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (3, 0), (2, 1), (3, 1)),
-}
-
 
 @dataclass(frozen=True)
 class Unfolding:
@@ -130,15 +124,14 @@ def build_unfolding(family: str, n: int) -> Unfolding:
         # Germ weights solve q_x*ax + q_y*ay = 1 = q_x*bx + q_y*by.
         qy = Fraction(1, 3)
         qx = {6: Fraction(1, 4), 7: Fraction(2, 9), 8: Fraction(1, 5)}[n]
-        mons = _E_MONOMIALS[n]
-        qv = tuple(1 - qx * a - qy * b for (a, b) in mons)
+        basis = _E_BASIS[n]  # the unfolding monomials are the Milnor basis
+        qv = tuple(1 - qx * a - qy * b for (a, b) in basis)
         tab = VarTable(("x", "y") + _vnames(n), (qx, qy) + qv)
         x = MPoly.variable(tab, "x")
         y = MPoly.variable(tab, "y")
         lam = x ** ax * y ** ay + x ** bx * y ** by
-        for k, (a, b) in enumerate(mons, start=1):
+        for k, (a, b) in enumerate(basis, start=1):
             lam = lam + MPoly.variable(tab, f"v{k}") * x ** a * y ** b
-        basis = _E_BASIS[n]
         l = n
     else:
         raise PolyError(f"unknown family {family!r}")

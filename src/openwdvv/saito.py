@@ -35,6 +35,7 @@ __all__ = [
     "metric_and_potential",
     "frobenius_structure",
     "singularity_data",
+    "third_derivatives",
     "verify_wdvv",
     "verify_homogeneity",
     "t_table",
@@ -410,6 +411,41 @@ def _first_monomial(p: MPoly) -> str:
     return ("-" if neg else "") + body
 
 
+def third_derivatives(F: MPoly, eta_inv, names) -> tuple:
+    """The third derivatives of F in the coordinates names and the raised
+    structure constants built from them.
+
+    d3[(a, b, c)] = d3F/dt^a dt^b dt^c for 1 <= a <= b <= c <= N, and
+    raised[(a, b)] lists c^v_{ab} = eta^{vm} d3F/dt^a dt^b dt^m for
+    v = 1..N (a <= b); zero entries of eta_inv are skipped.  Nothing is
+    cached: every caller sweeps the tensors once and drops them.
+    """
+    n = len(names)
+    d3 = {}
+    for a in range(1, n + 1):
+        da = F.diff(names[a - 1])
+        for b in range(a, n + 1):
+            dab = da.diff(names[b - 1])
+            for c in range(b, n + 1):
+                d3[(a, b, c)] = dab.diff(names[c - 1])
+    zero = MPoly.zero(F.table)
+    raised = {
+        (a, b): [
+            sum(
+                (
+                    d3[tuple(sorted((a, b, m)))] * eta_inv[v - 1][m - 1]
+                    for m in range(1, n + 1)
+                    if eta_inv[v - 1][m - 1]
+                ),
+                zero,
+            )
+            for v in range(1, n + 1)
+        ]
+        for a, b in combinations_with_replacement(range(1, n + 1), 2)
+    }
+    return d3, raised
+
+
 def verify_wdvv(fs: FrobeniusStructure) -> Report:
     """Exact associativity check of the flat structure constants.
 
@@ -419,20 +455,13 @@ def verify_wdvv(fs: FrobeniusStructure) -> Report:
     """
     n = fs.rank
     tab = fs.table
-    nm = tab.names
-    F = fs.potential
-    d2 = {}
-    for a in range(1, n + 1):
-        da = F.diff(nm[a - 1])
-        for b in range(a, n + 1):
-            d2[(a, b)] = da.diff(nm[b - 1])
-    d3 = {}
-    for (a, b), p in d2.items():
-        for c in range(b, n + 1):
-            d3[(a, b, c)] = p.diff(nm[c - 1])
+    d3, raised = third_derivatives(fs.potential, fs.eta_inv, tab.names)
 
     def c3(a, b, c):
         return d3[tuple(sorted((a, b, c)))]
+
+    def craised(g, d):
+        return raised[(g, d) if g <= d else (d, g)]
 
     failures = []
     checked = 0
@@ -440,22 +469,8 @@ def verify_wdvv(fs: FrobeniusStructure) -> Report:
         for b in range(a, n + 1):
             checked += 1
             want = MPoly.constant(tab, fs.eta[a - 1][b - 1])
-            if c3(1, a, b) != want:
+            if d3[(1, a, b)] != want:
                 failures.append(f"unit({a},{b})")
-
-    raised = {}
-    for g in range(1, n + 1):
-        for d in range(g, n + 1):
-            raised[(g, d)] = [
-                sum(
-                    (c3(m, g, d) * fs.eta_inv[m - 1][v - 1] for m in range(1, n + 1)),
-                    MPoly.zero(tab),
-                )
-                for v in range(1, n + 1)
-            ]
-
-    def craised(g, d):
-        return raised[(g, d) if g <= d else (d, g)]
 
     for al in range(1, n + 1):
         for de in range(al + 1, n + 1):

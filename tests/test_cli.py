@@ -106,6 +106,38 @@ class TestVerifyVerbs:
         assert obj["ok"] and obj["checked"] > 100
         assert all(r["ok"] for r in obj["reports"])
 
+    def test_verify_all_parts_in_order(self, capsys):
+        # the (label, checked) sequence of the sweep, pinned as first recorded
+        code, out, _ = run(
+            capsys, "verify", "all", "--max-rank", "3", "--format", "json"
+        )
+        assert code == 0
+        obj = json.loads(out)
+        parts = [(r["label"], r["checked"]) for r in obj["reports"]]
+        i2 = []
+        for k in range(3, 9):
+            i2 += [(f"open-wdvv(I2({k}))", 9)] * (2 - k % 2)
+            i2.append((f"classification(I2({k}))", 1))
+        assert parts == [
+            ("wdvv(A1)", 1), ("wdvv(A2)", 4), ("wdvv(A3)", 15),
+            ("wdvv(D3)", 15), ("wdvv(B2)", 4), ("wdvv(B3)", 15),
+            *((f"wdvv(I2({k}))", 4) for k in range(3, 9)),
+            ("wdvv(F4)", 46), ("wdvv(H3)", 15), ("wdvv(H4)", 46),
+            ("open-wdvv(A1)", 4), ("extension(A1)", 6), ("foan(A1)", 1),
+            ("vector-potential(vector(A1))", 10),
+            ("open-wdvv(A2)", 9), ("extension(A2)", 18), ("foan(A2)", 1),
+            ("vector-potential(vector(A2))", 39),
+            ("open-wdvv(A3)", 20), ("extension(A3)", 40), ("foan(A3)", 1),
+            ("vector-potential(vector(A3))", 116),
+            ("open-wdvv(D3)", 20), ("extension(D3)", 40), ("extract(D3)", 1),
+            ("vector-potential(vector(D3))", 116), ("omega(D3)", 3),
+            ("open-wdvv(B2)", 9), ("open-wdvv(B3)", 20),
+            *i2,
+            ("obstruction(F4)", 10), ("obstruction(H3)", 2),
+            ("obstruction(H4)", 10),
+        ]
+        assert obj["checked"] == 768 == sum(c for _, c in parts)
+
     def test_failing_report_maps_to_exit_1(self, capsys):
         rep = Report("demo", 3, ("broken",))
         assert _emit_report(rep, "text") == 1
@@ -124,7 +156,13 @@ class TestUsageErrors:
             ("flat-coords", "B", "3"),
             ("correlators", "D", "4"),
             ("verify", "foan", "D", "4"),
+            ("verify", "extension", "B", "3"),
+            ("verify", "omega", "A", "3"),
+            ("verify", "extract", "A", "4"),
             ("verify", "wdvv"),
+            ("verify", "all", "A", "3"),
+            ("verify", "all", "--max-rank", "0"),
+            ("verify", "all", "--max-rank=-2"),
             ("classify", "A", "3"),
             ("classify", "I2", "2"),
             ("classify", "I2", "3", "--lambda", "0"),

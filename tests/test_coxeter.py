@@ -79,7 +79,10 @@ class TestSpecs:
         assert coxeter_spec("I2(6)").delta == Fraction(2, 3)
 
     def test_rejects_unknown(self):
-        for tag in ("Q5", "D2", "E5", "E9", "H5", "I2(2)", "B1", "A0", "F5"):
+        for tag in (
+            "Q5", "D2", "E5", "E9", "H5", "I2(2)", "B1", "A0", "F5",
+            "", "A", "I2()", "Bx", "I2(x)",
+        ):
             with pytest.raises(PolyError):
                 coxeter_spec(tag)
 
@@ -156,6 +159,11 @@ class TestSubstitutedPotentials:
             potential_coxeter("F4", source="substitution")
         with pytest.raises(PolyError):
             potential_coxeter("E6")
+
+    def test_printed_d_builds_no_structure(self):
+        frobenius_structure.cache_clear()
+        printed_potential("D5")
+        assert frobenius_structure.cache_info().currsize == 0
 
     def test_closed_wdvv(self):
         for tag in ("B2", "B3", "I2(5)", "I2(8)", "F4", "H3", "H4"):

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from openwdvv import openext
 from openwdvv.exactalg import MPoly, PolyError, parse, rat
 from openwdvv.openext import (
     check_coefw_lemma,
@@ -99,6 +100,17 @@ class TestExtensionTheorems:
     def test_rejects_unknown_family(self):
         with pytest.raises(PolyError):
             verify_extension_theorems("E", 6)
+
+    def test_tampered_potential_fails(self, monkeypatch):
+        ext = open_potential_A(3)
+        # t2*t3 has the weight 5/4 of F° and no t1, so the unit and
+        # homogeneity conditions still hold; only c^s_(2,3) can see it
+        fo = ext.potential + parse("t2*t3", ext.table)
+        open_extension(ext.base, fo)
+        bad = replace(ext, potential=fo)
+        monkeypatch.setattr(openext, "open_potential_A", lambda n: bad)
+        rep = verify_extension_theorems("A", 3)
+        assert rep.failures == ("c^4_(2,3)",)
 
 
 class TestCoordinateRecovery:

@@ -15,6 +15,7 @@ from openwdvv.saito import (
     invert_matrix,
     metric_and_potential,
     singularity_data,
+    third_derivatives,
     verify_homogeneity,
     verify_wdvv,
 )
@@ -144,6 +145,29 @@ class TestIdentitySweeps:
         for family, n in FAMILIES:
             rep = verify_homogeneity(frobenius_structure(family, n))
             assert rep.ok, rep.summary()
+
+
+class TestThirdDerivatives:
+    def test_matches_direct_contraction(self):
+        fs = frobenius_structure("D", 4)
+        F, nm, n = fs.potential, fs.table.names, fs.rank
+        d3, raised = third_derivatives(F, fs.eta_inv, nm)
+        assert len(d3) == n * (n + 1) * (n + 2) // 6
+        for (a, b, c), p in d3.items():
+            assert p == F.diff_many(nm[a - 1], nm[b - 1], nm[c - 1])
+        assert len(raised) == n * (n + 1) // 2
+        for (a, b), row in raised.items():
+            for v, got in enumerate(row, start=1):
+                want = MPoly.zero(fs.table)
+                for m in range(1, n + 1):
+                    f3 = F.diff_many(nm[a - 1], nm[b - 1], nm[m - 1])
+                    want = want + f3 * fs.eta_inv[v - 1][m - 1]
+                assert got == want
+        # the unit slice raises to the identity: c^v_(1,b) = delta^v_b
+        for b in range(1, n + 1):
+            assert raised[(1, b)] == [
+                MPoly.constant(fs.table, int(v == b)) for v in range(1, n + 1)
+            ]
 
 
 class TestFromPotential:
