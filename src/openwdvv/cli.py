@@ -23,6 +23,8 @@ for I2(6).  The groups each 'verify' identity takes:
 'verify all' takes no group; it sweeps those identities, the I2
 classification and the obstructions over every group up to --max-rank
 (the list is _sweep), through the builders the single requests use.
+Only open-wdvv and vector take --lambda and --branch, and only 'verify
+all' takes --max-rank; any other use of them exits 2.
 
 Exit status is 0 when every requested identity holds, 1 when a
 verification or classification fails, and 2 for requests the library
@@ -144,19 +146,25 @@ def _cmd_potential(args) -> int:
     return 0
 
 
+def _lambda_branch(args) -> tuple:
+    """--lambda and --branch as given, or their defaults 1 and plus."""
+    return ("1" if args.lam is None else args.lam), (args.branch or "plus")
+
+
 def _cmd_open_potential(args) -> int:
     tag = _tag(args.family, args.n)
-    lam = _scalar(args.lam)
+    lam_text, branch = _lambda_branch(args)
+    lam = _scalar(lam_text)
     if args.source == "printed":
-        if args.branch != "plus":
+        if branch != "plus":
             raise PolyError("printed open potentials have no sign branch")
         p = lambda_rescale(printed_open_potential(tag), lam)
     elif args.family == "D":
-        if args.branch != "plus":
+        if branch != "plus":
             raise PolyError(f"{tag} has no sign branch")
         p = lambda_rescale(open_potential_D(args.n).potential, lam)
     else:
-        p = open_family(tag).member(lam, args.branch)
+        p = open_family(tag).member(lam, branch)
     _emit_poly(p, args.format)
     return 0
 
@@ -300,17 +308,18 @@ class _Identity(NamedTuple):
     families: tuple | None = None  # None: the library refuses what it lacks
     refusal: str = ""  # the error for a family outside families
     choice: bool = True  # a 'verify' choice, not only a part of 'verify all'
+    member: bool = False  # takes --lambda and --branch (an open family member)
 
 
 _CHECKS = {
     "wdvv": _Identity(_wdvv),
-    "open-wdvv": _Identity(_open_wdvv),
+    "open-wdvv": _Identity(_open_wdvv, member=True),
     "extension": _Identity(
         _extension, ("A", "D"), "extension theorems cover A and D only"
     ),
     "foan": _Identity(_foan, ("A",), "the s-derivative expansion is an A identity"),
     "extract": _Identity(_extract, ("D",), "coordinate recovery is a D identity"),
-    "vector": _Identity(_vector),
+    "vector": _Identity(_vector, member=True),
     "omega": _Identity(_omega, ("D",), "the omega identities are D identities"),
     # reached from the command line by 'classify' and 'obstruction'
     "classification": _Identity(_classification, choice=False),
@@ -357,24 +366,43 @@ def _sweep(max_rank: int):
 
 def _cmd_verify(args) -> int:
     if args.identity == "all":
+        takes = {"--max-rank"}
+    elif _CHECKS[args.identity].member:
+        takes = {"--lambda", "--branch"}
+    else:
+        takes = set()
+    given = {
+        flag
+        for flag, value in (
+            ("--lambda", args.lam),
+            ("--branch", args.branch),
+            ("--max-rank", args.max_rank),
+        )
+        if value is not None
+    }
+    if given - takes:
+        unused = ", ".join(sorted(given - takes))
+        raise PolyError(f"verify {args.identity} does not take {unused}")
+    if args.identity == "all":
+        max_rank = 5 if args.max_rank is None else args.max_rank
         if args.family is not None:
             raise PolyError("verify all takes no group; bound it with --max-rank")
-        if args.max_rank < 1:
-            raise PolyError(f"--max-rank must be at least 1, not {args.max_rank}")
+        if max_rank < 1:
+            raise PolyError(f"--max-rank must be at least 1, not {max_rank}")
         one = GaussianRational(1)
         parts = [
             _CHECKS[ident].build(family, n, one, branch)
-            for ident, family, n, branch in _sweep(args.max_rank)
+            for ident, family, n, branch in _sweep(max_rank)
         ]
-        rep = merge(f"all(max_rank={args.max_rank})", parts)
+        rep = merge(f"all(max_rank={max_rank})", parts)
         return _emit_report(rep, args.format, parts)
     if args.family is None or args.n is None:
         raise PolyError(f"verify {args.identity} needs a group")
-    lam = _scalar(args.lam)
+    lam, branch = _lambda_branch(args)
     check = _CHECKS[args.identity]
     if check.families is not None and args.family not in check.families:
         raise PolyError(check.refusal)
-    rep = check.build(args.family, args.n, lam, args.branch)
+    rep = check.build(args.family, args.n, _scalar(lam), branch)
     return _emit_report(rep, args.format)
 
 
@@ -382,13 +410,14 @@ def _cmd_classify(args) -> int:
     if args.family != "I2":
         raise PolyError("the classification verb covers I2 only")
     coxeter_spec(_tag(args.family, args.n))  # an unknown group exits 2, not 1
-    lam = _scalar(args.lam)
+    lam_text, branch = _lambda_branch(args)
+    lam = _scalar(lam_text)
     try:
         fam = classify_I2(args.n)
     except PolyError as exc:
         print(f"classification failed: {exc}", file=sys.stderr)
         return 1
-    member = fam.member(lam, args.branch)
+    member = fam.member(lam, branch)
     if args.format == "json":
         print(
             json.dumps(
@@ -397,8 +426,8 @@ def _cmd_classify(args) -> int:
                     "domain": fam.domain,
                     "branches": list(fam.branches),
                     "coefficients": [_scalar_json(c) for c in fam.coefficients],
-                    "lambda": args.lam,
-                    "branch": args.branch,
+                    "lambda": lam_text,
+                    "branch": branch,
                     "member": _poly_json(member),
                 },
                 indent=2,
@@ -410,7 +439,7 @@ def _cmd_classify(args) -> int:
         print(f"branches: {' '.join(fam.branches)}")
         for i, c in enumerate(fam.coefficients):
             print(f"beta_{i} = {_scalar_text(c)}")
-        print(f"member(lambda={args.lam}, {args.branch}) = {member.text()}")
+        print(f"member(lambda={lam_text}, {branch}) = {member.text()}")
     return 0
 
 
@@ -430,13 +459,12 @@ def _build_parser() -> argparse.ArgumentParser:
     lam.add_argument(
         "--lambda",
         dest="lam",
-        default="1",
         metavar="P/Q",
-        help="rescaling parameter, a rational like 2 or 1/2; "
+        help="rescaling parameter, a rational like 2 or 1/2 (default 1); "
         "attach a negative one with '=', as in --lambda=-1/3",
     )
     lam.add_argument(
-        "--branch", choices=("plus", "minus"), default="plus", help="sign branch"
+        "--branch", choices=("plus", "minus"), help="sign branch (default plus)"
     )
 
     p = argparse.ArgumentParser(
@@ -480,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("identity", choices=_IDENTITIES)
     group_args(sp, optional=True)
     sp.add_argument(
-        "--max-rank", type=int, default=5, help="rank bound for 'verify all'"
+        "--max-rank", type=int, help="rank bound for 'verify all' (default 5)"
     )
     sp.set_defaults(fn=_cmd_verify)
 

@@ -28,12 +28,14 @@ from .exactalg import (
     MPoly,
     PolyError,
     VarTable,
+    dot,
     parse,
     rat,
     sqrt_coefficient,
 )
 from .milnor import build_closed_algebra, build_unfolding, structure_constants
 from .openext import (
+    _extend,
     extended_table,
     open_extension,
     open_generator_A,
@@ -44,9 +46,9 @@ from .saito import (
     FrobeniusStructure,
     _weighted_tuples,
     from_potential,
-    frobenius_structure,
     metric_and_potential,
     singularity_data,
+    t_table,
     third_derivatives,
 )
 
@@ -159,8 +161,9 @@ def printed_open_potential(tag: str) -> MPoly:
     """The published open potential of D4 or D5, with its simple pole."""
     if tag not in ("D4", "D5"):
         raise PolyError(f"no printed open potential stored for {tag}")
-    fs = frobenius_structure("D", int(tag[1]))
-    return parse(_fixture_text(f"{tag.lower()}_open.txt"), extended_table(fs))
+    u = build_unfolding("D", int(tag[1]))
+    tab = _extend(t_table(u.weights), u.delta)
+    return parse(_fixture_text(f"{tag.lower()}_open.txt"), tab)
 
 
 # ---------- restricted potentials ----------
@@ -300,14 +303,17 @@ def lambda_rescale(fo: MPoly, lam) -> MPoly:
         raise PolyError("open potential table has no s slot")
     if not isinstance(lam, GaussianRational):
         lam = GaussianRational(rat(lam))
+    s = tab.laurent
     if not lam:
         if any(exp[li] <= 0 for exp in fo.terms):
             raise PolyError("lambda = 0 needs F° to vanish at s = 0")
-        return MPoly._make(
-            tab, {e: c for e, c in fo.terms.items() if e[li] == 1}
-        )
-    return MPoly._make(
-        tab, {e: c * lam ** (e[li] - 1) for e, c in fo.terms.items()}
+        return fo.coefficient_of(s, 1) * MPoly.variable(tab, s)
+    return dot(
+        (
+            (part, MPoly.monomial(tab, lam ** (j - 1), {s: j}))
+            for (j,), part in fo.collect((s,)).items()
+        ),
+        tab,
     )
 
 
@@ -450,9 +456,11 @@ def _check_weight_sums(spec: CoxeterSpec, sums, checked, failures) -> None:
 
 
 def _obstruction_de(spec: CoxeterSpec) -> Report:
-    alg = build_closed_algebra(build_unfolding(spec.family, spec.n))
-    ten = structure_constants(alg)
-    ctab = alg.coeff_table
+    if spec.family == "D":  # the closed D_n algebra the pipeline caches
+        ten = singularity_data("D", spec.n)[1]
+    else:
+        ten = structure_constants(build_closed_algebra(build_unfolding("E", spec.n)))
+    ctab = ten.table
     q = spec.q
     h = spec.h
     checked = []
@@ -550,9 +558,7 @@ def _obstruction_h3() -> Report:
     for v, c in enumerate(raised[(2, 3)], start=1):
         r = r + c * fo.diff_many(f"t{v}", "s")
     r = r.diff_many("t2", "t2")
-    free = MPoly._make(
-        btab, {e: c for e, c in r.terms.items() if not any(e[:4])}
-    )
+    free = r.collect(btab.names[:4]).get((0, 0, 0, 0), MPoly.zero(btab))
     checked.append(1)
     if free != MPoly.constant(btab, 2):
         failures.append("residual constant")

@@ -1,31 +1,44 @@
 """Exact scalars and sparse multivariate Laurent polynomials.
 
-Coefficients are Gaussian rationals a + b*i with arbitrary-precision
-rational parts.  A polynomial is a dict mapping exponent tuples to nonzero
-coefficients; the tuple order is fixed by a VarTable, which also carries an
-optional rational weight per variable and marks at most one variable as the
-Laurent variable (the only slot where negative exponents are allowed).
+Scalars are Gaussian rationals a + b*i with Fraction parts.  A polynomial
+lives over a VarTable, which fixes the variable order, carries an optional
+rational weight per variable and marks at most one variable as the Laurent
+variable (the only slot where negative exponents are allowed).
+
+Inside, a polynomial is held in an integer layout:
+
+* each exponent vector is packed into one int with a 16-bit field per
+  variable (slot j in bits 16j..16j+15).  The Laurent field stores the
+  exponent plus a bias of 2^14, the others the plain exponent, so
+  multiplying two monomials is one int addition (less the bias).  The top
+  bit of every field is a guard: an exponent outside its field's range
+  raises ExponentError and never carries into the neighbouring slot;
+* the coefficients are integer numerators over one common denominator,
+  kept normalised (den > 0 and gcd(den, all numerators) == 1), so equal
+  polynomials have equal dicts and hash alike;
+* the imaginary numerators sit in a second map that exists only when
+  some coefficient is not real.
+
+Products, sums, derivatives, the Euler operator and substitution run on
+these ints.  Fractions and GaussianRationals are built only at the edges:
+the read-only terms view (exponent tuple -> GaussianRational), the
+coefficient queries, and the text and JSON forms.
 
 Canonical order is graded lexicographic: terms sort by total degree, then
 by exponent tuple.  The text form and the JSON form both list terms in this
 order, so serialization is deterministic and round-trips exactly.
-
-gmpy2 is used for the rational backend when available; plain Fraction
-otherwise.  Both normalize to lowest terms with positive denominator.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
-
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
+from functools import reduce
+from operator import or_
+from typing import Union
 
 __all__ = [
     "rat",
@@ -33,6 +46,8 @@ __all__ = [
     "VarTable",
     "MPoly",
     "parse",
+    "dot",
+    "substitute_all",
     "PolyError",
     "TableMismatchError",
     "ExponentError",
@@ -52,29 +67,19 @@ class TableMismatchError(PolyError):
 
 class ExponentError(PolyError):
     """Exponent out of range for its slot (negative in a non-Laurent slot,
-    or below -1 where a stored value is required to have at most a simple
-    pole)."""
+    outside the packed field, or below -1 where a stored value is required
+    to have at most a simple pole)."""
 
 
 class ParseError(PolyError):
     """Malformed polynomial text or JSON."""
 
 
-def rat(p: RatLike, q: int | None = None):
+def rat(p: RatLike, q: int | None = None) -> Fraction:
     """Exact rational from an int, a Fraction, or a string like '7/3360'."""
     if q is None:
-        if isinstance(p, str):
-            return _Q(Fraction(p))
-        return _Q(p)
-    return _Q(p) / _Q(q)
-
-
-_R0 = rat(0)
-_R1 = rat(1)
-
-
-def _as_fraction(x) -> Fraction:
-    return Fraction(int(x.numerator), int(x.denominator))
+        return Fraction(p)
+    return Fraction(p) / q
 
 
 class GaussianRational:
@@ -103,14 +108,14 @@ class GaussianRational:
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussianRational):
             return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)) or type(other) is type(_R0):
+        if isinstance(other, (int, Fraction)):
             return self.im == 0 and self.re == other
         return NotImplemented
 
     def __hash__(self) -> int:
         if not self.im:
-            return hash(_as_fraction(self.re))
-        return hash((_as_fraction(self.re), _as_fraction(self.im)))
+            return hash(self.re)
+        return hash((self.re, self.im))
 
     def __add__(self, other) -> "GaussianRational":
         other = _coerce(other)
@@ -174,6 +179,7 @@ class GaussianRational:
         return f"GaussianRational({self.re!s}, {self.im!s})"
 
 
+_R0 = Fraction(0)
 _GR0 = GaussianRational(0)
 _GR1 = GaussianRational(1)
 _GRI = GaussianRational(0, 1)
@@ -185,18 +191,37 @@ def _coerce(x) -> GaussianRational:
     return GaussianRational(x)
 
 
-def _sqrt_rat(x):
+def _scalar_ints(x) -> tuple:
+    """(re, im, den) with x = (re + im*i)/den, den > 0 and gcd(re, im, den) = 1."""
+    if type(x) is int:
+        return x, 0, 1
+    c = _coerce(x)
+    re, im = c.re, c.im
+    if not im:
+        return re.numerator, 0, re.denominator
+    d = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+
+
+def _sqrt_rat(x: Fraction) -> Fraction:
     """Exact square root of a nonnegative rational; raises if not a perfect square."""
-    p, q = int(x.numerator), int(x.denominator)
+    p, q = x.numerator, x.denominator
     if p < 0:
         raise PolyError(f"square root of negative rational {x}")
     rp, rq = math.isqrt(p), math.isqrt(q)
     if rp * rp != p or rq * rq != q:
         raise PolyError(f"{x} is not a perfect square")
-    return rat(rp, rq)
+    return Fraction(rp, rq)
 
 
 Exponent = tuple  # tuple[int, ...], one slot per VarTable entry
+
+# Packed exponents: one _WIDTH-bit field per slot; the top bit of each field
+# is a guard, and the Laurent field stores exponent + _BIAS.
+_WIDTH = 16
+_FIELD = (1 << _WIDTH) - 1
+_TOP = 1 << (_WIDTH - 1)
+_BIAS = 1 << (_WIDTH - 2)
 
 
 @dataclass(frozen=True)
@@ -204,7 +229,8 @@ class VarTable:
     """Ordered variable names with optional weights and one optional Laurent slot.
 
     weights, when present, give the quasi-homogeneous weight of each
-    variable as a Fraction and enable Euler-operator helpers.
+    variable as a Fraction and enable Euler-operator helpers.  The table
+    also fixes how exponent vectors pack into ints (pack/unpack).
     """
 
     names: tuple
@@ -221,6 +247,22 @@ class VarTable:
             raise PolyError("weights length does not match names")
         if self.laurent is not None and self.laurent not in self.names:
             raise PolyError(f"Laurent variable {self.laurent!r} not in table")
+        li = None if self.laurent is None else self.names.index(self.laurent)
+        n = len(self.names)
+        layout = {
+            "_li": li,
+            "_biases": tuple(_BIAS if j == li else 0 for j in range(n)),
+            # key of the constant monomial; every product subtracts it once
+            "_one": 0 if li is None else _BIAS << (_WIDTH * li),
+            "_guard": sum(_TOP << (_WIDTH * j) for j in range(n)),
+        }
+        if self.weights is not None:
+            ws = [Fraction(w) for w in self.weights]
+            den = math.lcm(*(w.denominator for w in ws)) if ws else 1
+            layout["_wnum"] = tuple(int(w * den) for w in ws)
+            layout["_wden"] = den
+        for key, val in layout.items():
+            object.__setattr__(self, key, val)
 
     @property
     def arity(self) -> int:
@@ -234,66 +276,237 @@ class VarTable:
 
     @property
     def laurent_index(self) -> int | None:
-        return None if self.laurent is None else self.names.index(self.laurent)
+        return self._li
+
+    def pack(self, exp) -> int:
+        """The packed key of an exponent tuple; ExponentError when a slot is
+        out of range."""
+        if len(exp) != len(self.names):
+            raise PolyError(f"exponent arity {len(exp)} != {len(self.names)}")
+        key = 0
+        for j, (e, b) in enumerate(zip(exp, self._biases)):
+            raw = e + b
+            if not 0 <= raw < _TOP:
+                if e < 0 and not b:
+                    raise ExponentError(
+                        f"negative exponent for non-Laurent variable {self.names[j]}"
+                    )
+                raise ExponentError(
+                    f"exponent {e} of {self.names[j]} is outside the packed range"
+                )
+            key |= raw << (_WIDTH * j)
+        return key
+
+    def unpack(self, key: int) -> tuple:
+        """The exponent tuple of a packed key."""
+        out = []
+        for b in self._biases:
+            out.append((key & _FIELD) - b)
+            key >>= _WIDTH
+        return tuple(out)
+
+    def _field(self, key: int, j: int) -> int:
+        return ((key >> (_WIDTH * j)) & _FIELD) - self._biases[j]
+
+    def _wdeg(self, key: int) -> int:
+        """Weighted degree of a packed monomial, times _wden."""
+        d = 0
+        for w, b in zip(self._wnum, self._biases):
+            d += w * ((key & _FIELD) - b)
+            key >>= _WIDTH
+        return d
+
+    def _check_keys(self, keys) -> None:
+        if keys and reduce(or_, keys) & self._guard:
+            raise ExponentError("an exponent left the packed range of its slot")
+
+
+class _Terms(Mapping):
+    """Read-only view of a polynomial: exponent tuple -> GaussianRational."""
+
+    __slots__ = ("_p", "_keys")
+
+    def __init__(self, p: "MPoly"):
+        self._p = p
+        self._keys = p._num.keys() if p._im is None else p._num.keys() | p._im.keys()
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __iter__(self):
+        unpack = self._p.table.unpack
+        return (unpack(k) for k in self._keys)
+
+    def __getitem__(self, exp) -> GaussianRational:
+        try:
+            key = self._p.table.pack(exp)
+        except (PolyError, TypeError):
+            raise KeyError(exp) from None
+        if key not in self._keys:
+            raise KeyError(exp)
+        return self._p._coeff(key)
+
+
+
+def _mac(acc: dict, xs: dict, ys: dict, f: int, off: int) -> None:
+    """acc += f * xs * ys over packed keys; off is subtracted once per product
+    key (the constant monomial's bias).  Zero sums stay in acc."""
+    if len(xs) > len(ys):
+        xs, ys = ys, xs
+    get = acc.get
+    ys = ys.items()
+    for k1, c1 in xs.items():
+        k1 -= off
+        c1 *= f
+        for k2, c2 in ys:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+
+
+def _axpy(acc: dict, xs: dict, c: int) -> None:
+    """acc += c * xs."""
+    get = acc.get
+    for k, v in xs.items():
+        acc[k] = get(k, 0) + c * v
+
+
+class _Sum:
+    """A sum of polynomials and products accumulated in place over one
+    table: numerators in one dict (and an imaginary one when needed) over
+    one denominator, normalised once by result()."""
+
+    __slots__ = ("table", "num", "im", "den")
+
+    def __init__(self, table: VarTable):
+        self.table = table
+        self.num = {}
+        self.im = None
+        self.den = 1
+
+    def _over(self, d: int) -> int:
+        """Bring the running denominator to a multiple of d; return the
+        factor that puts an addend over d on it."""
+        D = self.den
+        if D % d == 0:
+            return D // d
+        g = math.gcd(D, d)
+        f = d // g
+        self.den = D * f
+        self.num = {k: v * f for k, v in self.num.items()}
+        if self.im:
+            self.im = {k: v * f for k, v in self.im.items()}
+        return D // g
+
+    def _imag(self) -> dict:
+        if self.im is None:
+            self.im = {}
+        return self.im
+
+    def add(self, p: "MPoly", re: int = 1, im: int = 0, den: int = 1):
+        """self += (re + im*i)/den * p."""
+        f = self._over(p._den * den)
+        if re:
+            _axpy(self.num, p._num, re * f)
+            if p._im:
+                _axpy(self._imag(), p._im, re * f)
+        if im:
+            _axpy(self._imag(), p._num, im * f)
+            if p._im:
+                _axpy(self.num, p._im, -im * f)
+
+    def add_product(self, a: "MPoly", b: "MPoly"):
+        """self += a * b."""
+        f = self._over(a._den * b._den)
+        off = self.table._one
+        _mac(self.num, a._num, b._num, f, off)
+        if a._im or b._im:
+            im = self._imag()
+            if a._im and b._im:
+                _mac(self.num, a._im, b._im, -f, off)
+            if b._im:
+                _mac(im, a._num, b._im, f, off)
+            if a._im:
+                _mac(im, a._im, b._num, f, off)
+
+    def result(self, den: int = 1) -> "MPoly":
+        """The accumulated sum divided by den."""
+        self.table._check_keys(self.num.keys())
+        if self.im:
+            self.table._check_keys(self.im.keys())
+        return MPoly._from_ints(self.table, self.num, self.den * den, self.im)
+
+
+_new_poly = object.__new__
 
 
 class MPoly:
     """Sparse exact polynomial over a VarTable.
 
-    Terms live in a dict keyed by exponent tuples.  The Laurent slot may
-    carry any negative exponent during arithmetic; external representations
-    (text, JSON) admit at most a simple pole.  Instances are immutable by
-    convention: no method mutates self.
+    The Laurent slot may carry any negative exponent in the packed range
+    during arithmetic; external representations (text, JSON) admit at
+    most a simple pole.  Instances are immutable by convention: no method
+    mutates self, and terms is a read-only view.
     """
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "_num", "_den", "_im")
 
     def __init__(self, table: VarTable, terms: Mapping[Exponent, GaussianRational]):
-        clean = {}
-        li = table.laurent_index
+        parts = []
         for exp, c in terms.items():
-            if len(exp) != table.arity:
-                raise PolyError(f"exponent arity {len(exp)} != {table.arity}")
-            for j, e in enumerate(exp):
-                if e < 0 and j != li:
-                    raise ExponentError(
-                        f"negative exponent for non-Laurent variable {table.names[j]}"
-                    )
+            key = table.pack(tuple(exp))
             c = _coerce(c)
             if c:
-                clean[tuple(exp)] = c
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "terms", clean)
+                parts.append((key, c.re, c.im))
+        den = math.lcm(1, *(r.denominator for _, r, _ in parts),
+                       *(i.denominator for _, _, i in parts))
+        num = {k: r.numerator * (den // r.denominator) for k, r, _ in parts if r}
+        im = {k: i.numerator * (den // i.denominator) for k, _, i in parts if i}
+        self.table = table
+        self._num, self._den, self._im = _reduced(num, den, im or None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MPoly is immutable")
-
-    # Trusted constructor: terms already clean, exponents already checked.
     @staticmethod
-    def _make(table: VarTable, terms: dict) -> "MPoly":
-        p = MPoly.__new__(MPoly)
-        object.__setattr__(p, "table", table)
-        object.__setattr__(p, "terms", terms)
+    def _new(table: VarTable, num: dict, den: int = 1, im: dict | None = None):
+        """Trusted constructor: numerators nonzero, already normalised."""
+        p = _new_poly(MPoly)
+        p.table = table
+        p._num = num
+        p._den = den
+        p._im = im
         return p
+
+    @staticmethod
+    def _from_ints(table: VarTable, num: dict, den: int = 1, im: dict | None = None):
+        """Constructor from packed keys and integer numerators over den > 0;
+        drops zero numerators and divides out the common factor."""
+        if 0 in num.values():
+            num = {k: v for k, v in num.items() if v}
+        if im is not None and 0 in im.values():
+            im = {k: v for k, v in im.items() if v}
+        return MPoly._new(table, *_reduced(num, den, im or None))
+
+    def _coeff(self, key: int) -> GaussianRational:
+        d = self._den
+        im = self._im.get(key, 0) if self._im else 0
+        return GaussianRational._make(Fraction(self._num.get(key, 0), d), Fraction(im, d))
 
     # ---------- constructors ----------
 
     @staticmethod
     def zero(table: VarTable) -> "MPoly":
-        return MPoly._make(table, {})
+        return MPoly._new(table, {})
 
     @staticmethod
     def constant(table: VarTable, c) -> "MPoly":
-        c = _coerce(c)
-        if not c:
-            return MPoly._make(table, {})
-        return MPoly._make(table, {(0,) * table.arity: c})
+        re, im, den = _scalar_ints(c)
+        one = table._one
+        if not re and not im:
+            return MPoly._new(table, {})
+        return MPoly._new(table, {one: re} if re else {}, den, {one: im} if im else None)
 
     @staticmethod
     def variable(table: VarTable, name: str) -> "MPoly":
-        exp = [0] * table.arity
-        exp[table.index(name)] = 1
-        return MPoly._make(table, {tuple(exp): _GR1})
+        key = table._one + (1 << (_WIDTH * table.index(name)))
+        return MPoly._new(table, {key: 1})
 
     @staticmethod
     def monomial(table: VarTable, c, exps: Mapping[str, int]) -> "MPoly":
@@ -304,136 +517,197 @@ class MPoly:
 
     # ---------- basic queries ----------
 
+    @property
+    def terms(self) -> Mapping:
+        """Read-only mapping from exponent tuples to GaussianRational."""
+        return _Terms(self)
+
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num) or self._im is not None
 
     def constant_term(self) -> GaussianRational:
-        return self.terms.get((0,) * self.table.arity, _GR0)
+        return self._coeff(self.table._one)
 
     def coefficient(self, exps: Mapping[str, int]) -> GaussianRational:
         exp = [0] * self.table.arity
         for nm, e in exps.items():
             exp[self.table.index(nm)] = e
-        return self.terms.get(tuple(exp), _GR0)
+        try:
+            return self._coeff(self.table.pack(exp))
+        except ExponentError:
+            return _GR0
+
+    def _rekeyed(self, fn, target: VarTable | None = None) -> "MPoly":
+        """The polynomial with key k moved to fn(k) over target (default: the
+        same table); fn returns None to drop a term and must be injective on
+        the kept keys."""
+        target = target or self.table
+        out = []
+        for maps in (self._num, self._im or {}):
+            moved = {}
+            for k, v in maps.items():
+                k2 = fn(k)
+                if k2 is not None:
+                    moved[k2] = v
+            target._check_keys(moved.keys())
+            out.append(moved)
+        return MPoly._from_ints(target, out[0], self._den, out[1] or None)
 
     def coefficient_of(self, name: str, power: int) -> "MPoly":
         """Coefficient of name**power, as a polynomial with that slot zeroed."""
-        j = self.table.index(name)
-        out = {}
-        for exp, c in self.terms.items():
-            if exp[j] == power:
-                e = list(exp)
-                e[j] = 0
-                out[tuple(e)] = c
-        return MPoly._make(self.table, out)
+        tab = self.table
+        j = tab.index(name)
+        raw = power + tab._biases[j]
+        if not 0 <= raw < _TOP:
+            return MPoly.zero(tab)
+        sh = _WIDTH * j
+        drop = power << sh
+        return self._rekeyed(lambda k: k - drop if (k >> sh) & _FIELD == raw else None)
+
+    def collect(self, names) -> dict:
+        """Group the terms by their exponents in the named variables:
+        {exponent tuple over names: coefficient polynomial with those slots
+        zeroed}."""
+        tab = self.table
+        slots = [tab.index(nm) for nm in names]
+        groups = {}
+        for part, maps in ((0, self._num), (1, self._im or {})):
+            for k, v in maps.items():
+                g = tuple(tab._field(k, j) for j in slots)
+                rest = k
+                for j, e in zip(slots, g):
+                    rest -= e << (_WIDTH * j)
+                groups.setdefault(g, ({}, {}))[part][rest] = v
+        return {
+            g: MPoly._from_ints(tab, num, self._den, im or None)
+            for g, (num, im) in groups.items()
+        }
+
+    def _keys(self):
+        return self._num.keys() if self._im is None else self._num.keys() | self._im.keys()
 
     def max_exponent(self, name: str) -> int:
         j = self.table.index(name)
-        if not self.terms:
+        keys = self._keys()
+        if not keys:
             return 0
-        return max(exp[j] for exp in self.terms)
+        return max(self.table._field(k, j) for k in keys)
 
     def depends_on(self, name: str) -> bool:
         j = self.table.index(name)
-        return any(exp[j] for exp in self.terms)
+        return any(self.table._field(k, j) for k in self._keys())
 
     def total_degree(self) -> int:
-        if not self.terms:
+        keys = self._keys()
+        if not keys:
             return 0
-        return max(sum(exp) for exp in self.terms)
+        unpack = self.table.unpack
+        return max(sum(unpack(k)) for k in keys)
 
     def sorted_terms(self) -> list:
         """Terms in canonical graded-lex order."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        unpack = self.table.unpack
+        terms = [(unpack(k), self._coeff(k)) for k in self._keys()]
+        return sorted(terms, key=lambda kv: (sum(kv[0]), kv[0]))
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._keys())
 
     # ---------- arithmetic ----------
 
     def _check_table(self, other: "MPoly"):
-        if self.table is not other.table and self.table != other.table:
-            raise TableMismatchError(
-                f"tables differ: {self.table.names} vs {other.table.names}"
-            )
+        if self.table is not other.table:
+            _same_table(self.table, other.table)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MPoly):
-            return self.table.names == other.table.names and self.terms == other.terms
+            a, b = self.table, other.table
+            if a is not b and a.names != b.names:
+                return False
+            if a._li != b._li:  # same names, different packing
+                return self.sorted_terms() == other.sorted_terms()
+            return (
+                self._den == other._den
+                and self._num == other._num
+                and self._im == other._im
+            )
         if isinstance(other, (int, Fraction, GaussianRational)):
-            c = _coerce(other)
-            if not c:
-                return not self.terms
-            return self.terms == {(0,) * self.table.arity: c}
+            return self == MPoly.constant(self.table, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.table.names, frozenset(self.terms.items())))
+        # independent of the packing, like __eq__
+        return hash((
+            self.table.names,
+            self._den,
+            frozenset(self._num.values()),
+            frozenset(self._im.values()) if self._im else None,
+        ))
 
     def __add__(self, other) -> "MPoly":
         if not isinstance(other, MPoly):
             other = MPoly.constant(self.table, other)
         self._check_table(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            acc = out.get(exp)
-            if acc is None:
-                out[exp] = c
-            else:
-                s = acc + c
-                if s:
-                    out[exp] = s
-                else:
-                    del out[exp]
-        return MPoly._make(self.table, out)
+        if not other:
+            return self
+        if self._den == other._den and self._im is None and other._im is None:
+            num = dict(self._num)
+            _axpy(num, other._num, 1)
+            return MPoly._from_ints(self.table, num, self._den)
+        s = _Sum(self.table)
+        s.add(self)
+        s.add(other)
+        return s.result()
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly._make(self.table, {e: -c for e, c in self.terms.items()})
+        im = {k: -v for k, v in self._im.items()} if self._im else None
+        return MPoly._new(self.table, {k: -v for k, v in self._num.items()}, self._den, im)
 
     def __sub__(self, other) -> "MPoly":
         if not isinstance(other, MPoly):
             other = MPoly.constant(self.table, other)
-        return self.__add__(other.__neg__())
+        self._check_table(other)
+        s = _Sum(self.table)
+        s.add(self)
+        s.add(other, -1)
+        return s.result()
 
     def __rsub__(self, other) -> "MPoly":
         return MPoly.constant(self.table, other).__sub__(self)
 
     def __mul__(self, other) -> "MPoly":
         if not isinstance(other, MPoly):
-            c = _coerce(other)
-            if not c:
-                return MPoly._make(self.table, {})
-            return MPoly._make(self.table, {e: k * c for e, k in self.terms.items()})
+            re, im, den = _scalar_ints(other)
+            if not re and not im:
+                return MPoly.zero(self.table)
+            if not im and den == 1 and self._im is None:
+                g = math.gcd(self._den, re)
+                f = re // g
+                return MPoly._new(
+                    self.table, {k: v * f for k, v in self._num.items()}, self._den // g
+                )
+            s = _Sum(self.table)
+            s.add(self, re, im, den)
+            return s.result()
         self._check_table(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        get = out.get
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(map(int.__add__, e1, e2))
-                c = c1 * c2
-                acc = get(e)
-                if acc is None:
-                    out[e] = c
-                else:
-                    s = acc + c
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return MPoly._make(self.table, out)
+        if self._im is None and other._im is None:
+            tab = self.table
+            num = {}
+            _mac(num, self._num, other._num, 1, tab._one)
+            tab._check_keys(num.keys())
+            return MPoly._from_ints(tab, num, self._den * other._den)
+        s = _Sum(self.table)
+        s.add_product(self, other)
+        return s.result()
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "MPoly":
         if isinstance(other, MPoly):
             return self.__mul__(other.inverse())
-        c = _coerce(other)
-        return self.__mul__(_GR1 / c)
+        return self.__mul__(_GR1 / _coerce(other))
 
     def __pow__(self, n: int) -> "MPoly":
         if not isinstance(n, int):
@@ -445,8 +719,9 @@ class MPoly:
         while n:
             if n & 1:
                 acc = acc * base
-            base = base * base
             n >>= 1
+            if n:  # squaring past the top bit could leave the packed range
+                base = base * base
         return acc
 
     def inverse(self) -> "MPoly":
@@ -455,37 +730,40 @@ class MPoly:
         General division is out of scope; this is exactly what substitution
         into negative powers and scalar division need.
         """
-        if len(self.terms) != 1:
+        if len(self) != 1:
             raise PolyError("only single-term monomials are invertible")
-        (exp, c), = self.terms.items()
-        li = self.table.laurent_index
+        tab = self.table
+        (exp, c), = self.sorted_terms()
         for j, e in enumerate(exp):
-            if e and j != li:
+            if e and j != tab._li:
                 raise ExponentError(
-                    f"cannot invert power of non-Laurent variable "
-                    f"{self.table.names[j]}"
+                    f"cannot invert power of non-Laurent variable {tab.names[j]}"
                 )
-        inv = tuple(-e for e in exp)
-        return MPoly._make(self.table, {inv: _GR1 / c})
+        return MPoly(tab, {tuple(-e for e in exp): _GR1 / c})
 
     # ---------- calculus ----------
 
     def diff(self, name: str) -> "MPoly":
         """Formal partial derivative.  The Laurent rule d(s^e)/ds = e*s^(e-1)
         applies for negative e as well; poles deepen by one order."""
-        j = self.table.index(name)
-        out = {}
-        for exp, c in self.terms.items():
-            e = exp[j]
-            if not e:
-                continue
-            ne = list(exp)
-            ne[j] = e - 1
-            key = tuple(ne)
-            c2 = c * e
-            acc = out.get(key)
-            out[key] = c2 if acc is None else acc + c2
-        return MPoly._make(self.table, {e: c for e, c in out.items() if c})
+        tab = self.table
+        j = tab.index(name)
+        sh = _WIDTH * j
+        unit = 1 << sh
+        b = tab._biases[j]
+
+        def part(maps):
+            out = {}
+            for k, v in maps.items():
+                raw = (k >> sh) & _FIELD
+                if raw != b:
+                    if not raw:
+                        raise ExponentError(f"pole of {name} leaves the packed range")
+                    out[k - unit] = v * (raw - b)
+            return out
+
+        im = part(self._im) if self._im else None
+        return MPoly._from_ints(tab, part(self._num), self._den, im)
 
     def diff_many(self, *names: str) -> "MPoly":
         p = self
@@ -495,18 +773,13 @@ class MPoly:
 
     def euler(self) -> "MPoly":
         """Euler derivative sum(q_a * x_a * d/dx_a); requires table weights."""
-        if self.table.weights is None:
+        tab = self.table
+        if tab.weights is None:
             raise PolyError("Euler derivative needs table weights")
-        out = {}
-        ws = self.table.weights
-        for exp, c in self.terms.items():
-            d = Fraction(0)
-            for w, e in zip(ws, exp):
-                if e:
-                    d += w * e
-            if d:
-                out[exp] = c * rat(d.numerator, d.denominator)
-        return MPoly._make(self.table, out)
+        wdeg = tab._wdeg
+        num = {k: v * wdeg(k) for k, v in self._num.items()}
+        im = {k: v * wdeg(k) for k, v in self._im.items()} if self._im else None
+        return MPoly._from_ints(tab, num, self._den * tab._wden, im)
 
     def weighted_degree_decompose(self) -> list:
         """Split into weighted-homogeneous parts.
@@ -516,16 +789,15 @@ class MPoly:
         """
         if self.table.weights is None:
             raise PolyError("decomposition needs table weights")
-        ws = self.table.weights
+        tab = self.table
+        wdeg = tab._wdeg
         buckets: dict = {}
-        for exp, c in self.terms.items():
-            d = Fraction(0)
-            for w, e in zip(ws, exp):
-                if e:
-                    d += w * e
-            buckets.setdefault(d, {})[exp] = c
+        for part, maps in ((0, self._num), (1, self._im or {})):
+            for k, v in maps.items():
+                buckets.setdefault(wdeg(k), ({}, {}))[part][k] = v
         return [
-            (d, MPoly._make(self.table, t)) for d, t in sorted(buckets.items())
+            (Fraction(d, tab._wden), MPoly._from_ints(tab, num, self._den, im or None))
+            for d, (num, im) in sorted(buckets.items())
         ]
 
     def weighted_degree(self) -> Fraction | None:
@@ -539,7 +811,7 @@ class MPoly:
             )
         return parts[0][0]
 
-    # ---------- substitution and evaluation ----------
+    # ---------- substitution ----------
 
     def substitute(self, images: Mapping[str, "MPoly"], target: VarTable | None = None) -> "MPoly":
         """Substitute polynomials for variables.
@@ -547,44 +819,16 @@ class MPoly:
         Unmapped variables must exist in the target table and map to
         themselves.  A variable occurring with negative exponents needs a
         single-term monomial image (inversion of general polynomials is not
-        defined here).
+        defined here).  substitute_all does the same for many polynomials
+        with one shared table of image powers.
         """
-        if target is None:
-            target = next(iter(images.values())).table if images else self.table
-        imgs = {}
-        for nm in self.table.names:
-            if nm in images:
-                img = images[nm]
-                if img.table != target:
-                    raise TableMismatchError(f"image of {nm} is over a foreign table")
-                imgs[nm] = img
-            elif self.depends_on(nm):
-                imgs[nm] = MPoly.variable(target, nm)
-        powers: dict = {nm: {0: MPoly.constant(target, 1)} for nm in imgs}
-
-        def power(nm: str, e: int) -> MPoly:
-            cache = powers[nm]
-            got = cache.get(e)
-            if got is None:
-                got = imgs[nm] ** e
-                cache[e] = got
-            return got
-
-        acc = MPoly.zero(target)
-        names = self.table.names
-        for exp, c in self.terms.items():
-            term = MPoly.constant(target, c)
-            for j, e in enumerate(exp):
-                if e:
-                    term = term * power(names[j], e)
-            acc = acc + term
-        return acc
+        return substitute_all((self,), images, target)[0]
 
     # ---------- serialization ----------
 
     def text(self) -> str:
         """Canonical text form, e.g. '1/2*t1^2*t3 - 1/24*t3^3*t4^2'."""
-        if not self.terms:
+        if not self:
             return "0"
         chunks = []
         for exp, c in self.sorted_terms():
@@ -605,8 +849,8 @@ class MPoly:
             terms.append(
                 {
                     "exp": list(exp),
-                    "re": [int(c.re.numerator), int(c.re.denominator)],
-                    "im": [int(c.im.numerator), int(c.im.denominator)],
+                    "re": [c.re.numerator, c.re.denominator],
+                    "im": [c.im.numerator, c.im.denominator],
                 }
             )
         return json.dumps(
@@ -661,7 +905,155 @@ class MPoly:
             if exp in terms:
                 raise ParseError("duplicate exponent tuple")
             terms[exp] = c
-        return MPoly(tab, terms)
+        try:
+            return MPoly(tab, terms)
+        except ExponentError as exc:
+            raise ParseError(str(exc)) from None
+
+
+def _reduced(num: dict, den: int, im: dict | None) -> tuple:
+    """(num, den, im) divided by gcd(den, every numerator); nonzero entries."""
+    if den != 1:
+        g = math.gcd(den, *num.values(), *(im.values() if im else ()))
+        if g != 1:
+            den //= g
+            num = {k: v // g for k, v in num.items()}
+            if im:
+                im = {k: v // g for k, v in im.items()}
+    return num, den, im
+
+
+def dot(pairs, table: VarTable) -> MPoly:
+    """sum(a * b for a, b in pairs) over table, accumulated in one dict.
+
+    The second factor of a pair may be a scalar; no intermediate product
+    or partial sum is built."""
+    s = _Sum(table)
+    for a, b in pairs:
+        if a.table is not table:
+            _same_table(table, a.table)
+        if isinstance(b, MPoly):
+            if b.table is not table:
+                _same_table(table, b.table)
+            if (a._num or a._im) and (b._num or b._im):
+                s.add_product(a, b)
+        else:
+            s.add(a, *_scalar_ints(b))
+    return s.result()
+
+
+def _same_table(a: VarTable, b: VarTable) -> None:
+    if a != b:
+        raise TableMismatchError(f"tables differ: {a.names} vs {b.names}")
+
+
+def _rekey(p: MPoly, target: VarTable) -> MPoly:
+    """p over target, every variable of p mapped to the same name there."""
+    src = p.table
+    if src.names == target.names[: src.arity] and (
+        src._li == target._li or (src._li is None and target._li >= src.arity)
+    ):
+        shift = target._one - src._one
+        if src.arity == target.arity and not shift:
+            return MPoly._new(target, p._num, p._den, p._im)
+        return p._rekeyed(lambda k: k + shift, target)
+    slots = {}
+
+    def move(k):
+        out = target._one
+        for j in range(src.arity):
+            e = src._field(k, j)
+            if e:
+                t = slots.get(j)
+                if t is None:
+                    t = slots[j] = target.index(src.names[j])
+                if e < 0 and t != target._li:
+                    raise ExponentError(
+                        f"negative exponent for non-Laurent variable {target.names[t]}"
+                    )
+                out += e << (_WIDTH * t)
+        return out
+
+    return p._rekeyed(move, target)
+
+
+class _ImagePowers:
+    """Images of monomials under one substitution map, with every power and
+    monomial image computed once and shared by all polynomials it serves."""
+
+    def __init__(self, src: VarTable, target: VarTable, imgs: dict):
+        self.src = src
+        self.target = target
+        self.imgs = imgs  # slot -> image
+        self.powers = {}  # (slot, exponent) -> image ** exponent
+        self.monos = {src._one: MPoly.constant(target, 1)}  # packed key -> image
+
+    def power(self, j: int, e: int) -> MPoly:
+        got = self.powers.get((j, e))
+        if got is None:
+            img = self.imgs.get(j)
+            if img is None:
+                img = self.imgs[j] = MPoly.variable(self.target, self.src.names[j])
+            if e == 1:
+                got = img
+            elif e < 0:
+                got = img.inverse() ** -e
+            elif e % 2:
+                got = self.power(j, e - 1) * img
+            else:
+                half = self.power(j, e // 2)
+                got = half * half
+            self.powers[(j, e)] = got
+        return got
+
+    def mono(self, key: int) -> MPoly:
+        """Image of the monomial with packed key: the image of its prefix
+        without the top slot, times a power of that slot's image."""
+        got = self.monos.get(key)
+        if got is None:
+            src = self.src
+            j = max(j for j in range(src.arity) if src._field(key, j))
+            e = src._field(key, j)
+            prefix = key - (e << (_WIDTH * j))
+            got = self.power(j, e)
+            if prefix != src._one:
+                got = self.mono(prefix) * got
+            self.monos[key] = got
+        return got
+
+    def apply(self, p: MPoly) -> MPoly:
+        s = _Sum(self.target)
+        mono = self.mono
+        for k, v in p._num.items():
+            s.add(mono(k), v)
+        if p._im:
+            for k, v in p._im.items():
+                s.add(mono(k), 0, v)
+        return s.result(p._den)
+
+
+def substitute_all(polys, images: Mapping[str, MPoly], target: VarTable | None = None):
+    """[p.substitute(images, target) for p in polys], all polys over one
+    table, with one shared table of powers and monomial images."""
+    polys = list(polys)
+    if not polys:
+        return []
+    src = polys[0].table
+    for p in polys:
+        polys[0]._check_table(p)
+    if target is None:
+        target = next(iter(images.values())).table if images else src
+    imgs = {}
+    for j, nm in enumerate(src.names):
+        if nm in images:
+            img = images[nm]
+            if img.table != target:
+                raise TableMismatchError(f"image of {nm} is over a foreign table")
+            imgs[j] = img
+    if not imgs:
+        return [_rekey(p, target) for p in polys]
+    table = _ImagePowers(src, target, imgs)
+    return [table.apply(p) for p in polys]
 
 
 def _json_rational(pair):
@@ -819,7 +1211,7 @@ def parse(src: str, tab: VarTable) -> MPoly:
     if p.peek() is not None:
         raise ParseError(f"trailing input at token {p.peek()!r}")
     li = tab.laurent_index
-    if li is not None and out.terms and min(e[li] for e in out.terms) < -1:
+    if li is not None and out and min(e[li] for e in out.terms) < -1:
         raise ParseError("stored values admit at most a simple pole")
     return out
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import MPoly, PolyError, VarTable, rat
+from .exactalg import MPoly, PolyError, VarTable, dot, substitute_all
 from .report import Report
 
 __all__ = [
@@ -165,7 +165,8 @@ class QuotientAlgebra:
             tuple(table.weights[j] for j in vslots),
             table.laurent,
         )
-        self._vslots = tuple(vslots)
+        self._rhs_parts = {lhs: rhs.collect(self.gens) for lhs, rhs in self.rules}
+        self._phis = tuple(self._gen_monomial(b) for b in self.basis)
         self._memo = {"first": {}, "last": {}}
         self._active = set()
 
@@ -179,20 +180,13 @@ class QuotientAlgebra:
 
     def phi(self, k: int) -> MPoly:
         """k-th basis monomial (1-based) as a polynomial."""
-        return self._gen_monomial(self.basis[k - 1])
+        return self._phis[k - 1]
 
     def _gen_monomial(self, g) -> MPoly:
         exp = [0] * self.table.arity
         for slot, e in zip(self.gen_slots, g):
             exp[slot] = e
         return MPoly.monomial(self.table, 1, dict(zip(self.table.names, exp)))
-
-    def _split(self, exp):
-        g = tuple(exp[j] for j in self.gen_slots)
-        rest = list(exp)
-        for j in self.gen_slots:
-            rest[j] = 0
-        return g, tuple(rest)
 
     def _match(self, g, order: str):
         rules = self.rules if order == "first" else self.rules[::-1]
@@ -216,13 +210,13 @@ class QuotientAlgebra:
         self._active.add(g)
         lhs, rhs = hit
         residual = tuple(ge - le for ge, le in zip(g, lhs))
-        acc = MPoly.zero(self.table)
-        for rexp, c in rhs.terms.items():
-            rg, rv = self._split(rexp)
-            g2 = tuple(a + b for a, b in zip(residual, rg))
-            tail = self._nf_gen(g2, order)
-            vmono = MPoly._make(self.table, {rv: c})
-            acc = acc + vmono * tail
+        acc = dot(
+            (
+                (part, self._nf_gen(tuple(a + b for a, b in zip(residual, rg)), order))
+                for rg, part in self._rhs_parts[lhs].items()
+            ),
+            self.table,
+        )
         self._active.discard(g)
         memo[g] = acc
         return acc
@@ -232,26 +226,21 @@ class QuotientAlgebra:
         not change the result (checked by check_confluence)."""
         if p.table != self.table:
             raise PolyError("polynomial is over a foreign table")
-        acc = MPoly.zero(self.table)
-        for exp, c in p.terms.items():
-            g, v = self._split(exp)
-            vmono = MPoly._make(self.table, {v: c})
-            acc = acc + vmono * self._nf_gen(g, order)
-        return acc
+        return dot(
+            ((part, self._nf_gen(g, order)) for g, part in p.collect(self.gens).items()),
+            self.table,
+        )
 
     def coeffs(self, p: MPoly) -> list:
         """Basis coefficients of normal_form(p), over the parameter ring."""
-        nf = self.normal_form(p)
-        index = {b: k for k, b in enumerate(self.basis)}
-        out = [dict() for _ in self.basis]
-        for exp, c in nf.terms.items():
-            g, _ = self._split(exp)
-            k = index.get(g)
-            if k is None:
+        parts = self.normal_form(p).collect(self.gens)
+        for g in parts:
+            if g not in self.basis:
                 raise PolyError(f"normal form leaves the basis span: {g}")
-            vexp = tuple(exp[j] for j in self._vslots)
-            out[k][vexp] = c
-        return [MPoly(self.coeff_table, t) for t in out]
+        zero = MPoly.zero(self.table)
+        return substitute_all(
+            (parts.get(b, zero) for b in self.basis), {}, self.coeff_table
+        )
 
     def multiply(self, j: int, k: int) -> MPoly:
         """Normal form of phi_j*phi_k (1-based)."""

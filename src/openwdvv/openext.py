@@ -25,8 +25,10 @@ from .exactalg import (
     MPoly,
     PolyError,
     VarTable,
+    dot,
     rat,
     sqrt_coefficient,
+    substitute_all,
 )
 from .milnor import (
     build_extended_algebra,
@@ -64,11 +66,11 @@ __all__ = [
 
 def extended_table(fs: FrobeniusStructure) -> VarTable:
     """t1..tN plus the Laurent slot s of weight (1 - delta)/2."""
-    return VarTable(
-        fs.table.names + ("s",),
-        fs.table.weights + ((1 - fs.delta) / 2,),
-        "s",
-    )
+    return _extend(fs.table, fs.delta)
+
+
+def _extend(table: VarTable, delta) -> VarTable:
+    return VarTable(table.names + ("s",), table.weights + ((1 - delta) / 2,), "s")
 
 
 @dataclass(frozen=True)
@@ -255,23 +257,33 @@ def verify_open_wdvv(ext: OpenExtension) -> Report:
         for al in range(1, n + 1):
             for ga in range(al + 1, n + 1):
                 checked += 1
-                r = MPoly.zero(tab)
                 lab = cr(al, be)
                 lgb = cr(ga, be)
-                for v in range(1, n + 1):
-                    r = r + lab[v - 1] * o2(v, ga) - lgb[v - 1] * o2(v, al)
-                r = r + o2(al, be) * o2(s_ix, ga) - o2(ga, be) * o2(s_ix, al)
-                if r:
-                    failures.append(f"eq1({al},{be},{ga}): {_first_monomial(r)}")
+                left = dot(
+                    [(lab[v - 1], o2(v, ga)) for v in range(1, n + 1)]
+                    + [(o2(al, be), o2(s_ix, ga))],
+                    tab,
+                )
+                right = dot(
+                    [(lgb[v - 1], o2(v, al)) for v in range(1, n + 1)]
+                    + [(o2(ga, be), o2(s_ix, al))],
+                    tab,
+                )
+                if left != right:
+                    r = _first_monomial(left - right)
+                    failures.append(f"eq1({al},{be},{ga}): {r}")
     for al in range(1, n + 1):
         for be in range(al, n + 1):
             checked += 1
-            r = o2(al, be) * o2(s_ix, s_ix) - o2(s_ix, al) * o2(s_ix, be)
             lab = cr(al, be)
-            for v in range(1, n + 1):
-                r = r + lab[v - 1] * o2(v, s_ix)
-            if r:
-                failures.append(f"eq2({al},{be}): {_first_monomial(r)}")
+            left = dot(
+                [(o2(al, be), o2(s_ix, s_ix))]
+                + [(lab[v - 1], o2(v, s_ix)) for v in range(1, n + 1)],
+                tab,
+            )
+            right = o2(s_ix, al) * o2(s_ix, be)
+            if left != right:
+                failures.append(f"eq2({al},{be}): {_first_monomial(left - right)}")
     return Report(f"open-wdvv({base.label})", checked, tuple(failures))
 
 
@@ -313,13 +325,15 @@ def verify_vector_potential(funcs, label: str) -> Report:
             for al in range(1, n + 1):
                 for de in range(1, n + 1):
                     checked += 1
-                    r = MPoly.zero(tab)
-                    for mu in range(1, n + 1):
-                        r = r + g(al, be, mu) * g(mu, ga, de)
-                        r = r - g(al, ga, mu) * g(mu, be, de)
-                    if r:
+                    left = dot(
+                        ((g(al, be, mu), g(mu, ga, de)) for mu in range(1, n + 1)), tab
+                    )
+                    right = dot(
+                        ((g(al, ga, mu), g(mu, be, de)) for mu in range(1, n + 1)), tab
+                    )
+                    if left != right:
                         failures.append(
-                            f"({al},{be},{ga},{de}): {_first_monomial(r)}"
+                            f"({al},{be},{ga},{de}): {_first_monomial(left - right)}"
                         )
     if tab.weights is not None:
         for a in range(1, n + 1):
@@ -341,13 +355,15 @@ def verify_extension_theorems(family: str, n: int) -> Report:
     alg = build_extended_algebra(build_unfolding(family, n))
     tensor = structure_constants(alg)
 
-    vmap = {f"v{k}": base.v_of_t[k - 1].substitute({}, tab) for k in range(1, n + 1)}
+    vmap = dict(zip(base.v_table.names, substitute_all(base.v_of_t, {}, tab)))
     vmap[f"v{m}"] = MPoly.variable(tab, "s")
-    cv = {}
-    for a in range(1, m + 1):
-        for i in range(1, m + 1):
-            for j in range(i, m + 1):
-                cv[(a, i, j)] = tensor.c(a, i, j).substitute(vmap, tab)
+    keys = [
+        (a, i, j)
+        for a in range(1, m + 1)
+        for i in range(1, m + 1)
+        for j in range(i, m + 1)
+    ]
+    cv = dict(zip(keys, substitute_all((tensor.c(*key) for key in keys), vmap, tab)))
 
     zero = MPoly.zero(tab)
     one = MPoly.constant(tab, 1)
@@ -356,37 +372,36 @@ def verify_extension_theorems(family: str, n: int) -> Report:
         for be in range(1, n + 1):
             jac[b - 1][be - 1] = vmap[f"v{b}"].diff(nm[be - 1])
     jac[m - 1][m - 1] = one
-    inv = [[zero] * m for _ in range(m)]  # inv[al][a] = dt^al/dv_a at v(t)
+    # inv[al][a] = dt^al/dv_a at v(t)
     vnames = base.v_table.names
     sub = {k: v for k, v in vmap.items() if k != f"v{m}"}
-    for al in range(1, n + 1):
-        for a in range(1, n + 1):
-            inv[al - 1][a - 1] = (
-                base.t_of_v[al - 1].diff(vnames[a - 1]).substitute(sub, tab)
-            )
-    inv[m - 1][m - 1] = one
+    dt = substitute_all(
+        (t.diff(vn) for t in base.t_of_v for vn in vnames), sub, tab
+    )
+    inv = [dt[al * n : (al + 1) * n] + [zero] for al in range(n)]
+    inv.append([zero] * n + [one])
 
-    u1 = {}
-    for al in range(1, m + 1):
-        for i in range(1, m + 1):
-            for j in range(i, m + 1):
-                acc = MPoly.zero(tab)
-                for a in range(1, m + 1):
-                    f = inv[al - 1][a - 1]
-                    if f:
-                        acc = acc + f * cv[(a, i, j)]
-                u1[(al, i, j)] = acc
-    u2 = {}
-    for al in range(1, m + 1):
-        for be in range(1, m + 1):
-            for j in range(1, m + 1):
-                acc = MPoly.zero(tab)
-                for i in range(1, m + 1):
-                    f = jac[i - 1][be - 1]
-                    if f:
-                        key = (al, i, j) if i <= j else (al, j, i)
-                        acc = acc + f * u1[key]
-                u2[(al, be, j)] = acc
+    u1 = {
+        (al, i, j): dot(
+            ((f, cv[(a, i, j)]) for a, f in enumerate(inv[al - 1], start=1) if f), tab
+        )
+        for al in range(1, m + 1)
+        for i in range(1, m + 1)
+        for j in range(i, m + 1)
+    }
+    u2 = {
+        (al, be, j): dot(
+            (
+                (jac[i - 1][be - 1], u1[(al, i, j) if i <= j else (al, j, i)])
+                for i in range(1, m + 1)
+                if jac[i - 1][be - 1]
+            ),
+            tab,
+        )
+        for al in range(1, m + 1)
+        for be in range(1, m + 1)
+        for j in range(1, m + 1)
+    }
 
     F = base.potential.substitute({}, tab)
     _, raised = third_derivatives(F, base.eta_inv, nm[:n])
@@ -396,11 +411,14 @@ def verify_extension_theorems(family: str, n: int) -> Report:
     for al in range(1, m + 1):
         for be in range(1, m + 1):
             for ga in range(be, m + 1):
-                got = MPoly.zero(tab)
-                for j in range(1, m + 1):
-                    f = jac[j - 1][ga - 1]
-                    if f:
-                        got = got + f * u2[(al, be, j)]
+                got = dot(
+                    (
+                        (jac[j - 1][ga - 1], u2[(al, be, j)])
+                        for j in range(1, m + 1)
+                        if jac[j - 1][ga - 1]
+                    ),
+                    tab,
+                )
                 if al > n:
                     want = fo.diff_many(nm[be - 1], nm[ga - 1])
                 elif ga <= n:
@@ -432,13 +450,13 @@ def omega_sequence(n: int, kmax: int) -> OmegaSequence:
     wts = [n - i for i in range(1, n)]
     closed = []
     for k in range(kmax + 1):
-        p = MPoly.zero(vtab)
+        terms = {}
         for alpha in _weighted_tuples(wts, k):
             c = rat(math.factorial(sum(alpha)))
             for i, a in enumerate(alpha, start=1):
                 c = c * rat(1 - i) ** a / math.factorial(a)
-            p = p + MPoly(vtab, {tuple(alpha): c})
-        closed.append(p)
+            terms[alpha] = c
+        closed.append(MPoly(vtab, terms))
     sbar = [
         (1 - i) * MPoly.variable(vtab, f"v{i}") for i in range(1, n)
     ]
@@ -511,14 +529,14 @@ def rspin_convention_rescale(p: MPoly, direction: str) -> MPoly:
     is_open = tab.laurent_index is not None
     base_power = 2 if is_open else 3
     r = tab.arity if is_open else tab.arity + 1
-    minus_r = GaussianRational(-r)
     if direction == "to_rspin":
         sign = 1
     elif direction == "from_rspin":
         sign = -1
     else:
         raise PolyError(f"unknown direction {direction!r}")
-    out = {}
-    for exp, c in p.terms.items():
-        out[exp] = c * minus_r ** (sign * (base_power - sum(exp)))
-    return MPoly._make(tab, out)
+    # c * x^e picks up (-r)^(sign*(base_power - |e|)): scale every variable
+    # by (-r)^-sign and the whole function by (-r)^(sign*base_power).
+    scale = GaussianRational(-r) ** -sign
+    images = {nm: MPoly.monomial(tab, scale, {nm: 1}) for nm in tab.names}
+    return p.substitute(images, tab) * GaussianRational(-r) ** (sign * base_power)

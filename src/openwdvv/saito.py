@@ -16,7 +16,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .exactalg import GaussianRational, MPoly, PolyError, VarTable, rat
+from .exactalg import (
+    GaussianRational,
+    MPoly,
+    PolyError,
+    VarTable,
+    dot,
+    rat,
+    substitute_all,
+)
 from .milnor import (
     StructureTensor,
     Unfolding,
@@ -194,17 +202,16 @@ def invert_coords(t_of_v, ttab: VarTable, images=None):
     current = dict(zip(vtab.names, images))
     for _ in range(n + 1):
         nxt = {
-            nm: img - h.substitute(current, ttab)
-            for nm, img, h in zip(vtab.names, images, hs)
+            nm: img - h
+            for nm, img, h in zip(vtab.names, images, substitute_all(hs, current, ttab))
         }
         if nxt == current:
             break
         current = nxt
     else:
         raise PolyError("coordinate inversion did not stabilize")
-    for t, img in zip(t_of_v, images):
-        if t.substitute(current, ttab) != img:
-            raise PolyError("inverse fails exact back-substitution")
+    if substitute_all(t_of_v, current, ttab) != list(images):
+        raise PolyError("inverse fails exact back-substitution")
     return [current[nm] for nm in vtab.names]
 
 
@@ -214,12 +221,10 @@ def invert_coords(t_of_v, ttab: VarTable, images=None):
 def _euler_primitive(p: MPoly) -> MPoly:
     """G with Euler(G) = p, one weighted component at a time; p must have no
     weight-zero part."""
-    out = MPoly.zero(p.table)
-    for d, part in p.weighted_degree_decompose():
-        if d == 0:
-            raise PolyError("weight-zero component is not integrable")
-        out = out + part / rat(d.numerator, d.denominator)
-    return out
+    parts = p.weighted_degree_decompose()
+    if any(d == 0 for d, _ in parts):
+        raise PolyError("weight-zero component is not integrable")
+    return dot(((part, 1 / d) for d, part in parts), p.table)
 
 
 def metric_and_potential(
@@ -266,38 +271,39 @@ def metric_and_potential(
         for al in range(1, m + 1)
     }
 
-    # c_{abc} = sum_d c^d_{ab} * c^l_{dc}, then v -> v(t).
+    # c_{abc} = sum_d c^d_{ab} * c^l_{dc}, then v -> v(t), all triples
+    # through one table of powers of v(t).
+    keys = list(combinations_with_replacement(live, 3))
+    lowered = [
+        dot(
+            ((tensor.c(d, a, b), tensor.c(tensor.l, d, c)) for d in range(1, n + 1)),
+            tensor.table,
+        )
+        for a, b, c in keys
+    ]
     vmap = dict(zip(tensor.table.names, v_of_t))
-    low = {}
-    for a, b, c in combinations_with_replacement(live, 3):
-        s = MPoly.zero(tensor.table)
-        for d in range(1, n + 1):
-            s = s + tensor.c(d, a, b) * tensor.c(tensor.l, d, c)
-        low[(a, b, c)] = s.substitute(vmap, ttab)
+    low = dict(zip(keys, substitute_all(lowered, vmap, ttab)))
 
     def lget(tbl, key):
         return tbl[tuple(sorted(key))]
 
-    t1 = {}
-    for al in range(1, m + 1):
-        for b, c in combinations_with_replacement(live, 2):
-            s = MPoly.zero(ttab)
-            for a, j in cols[al]:
-                s = s + j * lget(low, (a, b, c))
-            t1[(al, b, c)] = s
-    t2 = {}
-    for al, be in combinations_with_replacement(range(1, m + 1), 2):
-        for c in live:
-            s = MPoly.zero(ttab)
-            for b, j in cols[be]:
-                s = s + j * t1[(al,) + tuple(sorted((b, c)))]
-            t2[(al, be, c)] = s
-    cflat = {}
-    for al, be, ga in combinations_with_replacement(range(1, m + 1), 3):
-        s = MPoly.zero(ttab)
-        for c, j in cols[ga]:
-            s = s + j * t2[(al, be, c)]
-        cflat[(al, be, ga)] = s
+    # Contract one index at a time with the Jacobian.
+    t1 = {
+        (al, b, c): dot(((j, lget(low, (a, b, c))) for a, j in cols[al]), ttab)
+        for al in range(1, m + 1)
+        for b, c in combinations_with_replacement(live, 2)
+    }
+    t2 = {
+        (al, be, c): dot(
+            ((j, t1[(al,) + tuple(sorted((b, c)))]) for b, j in cols[be]), ttab
+        )
+        for al, be in combinations_with_replacement(range(1, m + 1), 2)
+        for c in live
+    }
+    cflat = {
+        (al, be, ga): dot(((j, t2[(al, be, c)]) for c, j in cols[ga]), ttab)
+        for al, be, ga in combinations_with_replacement(range(1, m + 1), 3)
+    }
 
     eta_rows = []
     for b in range(1, m + 1):
@@ -311,31 +317,26 @@ def metric_and_potential(
     eta = tuple(tuple(row) for row in eta_rows)
     eta_inv = invert_matrix(eta_rows)
 
-    euler = [
-        MPoly.variable(ttab, nm) * rat(w.numerator, w.denominator)
-        for nm, w in zip(tnames, ttab.weights)
-    ]
-    f2 = {}
-    for al, be in combinations_with_replacement(range(1, m + 1), 2):
-        s = MPoly.zero(ttab)
-        for ga in range(1, m + 1):
-            s = s + euler[ga - 1] * lget(cflat, (al, be, ga))
-        f2[(al, be)] = _euler_primitive(s)
-    f1 = {}
-    for al in range(1, m + 1):
-        s = MPoly.zero(ttab)
-        for be in range(1, m + 1):
-            s = s + euler[be - 1] * f2[tuple(sorted((al, be)))]
-        f1[al] = _euler_primitive(s)
-    s = MPoly.zero(ttab)
-    for al in range(1, m + 1):
-        s = s + euler[al - 1] * f1[al]
-    potential = _euler_primitive(s)
+    euler = [MPoly.variable(ttab, nm) * w for nm, w in zip(tnames, ttab.weights)]
+    axes = range(1, m + 1)
+    f2 = {
+        (al, be): _euler_primitive(
+            dot(((euler[ga - 1], lget(cflat, (al, be, ga))) for ga in axes), ttab)
+        )
+        for al, be in combinations_with_replacement(axes, 2)
+    }
+    f1 = {
+        al: _euler_primitive(
+            dot(((euler[be - 1], f2[tuple(sorted((al, be)))]) for be in axes), ttab)
+        )
+        for al in axes
+    }
+    potential = _euler_primitive(dot(((euler[al - 1], f1[al]) for al in axes), ttab))
 
     label = label or u.label()
+    d3 = _third_partials(potential, tnames)
     for (al, be, ga), want in cflat.items():
-        got = potential.diff_many(tnames[al - 1], tnames[be - 1], tnames[ga - 1])
-        if got != want:
+        if d3[(al, be, ga)] != want:
             raise PolyError(f"integrability failure at ({al},{be},{ga}) for {label}")
 
     maps = {} if restricted else {
@@ -355,13 +356,16 @@ def metric_and_potential(
     )
 
 
+@lru_cache(maxsize=None)
 def singularity_data(family: str, n: int) -> tuple:
-    """The unfolding, structure tensor and flat coordinates of A_n or D_n,
-    the inputs of metric_and_potential."""
+    """The unfolding, structure tensor and flat coordinates (a tuple) of A_n
+    or D_n, the inputs of metric_and_potential.  Cached, so the full
+    structure and every restriction from the same source share one Milnor
+    algebra."""
     u = build_unfolding(family, n)
     tensor = structure_constants(build_closed_algebra(u))
     coords = flat_coords_A(n) if family == "A" else flat_coords_D(n)
-    return u, tensor, coords
+    return u, tensor, tuple(coords)
 
 
 @lru_cache(maxsize=None)
@@ -411,6 +415,20 @@ def _first_monomial(p: MPoly) -> str:
     return ("-" if neg else "") + body
 
 
+def _third_partials(F: MPoly, names) -> dict:
+    """d3F/dt^a dt^b dt^c for 1 <= a <= b <= c <= N, sharing the lower
+    partials."""
+    n = len(names)
+    d3 = {}
+    for a in range(1, n + 1):
+        da = F.diff(names[a - 1])
+        for b in range(a, n + 1):
+            dab = da.diff(names[b - 1])
+            for c in range(b, n + 1):
+                d3[(a, b, c)] = dab.diff(names[c - 1])
+    return d3
+
+
 def third_derivatives(F: MPoly, eta_inv, names) -> tuple:
     """The third derivatives of F in the coordinates names and the raised
     structure constants built from them.
@@ -421,23 +439,16 @@ def third_derivatives(F: MPoly, eta_inv, names) -> tuple:
     cached: every caller sweeps the tensors once and drops them.
     """
     n = len(names)
-    d3 = {}
-    for a in range(1, n + 1):
-        da = F.diff(names[a - 1])
-        for b in range(a, n + 1):
-            dab = da.diff(names[b - 1])
-            for c in range(b, n + 1):
-                d3[(a, b, c)] = dab.diff(names[c - 1])
-    zero = MPoly.zero(F.table)
+    d3 = _third_partials(F, names)
     raised = {
         (a, b): [
-            sum(
+            dot(
                 (
-                    d3[tuple(sorted((a, b, m)))] * eta_inv[v - 1][m - 1]
+                    (d3[tuple(sorted((a, b, m)))], eta_inv[v - 1][m - 1])
                     for m in range(1, n + 1)
                     if eta_inv[v - 1][m - 1]
                 ),
-                zero,
+                F.table,
             )
             for v in range(1, n + 1)
         ]
@@ -477,15 +488,13 @@ def verify_wdvv(fs: FrobeniusStructure) -> Report:
             for be in range(1, n + 1):
                 for ga in range(be + 1, n + 1):
                     checked += 1
-                    r = MPoly.zero(tab)
                     lhs = craised(ga, de)
                     rhs = craised(ga, al)
-                    for v in range(1, n + 1):
-                        r = r + c3(al, be, v) * lhs[v - 1]
-                        r = r - c3(de, be, v) * rhs[v - 1]
-                    if r:
+                    left = dot(((c3(al, be, v), lhs[v - 1]) for v in range(1, n + 1)), tab)
+                    right = dot(((c3(de, be, v), rhs[v - 1]) for v in range(1, n + 1)), tab)
+                    if left != right:
                         failures.append(
-                            f"({al},{be},{ga},{de}): {_first_monomial(r)}"
+                            f"({al},{be},{ga},{de}): {_first_monomial(left - right)}"
                         )
     return Report(f"wdvv({fs.label})", checked, tuple(failures))
 

@@ -2,10 +2,11 @@
 
 import json
 
+from openwdvv import saito
 from openwdvv.cli import _emit_report, main
-from openwdvv.coxeter import classify_I2, open_family
+from openwdvv.coxeter import classify_I2, coxeter_structure, open_family
 from openwdvv.exactalg import MPoly
-from openwdvv.openext import open_potential_D
+from openwdvv.openext import open_potential_A, open_potential_D
 from openwdvv.report import Report
 from openwdvv.saito import frobenius_structure
 
@@ -138,6 +139,27 @@ class TestVerifyVerbs:
         ]
         assert obj["checked"] == 768 == sum(c for _, c in parts)
 
+    def test_verify_all_builds_each_singularity_once(self, capsys, monkeypatch):
+        # B_n, I2(k) and H3 restrict A/D sources that the sweep also builds
+        # in full; every source's Milnor algebra is computed once
+        calls = []
+        real = saito.structure_constants
+        monkeypatch.setattr(
+            saito, "structure_constants", lambda alg: calls.append(alg) or real(alg)
+        )
+        for cached in (
+            saito.singularity_data, frobenius_structure, coxeter_structure,
+            open_family, open_potential_A, open_potential_D,
+        ):
+            cached.cache_clear()
+        code, _, _ = run(capsys, "verify", "all", "--max-rank", "3")
+        assert code == 0
+        labels = sorted(alg.label() for alg in calls)
+        # A1-A3, D3; B2, B3 from A3, A5; I2(3)-I2(8) from A2-A7; H3 from D6
+        assert labels == sorted(
+            [f"A{n} closed" for n in range(1, 8)] + ["D3 closed", "D6 closed"]
+        )
+
     def test_failing_report_maps_to_exit_1(self, capsys):
         rep = Report("demo", 3, ("broken",))
         assert _emit_report(rep, "text") == 1
@@ -170,6 +192,15 @@ class TestUsageErrors:
             ("correlators", "A", "0"),
             ("correlators", "A", "2", "--max-n", "-1"),
             ("obstruction", "A", "3"),
+            # options the request has no use for
+            ("verify", "wdvv", "A", "3", "--branch", "minus", "--lambda", "0",
+             "--max-rank", "0"),
+            ("verify", "wdvv", "A", "3", "--lambda", "1"),
+            ("verify", "extension", "D", "4", "--branch", "plus"),
+            ("verify", "omega", "D", "4", "--lambda", "2"),
+            ("verify", "open-wdvv", "A", "3", "--max-rank", "5"),
+            ("verify", "all", "--lambda", "2"),
+            ("verify", "all", "--branch", "plus", "--max-rank", "2"),
         ):
             code, _, err = run(capsys, *argv)
             assert code == 2, argv

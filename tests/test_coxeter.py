@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from openwdvv.coxeter import (
+    _fixture_text,
     classify_I2,
     correlator_recursion_A,
     coxeter_spec,
@@ -19,8 +20,8 @@ from openwdvv.coxeter import (
     printed_open_potential,
     printed_potential,
 )
-from openwdvv.exactalg import GaussianRational, MPoly, PolyError, rat
-from openwdvv.openext import verify_open_wdvv
+from openwdvv.exactalg import GaussianRational, MPoly, PolyError, parse, rat
+from openwdvv.openext import extended_table, verify_open_wdvv
 from openwdvv.saito import frobenius_structure, from_potential, verify_wdvv
 
 DEGREES = {
@@ -164,6 +165,17 @@ class TestSubstitutedPotentials:
         frobenius_structure.cache_clear()
         printed_potential("D5")
         assert frobenius_structure.cache_info().currsize == 0
+
+    def test_printed_open_d_builds_no_structure(self):
+        for tag in ("D4", "D5"):
+            frobenius_structure.cache_clear()
+            got = printed_open_potential(tag)
+            assert frobenius_structure.cache_info().currsize == 0
+            # the route through the built structure gives the same table
+            tab = extended_table(frobenius_structure("D", int(tag[1])))
+            assert got.table == tab
+            want = parse(_fixture_text(f"{tag.lower()}_open.txt"), tab)
+            assert got.to_json() == want.to_json()
 
     def test_closed_wdvv(self):
         for tag in ("B2", "B3", "I2(5)", "I2(8)", "F4", "H3", "H4"):

@@ -2,6 +2,7 @@
 sympy cross-check of products and derivatives."""
 
 import json
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from openwdvv.coxeter import coxeter_structure
 from openwdvv.exactalg import (
     ExponentError,
     GaussianRational,
@@ -174,6 +176,74 @@ class TestPolyBasics:
         x = MPoly.variable(LTAB, "x")
         with pytest.raises(PolyError):
             (x + s) ** -1
+
+    def test_exponent_field_overflow(self):
+        x, y = MPoly.variable(WTAB, "x"), MPoly.variable(WTAB, "y")
+        big = MPoly(WTAB, {(2 ** 15 - 1, 0, 0): GaussianRational(1)})
+        with pytest.raises(ExponentError):
+            big * x  # must not carry into the y slot
+        with pytest.raises(ExponentError):
+            x ** (2 ** 15)
+        with pytest.raises(ExponentError):
+            MPoly(WTAB, {(0, 2 ** 15, 0): GaussianRational(1)})
+        assert (big * y).max_exponent("x") == 2 ** 15 - 1
+
+    def test_laurent_field_near_the_bias(self):
+        s = MPoly.variable(LTAB, "s")
+        x = MPoly.variable(LTAB, "x")
+        deep = s ** -(2 ** 14)  # the lowest exponent the Laurent field holds
+        top = s ** (2 ** 14 - 1)  # and the highest
+        assert deep * top == s ** -1
+        for overflow in (
+            lambda: deep * s ** -1,
+            lambda: deep.diff("s"),
+            lambda: s ** -(2 ** 14 + 1),
+            lambda: top * s,
+            lambda: MPoly(LTAB, {(0, -(2 ** 14) - 1): GaussianRational(1)}),
+        ):
+            with pytest.raises(ExponentError):
+                overflow()
+        assert (deep * x).coefficient({"x": 1, "s": -(2 ** 14)}) == 1
+
+    def test_normal_form_is_unique(self):
+        x = MPoly.variable(WTAB, "x")
+        half = x / 2 + x / 2
+        assert half == x and hash(half) == hash(x)
+        assert (2 * x / 4).text() == "1/2*x"
+        assert 2 * x / 4 == x * rat(1, 2) and hash(2 * x / 4) == hash(x / 2)
+        assert (x / 3 - x / 3) == 0 and not (x / 3 - x / 3)
+
+    def test_imaginary_part_cancels(self):
+        i = MPoly.constant(WTAB, GaussianRational(0, 1))
+        x = MPoly.variable(WTAB, "x")
+        sq = (i * x) * (i * x)
+        assert sq + x ** 2 == 0
+        assert sq == -(x ** 2) and hash(sq) == hash(-(x ** 2))
+        assert sq._im is None and (i * x - i * x)._im is None
+
+    def test_terms_view(self):
+        p = parse("x^2*y - 1/3*z + i*x", WTAB)
+        view = p.terms
+        assert isinstance(view, Mapping) and len(view) == len(p) == 3
+        assert all(type(e) is tuple and len(e) == 3 for e in view)
+        assert all(isinstance(c, GaussianRational) for c in view.values())
+        assert view[(2, 1, 0)] == 1 and view[(1, 0, 0)] == GaussianRational(0, 1)
+        assert dict(view.items()) == {
+            (2, 1, 0): 1, (0, 0, 1): rat(-1, 3), (1, 0, 0): GaussianRational(0, 1)
+        }
+        assert (5, 0, 0) not in view and "x" not in view
+        with pytest.raises(TypeError):
+            view[(5, 0, 0)] = GaussianRational(1)
+        with pytest.raises(AttributeError):
+            view.pop((2, 1, 0))
+
+    def test_h3_potential_text(self):
+        # H3 runs through t6 = i*t2, the one imaginary substitution; its
+        # canonical text as recorded before the integer layout
+        assert coxeter_structure("H3").potential.text() == (
+            "t1*t2^2 + 1/2*t1^2*t3 + 1/6*t2^3*t3^2 + 1/80*t2^2*t3^5"
+            " + 1/253440*t3^11"
+        )
 
     def test_euler_needs_weights(self):
         tab = VarTable(("x",))
