@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from itertools import combinations_with_replacement
 
 from .exactalg import (
     GaussianRational,
@@ -326,9 +327,7 @@ def _built_family(tag: str) -> SolutionFamily:
     elif spec.family in ("B", "I2"):
         base = coxeter_structure(tag)
         src = coxeter_spec(f"A{_source_family(spec)[1]}")
-        src_tab = VarTable(
-            src.table().names + ("s",), src.q + ((1 - src.delta) / 2,), "s"
-        )
+        src_tab = _extend(src.table(), src.delta)
         tab = extended_table(base)
         images = dict(zip(src_tab.names, _substitution_images(spec, tab)))
         images["s"] = MPoly.variable(tab, "s")
@@ -422,8 +421,6 @@ def correlator_recursion_A(N: int, max_n: int) -> dict:
             val = acc * fact(k)
         memo[t] = val
         return val
-
-    from itertools import combinations_with_replacement
 
     table = {}
     for n in range(max_n + 1):

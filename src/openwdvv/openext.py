@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .exactalg import (
     GaussianRational,
@@ -41,6 +41,8 @@ from .saito import (
     _first_monomial,
     _weighted_tuples,
     frobenius_structure,
+    partials,
+    pullback,
     third_derivatives,
 )
 
@@ -92,16 +94,10 @@ class OpenExtension:
         tab = self.table
         F = self.base.potential.substitute({}, tab)
         grads = [F.diff(nm) for nm in self.base.table.names]
-        out = []
-        for a in range(self.base.rank):
-            comp = MPoly.zero(tab)
-            for m in range(self.base.rank):
-                e = self.base.eta_inv[a][m]
-                if e:
-                    comp = comp + grads[m] * e
-            out.append(comp)
-        out.append(self.potential)
-        return tuple(out)
+        return tuple(
+            dot(((g, e) for g, e in zip(grads, row) if e), tab)
+            for row in self.base.eta_inv
+        ) + (self.potential,)
 
 
 def open_extension(base: FrobeniusStructure, fo: MPoly) -> OpenExtension:
@@ -117,39 +113,20 @@ def open_extension(base: FrobeniusStructure, fo: MPoly) -> OpenExtension:
     return OpenExtension(base, tab, fo)
 
 
-def _multiplicity_vectors(n: int) -> list:
-    """All (m_1..m_n, k) with sum m_a*(n+2-a) + k = n+2; k is the leftover
-    s-power."""
-    out = []
-
-    def rec(a, rem, acc):
-        if a > n:
-            out.append((tuple(acc), rem))
-            return
-        w = n + 2 - a
-        for m in range(rem // w + 1):
-            acc.append(m)
-            rec(a + 1, rem - m * w, acc)
-            acc.pop()
-
-    rec(1, n + 2, [])
-    return out
-
-
 def open_generator_A(n: int, tab: VarTable) -> MPoly:
     """F° of the A_n extension from the closed correlator formula, over the
     table t1..tn, s.
 
     The coefficient of prod (t^a)^{m_a} * s^k is (n_pts + k - 2)! divided
-    by the automorphisms prod m_a! * k!, summed over the admissible
-    multiplicity vectors of _multiplicity_vectors."""
+    by the automorphisms prod m_a! * k!, summed over the multiplicity
+    vectors with sum m_a * (n + 2 - a) + k = n + 2."""
     terms = {}
-    for mult, k in _multiplicity_vectors(n):
-        pts = sum(mult)
-        c = rat(math.factorial(pts + k - 2), math.factorial(k))
+    for exp in _weighted_tuples(range(n + 1, 0, -1), n + 2):
+        *mult, k = exp
+        c = rat(math.factorial(sum(mult) + k - 2), math.factorial(k))
         for m in mult:
             c = c / math.factorial(m)
-        terms[mult + (k,)] = GaussianRational(c)
+        terms[exp] = GaussianRational(c)
     return MPoly(tab, terms)
 
 
@@ -166,12 +143,11 @@ def open_potential_D(n: int) -> OpenExtension:
     base = frobenius_structure("D", n)
     tab = extended_table(base)
     s = MPoly.variable(tab, "s")
+    v = substitute_all(base.v_of_t, {}, tab)
     fo = s ** (2 * n - 1) / (2 ** (n - 2) * (2 * n - 1) * (2 * n - 2))
     for k in range(1, n):
-        vk = base.v_of_t[k - 1].substitute({}, tab)
-        fo = fo + vk * s ** (2 * k - 1) / (2 ** (k - 1) * (2 * k - 1))
-    vn = base.v_of_t[n - 1].substitute({}, tab)
-    fo = fo + vn * vn * s ** -1 / 2
+        fo = fo + v[k - 1] * s ** (2 * k - 1) / (2 ** (k - 1) * (2 * k - 1))
+    fo = fo + v[n - 1] * v[n - 1] * s ** -1 / 2
     return open_extension(base, fo)
 
 
@@ -183,8 +159,8 @@ def check_foan_relation(ext: OpenExtension) -> bool:
     tab = ext.table
     s = MPoly.variable(tab, "s")
     rhs = s ** (n + 1) / (n + 1)
-    for k in range(1, n + 1):
-        rhs = rhs + base.v_of_t[k - 1].substitute({}, tab) * s ** (k - 1)
+    for k, vk in enumerate(substitute_all(base.v_of_t, {}, tab), start=1):
+        rhs = rhs + vk * s ** (k - 1)
     return ext.potential.diff("s") == rhs
 
 
@@ -225,11 +201,7 @@ def verify_open_wdvv(ext: OpenExtension) -> Report:
     fo = ext.potential
     F = base.potential.substitute({}, tab)
 
-    d2o = {}
-    for a in range(1, n + 2):
-        da = fo.diff(nm[a - 1])
-        for b in range(a, n + 2):
-            d2o[(a, b)] = da.diff(nm[b - 1])
+    d2o = partials(fo, nm, 2)
 
     def o2(a, b):
         return d2o[(a, b) if a <= b else (b, a)]
@@ -293,21 +265,13 @@ def verify_vector_potential(funcs, label: str) -> Report:
     (when the table is weighted) the conformal condition
     E(F^a) = (1 + q_a) F^a."""
     funcs = tuple(funcs)
-    tab = funcs[0].table
-    if len(funcs) != tab.arity:
+    if not funcs or len(funcs) != funcs[0].table.arity:
         raise PolyError("need one component per coordinate")
+    tab = funcs[0].table
+    if any(f.table != tab for f in funcs):
+        raise PolyError("components are over different tables")
     n = tab.arity
-    nm = tab.names
-    d2 = []
-    for f in funcs:
-        if f.table != tab:
-            raise PolyError("components are over different tables")
-        row = {}
-        for a in range(1, n + 1):
-            da = f.diff(nm[a - 1])
-            for b in range(a, n + 1):
-                row[(a, b)] = da.diff(nm[b - 1])
-        d2.append(row)
+    d2 = [partials(f, tab.names, 2) for f in funcs]
 
     def g(a, b, c):
         return d2[a - 1][(b, c) if b <= c else (c, b)]
@@ -355,80 +319,37 @@ def verify_extension_theorems(family: str, n: int) -> Report:
     alg = build_extended_algebra(build_unfolding(family, n))
     tensor = structure_constants(alg)
 
-    vmap = dict(zip(base.v_table.names, substitute_all(base.v_of_t, {}, tab)))
-    vmap[f"v{m}"] = MPoly.variable(tab, "s")
-    keys = [
-        (a, i, j)
-        for a in range(1, m + 1)
-        for i in range(1, m + 1)
-        for j in range(i, m + 1)
-    ]
+    v = substitute_all(base.v_of_t, {}, tab)
+    sub = dict(zip(base.v_table.names, v))
+    vmap = {**sub, f"v{m}": MPoly.variable(tab, "s")}
+    # every (a, i, j) with i <= j: the keys of the tensor and of its pullback
+    idx = range(1, m + 1)
+    keys = [(a, i, j) for a in idx for i, j in combinations_with_replacement(idx, 2)]
     cv = dict(zip(keys, substitute_all((tensor.c(*key) for key in keys), vmap, tab)))
 
+    # Rows by source index: jac[b][be] = dv_b/dt^be, inv[a][al] = dt^al/dv_a
+    # at v(t); the last source and target slot is s = v_{N+1}.
     zero = MPoly.zero(tab)
-    one = MPoly.constant(tab, 1)
-    jac = [[zero] * m for _ in range(m)]  # jac[b][be] = dv_b/dt^be
-    for b in range(1, n + 1):
-        for be in range(1, n + 1):
-            jac[b - 1][be - 1] = vmap[f"v{b}"].diff(nm[be - 1])
-    jac[m - 1][m - 1] = one
-    # inv[al][a] = dt^al/dv_a at v(t)
-    vnames = base.v_table.names
-    sub = {k: v for k, v in vmap.items() if k != f"v{m}"}
-    dt = substitute_all(
-        (t.diff(vn) for t in base.t_of_v for vn in vnames), sub, tab
-    )
-    inv = [dt[al * n : (al + 1) * n] + [zero] for al in range(n)]
-    inv.append([zero] * n + [one])
-
-    u1 = {
-        (al, i, j): dot(
-            ((f, cv[(a, i, j)]) for a, f in enumerate(inv[al - 1], start=1) if f), tab
-        )
-        for al in range(1, m + 1)
-        for i in range(1, m + 1)
-        for j in range(i, m + 1)
-    }
-    u2 = {
-        (al, be, j): dot(
-            (
-                (jac[i - 1][be - 1], u1[(al, i, j) if i <= j else (al, j, i)])
-                for i in range(1, m + 1)
-                if jac[i - 1][be - 1]
-            ),
-            tab,
-        )
-        for al in range(1, m + 1)
-        for be in range(1, m + 1)
-        for j in range(1, m + 1)
-    }
+    s_row = [zero] * n + [MPoly.constant(tab, 1)]
+    jac = [[vb.diff(x) for x in nm[:n]] + [zero] for vb in v] + [s_row]
+    dt = substitute_all((t.diff(vn) for vn in sub for t in base.t_of_v), sub, tab)
+    inv = [dt[a * n : (a + 1) * n] + [zero] for a in range(n)] + [s_row]
+    got = pullback(cv, inv, jac, keys, tab)
 
     F = base.potential.substitute({}, tab)
     _, raised = third_derivatives(F, base.eta_inv, nm[:n])
-    fo = ext.potential
+    d2o = partials(ext.potential, nm, 2)
     failures = []
-    checked = 0
-    for al in range(1, m + 1):
-        for be in range(1, m + 1):
-            for ga in range(be, m + 1):
-                got = dot(
-                    (
-                        (jac[j - 1][ga - 1], u2[(al, be, j)])
-                        for j in range(1, m + 1)
-                        if jac[j - 1][ga - 1]
-                    ),
-                    tab,
-                )
-                if al > n:
-                    want = fo.diff_many(nm[be - 1], nm[ga - 1])
-                elif ga <= n:
-                    want = raised[(be, ga)][al - 1]
-                else:
-                    want = zero
-                checked += 1
-                if got != want:
-                    failures.append(f"c^{al}_({be},{ga})")
-    return Report(f"extension({family}{n})", checked, tuple(failures))
+    for (al, be, ga), p in got.items():
+        if al > n:
+            want = d2o[(be, ga)]
+        elif ga <= n:
+            want = raised[(be, ga)][al - 1]
+        else:
+            want = zero
+        if p != want:
+            failures.append(f"c^{al}_({be},{ga})")
+    return Report(f"extension({family}{n})", len(got), tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -501,13 +422,13 @@ def check_dn_second_derivative_identity(n: int) -> bool:
     sbar = [(1 - i) * MPoly.variable(vtab, f"v{i}") for i in range(1, n)]
     for g in range(1, n):
         t = base.t_of_v[g - 1]
+        d2 = partials(t, vn[: n - 1], 2)
         for a in range(1, n):
             for b in range(1, n):
-                lhs = t.diff_many(vn[a - 1], vn[b - 1])
+                lhs = d2[(a, b) if a <= b else (b, a)]
                 for i in range(1, a):
-                    lhs = lhs - sbar[n - i - 1] * t.diff_many(
-                        vn[a - i - 1], vn[b - 1]
-                    )
+                    j = a - i
+                    lhs = lhs - sbar[n - i - 1] * d2[(j, b) if j <= b else (b, j)]
                 if a + b >= n + 1:
                     rhs = t.diff(vn[a + b - n - 1]) * rat(
                         -(2 * (a + b - n) - 1), 2

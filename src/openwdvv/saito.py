@@ -6,6 +6,9 @@ coordinate change is inverted exactly as a graded fixed point.  The
 potential is rebuilt from the flat structure constants by inverting the
 Euler operator one weighted-homogeneous component at a time, which is
 well-posed because every component has positive weighted degree.
+`pullback` is the one Jacobian contraction of a three-index tensor and
+`partials` the one table of shared partial derivatives; every module
+builds its tensors and derivative sweeps on them.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .exactalg import (
     MPoly,
     PolyError,
     VarTable,
+    _render_term,
     dot,
     rat,
     substitute_all,
@@ -49,6 +53,8 @@ __all__ = [
     "t_table",
     "from_potential",
     "invert_matrix",
+    "pullback",
+    "partials",
 ]
 
 
@@ -215,7 +221,82 @@ def invert_coords(t_of_v, ttab: VarTable, images=None):
     return [current[nm] for nm in vtab.names]
 
 
+# ---------- tensor calculus ----------
+
+
+def pullback(T, first, second, keys, table) -> dict:
+    """out[(al, be, ga)] = sum first[a][al] * second[i][be] * second[j][ga]
+    * T[(a, i, j)] for every (al, be, ga) in keys.
+
+    T is keyed (a, i, j) with i <= j, so it is symmetric in its last two
+    slots.  The matrices are lists of rows indexed by the source index;
+    indices are 1-based, zero entries are skipped, and one index is
+    contracted at a time.  Only the partial sums that keys need are formed.
+    """
+    keys = list(keys)
+
+    def columns(mat):
+        return [
+            [(r, row[c]) for r, row in enumerate(mat, start=1) if row[c]]
+            for c in range(len(mat[0]))
+        ]
+
+    c1, c2 = columns(first), columns(second)
+    # (al, be, j) with second[j][ga] != 0, then (al, i, j) with
+    # second[i][be] != 0 under each of them
+    need2 = dict.fromkeys((al, be, j) for al, be, ga in keys for j, _ in c2[ga - 1])
+    need1 = dict.fromkeys(
+        (al, i, j) if i <= j else (al, j, i)
+        for al, be, j in need2
+        for i, _ in c2[be - 1]
+    )
+    p1 = {
+        (al, i, j): dot(((f, T[(a, i, j)]) for a, f in c1[al - 1]), table)
+        for al, i, j in need1
+    }
+    p2 = {
+        (al, be, j): dot(
+            ((g, p1[(al, i, j) if i <= j else (al, j, i)]) for i, g in c2[be - 1]),
+            table,
+        )
+        for al, be, j in need2
+    }
+    return {
+        (al, be, ga): dot(((g, p2[(al, be, j)]) for j, g in c2[ga - 1]), table)
+        for al, be, ga in keys
+    }
+
+
+def partials(f: MPoly, names, order: int) -> dict:
+    """Every partial derivative of f of the given order in names, keyed by
+    the sorted 1-based index tuple; each is one derivative of a lower
+    partial, so every lower partial is taken once."""
+    level = {(): f}
+    for _ in range(order):
+        level = {
+            key + (c,): p.diff(names[c - 1])
+            for key, p in level.items()
+            for c in range(key[-1] if key else 1, len(names) + 1)
+        }
+    return level
+
+
 # ---------- metric and potential ----------
+
+
+def _metric(t1_slice, m: int) -> tuple:
+    """(eta, eta_inv) from the t1 slice {(b, c): d3F/dt1 dtb dtc, b <= c}
+    of an m-dimensional structure; every entry must be constant."""
+    rows = []
+    for b in range(1, m + 1):
+        row = []
+        for c in range(1, m + 1):
+            e = t1_slice[(b, c) if b <= c else (c, b)]
+            if e.total_degree() > 0:
+                raise PolyError(f"metric entry ({b},{c}) is not constant: {e.text()}")
+            row.append(e.constant_term())
+        rows.append(row)
+    return tuple(tuple(row) for row in rows), invert_matrix(rows)
 
 
 def _euler_primitive(p: MPoly) -> MPoly:
@@ -266,10 +347,6 @@ def metric_and_potential(
     v_of_t = invert_coords(t_of_v, ttab, images)
     jac = [[v.diff(nm) for nm in tnames] for v in v_of_t]
     live = [a for a in range(1, n + 1) if any(jac[a - 1])]
-    cols = {
-        al: [(a, jac[a - 1][al - 1]) for a in live if jac[a - 1][al - 1]]
-        for al in range(1, m + 1)
-    }
 
     # c_{abc} = sum_d c^d_{ab} * c^l_{dc}, then v -> v(t), all triples
     # through one table of powers of v(t).
@@ -287,35 +364,15 @@ def metric_and_potential(
     def lget(tbl, key):
         return tbl[tuple(sorted(key))]
 
-    # Contract one index at a time with the Jacobian.
-    t1 = {
-        (al, b, c): dot(((j, lget(low, (a, b, c))) for a, j in cols[al]), ttab)
-        for al in range(1, m + 1)
+    sym = {
+        (a, b, c): lget(low, (a, b, c))
+        for a in live
         for b, c in combinations_with_replacement(live, 2)
     }
-    t2 = {
-        (al, be, c): dot(
-            ((j, t1[(al,) + tuple(sorted((b, c)))]) for b, j in cols[be]), ttab
-        )
-        for al, be in combinations_with_replacement(range(1, m + 1), 2)
-        for c in live
-    }
-    cflat = {
-        (al, be, ga): dot(((j, t2[(al, be, c)]) for c, j in cols[ga]), ttab)
-        for al, be, ga in combinations_with_replacement(range(1, m + 1), 3)
-    }
-
-    eta_rows = []
-    for b in range(1, m + 1):
-        row = []
-        for c in range(1, m + 1):
-            e = lget(cflat, (1, b, c))
-            if e.total_degree() > 0:
-                raise PolyError(f"metric entry ({b},{c}) is not constant: {e.text()}")
-            row.append(e.constant_term())
-        eta_rows.append(row)
-    eta = tuple(tuple(row) for row in eta_rows)
-    eta_inv = invert_matrix(eta_rows)
+    cflat = pullback(
+        sym, jac, jac, combinations_with_replacement(range(1, m + 1), 3), ttab
+    )
+    eta, eta_inv = _metric({k[1:]: e for k, e in cflat.items() if k[0] == 1}, m)
 
     euler = [MPoly.variable(ttab, nm) * w for nm, w in zip(tnames, ttab.weights)]
     axes = range(1, m + 1)
@@ -334,7 +391,7 @@ def metric_and_potential(
     potential = _euler_primitive(dot(((euler[al - 1], f1[al]) for al in axes), ttab))
 
     label = label or u.label()
-    d3 = _third_partials(potential, tnames)
+    d3 = partials(potential, tnames, 3)
     for (al, be, ga), want in cflat.items():
         if d3[(al, be, ga)] != want:
             raise PolyError(f"integrability failure at ({al},{be},{ga}) for {label}")
@@ -380,26 +437,19 @@ def from_potential(label: str, potential: MPoly) -> FrobeniusStructure:
     tab = potential.table
     if tab.weights is None:
         raise PolyError("potential table needs weights")
-    n = tab.arity
     d = potential.weighted_degree()
-    delta = 3 - d
-    rows = []
-    for b in range(n):
-        row = []
-        for c in range(n):
-            e = potential.diff_many(tab.names[0], tab.names[b], tab.names[c])
-            if e.total_degree() > 0:
-                raise PolyError(f"metric entry ({b + 1},{c + 1}) is not constant")
-            row.append(e.constant_term())
-        rows.append(row)
-    eta = tuple(tuple(r) for r in rows)
+    if d is None:
+        raise PolyError("the zero potential has no metric")
+    eta, eta_inv = _metric(
+        partials(potential.diff(tab.names[0]), tab.names, 2), tab.arity
+    )
     return FrobeniusStructure(
         label=label,
-        rank=n,
+        rank=tab.arity,
         table=tab,
-        delta=delta,
+        delta=3 - d,
         eta=eta,
-        eta_inv=invert_matrix(rows),
+        eta_inv=eta_inv,
         potential=potential,
     )
 
@@ -409,24 +459,8 @@ def from_potential(label: str, potential: MPoly) -> FrobeniusStructure:
 
 def _first_monomial(p: MPoly) -> str:
     exp, c = p.sorted_terms()[0]
-    from .exactalg import _render_term  # canonical rendering
-
     body, neg = _render_term(p.table, exp, c)
     return ("-" if neg else "") + body
-
-
-def _third_partials(F: MPoly, names) -> dict:
-    """d3F/dt^a dt^b dt^c for 1 <= a <= b <= c <= N, sharing the lower
-    partials."""
-    n = len(names)
-    d3 = {}
-    for a in range(1, n + 1):
-        da = F.diff(names[a - 1])
-        for b in range(a, n + 1):
-            dab = da.diff(names[b - 1])
-            for c in range(b, n + 1):
-                d3[(a, b, c)] = dab.diff(names[c - 1])
-    return d3
 
 
 def third_derivatives(F: MPoly, eta_inv, names) -> tuple:
@@ -439,7 +473,7 @@ def third_derivatives(F: MPoly, eta_inv, names) -> tuple:
     cached: every caller sweeps the tensors once and drops them.
     """
     n = len(names)
-    d3 = _third_partials(F, names)
+    d3 = partials(F, names, 3)
     raised = {
         (a, b): [
             dot(

@@ -1,5 +1,6 @@
 """Command line surface: canonical output, JSON round-trips, exit codes."""
 
+import hashlib
 import json
 
 from openwdvv import saito
@@ -138,6 +139,19 @@ class TestVerifyVerbs:
             ("obstruction(H4)", 10),
         ]
         assert obj["checked"] == 768 == sum(c for _, c in parts)
+
+    def test_verify_all_rank6_output_is_unchanged(self, capsys):
+        # sha256 of the full stdout of `verify all --max-rank 6`, as first
+        # recorded; a refactor must leave both formats byte-identical
+        for fmt, digest in (
+            ("text", "da727d35161ca0e16bcc17c015e0521c0e6045d484d8d07f0f855ac686fd670a"),
+            ("json", "c31f00262f92375ca21aebee52a6a5552c480c62cf43fa18a75b2f8aef473c50"),
+        ):
+            code, out, _ = run(
+                capsys, "verify", "all", "--max-rank", "6", "--format", fmt
+            )
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
     def test_verify_all_builds_each_singularity_once(self, capsys, monkeypatch):
         # B_n, I2(k) and H3 restrict A/D sources that the sweep also builds

@@ -89,6 +89,10 @@ class TestVectorPotential:
         funcs[0] = funcs[0] * 2
         assert not verify_vector_potential(tuple(funcs), "bad").ok
 
+    def test_rejects_no_components(self):
+        with pytest.raises(PolyError, match="one component per coordinate"):
+            verify_vector_potential((), "x")
+
 
 class TestExtensionTheorems:
     def test_sweep(self):

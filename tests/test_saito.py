@@ -4,16 +4,20 @@ homogeneity sweeps, and negative controls on tampered data."""
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from openwdvv.exactalg import GaussianRational, MPoly, PolyError, VarTable, parse
+from openwdvv.openext import open_potential_D
 from openwdvv.saito import (
     frobenius_structure,
     from_potential,
     invert_coords,
     invert_matrix,
     metric_and_potential,
+    partials,
+    pullback,
     singularity_data,
     third_derivatives,
     verify_homogeneity,
@@ -169,6 +173,60 @@ class TestThirdDerivatives:
                 MPoly.constant(fs.table, int(v == b)) for v in range(1, n + 1)
             ]
 
+    def test_partials_through_a_pole(self):
+        # the D5 open potential has a t5^2/(2s) term, so the s-derivatives
+        # run through negative powers
+        fo = open_potential_D(5).potential
+        nm = fo.table.names
+        for order, count in ((1, 6), (2, 21), (3, 56)):
+            got = partials(fo, nm, order)
+            assert len(got) == count
+            for key, p in got.items():
+                assert list(key) == sorted(key)
+                assert p == fo.diff_many(*(nm[k - 1] for k in key))
+        assert partials(fo, nm, 0) == {(): fo}
+
+
+class TestPullback:
+    TAB = VarTable(("x", "y"))
+    # three source indices onto two targets; first has a zero row (2) and
+    # second has one (3)
+    FIRST = ("x", "2"), ("0", "0"), ("y", "x+y")
+    SECOND = ("1", "y"), ("x", "0"), ("0", "0")
+
+    def brute(self, T, first, second, key):
+        al, be, ga = key
+        want = MPoly.zero(self.TAB)
+        for a, i, j in product(range(1, 4), repeat=3):
+            f = first[a - 1][al - 1] * second[i - 1][be - 1] * second[j - 1][ga - 1]
+            if f:
+                want = want + f * T[(a, min(i, j), max(i, j))]
+        return want
+
+    def test_matches_quadruple_sum(self):
+        tab = self.TAB
+        first = [[parse(e, tab) for e in row] for row in self.FIRST]
+        second = [[parse(e, tab) for e in row] for row in self.SECOND]
+        # only the entries a zero-skipping contraction may read: a != 2 and
+        # i, j != 3; any other lookup raises KeyError
+        T = {
+            (a, i, j): parse(f"{a}*x^{i} - {j}*y + {a * i * j}", tab)
+            for a in (1, 3)
+            for i, j in combinations_with_replacement((1, 2), 2)
+        }
+        axes = (1, 2)
+        restricted = [
+            (al, be, ga)
+            for al in axes
+            for be, ga in combinations_with_replacement(axes, 2)
+        ]
+        symmetric = list(combinations_with_replacement(axes, 3))
+        for keys in (restricted, symmetric, restricted[1:2]):
+            got = pullback(T, first, second, iter(keys), tab)
+            assert list(got) == keys
+            for key in keys:
+                assert got[key] == self.brute(T, first, second, key)
+
 
 class TestFromPotential:
     def test_reads_back_pipeline_data(self):
@@ -180,6 +238,11 @@ class TestFromPotential:
         tab = VarTable(("t1", "t2"), (Fraction(1), Fraction(1, 2)))
         with pytest.raises(PolyError):
             from_potential("bad", parse("1/6*t1^3", tab))
+
+    def test_rejects_zero_potential(self):
+        tab = VarTable(("t1", "t2"), (Fraction(1), Fraction(1, 2)))
+        with pytest.raises(PolyError, match="zero potential"):
+            from_potential("z", MPoly.zero(tab))
 
 
 class TestNegativeControls:
