@@ -76,6 +76,9 @@ def _tag(family: str, n: int) -> str:
 def _scalar(text: str) -> GaussianRational:
     if not re.fullmatch(r"-?\d+(/\d+)?", text.strip()):
         raise PolyError(f"not an integer or p/q rational: {text!r}")
+    _, slash, den = text.strip().partition("/")
+    if slash and not int(den):
+        raise PolyError(f"zero denominator in {text!r}")
     return GaussianRational(rat(text.strip()))
 
 
@@ -136,12 +139,7 @@ def _emit_report(rep: Report, fmt: str, parts=None) -> int:
 
 def _cmd_potential(args) -> int:
     tag = _tag(args.family, args.n)
-    if args.source == "printed":
-        p = printed_potential(tag)
-    elif args.family in ("A", "D"):
-        p = frobenius_structure(args.family, args.n).potential
-    else:
-        p = potential_coxeter(tag, args.source)
+    p = printed_potential(tag) if args.source == "printed" else potential_coxeter(tag)
     _emit_poly(p, args.format)
     return 0
 
@@ -248,8 +246,6 @@ def _open_ext_for(family: str, n: int, lam, branch: str):
 
 
 def _wdvv(family, n, lam, branch) -> Report:
-    if family in ("A", "D"):
-        return verify_wdvv(frobenius_structure(family, n))
     return verify_wdvv(coxeter_structure(_tag(family, n)))
 
 
@@ -481,9 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("potential", parents=[fmt], help="closed potential")
     group_args(sp)
-    sp.add_argument(
-        "--source", choices=("auto", "substitution", "printed"), default="auto"
-    )
+    sp.add_argument("--source", choices=("auto", "printed"), default="auto")
     sp.set_defaults(fn=_cmd_potential)
 
     sp = sub.add_parser("open-potential", parents=[fmt, lam], help="open potential")

@@ -1,17 +1,18 @@
-"""Frobenius potentials of the non-simply-laced Coxeter families and the
+"""Frobenius potentials of the finite Coxeter groups and the
 classification of their open extensions.
 
-B_N, I2(k) and H3 are built by running the A_{2N-1}, A_{k-1} and D6
-pipelines on a linear subspace of their flat coordinates: the images of
-the source coordinates are target coordinates, zeros, and for H3 an
-imaginary multiple of t2, and the result is the source potential there.
-F4 and H4 carry printed potentials in a normalization that differs from
-that route by coordinate rescalings, so they are stored as fixtures and
-every claim about them is checked in place.
-The open solution families of A_N, B_N and I2(k) are built here, with
-the lambda-rescaling action, the boundary correlator recursion, the
-sign-branch classification for I2, and the exact nonexistence checks
-for all remaining groups.
+The group fixes the construction (coxeter_structure).  A_N and D_N come
+from the singularity pipeline.  B_N, I2(k) and H3 run the A_{2N-1},
+A_{k-1} and D6 pipelines on a linear subspace of their flat coordinates:
+the images of the source coordinates are target coordinates, zeros, and
+for H3 an imaginary multiple of t2.  F4 and H4 carry printed potentials
+in a normalization that differs from that route by coordinate
+rescalings, so they are stored as fixtures and every claim about them is
+checked in place.  No E potential is built.
+Also here: the open solution families of A_N, B_N and I2(k) with the
+lambda-rescaling action, the boundary correlator recursion, the
+homogeneous open ansatz that the I2 classification and the H3
+obstruction solve, and the exact nonexistence checks for the rest.
 """
 
 from __future__ import annotations
@@ -41,12 +42,14 @@ from .openext import (
     open_extension,
     open_generator_A,
     open_potential_A,
+    open_wdvv_equations,
 )
 from .report import Report
 from .saito import (
     FrobeniusStructure,
     _weighted_tuples,
     from_potential,
+    frobenius_structure,
     metric_and_potential,
     singularity_data,
     t_table,
@@ -177,10 +180,10 @@ def _source_family(spec: CoxeterSpec) -> tuple:
         return "A", spec.n - 1
     if spec.tag == "H3":
         return "D", 6
-    raise PolyError(f"{spec.tag} has no restriction source")
+    raise PolyError(f"no potential is constructed for {spec.tag}")
 
 
-def _substitution_images(spec: CoxeterSpec, target: VarTable) -> tuple:
+def _restriction_images(spec: CoxeterSpec, target: VarTable) -> tuple:
     """Every source flat coordinate, in order, as a target coordinate,
     zero, or (for H3) an imaginary multiple of t2."""
     _, m = _source_family(spec)
@@ -204,65 +207,47 @@ def _restricted_structure(spec: CoxeterSpec) -> FrobeniusStructure:
     flat coordinates; the potential is the source potential there."""
     family, m = _source_family(spec)
     u, tensor, coords = singularity_data(family, m)
-    images = _substitution_images(spec, spec.table())
+    images = _restriction_images(spec, spec.table())
     fs = metric_and_potential(u, tensor, coords, images, spec.tag)
     if any(c.im for c in fs.potential.terms.values()):
         raise PolyError(f"restriction for {spec.tag} left imaginary parts")
     return fs
 
 
-def _route(spec: CoxeterSpec, source: str) -> str:
-    """How (group, source) is built: 'printed' or 'restricted'."""
-    if source not in ("auto", "substitution", "printed"):
-        raise PolyError(f"unknown potential source {source!r}")
-    if spec.family in ("A", "D"):
-        raise PolyError(f"{spec.tag} is covered by the singularity pipeline")
-    if spec.family == "E":
-        raise PolyError(f"no potential is constructed for {spec.tag}")
-    if spec.tag in ("F4", "H4"):
-        if source == "substitution":
-            raise PolyError(
-                f"substitution for {spec.tag} needs E-type flat coordinates"
-            )
-        return "printed"
-    return "printed" if source == "printed" else "restricted"
-
-
 @lru_cache(maxsize=None)
-def _built_structure(tag: str, route: str) -> FrobeniusStructure:
+def _built_structure(tag: str) -> FrobeniusStructure:
     spec = coxeter_spec(tag)
-    if route == "printed":
+    if tag in ("F4", "H4"):
         fs = from_potential(tag, printed_potential(tag))
-    else:
+    else:  # E6-E8 are refused by _source_family
         fs = _restricted_structure(spec)
     if fs.potential.weighted_degree() != 3 - spec.delta:
         raise PolyError(f"degree of the {tag} potential is off")
     return fs
 
 
-def coxeter_structure(group, source: str = "auto") -> FrobeniusStructure:
-    """The Frobenius structure of B_N, I2(k), H3, F4 or H4; the weighted
-    degree of the potential must reproduce the group's delta.
-
-    B_N, I2(k) and H3 (source 'auto' or 'substitution') come from the
-    A_{2N-1}, A_{k-1} and D6 pipelines restricted to the group's subspace;
-    H3 also has a printed source, and F4 and H4 exist only in printed form
-    (the substitution route runs through E-type flat coordinates, which
-    this library does not construct).  The cache is keyed by the
-    canonical tag and construction, so every spelling of a group shares
-    one entry; cache_info and cache_clear are those of that cache."""
+def coxeter_structure(group) -> FrobeniusStructure:
+    """The Frobenius structure of a finite Coxeter group, by the route the
+    group fixes: A_N and D_N are frobenius_structure; B_N, I2(k) and H3 are
+    restricted (see the module docstring); F4 and H4 are printed, as their
+    restriction runs through E-type flat coordinates, which this library
+    does not construct; E6-E8 are refused.  The restricted and printed
+    potentials must have the group's weighted degree 3 - delta and are
+    cached by canonical tag, so every spelling of a group shares one
+    entry; cache_info and cache_clear are those of that cache."""
     spec = _spec(group)
-    return _built_structure(spec.tag, _route(spec, source))
+    if spec.family in ("A", "D"):
+        return frobenius_structure(spec.family, spec.n)
+    return _built_structure(spec.tag)
 
 
 coxeter_structure.cache_info = _built_structure.cache_info
 coxeter_structure.cache_clear = _built_structure.cache_clear
 
 
-def potential_coxeter(group, source: str = "auto") -> MPoly:
-    """The Frobenius potential of B_N, I2(k), H3, F4 or H4 (see
-    coxeter_structure)."""
-    return coxeter_structure(group, source).potential
+def potential_coxeter(group) -> MPoly:
+    """The Frobenius potential of a finite Coxeter group (coxeter_structure)."""
+    return coxeter_structure(group).potential
 
 
 # ---------- open solution families ----------
@@ -270,8 +255,9 @@ def potential_coxeter(group, source: str = "auto") -> MPoly:
 
 @dataclass(frozen=True)
 class SolutionFamily:
-    """All open WDVV solutions of one group: lambda runs over the domain,
-    and for even I2(k) a sign branch doubles the family."""
+    """An open WDVV solution family of one group: lambda runs over the
+    domain, and for even I2(k) a sign branch doubles the family.  Only for
+    I2(k) is it proved to hold every solution (classify_I2)."""
 
     spec: CoxeterSpec
     base: FrobeniusStructure
@@ -329,7 +315,7 @@ def _built_family(tag: str) -> SolutionFamily:
         src = coxeter_spec(f"A{_source_family(spec)[1]}")
         src_tab = _extend(src.table(), src.delta)
         tab = extended_table(base)
-        images = dict(zip(src_tab.names, _substitution_images(spec, tab)))
+        images = dict(zip(src_tab.names, _restriction_images(spec, tab)))
         images["s"] = MPoly.variable(tab, "s")
         gen = open_generator_A(src.n, src_tab).substitute(images, tab)
     else:
@@ -430,6 +416,38 @@ def correlator_recursion_A(N: int, max_n: int) -> dict:
     return table
 
 
+# ---------- the homogeneous open ansatz ----------
+
+
+def _open_ansatz(base: FrobeniusStructure) -> MPoly:
+    """F° = t1*s + sum_m b_m * m/m! over the t1-free monomials m in t, s of
+    weighted degree (3 - delta)/2 (m! = prod of its exponents' factorials;
+    the unit condition leaves no other t1 term), over the extended table
+    followed by the weight-0 unknowns b0, b1, ... in _weighted_tuples order."""
+    ext = extended_table(base)
+    total = (3 - base.delta) / 2
+    scale = math.lcm(total.denominator, *(w.denominator for w in ext.weights))
+    weights = [int(w * scale) for w in ext.weights[1:]]
+    shape = _weighted_tuples(weights, int(total * scale))
+    m = len(shape)
+    names = ext.names + tuple(f"b{j}" for j in range(m))
+    tab = VarTable(names, ext.weights + (Fraction(0),) * m, "s")
+    terms = {(1,) + (0,) * (base.rank - 1) + (1,) + (0,) * m: GaussianRational(1)}
+    for j, e in enumerate(shape):
+        c = rat(1, math.prod(map(math.factorial, e)))
+        terms[(0,) + e + tuple(int(i == j) for i in range(m))] = GaussianRational(c)
+    return MPoly(tab, terms)
+
+
+def _open_residual(base: FrobeniusStructure, fo: MPoly, label: str) -> MPoly:
+    """left - right of the open WDVV equation with the given label."""
+    return next(
+        left - right
+        for lab, left, right in open_wdvv_equations(base, fo)
+        if lab == label
+    )
+
+
 # ---------- nonexistence obstructions ----------
 
 _E_PATTERNS = {
@@ -521,45 +539,19 @@ def _obstruction_printed(spec: CoxeterSpec) -> Report:
 
 def _obstruction_h3() -> Report:
     """H3: the unit and homogeneity conditions leave a 9-parameter space
-    of candidate F°; d2/dt2^2 of one open WDVV equation has (t,s)-free
+    of candidate F° (_open_ansatz); d2/dt2^2 of eq2(2,3) has (t,s)-free
     part exactly 2, independently of the parameters."""
-    spec = coxeter_spec("H3")
-    fs = coxeter_structure(spec, source="printed")
-    shape = _weighted_tuples((10, 6, 2, 1), 11)  # degree 11/10, denominator 10
-    shape.sort(key=lambda e: (sum(e), e))
-    cnames = tuple(f"c{i}" for i in range(1, len(shape)))
-    btab = VarTable(
-        ("t1", "t2", "t3", "s") + cnames,
-        spec.q + (Fraction(1, spec.h),) + (Fraction(0),) * len(cnames),
-        "s",
-    )
-    checked = [1]
+    fs = from_potential("H3", printed_potential("H3"))
+    fo = _open_ansatz(fs)
+    tab = fo.table
     failures = []
-    unit = (1, 0, 0, 1)
-    if len(shape) != 10 or unit not in shape:
+    if tab.arity != 4 + 9:
         failures.append("candidate space dimension")
-    terms = {unit + (0,) * len(cnames): GaussianRational(1)}
-    j = 0
-    for e in shape:
-        if e == unit:
-            continue
-        ce = [0] * len(cnames)
-        ce[j] = 1
-        terms[e + tuple(ce)] = GaussianRational(1)
-        j += 1
-    fo = MPoly(btab, terms)
-    F = fs.potential.substitute({}, btab)
-    r = fo.diff_many("t3", "t2") * fo.diff_many("s", "s")
-    r = r - fo.diff_many("t3", "s") * fo.diff_many("t2", "s")
-    _, raised = third_derivatives(F, fs.eta_inv, btab.names[:3])
-    for v, c in enumerate(raised[(2, 3)], start=1):
-        r = r + c * fo.diff_many(f"t{v}", "s")
-    r = r.diff_many("t2", "t2")
-    free = r.collect(btab.names[:4]).get((0, 0, 0, 0), MPoly.zero(btab))
-    checked.append(1)
-    if free != MPoly.constant(btab, 2):
+    r = _open_residual(fs, fo, "eq2(2,3)").diff("t2").diff("t2")
+    free = r.collect(tab.names[:4]).get((0, 0, 0, 0), MPoly.zero(tab))
+    if free != MPoly.constant(tab, 2):
         failures.append("residual constant")
-    return Report("obstruction(H3)", sum(checked), tuple(failures))
+    return Report("obstruction(H3)", 2, tuple(failures))
 
 
 def obstruction_check(group) -> Report:
@@ -594,31 +586,18 @@ def classify_I2(k: int, free_coefficient=None) -> SolutionFamily:
     fam = open_family(coxeter_spec(f"I2({k})"))
     base = fam.base
     fact = math.factorial
-    l = (k - 1) // 2 if k % 2 else k // 2
-    top = l + 1 if k % 2 else l
-    spower = {i: (2 * l + 2 - 2 * i if k % 2 else 2 * l + 1 - 2 * i) for i in range(top + 1)}
-    alpha = base.potential.coefficient({"t2": k + 1}) * fact(k + 1)
-
-    bnames = tuple(f"b{i}" for i in range(top + 1))
-    btab = VarTable(("t1", "t2", "s") + bnames)
-    fo_sym = MPoly.variable(btab, "t1") * MPoly.variable(btab, "s")
-    for i in range(top + 1):
-        fo_sym = fo_sym + MPoly.monomial(
-            btab,
-            rat(1, fact(i) * fact(spower[i])),
-            {"t2": i, "s": spower[i], f"b{i}": 1},
-        )
-    E = MPoly.monomial(btab, alpha / fact(k - 2), {"t2": k - 2})
-    E = E + fo_sym.diff_many("t2", "t2") * fo_sym.diff_many("s", "s")
-    E = E - fo_sym.diff_many("t2", "s") ** 2
+    fo_sym = _open_ansatz(base)  # b_i <-> t2^i s^(k+1-2i)
+    btab = fo_sym.table
+    bnames = btab.names[3:]
+    E = _open_residual(base, fo_sym, "eq2(2,2)")
 
     gen = fam.generator
 
     def gen_beta(i):
-        c = gen.coefficient({"t2": i, "s": spower[i]})
-        return c * (fact(i) * fact(spower[i]))
+        j = k + 1 - 2 * i
+        return gen.coefficient({"t2": i, "s": j}) * (fact(i) * fact(j))
 
-    free_index = top if k % 2 else l - 1
+    free_index = len(bnames) - (1 if k % 2 else 2)
     free = gen_beta(free_index) if free_coefficient is None else (
         free_coefficient
         if isinstance(free_coefficient, GaussianRational)
@@ -657,7 +636,7 @@ def classify_I2(k: int, free_coefficient=None) -> SolutionFamily:
             sol[bu] = want
         else:
             raise PolyError(f"row {i} for I2({k}) is not linear or a pure square")
-    if len(sol) != top + 1:
+    if len(sol) != len(bnames):
         raise PolyError(f"underdetermined system for I2({k})")
     if E.substitute(known_images(), btab):
         raise PolyError(f"solved coefficients for I2({k}) leave a residual")
@@ -675,5 +654,5 @@ def classify_I2(k: int, free_coefficient=None) -> SolutionFamily:
         fam.domain,
         fam.branches,
         fo,
-        tuple(sol[f"b{i}"] for i in range(top + 1)),
+        tuple(sol[bn] for bn in bnames),
     )

@@ -56,6 +56,7 @@ __all__ = [
     "open_potential_D",
     "check_foan_relation",
     "extract_v_from_open_D",
+    "open_wdvv_equations",
     "verify_open_wdvv",
     "verify_vector_potential",
     "verify_extension_theorems",
@@ -186,76 +187,76 @@ def extract_v_from_open_D(ext: OpenExtension) -> list:
     return out
 
 
-def verify_open_wdvv(ext: OpenExtension) -> Report:
-    """Both open WDVV families plus the unit and homogeneity conditions.
+def open_wdvv_equations(base: FrobeniusStructure, fo: MPoly):
+    """Yield (label, left, right) for every open WDVV equation of F° over
+    base; F° solves the system exactly when left == right for all of them.
 
-    The first family is skew under the alpha/gamma swap and the second is
-    symmetric in (alpha, beta), so alpha < gamma resp. alpha <= beta is an
-    exhaustive sweep.  D-type residuals pass through poles down to s^-4
-    and must still cancel identically.
-    """
-    base = ext.base
+    The table of F° starts t1..tN, s and may carry further names (the
+    unknowns of an ansatz); second partials are taken in t1..tN, s only.
+    eq1(alpha,beta,gamma) is skew under the alpha/gamma swap and
+    eq2(alpha,beta) symmetric in (alpha, beta), so alpha < gamma resp.
+    alpha <= beta is an exhaustive sweep."""
+    return _equations(base, fo.table, partials(fo, fo.table.names[: base.rank + 1], 2))
+
+
+def _equations(base: FrobeniusStructure, tab: VarTable, d2o: dict):
     n = base.rank
-    tab = ext.table
-    nm = tab.names
-    fo = ext.potential
+    s_ix = n + 1
     F = base.potential.substitute({}, tab)
-
-    d2o = partials(fo, nm, 2)
+    _, raised = third_derivatives(F, base.eta_inv, tab.names[:n])
 
     def o2(a, b):
         return d2o[(a, b) if a <= b else (b, a)]
 
-    _, raised = third_derivatives(F, base.eta_inv, nm[:n])
-
     def cr(a, b):
         return raised[(a, b) if a <= b else (b, a)]
-
-    failures = []
-    checked = 0
-    s_ix = n + 1
-    for al in range(1, n + 1):
-        checked += 1
-        if o2(1, al):
-            failures.append(f"unit(1,{al})")
-    checked += 1
-    if o2(1, s_ix) != MPoly.constant(tab, 1):
-        failures.append("unit(1,s)")
-    checked += 1
-    if fo.euler() != fo * rat((3 - base.delta) / 2):
-        failures.append("homogeneity")
 
     for be in range(1, n + 1):
         for al in range(1, n + 1):
             for ga in range(al + 1, n + 1):
-                checked += 1
-                lab = cr(al, be)
-                lgb = cr(ga, be)
                 left = dot(
-                    [(lab[v - 1], o2(v, ga)) for v in range(1, n + 1)]
+                    [(c, o2(v, ga)) for v, c in enumerate(cr(al, be), 1)]
                     + [(o2(al, be), o2(s_ix, ga))],
                     tab,
                 )
                 right = dot(
-                    [(lgb[v - 1], o2(v, al)) for v in range(1, n + 1)]
+                    [(c, o2(v, al)) for v, c in enumerate(cr(ga, be), 1)]
                     + [(o2(ga, be), o2(s_ix, al))],
                     tab,
                 )
-                if left != right:
-                    r = _first_monomial(left - right)
-                    failures.append(f"eq1({al},{be},{ga}): {r}")
+                yield f"eq1({al},{be},{ga})", left, right
     for al in range(1, n + 1):
         for be in range(al, n + 1):
-            checked += 1
-            lab = cr(al, be)
             left = dot(
                 [(o2(al, be), o2(s_ix, s_ix))]
-                + [(lab[v - 1], o2(v, s_ix)) for v in range(1, n + 1)],
+                + [(c, o2(v, s_ix)) for v, c in enumerate(cr(al, be), 1)],
                 tab,
             )
-            right = o2(s_ix, al) * o2(s_ix, be)
-            if left != right:
-                failures.append(f"eq2({al},{be}): {_first_monomial(left - right)}")
+            yield f"eq2({al},{be})", left, o2(s_ix, al) * o2(s_ix, be)
+
+
+def verify_open_wdvv(ext: OpenExtension) -> Report:
+    """Both open WDVV families (open_wdvv_equations) plus the unit and
+    homogeneity conditions.  D-type residuals pass through poles down to
+    s^-4 and must still cancel identically."""
+    base = ext.base
+    n = base.rank
+    tab = ext.table
+    fo = ext.potential
+    d2o = partials(fo, tab.names[: n + 1], 2)
+    failures = []
+    checked = n + 2
+    for al in range(1, n + 1):
+        if d2o[(1, al)]:
+            failures.append(f"unit(1,{al})")
+    if d2o[(1, n + 1)] != MPoly.constant(tab, 1):
+        failures.append("unit(1,s)")
+    if fo.euler() != fo * rat((3 - base.delta) / 2):
+        failures.append("homogeneity")
+    for label, left, right in _equations(base, tab, d2o):
+        checked += 1
+        if left != right:
+            failures.append(f"{label}: {_first_monomial(left - right)}")
     return Report(f"open-wdvv({base.label})", checked, tuple(failures))
 
 

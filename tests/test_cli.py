@@ -3,6 +3,8 @@
 import hashlib
 import json
 
+import pytest
+
 from openwdvv import saito
 from openwdvv.cli import _emit_report, main
 from openwdvv.coxeter import classify_I2, coxeter_structure, open_family
@@ -16,6 +18,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def stdout_sha256(capsys, *argv):
+    """sha256 of the stdout of a request that must exit 0."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0, argv
+    return hashlib.sha256(out.encode()).hexdigest()
 
 
 class TestConstructiveVerbs:
@@ -47,6 +56,10 @@ class TestConstructiveVerbs:
         code, out, _ = run(capsys, "potential", "D", "5", "--source", "printed")
         assert code == 0
         assert out.strip() == frobenius_structure("D", 5).potential.text()
+        # auto and printed are the only sources
+        with pytest.raises(SystemExit) as exc:
+            main(["potential", "I2", "5", "--source", "substitution"])
+        assert exc.value.code == 2
 
     def test_coords_invert_each_other(self, capsys):
         code, out, _ = run(capsys, "flat-coords", "A", "4", "--format", "json")
@@ -79,6 +92,32 @@ class TestConstructiveVerbs:
         assert betas == [[6, 1], [2, 1], [1, 1]]
         member = MPoly.from_json(json.dumps(obj["member"]))
         assert member == classify_I2(4).member(1, "minus")
+
+    def test_classify_output_is_unchanged(self, capsys):
+        # sha256 of the full stdout of `classify I2 k`, text then json, as
+        # first recorded; both formats must stay byte-identical
+        digests = {
+            3: ("d0af7857500bfcb89c89fb624f471f7d80c06621a3a98afbad1908d8ee743b60",
+                "387e68a21cd741bf6b34c743e17a310dafd177e6336772f961934fe0d5647e28"),
+            4: ("c3811a624aab2bd8070809eba7b7e50e428854dce0251a7334ac9097d3f977ab",
+                "9f497b4fc49194f138bde7cb921c03936d42ab264ce3cebdfaddc40704afcc3f"),
+            5: ("dba251f09d0a6adcab001cf6bcbfd1dfed5712bae8451d5c7b407b6f28c2f160",
+                "b52943b35cd7b932be089d82cf950e34477e45846d2f8d9af9dc76e66153d5b5"),
+            6: ("0da4d5a7dea89e97ed17983d2b913c15a5b32c195a89aabb0a592f0bf54b2623",
+                "fb53948aa50fd9466d5d499ffe7f46c8fdb6a143bcb2cf32a6d1792184857a70"),
+            7: ("b73eb9cac217c17e174261a197e7a57fb6b1c62aa2f47789d30a6cdf4aff95b0",
+                "70b8618b00cf56f0beb51493dca0277fcbce726a5a34c0aa08709101cbf0df62"),
+            8: ("a3c482bccbd40139fc24153b31348787edc8c2194d9bde97c7d7309d5cd8cd41",
+                "f7f988c1143c50a2eea00978ad481e1a61b654a9e8f42228807c3d8328c884dc"),
+            9: ("3121e5421b2b21d121ebd8a658e368a027ddf1035da750b546f7276554113cdd",
+                "160adbbc3a52490d8a830478a23f35788b323962787ad175cd19d5d4035099a1"),
+            10: ("c2c88cfe12105aa0b7cc1bee3739876a3ebc19829af45369020c6e28a66270bb",
+                 "ed03d1b5a6e1f093a58a026532d93f246d0d8cef3560dae0b76107e19f843ae8"),
+        }
+        for k, pair in digests.items():
+            for fmt, digest in zip(("text", "json"), pair):
+                got = stdout_sha256(capsys, "classify", "I2", str(k), "--format", fmt)
+                assert got == digest, (k, fmt)
 
 
 class TestVerifyVerbs:
@@ -147,11 +186,10 @@ class TestVerifyVerbs:
             ("text", "da727d35161ca0e16bcc17c015e0521c0e6045d484d8d07f0f855ac686fd670a"),
             ("json", "c31f00262f92375ca21aebee52a6a5552c480c62cf43fa18a75b2f8aef473c50"),
         ):
-            code, out, _ = run(
+            got = stdout_sha256(
                 capsys, "verify", "all", "--max-rank", "6", "--format", fmt
             )
-            assert code == 0
-            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+            assert got == digest, fmt
 
     def test_verify_all_builds_each_singularity_once(self, capsys, monkeypatch):
         # B_n, I2(k) and H3 restrict A/D sources that the sweep also builds
@@ -203,6 +241,10 @@ class TestUsageErrors:
             ("classify", "I2", "2"),
             ("classify", "I2", "3", "--lambda", "0"),
             ("classify", "I2", "5", "--branch", "minus"),
+            # a zero denominator
+            ("open-potential", "I2", "3", "--lambda", "1/0"),
+            ("verify", "open-wdvv", "A", "3", "--lambda", "0/0"),
+            ("classify", "I2", "3", "--lambda", "1/0"),
             ("correlators", "A", "0"),
             ("correlators", "A", "2", "--max-n", "-1"),
             ("obstruction", "A", "3"),

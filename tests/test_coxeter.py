@@ -9,6 +9,7 @@ import pytest
 
 from openwdvv.coxeter import (
     _fixture_text,
+    _open_ansatz,
     classify_I2,
     correlator_recursion_A,
     coxeter_spec,
@@ -21,7 +22,7 @@ from openwdvv.coxeter import (
     printed_potential,
 )
 from openwdvv.exactalg import GaussianRational, MPoly, PolyError, parse, rat
-from openwdvv.openext import extended_table, verify_open_wdvv
+from openwdvv.openext import extended_table, open_wdvv_equations, verify_open_wdvv
 from openwdvv.saito import frobenius_structure, from_potential, verify_wdvv
 
 DEGREES = {
@@ -125,7 +126,7 @@ class TestSubstitutedPotentials:
         frobenius_structure.cache_clear()
         coxeter_structure.cache_clear()
         open_family.cache_clear()
-        coxeter_structure("B4", "auto")
+        coxeter_structure("B4")
         open_family("B4")
         assert frobenius_structure.cache_info().currsize == 0
 
@@ -135,16 +136,21 @@ class TestSubstitutedPotentials:
         assert verify_wdvv(coxeter_structure("I2(5)")).ok
         open_family(coxeter_spec("I2(5)"))
         classify_I2(5)
-        potential_coxeter("I2(5)", "substitution")
+        potential_coxeter("I2(5)")
         assert coxeter_structure("I2(05)") is coxeter_structure("I2(5)")
         assert coxeter_structure.cache_info().misses == 1
         coxeter_structure.cache_clear()
-        assert verify_wdvv(coxeter_structure("H3", "printed")).ok
+        # the H3 obstruction reads the printed potential outside the cache
         assert obstruction_check("H3").ok
+        assert coxeter_structure.cache_info().currsize == 0
         assert verify_wdvv(coxeter_structure("F4")).ok
         assert obstruction_check(coxeter_spec("F4")).ok
-        potential_coxeter("F4", "printed")
-        assert coxeter_structure.cache_info().misses == 2
+        potential_coxeter("F4")
+        assert coxeter_structure.cache_info().misses == 1
+        # A and D are the singularity pipeline's entries, not this cache's
+        assert coxeter_structure("D4") is frobenius_structure("D", 4)
+        assert potential_coxeter("A3") == frobenius_structure("A", 3).potential
+        assert coxeter_structure.cache_info().currsize == 1
 
     def test_h3_imaginary_parts_cancel(self):
         p = potential_coxeter("H3")
@@ -156,8 +162,9 @@ class TestSubstitutedPotentials:
             assert printed_potential(tag) == frobenius_structure("D", int(tag[1])).potential
         with pytest.raises(PolyError):
             printed_potential("B3")
-        with pytest.raises(PolyError):
-            potential_coxeter("F4", source="substitution")
+        # F4 and H4 are built from their printed potentials
+        for tag in ("F4", "H4"):
+            assert potential_coxeter(tag) == printed_potential(tag)
         with pytest.raises(PolyError):
             potential_coxeter("E6")
 
@@ -181,7 +188,8 @@ class TestSubstitutedPotentials:
         for tag in ("B2", "B3", "I2(5)", "I2(8)", "F4", "H3", "H4"):
             rep = verify_wdvv(coxeter_structure(tag))
             assert rep.ok, rep.summary()
-        assert verify_wdvv(coxeter_structure("H3", source="printed")).ok
+        printed = from_potential("H3", printed_potential("H3"))
+        assert verify_wdvv(printed).ok
 
     def test_odd_even_vanishing_behind_b(self):
         # every t-monomial of F_{A_{2N-1}} carries an even number of
@@ -289,6 +297,20 @@ class TestObstructions:
             (0, 0, 2, 7), (0, 0, 1, 9), (0, 0, 0, 11),
         }
         assert got == want
+        # the ansatz: t1*s plus one unknown per t1-free candidate, m/m!
+        fo = _open_ansatz(from_potential("H3", printed_potential("H3")))
+        unknowns = fo.table.names[4:]
+        assert len(unknowns) == 9
+        seen = set()
+        for exp, c in fo.terms.items():
+            tpart, bpart = exp[:4], exp[4:]
+            if tpart == (1, 0, 0, 1):
+                assert not any(bpart) and c == 1
+                continue
+            assert sum(bpart) == 1
+            assert c == rat(1, math.prod(math.factorial(a) for a in tpart))
+            seen.add(tpart)
+        assert len(fo) == 10 and seen == want - {(1, 0, 0, 1)}
 
 
 class TestClassification:
@@ -330,6 +352,28 @@ class TestClassification:
         base = classify_I2(4).coefficients
         moved = classify_I2(4, free_coefficient=8).coefficients
         assert base[2] == moved[2]
+
+    def test_solution_solves_the_ansatz_equations(self):
+        for k in range(3, 9):
+            fam = classify_I2(k)
+            fo = _open_ansatz(fam.base)
+            tab = fo.table
+            bnames = tab.names[3:]
+            assert len(bnames) == len(fam.coefficients)
+            images = {
+                b: MPoly.constant(tab, c) for b, c in zip(bnames, fam.coefficients)
+            }
+            solved = fo.substitute(images, tab)
+            # b_i is the coefficient of t2^i s^(k+1-2i) / (i! (k+1-2i)!)
+            assert solved.substitute({}, extended_table(fam.base)) == fam.generator
+            pairs = list(open_wdvv_equations(fam.base, solved))
+            assert len(pairs) == 5 and all(l == r for _, l, r in pairs), k
+            images[bnames[0]] = MPoly.constant(tab, fam.coefficients[0] + 1)
+            moved = fo.substitute(images, tab)
+            broken = [
+                lab for lab, l, r in open_wdvv_equations(fam.base, moved) if l != r
+            ]
+            assert any(lab.startswith("eq2") for lab in broken), k
 
     def test_zero_top_coefficient_rejected_for_odd(self):
         with pytest.raises(PolyError):
