@@ -42,7 +42,7 @@ from .openext import (
     open_extension,
     open_generator_A,
     open_potential_A,
-    open_wdvv_equations,
+    open_wdvv_eq2,
 )
 from .report import Report
 from .saito import (
@@ -439,13 +439,10 @@ def _open_ansatz(base: FrobeniusStructure) -> MPoly:
     return MPoly(tab, terms)
 
 
-def _open_residual(base: FrobeniusStructure, fo: MPoly, label: str) -> MPoly:
-    """left - right of the open WDVV equation with the given label."""
-    return next(
-        left - right
-        for lab, left, right in open_wdvv_equations(base, fo)
-        if lab == label
-    )
+def _open_residual(base: FrobeniusStructure, fo: MPoly, al: int, be: int) -> MPoly:
+    """left - right of the open WDVV equation eq2(al, be)."""
+    left, right = open_wdvv_eq2(base, fo, al, be)
+    return left - right
 
 
 # ---------- nonexistence obstructions ----------
@@ -547,7 +544,7 @@ def _obstruction_h3() -> Report:
     failures = []
     if tab.arity != 4 + 9:
         failures.append("candidate space dimension")
-    r = _open_residual(fs, fo, "eq2(2,3)").diff("t2").diff("t2")
+    r = _open_residual(fs, fo, 2, 3).diff("t2").diff("t2")
     free = r.collect(tab.names[:4]).get((0, 0, 0, 0), MPoly.zero(tab))
     if free != MPoly.constant(tab, 2):
         failures.append("residual constant")
@@ -589,7 +586,7 @@ def classify_I2(k: int, free_coefficient=None) -> SolutionFamily:
     fo_sym = _open_ansatz(base)  # b_i <-> t2^i s^(k+1-2i)
     btab = fo_sym.table
     bnames = btab.names[3:]
-    E = _open_residual(base, fo_sym, "eq2(2,2)")
+    E = _open_residual(base, fo_sym, 2, 2)
 
     gen = fam.generator
 

@@ -38,7 +38,9 @@ from .milnor import (
 from .report import Report
 from .saito import (
     FrobeniusStructure,
+    _contract,
     _first_monomial,
+    _live,
     _weighted_tuples,
     frobenius_structure,
     partials,
@@ -57,8 +59,10 @@ __all__ = [
     "check_foan_relation",
     "extract_v_from_open_D",
     "open_wdvv_equations",
+    "open_wdvv_eq2",
     "verify_open_wdvv",
     "verify_vector_potential",
+    "extended_algebra",
     "verify_extension_theorems",
     "omega_sequence",
     "check_coefw_lemma",
@@ -195,44 +199,69 @@ def open_wdvv_equations(base: FrobeniusStructure, fo: MPoly):
     unknowns of an ansatz); second partials are taken in t1..tN, s only.
     eq1(alpha,beta,gamma) is skew under the alpha/gamma swap and
     eq2(alpha,beta) symmetric in (alpha, beta), so alpha < gamma resp.
-    alpha <= beta is an exhaustive sweep."""
-    return _equations(base, fo.table, partials(fo, fo.table.names[: base.rank + 1], 2))
+    alpha <= beta is an exhaustive sweep.
+
+    eq1(alpha,beta,gamma) compares Q(alpha beta; gamma) with
+    Q(gamma beta; alpha) and eq2(alpha,beta) has left side Q(alpha beta; s),
+    where Q(ab; g) = sum_v c^v_{ab} d2F°/dt^v dt^g + d2F°/dt^a dt^b
+    d2F°/ds dt^g.  Q is symmetric in (a, b), so each Q is formed once per
+    call (_open_contractions)."""
+    return _equations(base, fo.table, _open_second_partials(base, fo))
 
 
-def _equations(base: FrobeniusStructure, tab: VarTable, d2o: dict):
+def open_wdvv_eq2(base: FrobeniusStructure, fo: MPoly, al: int, be: int) -> tuple:
+    """(left, right) of eq2(al, be) alone, as open_wdvv_equations forms it."""
+    q, o2 = _open_contractions(base, fo.table, _open_second_partials(base, fo))
+    return _eq2(q, o2, al, be, base.rank + 1)
+
+
+def _open_second_partials(base: FrobeniusStructure, fo: MPoly) -> dict:
+    return partials(fo, fo.table.names[: base.rank + 1], 2)
+
+
+def _open_contractions(base: FrobeniusStructure, tab: VarTable, d2o: dict) -> tuple:
+    """(q, o2): o2(a, b) = d2F°/dt^a dt^b with s the index N+1, and
+    q(a, b, g) = Q(ab; g) = sum_v c^v_{ab} o2(v, g) + o2(a, b) o2(s, g).
+
+    Q is symmetric in (a, b), so q forms each Q once, keyed by the sorted
+    (a, b) and g, over the v that are live on both sides."""
     n = base.rank
-    s_ix = n + 1
     F = base.potential.substitute({}, tab)
     _, raised = third_derivatives(F, base.eta_inv, tab.names[:n])
 
     def o2(a, b):
         return d2o[(a, b) if a <= b else (b, a)]
 
-    def cr(a, b):
-        return raised[(a, b) if a <= b else (b, a)]
+    # live entries: (v, R^v_ab) of R_ab = (c^1_ab, ..., c^N_ab, o2(a, b)), a <= b,
+    # and {v: o2(v, g)} for v, g in 1..N+1
+    rows = {ab: _live(row + [d2o[ab]]) for ab, row in raised.items()}
+    cols = [dict(_live(o2(v, g) for v in range(1, n + 2))) for g in range(1, n + 2)]
+    shared = {}
 
+    def q(a, b, g):
+        key = ((a, b) if a <= b else (b, a), g)
+        p = shared.get(key)
+        if p is None:
+            p = shared[key] = _contract(rows[key[0]], cols[g - 1], tab)
+        return p
+
+    return q, o2
+
+
+def _eq2(q, o2, al: int, be: int, s_ix: int) -> tuple:
+    return q(al, be, s_ix), o2(s_ix, al) * o2(s_ix, be)
+
+
+def _equations(base: FrobeniusStructure, tab: VarTable, d2o: dict):
+    n = base.rank
+    q, o2 = _open_contractions(base, tab, d2o)
     for be in range(1, n + 1):
         for al in range(1, n + 1):
             for ga in range(al + 1, n + 1):
-                left = dot(
-                    [(c, o2(v, ga)) for v, c in enumerate(cr(al, be), 1)]
-                    + [(o2(al, be), o2(s_ix, ga))],
-                    tab,
-                )
-                right = dot(
-                    [(c, o2(v, al)) for v, c in enumerate(cr(ga, be), 1)]
-                    + [(o2(ga, be), o2(s_ix, al))],
-                    tab,
-                )
-                yield f"eq1({al},{be},{ga})", left, right
+                yield f"eq1({al},{be},{ga})", q(al, be, ga), q(ga, be, al)
     for al in range(1, n + 1):
         for be in range(al, n + 1):
-            left = dot(
-                [(o2(al, be), o2(s_ix, s_ix))]
-                + [(c, o2(v, s_ix)) for v, c in enumerate(cr(al, be), 1)],
-                tab,
-            )
-            yield f"eq2({al},{be})", left, o2(s_ix, al) * o2(s_ix, be)
+            yield f"eq2({al},{be})", *_eq2(q, o2, al, be, n + 1)
 
 
 def verify_open_wdvv(ext: OpenExtension) -> Report:
@@ -243,7 +272,7 @@ def verify_open_wdvv(ext: OpenExtension) -> Report:
     n = base.rank
     tab = ext.table
     fo = ext.potential
-    d2o = partials(fo, tab.names[: n + 1], 2)
+    d2o = _open_second_partials(base, fo)
     failures = []
     checked = n + 2
     for al in range(1, n + 1):
@@ -264,7 +293,13 @@ def verify_vector_potential(funcs, label: str) -> Report:
     """Flat F-manifold axioms for one function per coordinate: the unit
     condition d2F^a/dt1 dt^b = delta^a_b, the quadratic compatibility, and
     (when the table is weighted) the conformal condition
-    E(F^a) = (1 + q_a) F^a."""
+    E(F^a) = (1 + q_a) F^a.
+
+    Compatibility (alpha, beta, gamma, delta) compares L(alpha, beta;
+    gamma delta) with L(alpha, gamma; beta delta), where L(a, b; cd) =
+    sum_mu d2F^a/dt^b dt^mu d2F^mu/dt^c dt^d.  L is symmetric in (c, d), so
+    each L is formed once per call, keyed by (a, b) and the sorted (c, d),
+    over the mu that are live on both sides."""
     funcs = tuple(funcs)
     if not funcs or len(funcs) != funcs[0].table.arity:
         raise PolyError("need one component per coordinate")
@@ -276,6 +311,19 @@ def verify_vector_potential(funcs, label: str) -> Report:
 
     def g(a, b, c):
         return d2[a - 1][(b, c) if b <= c else (c, b)]
+
+    # live entries: (mu, g(a, b, mu)) for all a, b and {mu: g(mu, c, d)}, c <= d
+    idx = range(1, n + 1)
+    rows = {(a, b): _live(g(a, b, mu) for mu in idx) for a in idx for b in idx}
+    cols = {cd: dict(_live(d2m[cd] for d2m in d2)) for cd in d2[0]}
+    shared = {}
+
+    def contraction(a, b, c, d):
+        key = (a, b, (c, d) if c <= d else (d, c))
+        p = shared.get(key)
+        if p is None:
+            p = shared[key] = _contract(rows[(a, b)], cols[key[2]], tab)
+        return p
 
     failures = []
     checked = 0
@@ -290,12 +338,8 @@ def verify_vector_potential(funcs, label: str) -> Report:
             for al in range(1, n + 1):
                 for de in range(1, n + 1):
                     checked += 1
-                    left = dot(
-                        ((g(al, be, mu), g(mu, ga, de)) for mu in range(1, n + 1)), tab
-                    )
-                    right = dot(
-                        ((g(al, ga, mu), g(mu, be, de)) for mu in range(1, n + 1)), tab
-                    )
+                    left = contraction(al, be, ga, de)
+                    right = contraction(al, ga, be, de)
                     if left != right:
                         failures.append(
                             f"({al},{be},{ga},{de}): {_first_monomial(left - right)}"
@@ -308,6 +352,13 @@ def verify_vector_potential(funcs, label: str) -> Report:
     return Report(f"vector-potential({label})", checked, tuple(failures))
 
 
+@lru_cache(maxsize=None)
+def extended_algebra(family: str, n: int):
+    """The extended Milnor algebra of A_n or D_n.  Cached, so the extension
+    and omega checks of one sweep share one algebra and its normal forms."""
+    return build_extended_algebra(build_unfolding(family, n))
+
+
 def verify_extension_theorems(family: str, n: int) -> Report:
     """The extended multiplication tensor, rewritten in the flat
     coordinates (t^1..t^N, s = v_{N+1}), must equal eta^{a mu} F_{mu b c}
@@ -317,8 +368,7 @@ def verify_extension_theorems(family: str, n: int) -> Report:
     tab = ext.table
     nm = tab.names
     m = n + 1
-    alg = build_extended_algebra(build_unfolding(family, n))
-    tensor = structure_constants(alg)
+    tensor = structure_constants(extended_algebra(family, n))
 
     v = substitute_all(base.v_of_t, {}, tab)
     sub = dict(zip(base.v_table.names, v))
@@ -395,7 +445,7 @@ def omega_sequence(n: int, kmax: int) -> OmegaSequence:
 def check_coefw_lemma(n: int) -> bool:
     """The w-component of [x^{a+b-2}] in the extended D algebra equals the
     omega expansion for all 1 <= a, b <= n-1 (zero when a + b <= n)."""
-    alg = build_extended_algebra(build_unfolding("D", n))
+    alg = extended_algebra("D", n)
     ctab = alg.coeff_table
     omegas = omega_sequence(n, max(n - 3, 0)).omegas
     lifted = [w.substitute({}, ctab) for w in omegas]

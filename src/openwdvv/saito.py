@@ -463,6 +463,16 @@ def _first_monomial(p: MPoly) -> str:
     return ("-" if neg else "") + body
 
 
+def _live(row) -> list:
+    """The (index, entry) pairs of the nonzero entries of row, 1-based."""
+    return [(i, e) for i, e in enumerate(row, 1) if e]
+
+
+def _contract(row, col: dict, table) -> MPoly:
+    """sum f * col[i] over the live (i, f) of row whose index is live in col."""
+    return dot([(f, col[i]) for i, f in row if i in col], table)
+
+
 def third_derivatives(F: MPoly, eta_inv, names) -> tuple:
     """The third derivatives of F in the coordinates names and the raised
     structure constants built from them.
@@ -497,16 +507,32 @@ def verify_wdvv(fs: FrobeniusStructure) -> Report:
     Sweeps the unit condition d3F/dt1.dta.dtb = eta_ab and the quadruple
     identities for alpha < delta, beta < gamma; the residual is skew under
     either swap, so the restricted sweep is exhaustive.
+
+    Identity (alpha, beta, gamma, delta) compares P(alpha beta; gamma delta)
+    with P(delta beta; gamma alpha), where P(ab; cd) = sum_v c_{abv} c^v_{cd}.
+    P is symmetric within each pair and, since eta^{-1} is symmetric, under
+    swapping the two pairs, so each P is formed once per call, keyed by the
+    sorted pair of sorted pairs, over the v that are live in both rows.
     """
     n = fs.rank
     tab = fs.table
     d3, raised = third_derivatives(fs.potential, fs.eta_inv, tab.names)
+    # live entries: (v, c_{abv}) and {v: c^v_{ab}} for a <= b
+    lower = {
+        (a, b): _live(d3[tuple(sorted((a, b, v)))] for v in range(1, n + 1))
+        for a, b in raised
+    }
+    upper = {ab: dict(_live(row)) for ab, row in raised.items()}
+    shared = {}
 
-    def c3(a, b, c):
-        return d3[tuple(sorted((a, b, c)))]
-
-    def craised(g, d):
-        return raised[(g, d) if g <= d else (d, g)]
+    def contraction(a, b, c, d):
+        ab = (a, b) if a <= b else (b, a)
+        cd = (c, d) if c <= d else (d, c)
+        key = (ab, cd) if ab <= cd else (cd, ab)
+        p = shared.get(key)
+        if p is None:
+            p = shared[key] = _contract(lower[key[0]], upper[key[1]], tab)
+        return p
 
     failures = []
     checked = 0
@@ -522,10 +548,8 @@ def verify_wdvv(fs: FrobeniusStructure) -> Report:
             for be in range(1, n + 1):
                 for ga in range(be + 1, n + 1):
                     checked += 1
-                    lhs = craised(ga, de)
-                    rhs = craised(ga, al)
-                    left = dot(((c3(al, be, v), lhs[v - 1]) for v in range(1, n + 1)), tab)
-                    right = dot(((c3(de, be, v), rhs[v - 1]) for v in range(1, n + 1)), tab)
+                    left = contraction(al, be, ga, de)
+                    right = contraction(de, be, ga, al)
                     if left != right:
                         failures.append(
                             f"({al},{be},{ga},{de}): {_first_monomial(left - right)}"

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from openwdvv import saito
+from openwdvv import openext, saito
 from openwdvv.cli import _emit_report, main
 from openwdvv.coxeter import classify_I2, coxeter_structure, open_family
 from openwdvv.exactalg import MPoly
@@ -199,9 +199,15 @@ class TestVerifyVerbs:
         monkeypatch.setattr(
             saito, "structure_constants", lambda alg: calls.append(alg) or real(alg)
         )
+        # the extension and omega checks share one extended algebra
+        built = []
+        real_ext = openext.build_extended_algebra
+        monkeypatch.setattr(
+            openext, "build_extended_algebra", lambda u: built.append(u) or real_ext(u)
+        )
         for cached in (
             saito.singularity_data, frobenius_structure, coxeter_structure,
-            open_family, open_potential_A, open_potential_D,
+            open_family, open_potential_A, open_potential_D, openext.extended_algebra,
         ):
             cached.cache_clear()
         code, _, _ = run(capsys, "verify", "all", "--max-rank", "3")
@@ -211,6 +217,8 @@ class TestVerifyVerbs:
         assert labels == sorted(
             [f"A{n} closed" for n in range(1, 8)] + ["D3 closed", "D6 closed"]
         )
+        # extension A1-A3, D3 and omega D3
+        assert sorted(u.label() for u in built) == ["A1", "A2", "A3", "D3"]
 
     def test_failing_report_maps_to_exit_1(self, capsys):
         rep = Report("demo", 3, ("broken",))
