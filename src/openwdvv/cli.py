@@ -29,6 +29,9 @@ all' takes --max-rank; any other use of them exits 2.
 Exit status is 0 when every requested identity holds, 1 when a
 verification or classification fails, and 2 for requests the library
 cannot serve (unknown groups, inadmissible lambda, and so on).
+
+main may be called any number of times in one process: the argument
+parser is built on the first call and reused by every later one.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import argparse
 import json
 import re
 import sys
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .coxeter import (
@@ -446,6 +450,7 @@ def _cmd_obstruction(args) -> int:
 # ---------- argument wiring ----------
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument(
@@ -522,6 +527,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Serve one request (sys.argv[1:] when argv is None); return its exit status.
+
+    --help and argument usage errors raise SystemExit, as argparse does.
+    main may be called any number of times in one process.  The parser is
+    built on the first call and reused: parse_args leaves it unchanged and
+    returns a new namespace, so no option carries over to a later request.
+    """
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import openwdvv
 from openwdvv import openext, saito
-from openwdvv.cli import _emit_report, main
+from openwdvv.cli import _build_parser, _emit_report, main
 from openwdvv.coxeter import classify_I2, coxeter_structure, open_family
 from openwdvv.exactalg import MPoly
 from openwdvv.openext import open_potential_A, open_potential_D
@@ -15,7 +20,14 @@ from openwdvv.saito import frobenius_structure
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit status, stdout, stderr) of one request.
+
+    An argparse exit (--help, usage error) is returned as ("SystemExit", code).
+    """
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -286,3 +298,80 @@ class TestUsageErrors:
         code, out, _ = run(capsys, "open-potential", "B", "2", "--lambda", "0")
         assert code == 0
         assert out.strip() == "t1*s + 1/2*t2^2*s"
+
+
+# Every verb in both formats; a --lambda request followed by the same request
+# without it; a library refusal; an argparse usage error followed by a valid
+# request; the top-level and 'verify' help.
+SHARED_PARSER_REQUESTS = [
+    *(
+        argv + fmt
+        for argv in (
+            ["potential", "A", "3"],
+            ["open-potential", "I2", "5", "--lambda", "2"],
+            ["open-potential", "I2", "5"],
+            ["flat-coords", "D", "4"],
+            ["invert-coords", "A", "3"],
+            ["correlators", "A", "3", "--max-n", "3"],
+            ["verify", "open-wdvv", "A", "3", "--lambda", "2"],
+            ["verify", "open-wdvv", "A", "3"],
+            ["verify", "all", "--max-rank", "1"],
+            ["classify", "I2", "4", "--branch", "minus", "--lambda=-1/3"],
+            ["classify", "I2", "4"],
+            ["obstruction", "H", "3"],
+        )
+        for fmt in ([], ["--format", "json"])
+    ),
+    ["potential", "E", "6"],
+    ["verify", "wdvv", "A", "3", "--lambda", "2"],
+    ["potential", "I2", "5", "--source", "substitution"],
+    ["potential", "I2", "5"],
+    ["verify", "bogus", "A", "3"],
+    ["verify", "wdvv", "A", "3"],
+    ["--help"],
+    ["verify", "--help"],
+    ["potential", "D", "4"],
+]
+
+
+class TestSharedParser:
+    def test_parser_is_built_once(self, capsys):
+        _build_parser.cache_clear()
+        for argv in (["potential", "A", "2"], ["verify", "wdvv", "A", "2"]) * 2:
+            assert run(capsys, *argv)[0] == 0
+        assert _build_parser.cache_info().misses == 1
+
+    def test_import_builds_no_parser(self):
+        # a fresh interpreter, so no earlier test has built the parser
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *a, **k):\n"
+            "    built.append(self)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import openwdvv.cli as cli\n"
+            "print(len(built), cli._build_parser.cache_info().currsize)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(openwdvv.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        ).stdout
+        assert out.split() == ["0", "0"]
+
+    def test_shared_parser_serves_like_a_fresh_one(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        fresh = []
+        for argv in SHARED_PARSER_REQUESTS:
+            _build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        _build_parser.cache_clear()
+        shared = [run(capsys, *argv) for argv in SHARED_PARSER_REQUESTS]
+        assert _build_parser.cache_info().misses == 1
+        for argv, want, got in zip(SHARED_PARSER_REQUESTS, fresh, shared):
+            assert got == want, argv
+        codes = [code for code, _, _ in shared]
+        # the list holds each kind of outcome it is meant to hold
+        assert {0, 2, ("SystemExit", 0), ("SystemExit", 2)} <= set(codes)

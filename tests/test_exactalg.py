@@ -18,6 +18,7 @@ from openwdvv.exactalg import (
     ParseError,
     PolyError,
     VarTable,
+    dot,
     parse,
     rat,
     sqrt_coefficient,
@@ -291,6 +292,17 @@ class TestPolyProperties:
     def test_json_round_trip(self, p):
         q = MPoly.from_json(p.to_json())
         assert q == p and q.to_json() == p.to_json()
+
+    @given(
+        st.lists(
+            st.tuples(polys(), st.one_of(st.just(1), scalars(), polys())),
+            max_size=3,
+        )
+    )
+    def test_dot_is_a_sum_of_products(self, pairs):
+        want = sum((a * b for a, b in pairs), MPoly.zero(WTAB))
+        assert dot(pairs, WTAB) == want
+        assert dot(iter(pairs), WTAB) == want
 
     @given(polys(max_exp=3), st.integers(min_value=0, max_value=3))
     def test_integer_powers(self, p, k):
