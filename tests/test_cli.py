@@ -12,7 +12,12 @@ import pytest
 import openwdvv
 from openwdvv import openext, saito
 from openwdvv.cli import _build_parser, _emit_report, main
-from openwdvv.coxeter import classify_I2, coxeter_structure, open_family
+from openwdvv.coxeter import (
+    classify_I2,
+    coxeter_structure,
+    lambda_rescale,
+    open_family,
+)
 from openwdvv.exactalg import MPoly
 from openwdvv.openext import open_potential_A, open_potential_D
 from openwdvv.report import Report
@@ -63,6 +68,13 @@ class TestConstructiveVerbs:
         code, out, _ = run(capsys, "open-potential", "D", "5", "--format", "json")
         assert code == 0
         assert MPoly.from_json(out) == open_potential_D(5).potential
+
+    def test_open_potential_d_lambda(self, capsys):
+        for lam, spelled in (("2", ("--lambda", "2")), ("-1/3", ("--lambda=-1/3",))):
+            code, out, _ = run(capsys, "open-potential", "D", "5", *spelled)
+            assert code == 0, lam
+            want = lambda_rescale(open_potential_D(5).potential, lam)
+            assert out.strip() == want.text()
 
     def test_printed_source(self, capsys):
         code, out, _ = run(capsys, "potential", "D", "5", "--source", "printed")
@@ -281,6 +293,15 @@ class TestUsageErrors:
             code, _, err = run(capsys, *argv)
             assert code == 2, argv
             assert err.startswith("error: "), argv
+
+    def test_d_has_no_sign_branch(self, capsys):
+        for argv in (
+            ("open-potential", "D", "5", "--branch", "minus"),
+            ("verify", "open-wdvv", "D", "5", "--branch", "minus"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == "error: D5 has no sign branch\n", argv
 
     def test_negative_lambda_spelling(self, capsys):
         # the spelling the --lambda help text documents

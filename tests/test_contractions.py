@@ -278,3 +278,19 @@ class TestDotCounts:
         got = count_dots(monkeypatch, verify_vector_potential, funcs, "A6")
         assert got <= bound
         assert got == 1323
+
+    def test_open_wdvv(self, monkeypatch):
+        # second partials and raising take their dots before the sweep
+        assert count_dots(monkeypatch, verify_open_wdvv, open_potential_A(6)) == 267
+        assert count_dots(monkeypatch, verify_open_wdvv, open_potential_D(5)) == 160
+
+    def test_extension_a6(self, monkeypatch):
+        open_potential_A(6)
+        openext.extended_algebra("A", 6)
+        got = count_dots(monkeypatch, openext.verify_extension_theorems, "A", 6)
+        assert got == 812
+
+    def test_eq2_over_an_ansatz(self, monkeypatch):
+        fs = coxeter_structure("H3")
+        fo = _open_ansatz(fs)
+        assert count_dots(monkeypatch, open_wdvv_eq2, fs, fo, 2, 3) == 19
