@@ -113,22 +113,18 @@ def _emit_poly(p: MPoly, fmt: str) -> None:
 
 def _emit_report(rep: Report, fmt: str, parts=None) -> int:
     if fmt == "json":
-        obj = {
-            "label": rep.label,
-            "checked": rep.checked,
-            "failures": list(rep.failures),
-            "ok": rep.ok,
-        }
+
+        def fields(r: Report) -> dict:
+            return {
+                "label": r.label,
+                "checked": r.checked,
+                "failures": list(r.failures),
+                "ok": r.ok,
+            }
+
+        obj = fields(rep)
         if parts is not None:
-            obj["reports"] = [
-                {
-                    "label": r.label,
-                    "checked": r.checked,
-                    "failures": list(r.failures),
-                    "ok": r.ok,
-                }
-                for r in parts
-            ]
+            obj["reports"] = [fields(r) for r in parts]
         print(json.dumps(obj, indent=2))
     else:
         if parts is not None:
@@ -161,12 +157,8 @@ def _cmd_open_potential(args) -> int:
         if branch != "plus":
             raise PolyError("printed open potentials have no sign branch")
         p = lambda_rescale(printed_open_potential(tag), lam)
-    elif args.family == "D":
-        if branch != "plus":
-            raise PolyError(f"{tag} has no sign branch")
-        p = lambda_rescale(open_potential_D(args.n).potential, lam)
     else:
-        p = open_family(tag).member(lam, branch)
+        p = _open_ext_for(args.family, args.n, lam, branch).potential
     _emit_poly(p, args.format)
     return 0
 

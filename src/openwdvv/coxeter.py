@@ -439,12 +439,6 @@ def _open_ansatz(base: FrobeniusStructure) -> MPoly:
     return MPoly(tab, terms)
 
 
-def _open_residual(base: FrobeniusStructure, fo: MPoly, al: int, be: int) -> MPoly:
-    """left - right of the open WDVV equation eq2(al, be)."""
-    left, right = open_wdvv_eq2(base, fo, al, be)
-    return left - right
-
-
 # ---------- nonexistence obstructions ----------
 
 _E_PATTERNS = {
@@ -544,7 +538,8 @@ def _obstruction_h3() -> Report:
     failures = []
     if tab.arity != 4 + 9:
         failures.append("candidate space dimension")
-    r = _open_residual(fs, fo, 2, 3).diff("t2").diff("t2")
+    left, right = open_wdvv_eq2(fs, fo, 2, 3)
+    r = (left - right).diff("t2").diff("t2")
     free = r.collect(tab.names[:4]).get((0, 0, 0, 0), MPoly.zero(tab))
     if free != MPoly.constant(tab, 2):
         failures.append("residual constant")
@@ -586,7 +581,8 @@ def classify_I2(k: int, free_coefficient=None) -> SolutionFamily:
     fo_sym = _open_ansatz(base)  # b_i <-> t2^i s^(k+1-2i)
     btab = fo_sym.table
     bnames = btab.names[3:]
-    E = _open_residual(base, fo_sym, 2, 2)
+    left, right = open_wdvv_eq2(base, fo_sym, 2, 2)
+    E = left - right
 
     gen = fam.generator
 

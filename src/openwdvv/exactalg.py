@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import or_
+from types import MappingProxyType
 from typing import Union
 
 __all__ = [
@@ -321,33 +322,6 @@ class VarTable:
             raise ExponentError("an exponent left the packed range of its slot")
 
 
-class _Terms(Mapping):
-    """Read-only view of a polynomial: exponent tuple -> GaussianRational."""
-
-    __slots__ = ("_p", "_keys")
-
-    def __init__(self, p: "MPoly"):
-        self._p = p
-        self._keys = p._num.keys() if p._im is None else p._num.keys() | p._im.keys()
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __iter__(self):
-        unpack = self._p.table.unpack
-        return (unpack(k) for k in self._keys)
-
-    def __getitem__(self, exp) -> GaussianRational:
-        try:
-            key = self._p.table.pack(exp)
-        except (PolyError, TypeError):
-            raise KeyError(exp) from None
-        if key not in self._keys:
-            raise KeyError(exp)
-        return self._p._coeff(key)
-
-
-
 def _mac(acc: dict, xs: dict, ys: dict, f: int, off: int) -> None:
     """acc += f * xs * ys over packed keys; off is subtracted once per product
     key (the constant monomial's bias).  Zero sums stay in acc."""
@@ -519,8 +493,10 @@ class MPoly:
 
     @property
     def terms(self) -> Mapping:
-        """Read-only mapping from exponent tuples to GaussianRational."""
-        return _Terms(self)
+        """Read-only mapping from exponent tuples to GaussianRational, built
+        on each access."""
+        unpack = self.table.unpack
+        return MappingProxyType({unpack(k): self._coeff(k) for k in self._keys()})
 
     def __bool__(self) -> bool:
         return bool(self._num) or self._im is not None

@@ -12,9 +12,11 @@ over C[v] resp. C[v, v_{N+1}^{-1}]; both stay free of rank N+1.
 
 Reduction to the basis uses a small hand-oriented rewrite system per
 algebra rather than generic Groebner machinery: each rule replaces one
-generator monomial by lower terms, normal forms are exactly the basis
-monomials, and confluence plus associativity are asserted exhaustively on
-basis products by the test-suite (and by check_confluence below).
+generator monomial by lower terms, and normal forms are exactly the basis
+monomials.  Confluence is not proved: check_confluence below (run by the
+test-suite) only compares the normal forms of the basis pair products
+under two rule-scan orders, which is evidence, not a proof.
+check_associativity reduces every basis triple product both ways.
 """
 
 from __future__ import annotations
@@ -421,7 +423,8 @@ def ideal_quotient_consistency(ext: QuotientAlgebra, closed: QuotientAlgebra) ->
 
 def check_confluence(alg: QuotientAlgebra) -> Report:
     """Normal forms of all basis pair products agree under both rule-scan
-    orders."""
+    orders.  This is evidence of confluence on those products, not a proof:
+    no critical pair of the rules is checked."""
     failures = []
     checked = 0
     for i in range(1, alg.rank + 1):

@@ -38,9 +38,8 @@ from .milnor import (
 from .report import Report
 from .saito import (
     FrobeniusStructure,
-    _contract,
+    _contractions,
     _first_monomial,
-    _live,
     _weighted_tuples,
     frobenius_structure,
     partials,
@@ -205,45 +204,49 @@ def open_wdvv_equations(base: FrobeniusStructure, fo: MPoly):
     Q(gamma beta; alpha) and eq2(alpha,beta) has left side Q(alpha beta; s),
     where Q(ab; g) = sum_v c^v_{ab} d2F°/dt^v dt^g + d2F°/dt^a dt^b
     d2F°/ds dt^g.  Q is symmetric in (a, b), so each Q is formed once per
-    call (_open_contractions)."""
-    return _equations(base, fo.table, _open_second_partials(base, fo))
+    call, over the v that are live on both sides (saito._contractions)."""
+    return _equations(base.rank, *_open_contractions(base, fo))
 
 
 def open_wdvv_eq2(base: FrobeniusStructure, fo: MPoly, al: int, be: int) -> tuple:
     """(left, right) of eq2(al, be) alone, as open_wdvv_equations forms it."""
-    q, o2 = _open_contractions(base, fo.table, _open_second_partials(base, fo))
+    q, o2 = _open_contractions(base, fo)
     return _eq2(q, o2, al, be, base.rank + 1)
 
 
-def _open_second_partials(base: FrobeniusStructure, fo: MPoly) -> dict:
-    return partials(fo, fo.table.names[: base.rank + 1], 2)
+def _open_tables(base: FrobeniusStructure, fo: MPoly) -> tuple:
+    """(raised, o2) over the table of F°: raised is third_derivatives' raised
+    table of F lifted there, and o2 holds every second partial of F° in
+    t1..tN, s, keyed by the sorted index pair with s the index N+1."""
+    tab = fo.table
+    n = base.rank
+    F = base.potential.substitute({}, tab)
+    _, raised = third_derivatives(F, base.eta_inv, tab.names[:n])
+    return raised, partials(fo, tab.names[: n + 1], 2)
 
 
-def _open_contractions(base: FrobeniusStructure, tab: VarTable, d2o: dict) -> tuple:
+def _open_contractions(base: FrobeniusStructure, fo: MPoly) -> tuple:
     """(q, o2): o2(a, b) = d2F°/dt^a dt^b with s the index N+1, and
     q(a, b, g) = Q(ab; g) = sum_v c^v_{ab} o2(v, g) + o2(a, b) o2(s, g).
 
     Q is symmetric in (a, b), so q forms each Q once, keyed by the sorted
-    (a, b) and g, over the v that are live on both sides."""
+    (a, b) and g."""
     n = base.rank
-    F = base.potential.substitute({}, tab)
-    _, raised = third_derivatives(F, base.eta_inv, tab.names[:n])
+    raised, d2o = _open_tables(base, fo)
 
     def o2(a, b):
         return d2o[(a, b) if a <= b else (b, a)]
 
-    # live entries: (v, R^v_ab) of R_ab = (c^1_ab, ..., c^N_ab, o2(a, b)), a <= b,
-    # and {v: o2(v, g)} for v, g in 1..N+1
-    rows = {ab: _live(row + [d2o[ab]]) for ab, row in raised.items()}
-    cols = [dict(_live(o2(v, g) for v in range(1, n + 2))) for g in range(1, n + 2)]
-    shared = {}
+    # rows (c^1_ab, ..., c^N_ab, o2(a, b)) for a <= b, columns o2(., g)
+    idx = range(1, n + 2)
+    form = _contractions(
+        {ab: row + [d2o[ab]] for ab, row in raised.items()},
+        {g: [o2(v, g) for v in idx] for g in idx},
+        fo.table,
+    )
 
     def q(a, b, g):
-        key = ((a, b) if a <= b else (b, a), g)
-        p = shared.get(key)
-        if p is None:
-            p = shared[key] = _contract(rows[key[0]], cols[g - 1], tab)
-        return p
+        return form((a, b) if a <= b else (b, a), g)
 
     return q, o2
 
@@ -252,9 +255,7 @@ def _eq2(q, o2, al: int, be: int, s_ix: int) -> tuple:
     return q(al, be, s_ix), o2(s_ix, al) * o2(s_ix, be)
 
 
-def _equations(base: FrobeniusStructure, tab: VarTable, d2o: dict):
-    n = base.rank
-    q, o2 = _open_contractions(base, tab, d2o)
+def _equations(n: int, q, o2):
     for be in range(1, n + 1):
         for al in range(1, n + 1):
             for ga in range(al + 1, n + 1):
@@ -270,19 +271,18 @@ def verify_open_wdvv(ext: OpenExtension) -> Report:
     s^-4 and must still cancel identically."""
     base = ext.base
     n = base.rank
-    tab = ext.table
     fo = ext.potential
-    d2o = _open_second_partials(base, fo)
+    q, o2 = _open_contractions(base, fo)
     failures = []
     checked = n + 2
     for al in range(1, n + 1):
-        if d2o[(1, al)]:
+        if o2(1, al):
             failures.append(f"unit(1,{al})")
-    if d2o[(1, n + 1)] != MPoly.constant(tab, 1):
+    if o2(1, n + 1) != MPoly.constant(ext.table, 1):
         failures.append("unit(1,s)")
     if fo.euler() != fo * rat((3 - base.delta) / 2):
         failures.append("homogeneity")
-    for label, left, right in _equations(base, tab, d2o):
+    for label, left, right in _equations(n, q, o2):
         checked += 1
         if left != right:
             failures.append(f"{label}: {_first_monomial(left - right)}")
@@ -299,7 +299,7 @@ def verify_vector_potential(funcs, label: str) -> Report:
     gamma delta) with L(alpha, gamma; beta delta), where L(a, b; cd) =
     sum_mu d2F^a/dt^b dt^mu d2F^mu/dt^c dt^d.  L is symmetric in (c, d), so
     each L is formed once per call, keyed by (a, b) and the sorted (c, d),
-    over the mu that are live on both sides."""
+    over the mu that are live on both sides (saito._contractions)."""
     funcs = tuple(funcs)
     if not funcs or len(funcs) != funcs[0].table.arity:
         raise PolyError("need one component per coordinate")
@@ -312,18 +312,16 @@ def verify_vector_potential(funcs, label: str) -> Report:
     def g(a, b, c):
         return d2[a - 1][(b, c) if b <= c else (c, b)]
 
-    # live entries: (mu, g(a, b, mu)) for all a, b and {mu: g(mu, c, d)}, c <= d
+    # rows g(a, b, .) for all a, b against the columns g(., c, d), c <= d
     idx = range(1, n + 1)
-    rows = {(a, b): _live(g(a, b, mu) for mu in idx) for a in idx for b in idx}
-    cols = {cd: dict(_live(d2m[cd] for d2m in d2)) for cd in d2[0]}
-    shared = {}
+    form = _contractions(
+        {(a, b): [g(a, b, mu) for mu in idx] for a in idx for b in idx},
+        {cd: [d2m[cd] for d2m in d2] for cd in d2[0]},
+        tab,
+    )
 
     def contraction(a, b, c, d):
-        key = (a, b, (c, d) if c <= d else (d, c))
-        p = shared.get(key)
-        if p is None:
-            p = shared[key] = _contract(rows[(a, b)], cols[key[2]], tab)
-        return p
+        return form((a, b), (c, d) if c <= d else (d, c))
 
     failures = []
     checked = 0
@@ -387,9 +385,7 @@ def verify_extension_theorems(family: str, n: int) -> Report:
     inv = [dt[a * n : (a + 1) * n] + [zero] for a in range(n)] + [s_row]
     got = pullback(cv, inv, jac, keys, tab)
 
-    F = base.potential.substitute({}, tab)
-    _, raised = third_derivatives(F, base.eta_inv, nm[:n])
-    d2o = partials(ext.potential, nm, 2)
+    raised, d2o = _open_tables(base, ext.potential)
     failures = []
     for (al, be, ga), p in got.items():
         if al > n:

@@ -6,9 +6,10 @@ coordinate change is inverted exactly as a graded fixed point.  The
 potential is rebuilt from the flat structure constants by inverting the
 Euler operator one weighted-homogeneous component at a time, which is
 well-posed because every component has positive weighted degree.
-`pullback` is the one Jacobian contraction of a three-index tensor and
-`partials` the one table of shared partial derivatives; every module
-builds its tensors and derivative sweeps on them.
+`pullback` is the one Jacobian contraction of a three-index tensor,
+`partials` the one table of shared partial derivatives and `_contractions`
+the one memo of the bilinear contractions the verifiers compare; every
+module builds its tensors and identity sweeps on them.
 """
 
 from __future__ import annotations
@@ -234,14 +235,8 @@ def pullback(T, first, second, keys, table) -> dict:
     contracted at a time.  Only the partial sums that keys need are formed.
     """
     keys = list(keys)
-
-    def columns(mat):
-        return [
-            [(r, row[c]) for r, row in enumerate(mat, start=1) if row[c]]
-            for c in range(len(mat[0]))
-        ]
-
-    c1, c2 = columns(first), columns(second)
+    c1 = [_live(col) for col in zip(*first)]
+    c2 = [_live(col) for col in zip(*second)]
     # (al, be, j) with second[j][ga] != 0, then (al, i, j) with
     # second[i][be] != 0 under each of them
     need2 = dict.fromkeys((al, be, j) for al, be, ga in keys for j, _ in c2[ga - 1])
@@ -265,6 +260,34 @@ def pullback(T, first, second, keys, table) -> dict:
         (al, be, ga): dot(((g, p2[(al, be, j)]) for j, g in c2[ga - 1]), table)
         for al, be, ga in keys
     }
+
+
+def _live(row) -> list:
+    """The (index, entry) pairs of the nonzero entries of row, 1-based."""
+    return [(i, e) for i, e in enumerate(row, 1) if e]
+
+
+def _contractions(rows, cols, table):
+    """form(r, c) = sum_i rows[r][i] * cols[c][i], taken only over the i
+    where both entries are nonzero and formed at most once per (r, c).
+
+    rows and cols map keys to sequences indexed alike; row entries are
+    MPoly over table, column entries MPoly or scalars.  Callers that want
+    a symmetry shared pass the canonical (r, c) themselves.
+    """
+    rows = {r: _live(row) for r, row in rows.items()}
+    cols = {c: dict(_live(col)) for c, col in cols.items()}
+    formed = {}
+
+    def form(r, c):
+        p = formed.get((r, c))
+        if p is None:
+            col = cols[c]
+            pairs = [(f, col[i]) for i, f in rows[r] if i in col]
+            p = formed[(r, c)] = dot(pairs, table)
+        return p
+
+    return form
 
 
 def partials(f: MPoly, names, order: int) -> dict:
@@ -463,41 +486,26 @@ def _first_monomial(p: MPoly) -> str:
     return ("-" if neg else "") + body
 
 
-def _live(row) -> list:
-    """The (index, entry) pairs of the nonzero entries of row, 1-based."""
-    return [(i, e) for i, e in enumerate(row, 1) if e]
-
-
-def _contract(row, col: dict, table) -> MPoly:
-    """sum f * col[i] over the live (i, f) of row whose index is live in col."""
-    return dot([(f, col[i]) for i, f in row if i in col], table)
-
-
 def third_derivatives(F: MPoly, eta_inv, names) -> tuple:
     """The third derivatives of F in the coordinates names and the raised
     structure constants built from them.
 
     d3[(a, b, c)] = d3F/dt^a dt^b dt^c for 1 <= a <= b <= c <= N, and
     raised[(a, b)] lists c^v_{ab} = eta^{vm} d3F/dt^a dt^b dt^m for
-    v = 1..N (a <= b); zero entries of eta_inv are skipped.  Nothing is
-    cached: every caller sweeps the tensors once and drops them.
+    v = 1..N (a <= b), each one form of _contractions, so zero entries of
+    d3F and of eta_inv are skipped.  Nothing is cached: every caller
+    sweeps the tensors once and drops them.
     """
     n = len(names)
+    idx = range(1, n + 1)
     d3 = partials(F, names, 3)
-    raised = {
-        (a, b): [
-            dot(
-                (
-                    (d3[tuple(sorted((a, b, m)))], eta_inv[v - 1][m - 1])
-                    for m in range(1, n + 1)
-                    if eta_inv[v - 1][m - 1]
-                ),
-                F.table,
-            )
-            for v in range(1, n + 1)
-        ]
-        for a, b in combinations_with_replacement(range(1, n + 1), 2)
-    }
+    pairs = list(combinations_with_replacement(idx, 2))
+    form = _contractions(
+        {(a, b): [d3[tuple(sorted((a, b, m)))] for m in idx] for a, b in pairs},
+        dict(enumerate(eta_inv, 1)),
+        F.table,
+    )
+    raised = {ab: [form(ab, v) for v in idx] for ab in pairs}
     return d3, raised
 
 
@@ -512,27 +520,23 @@ def verify_wdvv(fs: FrobeniusStructure) -> Report:
     with P(delta beta; gamma alpha), where P(ab; cd) = sum_v c_{abv} c^v_{cd}.
     P is symmetric within each pair and, since eta^{-1} is symmetric, under
     swapping the two pairs, so each P is formed once per call, keyed by the
-    sorted pair of sorted pairs, over the v that are live in both rows.
+    sorted pair of sorted pairs, over the v that are live in both rows
+    (_contractions).
     """
     n = fs.rank
     tab = fs.table
     d3, raised = third_derivatives(fs.potential, fs.eta_inv, tab.names)
-    # live entries: (v, c_{abv}) and {v: c^v_{ab}} for a <= b
+    # rows (c_{ab1}, ..., c_{abN}) against the columns raised[(c, d)]
     lower = {
-        (a, b): _live(d3[tuple(sorted((a, b, v)))] for v in range(1, n + 1))
+        (a, b): [d3[tuple(sorted((a, b, v)))] for v in range(1, n + 1)]
         for a, b in raised
     }
-    upper = {ab: dict(_live(row)) for ab, row in raised.items()}
-    shared = {}
+    form = _contractions(lower, raised, tab)
 
     def contraction(a, b, c, d):
         ab = (a, b) if a <= b else (b, a)
         cd = (c, d) if c <= d else (d, c)
-        key = (ab, cd) if ab <= cd else (cd, ab)
-        p = shared.get(key)
-        if p is None:
-            p = shared[key] = _contract(lower[key[0]], upper[key[1]], tab)
-        return p
+        return form(ab, cd) if ab <= cd else form(cd, ab)
 
     failures = []
     checked = 0
