@@ -277,14 +277,15 @@ def _contractions(rows, cols, table):
     """
     rows = {r: _live(row) for r, row in rows.items()}
     cols = {c: dict(_live(col)) for c, col in cols.items()}
-    formed = {}
+    formed = {r: {} for r in rows}  # a memo per row keeps no (r, c) tuples
 
     def form(r, c):
-        p = formed.get((r, c))
+        memo = formed[r]
+        p = memo.get(c)
         if p is None:
             col = cols[c]
             pairs = [(f, col[i]) for i, f in rows[r] if i in col]
-            p = formed[(r, c)] = dot(pairs, table)
+            p = memo[c] = dot(pairs, table)
         return p
 
     return form

@@ -280,7 +280,7 @@ class TestDotCounts:
         assert got == 1323
 
     def test_open_wdvv(self, monkeypatch):
-        # second partials and raising take their dots before the sweep
+        # third_derivatives' raising, then one dot per distinct Q(ab; g)
         assert count_dots(monkeypatch, verify_open_wdvv, open_potential_A(6)) == 267
         assert count_dots(monkeypatch, verify_open_wdvv, open_potential_D(5)) == 160
 
