@@ -28,7 +28,9 @@ from openwdvv.saito import (
     _first_monomial,
     _weighted_tuples,
     frobenius_structure,
+    metric_and_potential,
     partials,
+    singularity_data,
     third_derivatives,
     verify_wdvv,
 )
@@ -294,3 +296,8 @@ class TestDotCounts:
         fs = coxeter_structure("H3")
         fo = _open_ansatz(fs)
         assert count_dots(monkeypatch, open_wdvv_eq2, fs, fo, 2, 3) == 19
+
+    def test_metric_and_potential(self, monkeypatch):
+        for family, want in (("A", 408), ("D", 370)):
+            data = singularity_data(family, 6)
+            assert count_dots(monkeypatch, metric_and_potential, *data) == want

@@ -2,6 +2,7 @@
 families with the lambda action, boundary correlators, nonexistence
 obstructions, and the sign-branch classification for I2."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -37,6 +38,42 @@ DEGREES = {
     "H3": (10, 6, 2),
     "H4": (30, 20, 12, 2),
     "I2(7)": (7, 2),
+}
+
+
+# sha256 of potential_coxeter(tag).text(): the built potentials, byte for byte
+POTENTIAL_DIGESTS = {
+    "A1": "de42eca2066d50b1702214f86cf84faf5cffbaebbcf7b4c62c3a33bc21c7b48e",
+    "A2": "84b66a87d77128d9a89df98065102cfe06dc9a226dd2ed15769ae449e5c4a643",
+    "A3": "ad7f69ef118d6c6dfabd3fbaf44766f488182d7ee033ec14c4c7d25564f140e9",
+    "A4": "bbf4d3bcaf7996f26b7fb19f15c0c005427f4b5dcaf1e1f4e6780da594426f23",
+    "A5": "a781bbf2c8497a336e963586a66f589aa05804e2dcf85452c00c7421b55eeb12",
+    "A6": "cb07ea775bfc55dff2137efa4a7194913b5a8c724bd42739784cd3260be2518a",
+    "A7": "bbcaf189f6c8a5604abfa4db5616d9ade29f3ac39b7d827ef227c163b9273af7",
+    "A8": "a3d83bee7cc0464a4594f53eda658fe0e37f89f43836b2acfc44ddf83ca6b51f",
+    "A9": "f0305dbda078b2ee8ed48cb5b6ac31bf5b052fd64acec79df1e407734ca8925f",
+    "A10": "aba02772e82d71bbfe135dfeb5be3d1f4c0a32e2bdf8ff2afbcb389ac3e34ea1",
+    "D3": "2599188ee660eca41834c5a687b62684e4ff0f471aaf483a998cb37fce991638",
+    "D4": "be0dec694226fa85814f113c03a6c533d76b21497a7d97cb30c06e25eec2311a",
+    "D5": "a1c27a43e08203302367a8116f01a68214581d1322b92c8a32ad226e0cef47b2",
+    "D6": "19f375ee3edcfa2b7c26abb92a150cdda755f4ba843b0fbbf15c395800e4a49b",
+    "D7": "f99bd373efe16d8d77c0877f31a0ce4fa544a0d02c4de4aa1a2635c447a7b186",
+    "D8": "2dd997d54084857b5f928330888d03bc513f91be4cdfa12aec188c37c6e542bd",
+    "D9": "3fc8ddae97a5c7b46f7d56235b23f64f641ace9125a1b9597400d50c927d398a",
+    "B2": "9fd4b1a165457bad7b93a88a71c83797145aa1094030dc289c25035301e2202e",
+    "B3": "31e87c5bad29a585a810602f2d113040d3b155609c35e84623368304916600f7",
+    "B4": "0c4de86a83d3b7bcfd67e132dc5daec5228395ca39d900d07f0245f0b601cd0d",
+    "B5": "7845473e3c6a9397ed93fcec65012bc3921fcf867d14c44f1e3dfc5b99daae63",
+    "B6": "5bd49c1bdaee9dc67f279819abcef8debebb17bc9dff348e5b34e457e0b4dd8e",
+    "I2(3)": "84b66a87d77128d9a89df98065102cfe06dc9a226dd2ed15769ae449e5c4a643",
+    "I2(4)": "9fd4b1a165457bad7b93a88a71c83797145aa1094030dc289c25035301e2202e",
+    "I2(5)": "92aa85fdbe7fe7e4f0e8f4da1c405fa3e9eac23bf8233a281f4f49a806d0c946",
+    "I2(6)": "0e8cc0428a0e7923b62e00e33b7a1cb3d35cf4d6c1a81e70e7e22e2b8c7baee2",
+    "I2(7)": "746499d9bab90e3d7f066f0887130a4b92c901b3423ca49e96b754b01f1214bd",
+    "I2(8)": "bc9cda4f1a329b725a8fa345944421ac8f56997fd67d4b16eb44da0610d556e5",
+    "I2(9)": "4d576777ec7895b44c8414d1f38899aa18ec69e42519fd6f29142db01cf11810",
+    "I2(10)": "437fed9f8e156bbb683c52876d118fe5a3b6c74130850674ed7ad383070f69cc",
+    "H3": "32465c409d5eea7672112fee3c7aa1b4dac669f0f9caf31d2abc63630165d5a1",
 }
 
 
@@ -200,6 +237,20 @@ class TestSubstitutedPotentials:
                 assert sum(exp[a] for a in range(1, 2 * n - 1, 2)) % 2 == 0
 
 
+class TestPotentialPins:
+    def test_potential_text(self):
+        for tag, want in POTENTIAL_DIGESTS.items():
+            got = hashlib.sha256(potential_coxeter(tag).text().encode()).hexdigest()
+            assert got == want, tag
+
+    def test_from_potential_reads_back_every_structure(self):
+        for tag in POTENTIAL_DIGESTS:
+            fs = coxeter_structure(tag)
+            again = from_potential(fs.label, fs.potential)
+            assert again.eta == fs.eta and again.eta_inv == fs.eta_inv, tag
+            assert again.delta == fs.delta and again.table == fs.table, tag
+
+
 class TestOpenFamilies:
     def test_generator_b2(self):
         fam = open_family("B2")
@@ -264,6 +315,13 @@ class TestCorrelators:
         t3 = correlator_recursion_A(3, 2)
         assert t3[(3, 3)] == 1 and t3[(2, 3)] == 1
         assert correlator_recursion_A(4, 3)[(4, 4, 4)] == 1
+
+    def test_lengths_past_the_admissible_bound_add_nothing(self):
+        # every insertion adds at least 2 to sum(N + 2 - a), so k >= 0
+        # allows at most (N + 2) // 2 of them
+        for N in (3, 4, 6):
+            cap = (N + 2) // 2
+            assert correlator_recursion_A(N, cap + 4) == correlator_recursion_A(N, cap)
 
     def test_closed_form(self):
         for N in (2, 3, 4):

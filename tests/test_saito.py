@@ -9,6 +9,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from openwdvv.exactalg import GaussianRational, MPoly, PolyError, VarTable, parse
+from openwdvv.milnor import StructureTensor
 from openwdvv.openext import open_potential_D
 from openwdvv.saito import (
     frobenius_structure,
@@ -270,3 +271,16 @@ class TestNegativeControls:
         fs = frobenius_structure("A", 4)
         bad = replace(fs, potential=fs.potential + parse("t4^3", fs.table))
         assert not verify_homogeneity(bad).ok
+
+    def test_tampered_tensor_fails_integrability(self):
+        # c^2_{23} += v4, symmetrically: the pulled-back c_{abc} are then no
+        # third derivatives of one potential
+        u, ten, coords = singularity_data("A", 4)
+        entries = [[list(row) for row in mat] for mat in ten.entries]
+        bump = entries[1][1][2] + MPoly.variable(ten.table, "v4")
+        entries[1][1][2] = entries[1][2][1] = bump
+        bad = StructureTensor(
+            ten.table, tuple(tuple(tuple(r) for r in m) for m in entries), ten.l
+        )
+        with pytest.raises(PolyError, match="A4"):
+            metric_and_potential(u, bad, coords)
