@@ -221,7 +221,7 @@ def _built_structure(tag: str) -> FrobeniusStructure:
         fs = from_potential(tag, printed_potential(tag))
     else:  # E6-E8 are refused by _source_family
         fs = _restricted_structure(spec)
-    if fs.potential.weighted_degree() != 3 - spec.delta:
+    if fs.delta != spec.delta:
         raise PolyError(f"degree of the {tag} potential is off")
     return fs
 

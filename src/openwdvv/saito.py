@@ -3,9 +3,10 @@ and D singularities, plus exact WDVV and homogeneity verifiers.
 
 Flat coordinates come from closed-form sums over exponent tuples; the
 coordinate change is inverted exactly as a graded fixed point.  The
-potential is rebuilt from the flat structure constants by inverting the
-Euler operator one weighted-homogeneous component at a time, which is
-well-posed because every component has positive weighted degree.
+potential is read off its flat third derivatives c_{abc}: it has no term
+below cubic (3 - delta > 2 >= q_a + q_b), so each monomial is fixed by
+the c_{abc} of its three smallest indices, and from_potential then takes
+the metric and grading from it, as it does for every other structure.
 `pullback` is the one Jacobian contraction of a three-index tensor,
 `partials` the one table of shared partial derivatives and `_contractions`
 the one memo of the bilinear contractions the verifiers compare; every
@@ -15,7 +16,7 @@ module builds its tensors and identity sweeps on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -323,25 +324,20 @@ def _metric(t1_slice, m: int) -> tuple:
     return tuple(tuple(row) for row in rows), invert_matrix(rows)
 
 
-def _euler_primitive(p: MPoly) -> MPoly:
-    """G with Euler(G) = p, one weighted component at a time; p must have no
-    weight-zero part."""
-    parts = p.weighted_degree_decompose()
-    if any(d == 0 for d, _ in parts):
-        raise PolyError("weight-zero component is not integrable")
-    return dot(((part, 1 / d) for d, part in parts), p.table)
-
-
 def metric_and_potential(
     u: Unfolding, tensor: StructureTensor, t_of_v, images=None, label=None
 ) -> FrobeniusStructure:
-    """Flat metric, structure constants in flat coordinates, and the
-    potential they integrate to, on the flat coordinates of u or on a
-    linear subspace of them.
+    """The potential whose third derivatives are the structure constants in
+    flat coordinates, on the flat coordinates of u or on a linear subspace
+    of them, as from_potential's structure.
 
     The fully lowered tensor is the phi_l-coefficient of triple products;
-    pulling it through the Jacobian of v(t) gives d3F/dt.dt.dt directly,
-    whose t1 slice must be a constant nondegenerate matrix.
+    pulling it through the Jacobian of v(t) gives c_{abc} = d3F/dt.dt.dt
+    directly.  F is read off c_{abc}: its monomial n*t_a*t_b*t_c with
+    a <= b <= c and n free of t_1..t_{c-1} comes from c_{abc} alone, over
+    the falling factor the three derivatives put on it.  Every c_{abc} must
+    then be a third derivative of F (integrability), and from_potential
+    checks that the t1 slice is a constant nondegenerate metric.
 
     images gives every flat coordinate t^a as a weight-preserving linear
     form over a target table whose t1 is the unit coordinate; the default
@@ -385,34 +381,27 @@ def metric_and_potential(
     vmap = dict(zip(tensor.table.names, v_of_t))
     low = dict(zip(keys, substitute_all(lowered, vmap, ttab)))
 
-    def lget(tbl, key):
-        return tbl[tuple(sorted(key))]
-
     sym = {
-        (a, b, c): lget(low, (a, b, c))
+        (a, b, c): low[tuple(sorted((a, b, c)))]
         for a in live
         for b, c in combinations_with_replacement(live, 2)
     }
     cflat = pullback(
         sym, jac, jac, combinations_with_replacement(range(1, m + 1), 3), ttab
     )
-    eta, eta_inv = _metric({k[1:]: e for k, e in cflat.items() if k[0] == 1}, m)
 
-    euler = [MPoly.variable(ttab, nm) * w for nm, w in zip(tnames, ttab.weights)]
-    axes = range(1, m + 1)
-    f2 = {
-        (al, be): _euler_primitive(
-            dot(((euler[ga - 1], lget(cflat, (al, be, ga))) for ga in axes), ttab)
-        )
-        for al, be in combinations_with_replacement(axes, 2)
-    }
-    f1 = {
-        al: _euler_primitive(
-            dot(((euler[be - 1], f2[tuple(sorted((al, be)))]) for be in axes), ttab)
-        )
-        for al in axes
-    }
-    potential = _euler_primitive(dot(((euler[al - 1], f1[al]) for al in axes), ttab))
+    # each monomial of F is read once, off the key of its three smallest indices
+    terms = {}
+    for key, c in cflat.items():
+        for exp, coeff in c.terms.items():
+            if any(exp[: key[-1] - 1]):
+                continue
+            e = list(exp)
+            for a in key:
+                e[a - 1] += 1
+            fall = math.prod(math.perm(e[a - 1], key.count(a)) for a in set(key))
+            terms[tuple(e)] = coeff / fall
+    potential = MPoly(ttab, terms)
 
     label = label or u.label()
     d3 = partials(potential, tnames, 3)
@@ -420,21 +409,12 @@ def metric_and_potential(
         if d3[(al, be, ga)] != want:
             raise PolyError(f"integrability failure at ({al},{be},{ga}) for {label}")
 
-    maps = {} if restricted else {
-        "v_table": tensor.table,
-        "t_of_v": tuple(t_of_v),
-        "v_of_t": tuple(v_of_t),
-    }
-    return FrobeniusStructure(
-        label=label,
-        rank=m,
-        table=ttab,
-        delta=u.delta,
-        eta=eta,
-        eta_inv=eta_inv,
-        potential=potential,
-        **maps,
-    )
+    fs = from_potential(label, potential)
+    if not restricted:
+        fs = replace(
+            fs, v_table=tensor.table, t_of_v=tuple(t_of_v), v_of_t=tuple(v_of_t)
+        )
+    return fs
 
 
 @lru_cache(maxsize=None)
@@ -457,7 +437,8 @@ def frobenius_structure(family: str, n: int) -> FrobeniusStructure:
 
 def from_potential(label: str, potential: MPoly) -> FrobeniusStructure:
     """Frobenius data read off a flat potential: the metric is the constant
-    t1 slice of the third derivatives, the grading comes from the table."""
+    t1 slice of the third derivatives, the grading comes from the table.
+    Every structure is built here, metric_and_potential's included."""
     tab = potential.table
     if tab.weights is None:
         raise PolyError("potential table needs weights")

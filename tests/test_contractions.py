@@ -298,6 +298,6 @@ class TestDotCounts:
         assert count_dots(monkeypatch, open_wdvv_eq2, fs, fo, 2, 3) == 19
 
     def test_metric_and_potential(self, monkeypatch):
-        for family, want in (("A", 408), ("D", 370)):
+        for family, want in (("A", 352), ("D", 314)):
             data = singularity_data(family, 6)
             assert count_dots(monkeypatch, metric_and_potential, *data) == want
