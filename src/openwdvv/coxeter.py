@@ -363,6 +363,8 @@ def correlator_recursion_A(N: int, max_n: int) -> dict:
 
     Keys are sorted insertion tuples; k = k(abar) is forced by
     homogeneity and tuples with k < 0 are omitted (their value is 0).
+    Every insertion adds at least 2 to sum(N + 2 - a), so no tuple of
+    more than (N + 2) // 2 insertions has k >= 0 and none is enumerated.
     Reciprocal factorials of negative integers vanish, which silently
     prunes inadmissible splittings."""
     coxeter_spec(f"A{N}")
@@ -409,7 +411,7 @@ def correlator_recursion_A(N: int, max_n: int) -> dict:
         return val
 
     table = {}
-    for n in range(max_n + 1):
+    for n in range(min(max_n, (N + 2) // 2) + 1):
         for t in combinations_with_replacement(range(1, N + 1), n):
             if kof(t) >= 0:
                 table[t] = corr(t)
