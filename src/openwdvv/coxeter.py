@@ -3,9 +3,11 @@ classification of their open extensions.
 
 The group fixes the construction (coxeter_structure).  A_N and D_N come
 from the singularity pipeline.  B_N, I2(k) and H3 run the A_{2N-1},
-A_{k-1} and D6 pipelines on a linear subspace of their flat coordinates:
+A_{k-1} and D6 builds on a linear subspace of their flat coordinates:
 the images of the source coordinates are target coordinates, zeros, and
-for H3 an imaginary multiple of t2.  F4 and H4 carry printed potentials
+for H3 an imaginary multiple of t2.  A sources take the residue route of
+saito.residue_structure_A over the group's own coordinates and build no
+Milnor algebra; D6 takes the tensor route.  F4 and H4 carry printed potentials
 in a normalization that differs from that route by coordinate
 rescalings, so they are stored as fixtures and every claim about them is
 checked in place.  No E potential is built.
@@ -51,6 +53,7 @@ from .saito import (
     from_potential,
     frobenius_structure,
     metric_and_potential,
+    residue_structure_A,
     singularity_data,
     t_table,
     third_derivatives,
@@ -203,15 +206,14 @@ def _restriction_images(spec: CoxeterSpec, target: VarTable) -> tuple:
 
 
 def _restricted_structure(spec: CoxeterSpec) -> FrobeniusStructure:
-    """The source singularity's pipeline run on the group's subspace of its
-    flat coordinates; the potential is the source potential there."""
+    """The source singularity's build run on the group's subspace of its
+    flat coordinates; the potential is the source potential there.  A
+    sources take the residue route, D6 the tensor route."""
     family, m = _source_family(spec)
-    u, tensor, coords = singularity_data(family, m)
     images = _restriction_images(spec, spec.table())
-    fs = metric_and_potential(u, tensor, coords, images, spec.tag)
-    if any(c.im for c in fs.potential.terms.values()):
-        raise PolyError(f"restriction for {spec.tag} left imaginary parts")
-    return fs
+    if family == "A":
+        return residue_structure_A(m, images, spec.tag)
+    return metric_and_potential(*singularity_data(family, m), images, spec.tag)
 
 
 @lru_cache(maxsize=None)
@@ -228,8 +230,9 @@ def _built_structure(tag: str) -> FrobeniusStructure:
 
 def coxeter_structure(group) -> FrobeniusStructure:
     """The Frobenius structure of a finite Coxeter group, by the route the
-    group fixes: A_N and D_N are frobenius_structure; B_N, I2(k) and H3 are
-    restricted (see the module docstring); F4 and H4 are printed, as their
+    group fixes: A_N and D_N are frobenius_structure; B_N and I2(k) are
+    restricted from A sources by residues, H3 from D6 by the tensor route
+    (see the module docstring); F4 and H4 are printed, as their
     restriction runs through E-type flat coordinates, which this library
     does not construct; E6-E8 are refused.  The restricted and printed
     potentials must have the group's weighted degree 3 - delta and are
@@ -513,7 +516,7 @@ def _obstruction_printed(spec: CoxeterSpec) -> Report:
     tab = fs.table
     checked = []
     failures = []
-    _, raised = third_derivatives(fs.potential, fs.eta_inv, tab.names)
+    _, _, raised = third_derivatives(fs.potential, fs.eta_inv, tab.names)
     for mu, c in enumerate(raised[(2, 2)], start=1):
         checked.append(2)
         if c.constant_term():

@@ -221,7 +221,7 @@ def _open_tables(base: FrobeniusStructure, fo: MPoly) -> tuple:
     tab = fo.table
     n = base.rank
     F = base.potential.substitute({}, tab)
-    _, raised = third_derivatives(F, base.eta_inv, tab.names[:n])
+    _, _, raised = third_derivatives(F, base.eta_inv, tab.names[:n])
     return raised, partials(fo, tab.names[: n + 1], 2)
 
 

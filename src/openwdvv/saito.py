@@ -2,15 +2,21 @@
 and D singularities, plus exact WDVV and homogeneity verifiers.
 
 Flat coordinates come from closed-form sums over exponent tuples; the
-coordinate change is inverted exactly as a graded fixed point.  The
-potential is read off its flat third derivatives c_{abc}: it has no term
-below cubic (3 - delta > 2 >= q_a + q_b), so each monomial is fixed by
-the c_{abc} of its three smallest indices, and from_potential then takes
-the metric and grading from it, as it does for every other structure.
-`pullback` is the one Jacobian contraction of a three-index tensor,
-`partials` the one table of shared partial derivatives and `_contractions`
-the one memo of the bilinear contractions the verifiers compare; every
-module builds its tensors and identity sweeps on them.
+coordinate change is inverted exactly in one pass of increasing weight.
+Two routes give the flat third derivatives c_{abc}.  A_n and every
+restriction of it take the residue route (residue_structure_A): the
+lowered tensor is r_{a+b+c-3}, one residue sequence of W' = dL/dx, so no
+Milnor algebra is built.  D_n and H3 take the tensor route
+(metric_and_potential): Milnor structure constants, lowered, substituted
+and pulled back.  Both hand c_{abc} to one read-off: the potential has no
+term below cubic (3 - delta > 2 >= q_a + q_b), so each monomial is fixed
+by the c_{abc} of its three smallest indices; the third partials that
+check integrability then give the metric and grading, as from_potential
+does for printed potentials.  `pullback` is the one Jacobian contraction
+of a three-index tensor, `partials` the one table of shared partial
+derivatives and `_contractions` the one memo of the bilinear
+contractions the verifiers compare; every module builds its tensors and
+identity sweeps on them.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ __all__ = [
     "flat_coords_D",
     "invert_coords",
     "metric_and_potential",
+    "residue_structure_A",
     "frobenius_structure",
     "singularity_data",
     "third_derivatives",
@@ -195,10 +202,13 @@ def invert_coords(t_of_v, ttab: VarTable, images=None):
     along a linear embedding of ttab into the flat coordinates.
 
     images[a] is the flat coordinate t^a as a weight-preserving linear form
-    over ttab; by default it is the a-th variable of ttab.  Iterates
-    v <- images - h(v), where h collects the nonlinear terms of t(v); the
-    weight grading makes this a nilpotent fixed-point problem, and the
-    result is checked by exact back-substitution against the images.
+    over ttab; by default it is the a-th variable of ttab.  Write
+    t^a = v_a + h_a(v).  In a graded change h_a involves only variables
+    lighter than v_a, so one pass in increasing weight solves
+    v_a = images[a] - h_a(v) with every v in h_a already known, and each
+    h_a is substituted once.  An h_a that involves a variable not yet
+    solved is refused, and the result is checked by exact
+    back-substitution against the images.
     """
     vtab = t_of_v[0].table
     n = len(t_of_v)
@@ -206,21 +216,21 @@ def invert_coords(t_of_v, ttab: VarTable, images=None):
         images = [MPoly.variable(ttab, nm) for nm in ttab.names]
     if len(images) != n:
         raise PolyError(f"{len(images)} images given for {n} flat coordinates")
-    hs = [t - MPoly.variable(vtab, nm) for t, nm in zip(t_of_v, vtab.names)]
-    current = dict(zip(vtab.names, images))
-    for _ in range(n + 1):
-        nxt = {
-            nm: img - h
-            for nm, img, h in zip(vtab.names, images, substitute_all(hs, current, ttab))
-        }
-        if nxt == current:
-            break
-        current = nxt
-    else:
-        raise PolyError("coordinate inversion did not stabilize")
-    if substitute_all(t_of_v, current, ttab) != list(images):
+    if vtab.weights is None:
+        raise PolyError("coordinate table needs weights")
+    names = vtab.names
+    solved = {}
+    for a in sorted(range(n), key=vtab.weights.__getitem__):
+        h = t_of_v[a] - MPoly.variable(vtab, names[a])
+        late = [nm for nm in names if nm not in solved and h.depends_on(nm)]
+        if late:
+            raise PolyError(
+                f"t^{a + 1} is not graded: {late[0]} is not lighter than {names[a]}"
+            )
+        solved[names[a]] = images[a] - h.substitute(solved, ttab)
+    if substitute_all(t_of_v, solved, ttab) != list(images):
         raise PolyError("inverse fails exact back-substitution")
-    return [current[nm] for nm in vtab.names]
+    return [solved[nm] for nm in names]
 
 
 # ---------- tensor calculus ----------
@@ -324,20 +334,64 @@ def _metric(t1_slice, m: int) -> tuple:
     return tuple(tuple(row) for row in rows), invert_matrix(rows)
 
 
+def _target(weights, images) -> tuple:
+    """(ttab, images, restricted) of a build on the flat coordinates of the
+    given weights: the identity onto t_table(weights) by default, else the
+    images, each checked to be a weight-preserving linear form."""
+    if images is None:
+        ttab = t_table(weights)
+        return ttab, [MPoly.variable(ttab, nm) for nm in ttab.names], False
+    for a, (img, q) in enumerate(zip(images, weights), start=1):
+        if img and (img.total_degree() != 1 or img.weighted_degree() != q):
+            raise PolyError(f"image of t{a} is not a linear form of weight {q}")
+    return images[0].table, list(images), True
+
+
+def _read_off(cflat, ttab: VarTable, label: str, restricted: bool):
+    """The structure whose potential has the flat third derivatives cflat
+    {(a, b, c): c_abc, a <= b <= c} over ttab, as from_potential's.
+
+    F has no term below cubic (3 - delta > 2 >= q_a + q_b), so its monomial
+    n*t_a*t_b*t_c with a <= b <= c and n free of t_1..t_{c-1} comes from
+    c_abc alone, over the falling factor the three derivatives put on it.
+    Every c_abc must then be a third derivative of F (integrability); those
+    third partials give the t1 slice, which must be a constant
+    nondegenerate metric.  A restricted group must come out real.
+    """
+    terms = {}
+    for key, c in cflat.items():
+        for exp, coeff in c.terms.items():
+            if any(exp[: key[-1] - 1]):
+                continue
+            e = list(exp)
+            for a in key:
+                e[a - 1] += 1
+            fall = math.prod(math.perm(e[a - 1], key.count(a)) for a in set(key))
+            terms[tuple(e)] = coeff / fall
+    potential = MPoly(ttab, terms)
+
+    d3 = partials(potential, ttab.names, 3)
+    for (al, be, ga), want in cflat.items():
+        if d3[(al, be, ga)] != want:
+            raise PolyError(f"integrability failure at ({al},{be},{ga}) for {label}")
+    if restricted and any(c.im for c in potential.terms.values()):
+        raise PolyError(f"restriction for {label} left imaginary parts")
+    m = ttab.arity
+    pairs = combinations_with_replacement(range(1, m + 1), 2)
+    return _structure(label, potential, {(b, c): d3[(1, b, c)] for b, c in pairs})
+
+
 def metric_and_potential(
     u: Unfolding, tensor: StructureTensor, t_of_v, images=None, label=None
 ) -> FrobeniusStructure:
     """The potential whose third derivatives are the structure constants in
     flat coordinates, on the flat coordinates of u or on a linear subspace
-    of them, as from_potential's structure.
+    of them, as from_potential's structure: the tensor route, taken for
+    D_n and H3 and kept as the oracle of residue_structure_A.
 
     The fully lowered tensor is the phi_l-coefficient of triple products;
     pulling it through the Jacobian of v(t) gives c_{abc} = d3F/dt.dt.dt
-    directly.  F is read off c_{abc}: its monomial n*t_a*t_b*t_c with
-    a <= b <= c and n free of t_1..t_{c-1} comes from c_{abc} alone, over
-    the falling factor the three derivatives put on it.  Every c_{abc} must
-    then be a third derivative of F (integrability), and from_potential
-    checks that the t1 slice is a constant nondegenerate metric.
+    directly, and _read_off takes F and its checks from there.
 
     images gives every flat coordinate t^a as a weight-preserving linear
     form over a target table whose t1 is the unit coordinate; the default
@@ -349,19 +403,7 @@ def metric_and_potential(
     coordinate changes are kept only for the identity.
     """
     n = u.rank
-    q = u.weights
-    if images is None:
-        ttab = t_table(q)
-        images = [MPoly.variable(ttab, nm) for nm in ttab.names]
-        restricted = False
-    else:
-        ttab = images[0].table
-        restricted = True
-        for a, img in enumerate(images):
-            if img and (img.total_degree() != 1 or img.weighted_degree() != q[a]):
-                raise PolyError(
-                    f"image of t{a + 1} is not a linear form of weight {q[a]}"
-                )
+    ttab, images, restricted = _target(u.weights, images)
     tnames = ttab.names
     m = ttab.arity
     v_of_t = invert_coords(t_of_v, ttab, images)
@@ -389,27 +431,7 @@ def metric_and_potential(
     cflat = pullback(
         sym, jac, jac, combinations_with_replacement(range(1, m + 1), 3), ttab
     )
-
-    # each monomial of F is read once, off the key of its three smallest indices
-    terms = {}
-    for key, c in cflat.items():
-        for exp, coeff in c.terms.items():
-            if any(exp[: key[-1] - 1]):
-                continue
-            e = list(exp)
-            for a in key:
-                e[a - 1] += 1
-            fall = math.prod(math.perm(e[a - 1], key.count(a)) for a in set(key))
-            terms[tuple(e)] = coeff / fall
-    potential = MPoly(ttab, terms)
-
-    label = label or u.label()
-    d3 = partials(potential, tnames, 3)
-    for (al, be, ga), want in cflat.items():
-        if d3[(al, be, ga)] != want:
-            raise PolyError(f"integrability failure at ({al},{be},{ga}) for {label}")
-
-    fs = from_potential(label, potential)
+    fs = _read_off(cflat, ttab, label or u.label(), restricted)
     if not restricted:
         fs = replace(
             fs, v_table=tensor.table, t_of_v=tuple(t_of_v), v_of_t=tuple(v_of_t)
@@ -417,37 +439,101 @@ def metric_and_potential(
     return fs
 
 
+def residue_structure_A(n: int, images=None, label=None) -> FrobeniusStructure:
+    """The structure of A_n, or its restriction along images, read off the
+    residue sequence of W' = dL/dx.
+
+    dL/dv_a = x^{a-1} and W' = x^n + ... is monic, so the lowered tensor
+    [x^{n-1}] NF(x^{a-1} x^{b-1} x^{c-1}) depends on a + b + c alone: it is
+    r_{a+b+c-3} with r_s = [x^{n-1}](x^s mod W').  The r_s are formed over
+    the target ring, with v already v(t), and pulled back as
+    c_{al be ga} = sum J_{a,al} J_{b,be} J_{c,ga} r_{a+b+c-3} with
+    J = dv/dt.  No Milnor algebra is built.  images and label are as for
+    metric_and_potential, and _read_off makes the same checks.
+    """
+    u, t_of_v = _flat_source("A", n)
+    vtab = t_of_v[0].table
+    ttab, images, restricted = _target(u.weights, images)
+    v_of_t = invert_coords(t_of_v, ttab, images)
+
+    # W' = x^n + sum_{j < n} w_j x^j, each -w_j over the target ring.
+    # x^{s+n} = x^s (x^n - W') mod W', so r_{s+n} = -sum_j w_j r_{s+j},
+    # from r_0..r_{n-1} = 0, ..., 0, 1 (x^s for s < n is its own normal form).
+    parts = u.poly.diff("x").collect(("x",))
+    if parts.pop((n,)) != MPoly.constant(u.table, 1):
+        raise PolyError(f"W' of {u.label()} is not monic")
+    vmap = dict(zip(vtab.names, v_of_t))
+    lower = substitute_all([-p for p in parts.values()], vmap, ttab)
+    neg_w = list(zip([j for (j,) in parts], lower))
+    r = [MPoly.zero(ttab)] * (n - 1) + [MPoly.constant(ttab, 1)]
+    for s in range(2 * n - 2):
+        r.append(dot(((w, r[s + j]) for j, w in neg_w if r[s + j]), ttab))
+
+    # c_{al be ga} = sum_k P_{al be}(k) R_ga(k), with the pair sums
+    # P_{al be}(k) = sum_{a+b=k} J_{a al} J_{b be} and
+    # R_ga(k) = sum_c J_{c ga} r_{k+c-3}, all over live Jacobian entries
+    m = ttab.arity
+    cols = [_live([v.diff(nm) for v in v_of_t]) for nm in ttab.names]
+    ks = range(2, 2 * n + 1)
+    R = [
+        {k: dot(((j, r[k + c - 3]) for c, j in col if r[k + c - 3]), ttab) for k in ks}
+        for col in cols
+    ]
+    cflat = {}
+    for al, be in combinations_with_replacement(range(1, m + 1), 2):
+        by_k = {}
+        for a, ja in cols[al - 1]:
+            for b, jb in cols[be - 1]:
+                by_k.setdefault(a + b, []).append((ja, jb))
+        pair = {k: dot(prs, ttab) for k, prs in by_k.items()}
+        for ga in range(be, m + 1):
+            rg = R[ga - 1]
+            cflat[(al, be, ga)] = dot(
+                ((p, rg[k]) for k, p in pair.items() if rg[k]), ttab
+            )
+    fs = _read_off(cflat, ttab, label or u.label(), restricted)
+    if not restricted:
+        fs = replace(fs, v_table=vtab, t_of_v=tuple(t_of_v), v_of_t=tuple(v_of_t))
+    return fs
+
+
+@lru_cache(maxsize=None)
+def _flat_source(family: str, n: int) -> tuple:
+    """The unfolding and flat coordinates (a tuple) of A_n or D_n, shared
+    by every build from that source."""
+    coords = flat_coords_A(n) if family == "A" else flat_coords_D(n)
+    return build_unfolding(family, n), tuple(coords)
+
+
 @lru_cache(maxsize=None)
 def singularity_data(family: str, n: int) -> tuple:
     """The unfolding, structure tensor and flat coordinates (a tuple) of A_n
-    or D_n, the inputs of metric_and_potential.  Cached, so the full
-    structure and every restriction from the same source share one Milnor
-    algebra."""
-    u = build_unfolding(family, n)
-    tensor = structure_constants(build_closed_algebra(u))
-    coords = flat_coords_A(n) if family == "A" else flat_coords_D(n)
-    return u, tensor, tuple(coords)
+    or D_n, the inputs of metric_and_potential.  Cached, so D6 and its
+    H3 restriction share one Milnor algebra; the A_n data serve only as
+    the oracle of residue_structure_A."""
+    u, coords = _flat_source(family, n)
+    return u, structure_constants(build_closed_algebra(u)), coords
 
 
 @lru_cache(maxsize=None)
 def frobenius_structure(family: str, n: int) -> FrobeniusStructure:
-    """Cached full pipeline for A_n or D_n."""
+    """Cached full structure of A_n (residue_structure_A) or D_n
+    (metric_and_potential)."""
+    if family == "A":
+        return residue_structure_A(n)
     return metric_and_potential(*singularity_data(family, n))
 
 
-def from_potential(label: str, potential: MPoly) -> FrobeniusStructure:
-    """Frobenius data read off a flat potential: the metric is the constant
-    t1 slice of the third derivatives, the grading comes from the table.
-    Every structure is built here, metric_and_potential's included."""
+def _structure(label: str, potential: MPoly, t1_slice) -> FrobeniusStructure:
+    """The structure of a flat potential whose t1 slice
+    {(b, c): d3F/dt1 dtb dtc, b <= c} is given."""
     tab = potential.table
     if tab.weights is None:
         raise PolyError("potential table needs weights")
     d = potential.weighted_degree()
     if d is None:
         raise PolyError("the zero potential has no metric")
-    eta, eta_inv = _metric(
-        partials(potential.diff(tab.names[0]), tab.names, 2), tab.arity
-    )
+    eta, eta_inv = _metric(t1_slice, tab.arity)
     return FrobeniusStructure(
         label=label,
         rank=tab.arity,
@@ -456,6 +542,17 @@ def from_potential(label: str, potential: MPoly) -> FrobeniusStructure:
         eta=eta,
         eta_inv=eta_inv,
         potential=potential,
+    )
+
+
+def from_potential(label: str, potential: MPoly) -> FrobeniusStructure:
+    """Frobenius data read off a printed or parsed flat potential: the
+    metric is the constant t1 slice of the third derivatives, the grading
+    comes from the table.  The built structures take the same data from
+    the third partials their read-off already formed (_read_off)."""
+    tab = potential.table
+    return _structure(
+        label, potential, partials(potential.diff(tab.names[0]), tab.names, 2)
     )
 
 
@@ -469,26 +566,25 @@ def _first_monomial(p: MPoly) -> str:
 
 
 def third_derivatives(F: MPoly, eta_inv, names) -> tuple:
-    """The third derivatives of F in the coordinates names and the raised
-    structure constants built from them.
+    """The third derivatives of F in the coordinates names, their rows and
+    the raised structure constants built from them.
 
-    d3[(a, b, c)] = d3F/dt^a dt^b dt^c for 1 <= a <= b <= c <= N, and
-    raised[(a, b)] lists c^v_{ab} = eta^{vm} d3F/dt^a dt^b dt^m for
-    v = 1..N (a <= b), each one form of _contractions, so zero entries of
-    d3F and of eta_inv are skipped.  Nothing is cached: every caller
-    sweeps the tensors once and drops them.
+    d3[(a, b, c)] = d3F/dt^a dt^b dt^c for 1 <= a <= b <= c <= N,
+    rows[(a, b)] lists c_{ab1}, ..., c_{abN} out of d3, and raised[(a, b)]
+    lists c^v_{ab} = eta^{vm} c_{abm} for v = 1..N (a <= b), each one form
+    of _contractions, so zero entries of d3F and of eta_inv are skipped.
+    Nothing is cached: every caller sweeps the tensors once and drops them.
     """
     n = len(names)
     idx = range(1, n + 1)
     d3 = partials(F, names, 3)
-    pairs = list(combinations_with_replacement(idx, 2))
-    form = _contractions(
-        {(a, b): [d3[tuple(sorted((a, b, m)))] for m in idx] for a, b in pairs},
-        dict(enumerate(eta_inv, 1)),
-        F.table,
-    )
-    raised = {ab: [form(ab, v) for v in idx] for ab in pairs}
-    return d3, raised
+    rows = {
+        (a, b): [d3[tuple(sorted((a, b, m)))] for m in idx]
+        for a, b in combinations_with_replacement(idx, 2)
+    }
+    form = _contractions(rows, dict(enumerate(eta_inv, 1)), F.table)
+    raised = {ab: [form(ab, v) for v in idx] for ab in rows}
+    return d3, rows, raised
 
 
 def verify_wdvv(fs: FrobeniusStructure) -> Report:
@@ -507,13 +603,9 @@ def verify_wdvv(fs: FrobeniusStructure) -> Report:
     """
     n = fs.rank
     tab = fs.table
-    d3, raised = third_derivatives(fs.potential, fs.eta_inv, tab.names)
+    d3, rows, raised = third_derivatives(fs.potential, fs.eta_inv, tab.names)
     # rows (c_{ab1}, ..., c_{abN}) against the columns raised[(c, d)]
-    lower = {
-        (a, b): [d3[tuple(sorted((a, b, v)))] for v in range(1, n + 1)]
-        for a, b in raised
-    }
-    form = _contractions(lower, raised, tab)
+    form = _contractions(rows, raised, tab)
 
     def contraction(a, b, c, d):
         ab = (a, b) if a <= b else (b, a)

@@ -30,6 +30,7 @@ from openwdvv.saito import (
     frobenius_structure,
     metric_and_potential,
     partials,
+    residue_structure_A,
     singularity_data,
     third_derivatives,
     verify_wdvv,
@@ -45,7 +46,7 @@ OPEN_GROUPS = ("A5", "D5", "B4", "I2(6)")  # H3 has no polynomial F°
 def reference_wdvv(fs) -> Report:
     n = fs.rank
     tab = fs.table
-    d3, raised = third_derivatives(fs.potential, fs.eta_inv, tab.names)
+    d3, _, raised = third_derivatives(fs.potential, fs.eta_inv, tab.names)
 
     def c3(a, b, c):
         return d3[tuple(sorted((a, b, c)))]
@@ -82,7 +83,7 @@ def reference_open_equations(base, fo):
     tab = fo.table
     d2o = partials(fo, tab.names[: n + 1], 2)
     F = base.potential.substitute({}, tab)
-    _, raised = third_derivatives(F, base.eta_inv, tab.names[:n])
+    _, _, raised = third_derivatives(F, base.eta_inv, tab.names[:n])
 
     def o2(a, b):
         return d2o[(a, b) if a <= b else (b, a)]
@@ -301,3 +302,8 @@ class TestDotCounts:
         for family, want in (("A", 352), ("D", 314)):
             data = singularity_data(family, 6)
             assert count_dots(monkeypatch, metric_and_potential, *data) == want
+
+    def test_residue_structure_a6(self, monkeypatch):
+        # the residues r_6..r_15, the sums R_ga(k) of 6 columns over k = 2..12,
+        # the pair sums P_{al be}(k) with a live term, and one dot per c_{al be ga}
+        assert count_dots(monkeypatch, residue_structure_A, 6) == 10 + 66 + 100 + 56

@@ -1,5 +1,6 @@
 """Flat structures of the A and D singularities: frozen coordinates,
-metrics and potentials, the triangular inversion, the WDVV and
+metrics and potentials, the graded inversion against the fixed-point loop
+it replaced, the residue route against the tensor route, the WDVV and
 homogeneity sweeps, and negative controls on tampered data."""
 
 from dataclasses import replace
@@ -8,10 +9,21 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from openwdvv.exactalg import GaussianRational, MPoly, PolyError, VarTable, parse
+from openwdvv import saito
+from openwdvv.coxeter import _restriction_images, _source_family, coxeter_spec
+from openwdvv.exactalg import (
+    GaussianRational,
+    MPoly,
+    PolyError,
+    VarTable,
+    parse,
+    substitute_all,
+)
 from openwdvv.milnor import StructureTensor
 from openwdvv.openext import open_potential_D
 from openwdvv.saito import (
+    flat_coords_A,
+    flat_coords_D,
     frobenius_structure,
     from_potential,
     invert_coords,
@@ -19,7 +31,9 @@ from openwdvv.saito import (
     metric_and_potential,
     partials,
     pullback,
+    residue_structure_A,
     singularity_data,
+    t_table,
     third_derivatives,
     verify_homogeneity,
     verify_wdvv,
@@ -27,6 +41,30 @@ from openwdvv.saito import (
 
 FAMILIES = (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
             ("D", 3), ("D", 4), ("D", 5), ("D", 6))
+
+
+def fixed_point_inverse(t_of_v, ttab, images):
+    """The inversion the graded pass replaced: iterate v <- images - h(v)
+    over every coordinate at once until it stabilizes, at most N + 1 times."""
+    vtab = t_of_v[0].table
+    hs = [t - MPoly.variable(vtab, nm) for t, nm in zip(t_of_v, vtab.names)]
+    current = dict(zip(vtab.names, images))
+    for _ in range(len(t_of_v) + 1):
+        nxt = {
+            nm: img - h
+            for nm, img, h in zip(vtab.names, images, substitute_all(hs, current, ttab))
+        }
+        if nxt == current:
+            return [current[nm] for nm in vtab.names]
+        current = nxt
+    raise AssertionError("the fixed-point loop did not stabilize")
+
+
+def restriction(tag):
+    """(source family, source rank, images) of a restricted group."""
+    spec = coxeter_spec(tag)
+    family, m = _source_family(spec)
+    return family, m, list(_restriction_images(spec, spec.table()))
 
 
 class TestFlatCoordinates:
@@ -61,6 +99,32 @@ class TestFlatCoordinates:
         bad = 2 * MPoly.variable(vtab, "v1")
         with pytest.raises(PolyError):
             invert_coords([bad], ttab)
+
+    def test_graded_inverse_equals_fixed_point_loop(self):
+        cases = [("A", n, None) for n in range(1, 11)]
+        cases += [("D", n, None) for n in range(3, 10)]
+        tags = [f"B{n}" for n in range(2, 7)] + [f"I2({k})" for k in range(3, 11)]
+        cases += [restriction(tag) for tag in tags + ["H3"]]
+        for family, n, images in cases:
+            coords = flat_coords_A(n) if family == "A" else flat_coords_D(n)
+            if images is None:
+                ttab = t_table(coords[0].table.weights)
+                images = [MPoly.variable(ttab, nm) for nm in ttab.names]
+            ttab = images[0].table
+            want = fixed_point_inverse(coords, ttab, images)
+            assert invert_coords(coords, ttab, images) == want, (family, n)
+
+    def test_invert_refuses_non_graded_maps_at_once(self):
+        vtab = VarTable(("v1", "v2"), (Fraction(1), Fraction(1, 2)))
+        ttab = VarTable(("t1", "t2"), (Fraction(1), Fraction(1, 2)))
+        v1, v2 = (MPoly.variable(vtab, nm) for nm in vtab.names)
+        # t^2 leans on the heavier v1; the second map is a cycle, which the
+        # fixed-point loop would iterate on with growing degree
+        for t_of_v in ([v1, v2 + v1], [v1 + v2 * v2, v2 + v1 * v1]):
+            with pytest.raises(PolyError, match="not graded"):
+                invert_coords(t_of_v, ttab)
+        with pytest.raises(PolyError, match="needs weights"):
+            invert_coords([MPoly.variable(VarTable(("v1",)), "v1")], VarTable(("t1",)))
 
     def test_invert_along_zero_images(self):
         # A5 on the t2 = t4 = 0 subspace: the inverse equals the full
@@ -99,6 +163,60 @@ class TestFlatCoordinates:
         assert inv == ((one, -two), (GaussianRational(0), one))
         with pytest.raises(PolyError):
             invert_matrix(((one, one), (one, one)))
+
+
+class TestResidueRoute:
+    def test_full_a_matches_tensor_route(self):
+        for n in range(1, 9):
+            got = residue_structure_A(n)
+            want = metric_and_potential(*singularity_data("A", n))
+            assert got == want, n
+
+    def test_restrictions_match_tensor_route(self):
+        tags = [f"B{n}" for n in range(2, 8)] + [f"I2({k})" for k in range(3, 13)]
+        for tag in tags:
+            family, m, images = restriction(tag)
+            assert family == "A"
+            got = residue_structure_A(m, images, tag)
+            want = metric_and_potential(*singularity_data("A", m), images, tag)
+            assert got.potential == want.potential, tag
+            assert got.eta == want.eta and got.eta_inv == want.eta_inv, tag
+            assert got.label == tag and got.t_of_v is None, tag
+
+    def test_refuses_imaginary_restrictions(self):
+        # A3 on t2 = 0, t3 = i*t2: every surviving term is imaginary
+        tab = VarTable(("t1", "t2"), (Fraction(1), Fraction(1, 2)))
+        x1, x2 = (MPoly.variable(tab, nm) for nm in tab.names)
+        images = [x1, MPoly.zero(tab), x2 * GaussianRational(0, 1)]
+        for build in (
+            lambda: residue_structure_A(3, images, "im"),
+            lambda: metric_and_potential(*singularity_data("A", 3), images, "im"),
+        ):
+            with pytest.raises(PolyError, match="imaginary"):
+                build()
+
+    def test_refuses_bad_images(self):
+        tab = VarTable(("t1", "t2"), (Fraction(1), Fraction(1, 2)))
+        x1, x2 = (MPoly.variable(tab, nm) for nm in tab.names)
+        for images in ([x1, x2, MPoly.zero(tab)], [x1, MPoly.zero(tab), x2 * x2]):
+            with pytest.raises(PolyError):
+                residue_structure_A(3, images)
+        with pytest.raises(PolyError):
+            residue_structure_A(3, [x1, MPoly.zero(tab)])
+
+    def test_tampered_coordinates_fail(self, monkeypatch):
+        # t^2 of A4 picks up v4^2, of the same weight 4/5: still graded and
+        # invertible, but no longer flat
+        coords = flat_coords_A(4)
+        v4 = MPoly.variable(coords[0].table, "v4")
+        bad = coords[:1] + [coords[1] + v4 * v4] + coords[2:]
+        monkeypatch.setattr(saito, "flat_coords_A", lambda n: bad)
+        saito._flat_source.cache_clear()  # the source data are shared
+        try:
+            with pytest.raises(PolyError, match="integrability failure .* A4"):
+                residue_structure_A(4)
+        finally:
+            saito._flat_source.cache_clear()
 
 
 class TestPotentials:
@@ -156,11 +274,14 @@ class TestThirdDerivatives:
     def test_matches_direct_contraction(self):
         fs = frobenius_structure("D", 4)
         F, nm, n = fs.potential, fs.table.names, fs.rank
-        d3, raised = third_derivatives(F, fs.eta_inv, nm)
+        d3, rows, raised = third_derivatives(F, fs.eta_inv, nm)
         assert len(d3) == n * (n + 1) * (n + 2) // 6
         for (a, b, c), p in d3.items():
             assert p == F.diff_many(nm[a - 1], nm[b - 1], nm[c - 1])
         assert len(raised) == n * (n + 1) // 2
+        assert list(rows) == list(raised)
+        for (a, b), row in rows.items():
+            assert row == [d3[tuple(sorted((a, b, m)))] for m in range(1, n + 1)]
         for (a, b), row in raised.items():
             for v, got in enumerate(row, start=1):
                 want = MPoly.zero(fs.table)
