@@ -5,12 +5,13 @@ The group fixes the construction (coxeter_structure).  A_N and D_N come
 from the singularity pipeline.  B_N, I2(k) and H3 run the A_{2N-1},
 A_{k-1} and D6 builds on a linear subspace of their flat coordinates:
 the images of the source coordinates are target coordinates, zeros, and
-for H3 an imaginary multiple of t2.  A sources take the residue route of
-saito.residue_structure_A over the group's own coordinates and build no
-Milnor algebra; D6 takes the tensor route.  F4 and H4 carry printed potentials
-in a normalization that differs from that route by coordinate
-rescalings, so they are stored as fixtures and every claim about them is
-checked in place.  No E potential is built.
+for H3 an imaginary multiple of t2.  Every source takes the residue route
+of saito.residue_structure over the group's own coordinates, and no
+Milnor algebra is built.  F4 and H4 carry printed potentials in a
+normalization that differs from that route by coordinate rescalings, so
+they are stored as fixtures and every claim about them is checked in
+place.  No E potential is built; the D and E nonexistence checks read
+their closed Milnor algebras.
 Also here: the open solution families of A_N, B_N and I2(k) with the
 lambda-rescaling action, the boundary correlator recursion, the
 homogeneous open ansatz that the I2 classification and the H3
@@ -52,9 +53,7 @@ from .saito import (
     _weighted_tuples,
     from_potential,
     frobenius_structure,
-    metric_and_potential,
-    residue_structure_A,
-    singularity_data,
+    residue_structure,
     t_table,
     third_derivatives,
 )
@@ -206,14 +205,12 @@ def _restriction_images(spec: CoxeterSpec, target: VarTable) -> tuple:
 
 
 def _restricted_structure(spec: CoxeterSpec) -> FrobeniusStructure:
-    """The source singularity's build run on the group's subspace of its
-    flat coordinates; the potential is the source potential there.  A
-    sources take the residue route, D6 the tensor route."""
+    """The source singularity's residue build (saito.residue_structure)
+    run on the group's subspace of its flat coordinates; the potential is
+    the source potential there."""
     family, m = _source_family(spec)
     images = _restriction_images(spec, spec.table())
-    if family == "A":
-        return residue_structure_A(m, images, spec.tag)
-    return metric_and_potential(*singularity_data(family, m), images, spec.tag)
+    return residue_structure(family, m, images, spec.tag)
 
 
 @lru_cache(maxsize=None)
@@ -230,8 +227,8 @@ def _built_structure(tag: str) -> FrobeniusStructure:
 
 def coxeter_structure(group) -> FrobeniusStructure:
     """The Frobenius structure of a finite Coxeter group, by the route the
-    group fixes: A_N and D_N are frobenius_structure; B_N and I2(k) are
-    restricted from A sources by residues, H3 from D6 by the tensor route
+    group fixes: A_N and D_N are frobenius_structure; B_N, I2(k) and H3
+    are restricted from A_{2N-1}, A_{k-1} and D6 on the residue route
     (see the module docstring); F4 and H4 are printed, as their
     restriction runs through E-type flat coordinates, which this library
     does not construct; E6-E8 are refused.  The restricted and printed
@@ -467,10 +464,8 @@ def _check_weight_sums(spec: CoxeterSpec, sums, checked, failures) -> None:
 
 
 def _obstruction_de(spec: CoxeterSpec) -> Report:
-    if spec.family == "D":  # the closed D_n algebra the pipeline caches
-        ten = singularity_data("D", spec.n)[1]
-    else:
-        ten = structure_constants(build_closed_algebra(build_unfolding("E", spec.n)))
+    u = build_unfolding(spec.family, spec.n)
+    ten = structure_constants(build_closed_algebra(u))
     ctab = ten.table
     q = spec.q
     h = spec.h

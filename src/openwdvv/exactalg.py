@@ -1103,6 +1103,10 @@ def _tokenize(src: str) -> list:
     return toks
 
 
+_MAX_POWER = 1000  # largest exponent of a parsed power of a non-monomial
+_MAX_POWER_TERMS = 10_000  # most terms such a power may expand to
+
+
 class _Parser:
     def __init__(self, toks: list, tab: VarTable):
         self.toks = toks
@@ -1157,6 +1161,15 @@ class _Parser:
             e = self.next()
             if not isinstance(e, int):
                 raise ParseError(f"bad exponent {e!r}")
+            k = len(base)
+            # a k-term power has up to C(e + k - 1, k - 1) terms
+            if k >= 2 and (
+                e > _MAX_POWER or math.comb(e + k - 1, k - 1) > _MAX_POWER_TERMS
+            ):
+                raise ParseError(
+                    f"power {e} of a {k}-term base is too large (at most exponent "
+                    f"{_MAX_POWER} and {_MAX_POWER_TERMS} terms)"
+                )
             return base ** (sign * e)
         return base
 
@@ -1180,7 +1193,9 @@ def parse(src: str, tab: VarTable) -> MPoly:
 
     Accepts +, -, *, /, ^, parentheses, integers, 'i', and the table's
     variable names.  Division is by constants or invertible monomials only.
-    Stored values admit at most a simple pole in the Laurent slot.
+    A power e of a base with k >= 2 terms is refused when e > 1000 or
+    when it could expand to C(e + k - 1, k - 1) > 10000 terms.  Stored
+    values admit at most a simple pole in the Laurent slot.
     """
     p = _Parser(_tokenize(src), tab)
     out = p.parse_expr()

@@ -3,12 +3,14 @@ and D singularities, plus exact WDVV and homogeneity verifiers.
 
 Flat coordinates come from closed-form sums over exponent tuples; the
 coordinate change is inverted exactly in one pass of increasing weight.
-Two routes give the flat third derivatives c_{abc}.  A_n and every
-restriction of it take the residue route (residue_structure_A): the
-lowered tensor is r_{a+b+c-3}, one residue sequence of W' = dL/dx, so no
-Milnor algebra is built.  D_n and H3 take the tensor route
-(metric_and_potential): Milnor structure constants, lowered, substituted
-and pulled back.  Both hand c_{abc} to one read-off: the potential has no
+Two routes give the flat third derivatives c_{abc}.  Every build, A_n,
+D_n and each restriction of them (B_n, I2(k), H3), takes the residue
+route (residue_structure): the lowered tensor comes from one residue
+sequence r_s = [phi_l] NF(x^s), read off the relations of dL/dx and
+dL/dy, so no Milnor algebra is built.  The tensor route
+(metric_and_potential, fed by singularity_data) lowers, substitutes and
+pulls back Milnor structure constants; the tests keep it as the oracle of
+the residue route.  Both hand c_{abc} to one read-off: the potential has no
 term below cubic (3 - delta > 2 >= q_a + q_b), so each monomial is fixed
 by the c_{abc} of its three smallest indices; the third partials that
 check integrability then give the metric and grading, as from_potential
@@ -32,6 +34,7 @@ from .exactalg import (
     MPoly,
     PolyError,
     VarTable,
+    _ImagePowers,
     _render_term,
     dot,
     rat,
@@ -53,7 +56,7 @@ __all__ = [
     "flat_coords_D",
     "invert_coords",
     "metric_and_potential",
-    "residue_structure_A",
+    "residue_structure",
     "frobenius_structure",
     "singularity_data",
     "third_derivatives",
@@ -205,9 +208,10 @@ def invert_coords(t_of_v, ttab: VarTable, images=None):
     over ttab; by default it is the a-th variable of ttab.  Write
     t^a = v_a + h_a(v).  In a graded change h_a involves only variables
     lighter than v_a, so one pass in increasing weight solves
-    v_a = images[a] - h_a(v) with every v in h_a already known, and each
-    h_a is substituted once.  An h_a that involves a variable not yet
-    solved is refused, and the result is checked by exact
+    v_a = images[a] - h_a(v) with every v in h_a already known.  Every h_a
+    and the check go through one table of monomial images, so each power
+    and monomial of the solved v is formed once.  An h_a that involves a
+    variable not yet solved is refused, and the result is checked by exact
     back-substitution against the images.
     """
     vtab = t_of_v[0].table
@@ -219,18 +223,24 @@ def invert_coords(t_of_v, ttab: VarTable, images=None):
     if vtab.weights is None:
         raise PolyError("coordinate table needs weights")
     names = vtab.names
-    solved = {}
+    # one table of monomial images, grown by each solved v_a: every image it
+    # holds involves solved variables only, so no entry goes stale
+    powers = _ImagePowers(vtab, ttab, {})
     for a in sorted(range(n), key=vtab.weights.__getitem__):
         h = t_of_v[a] - MPoly.variable(vtab, names[a])
-        late = [nm for nm in names if nm not in solved and h.depends_on(nm)]
+        late = [
+            nm
+            for j, nm in enumerate(names)
+            if j not in powers.imgs and h.depends_on(nm)
+        ]
         if late:
             raise PolyError(
                 f"t^{a + 1} is not graded: {late[0]} is not lighter than {names[a]}"
             )
-        solved[names[a]] = images[a] - h.substitute(solved, ttab)
-    if substitute_all(t_of_v, solved, ttab) != list(images):
+        powers.imgs[a] = images[a] - powers.apply(h)
+    if [powers.apply(t) for t in t_of_v] != list(images):
         raise PolyError("inverse fails exact back-substitution")
-    return [solved[nm] for nm in names]
+    return [powers.imgs[a] for a in range(n)]
 
 
 # ---------- tensor calculus ----------
@@ -386,8 +396,10 @@ def metric_and_potential(
 ) -> FrobeniusStructure:
     """The potential whose third derivatives are the structure constants in
     flat coordinates, on the flat coordinates of u or on a linear subspace
-    of them, as from_potential's structure: the tensor route, taken for
-    D_n and H3 and kept as the oracle of residue_structure_A.
+    of them, as from_potential's structure: the tensor route.  No build
+    takes it; it is the oracle of residue_structure in the tests, and it
+    takes any unfolding whose structure tensor and flat coordinates are
+    given.
 
     The fully lowered tensor is the phi_l-coefficient of triple products;
     pulling it through the Jacobian of v(t) gives c_{abc} = d3F/dt.dt.dt
@@ -439,62 +451,135 @@ def metric_and_potential(
     return fs
 
 
-def residue_structure_A(n: int, images=None, label=None) -> FrobeniusStructure:
-    """The structure of A_n, or its restriction along images, read off the
-    residue sequence of W' = dL/dx.
+def residue_structure(
+    family: str, n: int, images=None, label=None
+) -> FrobeniusStructure:
+    """The structure of A_n or D_n, or its restriction along images, read
+    off one residue sequence r_s = [phi_l] NF(x^s) of the Milnor ring.
 
-    dL/dv_a = x^{a-1} and W' = x^n + ... is monic, so the lowered tensor
-    [x^{n-1}] NF(x^{a-1} x^{b-1} x^{c-1}) depends on a + b + c alone: it is
-    r_{a+b+c-3} with r_s = [x^{n-1}](x^s mod W').  The r_s are formed over
-    the target ring, with v already v(t), and pulled back as
-    c_{al be ga} = sum J_{a,al} J_{b,be} J_{c,ga} r_{a+b+c-3} with
-    J = dv/dt.  No Milnor algebra is built.  images and label are as for
-    metric_and_potential, and _read_off makes the same checks.
+    dL/dv_a = phi_a, with phi_a = x^{a-1} for every a of A_n and every
+    a < n of D_n, where phi_n = y.  The lowered tensor
+    T(a, b, c) = [phi_l] NF(phi_a phi_b phi_c) of three x-monomials is
+    then r_{a+b+c-3}.  A_n reads r_s at x^{n-1}, off x^s mod W'.  D_n reads
+    it at x^{n-2} and reduces its y insertions to r by xy = h and
+    y^2 = sum_j s_j x^j (_d_relations): T(a, b, n) = h r_{a+b-3},
+    T(a, n, n) = sum_j s_j r_{a-1+j} and T(n, n, n) = 0.  The r_s are
+    formed over the target ring, with v already v(t), and pulled back
+    through J = dv/dt.  No Milnor algebra is built.  images and label are
+    as for metric_and_potential, and _read_off makes the same checks.
     """
-    u, t_of_v = _flat_source("A", n)
+    if family not in ("A", "D"):
+        raise PolyError(f"no residue route for family {family!r}")
+    u, t_of_v = _flat_source(family, n)
     vtab = t_of_v[0].table
     ttab, images, restricted = _target(u.weights, images)
     v_of_t = invert_coords(t_of_v, ttab, images)
-
-    # W' = x^n + sum_{j < n} w_j x^j, each -w_j over the target ring.
-    # x^{s+n} = x^s (x^n - W') mod W', so r_{s+n} = -sum_j w_j r_{s+j},
-    # from r_0..r_{n-1} = 0, ..., 0, 1 (x^s for s < n is its own normal form).
-    parts = u.poly.diff("x").collect(("x",))
-    if parts.pop((n,)) != MPoly.constant(u.table, 1):
-        raise PolyError(f"W' of {u.label()} is not monic")
     vmap = dict(zip(vtab.names, v_of_t))
-    lower = substitute_all([-p for p in parts.values()], vmap, ttab)
-    neg_w = list(zip([j for (j,) in parts], lower))
-    r = [MPoly.zero(ttab)] * (n - 1) + [MPoly.constant(ttab, 1)]
-    for s in range(2 * n - 2):
-        r.append(dot(((w, r[s + j]) for j, w in neg_w if r[s + j]), ttab))
+
+    # x^n = sum_j rho_j x^j in the Milnor ring, and phi_l = x^top
+    if family == "A":  # W' = x^n + sum_{j < n} w_j x^j
+        top = n - 1
+        parts = u.poly.diff("x").collect(("x",))
+        if parts.pop((n,)) != MPoly.constant(u.table, 1):
+            raise PolyError(f"W' of {u.label()} is not monic")
+        lower = substitute_all([-p for p in parts.values()], vmap, ttab)
+        rho = dict(zip([j for (j,) in parts], lower))
+    else:  # x y^2 = h y gives x^n = -h^2 + sum_{j < n-2} s_j x^{j+2}
+        top = n - 2
+        h, s = _d_relations(u, vmap, ttab)
+        rho = {0: -(h * h)} | {j + 2: c for j, c in s.items() if j < top}
+    r = _residues(rho, n, top, ttab)
 
     # c_{al be ga} = sum_k P_{al be}(k) R_ga(k), with the pair sums
     # P_{al be}(k) = sum_{a+b=k} J_{a al} J_{b be} and
-    # R_ga(k) = sum_c J_{c ga} r_{k+c-3}, all over live Jacobian entries
+    # R_ga(k) = sum_c J_{c ga} r_{k+c-3}, over live entries of the x rows of J
     m = ttab.arity
-    cols = [_live([v.diff(nm) for v in v_of_t]) for nm in ttab.names]
-    ks = range(2, 2 * n + 1)
+    cols = [_live([v.diff(nm) for v in v_of_t[: top + 1]]) for nm in ttab.names]
+    ks = range(2, 2 * top + 3)
     R = [
         {k: dot(((j, r[k + c - 3]) for c, j in col if r[k + c - 3]), ttab) for k in ks}
         for col in cols
     ]
-    cflat = {}
+    P = {}
     for al, be in combinations_with_replacement(range(1, m + 1), 2):
         by_k = {}
         for a, ja in cols[al - 1]:
             for b, jb in cols[be - 1]:
                 by_k.setdefault(a + b, []).append((ja, jb))
-        pair = {k: dot(prs, ttab) for k, prs in by_k.items()}
-        for ga in range(be, m + 1):
-            rg = R[ga - 1]
-            cflat[(al, be, ga)] = dot(
-                ((p, rg[k]) for k, p in pair.items() if rg[k]), ttab
-            )
+        P[(al, be)] = {k: dot(prs, ttab) for k, prs in by_k.items()}
+
+    # D_n: with Y = J_{n .} the row of v_n, one y adds Y_al h Q_{be ga} with
+    # Q_{be ga} = sum_k P_{be ga}(k) r_{k-3}, two y add Y_be Y_ga S_al with
+    # S_al = sum_{c<n} J_{c al} T(c, n, n), each in its three rotations
+    Y = [v_of_t[-1].diff(nm) for nm in ttab.names] if family == "D" else []
+    ys = any(Y)
+    if ys:
+        hY = [h * y for y in Y]
+        tnn = [
+            dot(((w, r[c - 1 + j]) for j, w in s.items() if r[c - 1 + j]), ttab)
+            for c in range(1, n)
+        ]
+        S = [
+            dot(((j, tnn[c - 1]) for c, j in col if tnn[c - 1]), ttab) for col in cols
+        ]
+        Q = {
+            bc: dot(((p, r[k - 3]) for k, p in pk.items() if k > 2 and r[k - 3]), ttab)
+            for bc, pk in P.items()
+        }
+    cflat = {}
+    for al, be, ga in combinations_with_replacement(range(1, m + 1), 3):
+        rg = R[ga - 1]
+        pairs = [(p, rg[k]) for k, p in P[(al, be)].items() if rg[k]]
+        if ys:
+            for a, b, c in ((al, be, ga), (be, al, ga), (ga, al, be)):
+                if Y[a - 1]:
+                    pairs.append((Q[(b, c)], hY[a - 1]))
+                if Y[b - 1] and Y[c - 1]:
+                    pairs.append((S[a - 1], Y[b - 1] * Y[c - 1]))
+        cflat[(al, be, ga)] = dot(pairs, ttab)
     fs = _read_off(cflat, ttab, label or u.label(), restricted)
     if not restricted:
         fs = replace(fs, v_table=vtab, t_of_v=tuple(t_of_v), v_of_t=tuple(v_of_t))
     return fs
+
+
+def _d_relations(u: Unfolding, vmap, ttab: VarTable) -> tuple:
+    """(h, s) of D_n at v -> v(t): xy = h and y^2 = sum_j s[j] x^j in the
+    Milnor ring, read off dL/dy = 2xy + nu and
+    dL/dx = y^2 + x^{n-2} + sum_{j < n-2} w_j x^j, so h = -nu/2,
+    s[n-2] = -1 and s[j] = -w_j.  Any other shape is refused."""
+    n = u.n
+    one = MPoly.constant(u.table, 1)
+    dy = u.poly.diff("y").collect(("x", "y"))
+    dx = u.poly.diff("x").collect(("x", "y"))
+    nu = dy.pop((0, 0), MPoly.zero(u.table))
+    if dy != {(1, 1): 2 * one}:
+        raise PolyError(f"dL/dy of {u.label()} is not 2xy + nu")
+    if (
+        dx.pop((0, 2), None) != one
+        or dx.pop((n - 2, 0), None) != one
+        or any(b or a >= n - 2 for a, b in dx)
+    ):
+        raise PolyError(f"dL/dx of {u.label()} is not y^2 + x^{n - 2} + lower x")
+    nu, *ws = substitute_all([nu, *dx.values()], vmap, ttab)
+    s = {n - 2: MPoly.constant(ttab, -1)}
+    s.update((a, -w) for (a, _), w in zip(dx, ws))
+    return nu * rat(-1, 2), s
+
+
+def _residues(rho, n: int, top: int, ttab: VarTable) -> list:
+    """r_s = [x^top] NF(x^s) for s <= 3 top, given x^n = sum_j rho[j] x^j.
+
+    x^s is its own normal form for s <= top, and r_s = sum_j rho[j]
+    r_{s-n+j} from s = top + 1 on, one dot per residue; an index below
+    zero stands for a normal form with no x^top term (for D_n the y of
+    x^{n-1})."""
+    r = [MPoly.zero(ttab)] * top + [MPoly.constant(ttab, 1)]
+    for s in range(top + 1, 3 * top + 1):
+        lo = s - n
+        pairs = ((w, r[lo + j]) for j, w in rho.items() if lo + j >= 0 and r[lo + j])
+        r.append(dot(pairs, ttab))
+    return r
 
 
 @lru_cache(maxsize=None)
@@ -508,20 +593,17 @@ def _flat_source(family: str, n: int) -> tuple:
 @lru_cache(maxsize=None)
 def singularity_data(family: str, n: int) -> tuple:
     """The unfolding, structure tensor and flat coordinates (a tuple) of A_n
-    or D_n, the inputs of metric_and_potential.  Cached, so D6 and its
-    H3 restriction share one Milnor algebra; the A_n data serve only as
-    the oracle of residue_structure_A."""
+    or D_n, the inputs of metric_and_potential.  Cached; no build reads it,
+    and the data serve the tensor route as the oracle of
+    residue_structure."""
     u, coords = _flat_source(family, n)
     return u, structure_constants(build_closed_algebra(u)), coords
 
 
 @lru_cache(maxsize=None)
 def frobenius_structure(family: str, n: int) -> FrobeniusStructure:
-    """Cached full structure of A_n (residue_structure_A) or D_n
-    (metric_and_potential)."""
-    if family == "A":
-        return residue_structure_A(n)
-    return metric_and_potential(*singularity_data(family, n))
+    """Cached full structure of A_n or D_n (residue_structure)."""
+    return residue_structure(family, n)
 
 
 def _structure(label: str, potential: MPoly, t1_slice) -> FrobeniusStructure:

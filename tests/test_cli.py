@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import openwdvv
-from openwdvv import openext, saito
+from openwdvv import coxeter, openext, saito
 from openwdvv.cli import _build_parser, _emit_report, main
 from openwdvv.coxeter import (
     classify_I2,
@@ -227,14 +227,17 @@ class TestVerifyVerbs:
             assert got == digest, fmt
 
     def test_verify_all_builds_each_singularity_once(self, capsys, monkeypatch):
-        # A_n, B_n and I2(k) are read off residues of W' and build no closed
-        # algebra; H3 restricts D6, and each D source's Milnor algebra is
-        # computed once
+        # every A and D source, and B_n, I2(k) and H3 restricted from them,
+        # is read off residues and builds no closed algebra; the D
+        # obstructions, which read the closed D_n algebra, start at D4
         calls = []
-        real = saito.structure_constants
-        monkeypatch.setattr(
-            saito, "structure_constants", lambda alg: calls.append(alg) or real(alg)
-        )
+        for module in (saito, coxeter):
+            real = module.structure_constants
+            monkeypatch.setattr(
+                module,
+                "structure_constants",
+                lambda alg, real=real: calls.append(alg) or real(alg),
+            )
         # the extension and omega checks share one extended algebra
         built = []
         real_ext = openext.build_extended_algebra
@@ -248,9 +251,7 @@ class TestVerifyVerbs:
             cached.cache_clear()
         code, _, _ = run(capsys, "verify", "all", "--max-rank", "3")
         assert code == 0
-        labels = sorted(alg.label() for alg in calls)
-        # D3, and D6 for H3; no A closed algebra
-        assert labels == ["D3 closed", "D6 closed"]
+        assert [alg.label() for alg in calls] == []
         # extension A1-A3, D3 and omega D3
         assert sorted(u.label() for u in built) == ["A1", "A2", "A3", "D3"]
 

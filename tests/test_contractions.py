@@ -30,7 +30,7 @@ from openwdvv.saito import (
     frobenius_structure,
     metric_and_potential,
     partials,
-    residue_structure_A,
+    residue_structure,
     singularity_data,
     third_derivatives,
     verify_wdvv,
@@ -306,4 +306,11 @@ class TestDotCounts:
     def test_residue_structure_a6(self, monkeypatch):
         # the residues r_6..r_15, the sums R_ga(k) of 6 columns over k = 2..12,
         # the pair sums P_{al be}(k) with a live term, and one dot per c_{al be ga}
-        assert count_dots(monkeypatch, residue_structure_A, 6) == 10 + 66 + 100 + 56
+        assert count_dots(monkeypatch, residue_structure, "A", 6) == 10 + 66 + 100 + 56
+
+    def test_residue_structure_d6(self, monkeypatch):
+        # the residues r_5..r_12, the sums R_ga(k) of 6 columns over k = 2..10,
+        # the pair sums P_{al be}(k) with a live term, T(c,6,6) for c < 6,
+        # S_ga per column, Q_{be ga} per pair, and one dot per c_{al be ga}
+        got = count_dots(monkeypatch, residue_structure, "D", 6)
+        assert got == 8 + 54 + 75 + 5 + 6 + 21 + 56

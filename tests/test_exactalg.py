@@ -121,6 +121,21 @@ class TestPolyBasics:
         with pytest.raises(PolyError):
             parse("y", tab)
 
+    def test_parse_bounds_powers_of_non_monomials(self):
+        # the bound is checked before expanding, so refused sizes cost nothing
+        for bad in (
+            "(x+1)^1001",
+            "(x+y+1)^140",  # C(142, 2) = 10011 terms
+            "(x+y+z+1)^40",  # C(43, 3) = 12341 terms
+            "((x+y)^100)^100",  # the inner power has 101 terms
+            "(x-z)^99999999999999999999",
+        ):
+            with pytest.raises(ParseError, match="too large"):
+                parse(bad, WTAB)
+        assert parse("(x+1)^3", WTAB) == parse("x^3 + 3*x^2 + 3*x + 1", WTAB)
+        assert len(parse("(x+y+z)^4", WTAB)) == 15
+        assert parse("(2*x*y)^1001", WTAB) == parse("2^1001*x^1001*y^1001", WTAB)
+
     def test_from_json_rejects_malformed_terms(self):
         def doc(**term):
             return json.dumps({"vars": ["x"], "terms": [term]})

@@ -31,7 +31,7 @@ from openwdvv.saito import (
     metric_and_potential,
     partials,
     pullback,
-    residue_structure_A,
+    residue_structure,
     singularity_data,
     t_table,
     third_derivatives,
@@ -168,7 +168,7 @@ class TestFlatCoordinates:
 class TestResidueRoute:
     def test_full_a_matches_tensor_route(self):
         for n in range(1, 9):
-            got = residue_structure_A(n)
+            got = residue_structure("A", n)
             want = metric_and_potential(*singularity_data("A", n))
             assert got == want, n
 
@@ -177,11 +177,37 @@ class TestResidueRoute:
         for tag in tags:
             family, m, images = restriction(tag)
             assert family == "A"
-            got = residue_structure_A(m, images, tag)
+            got = residue_structure("A", m, images, tag)
             want = metric_and_potential(*singularity_data("A", m), images, tag)
             assert got.potential == want.potential, tag
             assert got.eta == want.eta and got.eta_inv == want.eta_inv, tag
             assert got.label == tag and got.t_of_v is None, tag
+
+    def test_full_d_matches_tensor_route(self):
+        for n in range(3, 11):
+            got = residue_structure("D", n)
+            want = metric_and_potential(*singularity_data("D", n))
+            assert got == want, n
+
+    def test_h3_matches_tensor_route(self):
+        family, m, images = restriction("H3")
+        assert (family, m) == ("D", 6)
+        got = residue_structure(family, m, images, "H3")
+        want = metric_and_potential(*singularity_data(family, m), images, "H3")
+        assert got == want
+        assert got.label == "H3" and got.t_of_v is None
+
+    def test_refuses_other_d_relations(self, monkeypatch):
+        u, coords = saito._flat_source("D", 4)
+        x, y, v1 = (MPoly.variable(u.table, nm) for nm in ("x", "y", "v1"))
+        for extra, which in ((x * y * y, "dL/dy"), (v1 * x ** 3, "dL/dx")):
+            bad = replace(u, poly=u.poly + extra)
+            monkeypatch.setattr(saito, "_flat_source", lambda f, n: (bad, coords))
+            with pytest.raises(PolyError, match=which):
+                residue_structure("D", 4)
+        monkeypatch.undo()
+        with pytest.raises(PolyError, match="no residue route"):
+            residue_structure("E", 6)
 
     def test_refuses_imaginary_restrictions(self):
         # A3 on t2 = 0, t3 = i*t2: every surviving term is imaginary
@@ -189,7 +215,7 @@ class TestResidueRoute:
         x1, x2 = (MPoly.variable(tab, nm) for nm in tab.names)
         images = [x1, MPoly.zero(tab), x2 * GaussianRational(0, 1)]
         for build in (
-            lambda: residue_structure_A(3, images, "im"),
+            lambda: residue_structure("A", 3, images, "im"),
             lambda: metric_and_potential(*singularity_data("A", 3), images, "im"),
         ):
             with pytest.raises(PolyError, match="imaginary"):
@@ -200,9 +226,9 @@ class TestResidueRoute:
         x1, x2 = (MPoly.variable(tab, nm) for nm in tab.names)
         for images in ([x1, x2, MPoly.zero(tab)], [x1, MPoly.zero(tab), x2 * x2]):
             with pytest.raises(PolyError):
-                residue_structure_A(3, images)
+                residue_structure("A", 3, images)
         with pytest.raises(PolyError):
-            residue_structure_A(3, [x1, MPoly.zero(tab)])
+            residue_structure("A", 3, [x1, MPoly.zero(tab)])
 
     def test_tampered_coordinates_fail(self, monkeypatch):
         # t^2 of A4 picks up v4^2, of the same weight 4/5: still graded and
@@ -214,7 +240,21 @@ class TestResidueRoute:
         saito._flat_source.cache_clear()  # the source data are shared
         try:
             with pytest.raises(PolyError, match="integrability failure .* A4"):
-                residue_structure_A(4)
+                residue_structure("A", 4)
+        finally:
+            saito._flat_source.cache_clear()
+
+    def test_tampered_d_coordinates_fail(self, monkeypatch):
+        # t^2 of D5 picks up v3*v4, of the same weight 3/4: still graded and
+        # invertible, but no longer flat
+        coords = flat_coords_D(5)
+        v3, v4 = (MPoly.variable(coords[0].table, nm) for nm in ("v3", "v4"))
+        bad = coords[:1] + [coords[1] + v3 * v4] + coords[2:]
+        monkeypatch.setattr(saito, "flat_coords_D", lambda n: bad)
+        saito._flat_source.cache_clear()
+        try:
+            with pytest.raises(PolyError, match="integrability failure .* D5"):
+                residue_structure("D", 5)
         finally:
             saito._flat_source.cache_clear()
 
