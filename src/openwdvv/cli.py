@@ -70,7 +70,7 @@ from .openext import (
     verify_vector_potential,
 )
 from .report import Report, merge
-from .saito import frobenius_structure, verify_wdvv
+from .saito import _flat_source, invert_coords, t_table, verify_wdvv
 
 
 def _tag(family: str, n: int) -> str:
@@ -166,11 +166,13 @@ def _cmd_open_potential(args) -> int:
 def _coords(args, forward: bool) -> int:
     if args.family not in ("A", "D"):
         raise PolyError("flat coordinates are constructed for A and D only")
-    fs = frobenius_structure(args.family, args.n)
+    # only the coordinate change: no potential is built
+    u, t_of_v = _flat_source(args.family, args.n)
+    ttab = t_table(u.weights)
     if forward:
-        pairs = list(zip(fs.table.names, fs.t_of_v))
+        pairs = list(zip(ttab.names, t_of_v))
     else:
-        pairs = list(zip(fs.v_table.names, fs.v_of_t))
+        pairs = list(zip(t_of_v[0].table.names, invert_coords(t_of_v, ttab)))
     if args.format == "json":
         print(
             json.dumps(

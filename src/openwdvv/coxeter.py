@@ -33,6 +33,7 @@ from .exactalg import (
     MPoly,
     PolyError,
     VarTable,
+    _WIDTH,
     dot,
     parse,
     rat,
@@ -50,7 +51,7 @@ from .openext import (
 from .report import Report
 from .saito import (
     FrobeniusStructure,
-    _weighted_tuples,
+    _weighted_keys,
     from_potential,
     frobenius_structure,
     residue_structure,
@@ -292,7 +293,7 @@ def lambda_rescale(fo: MPoly, lam) -> MPoly:
         lam = GaussianRational(rat(lam))
     s = tab.laurent
     if not lam:
-        if any(exp[li] <= 0 for exp in fo.terms):
+        if any(tab._field(k, li) <= 0 for k in fo._keys()):
             raise PolyError("lambda = 0 needs F° to vanish at s = 0")
         return fo.coefficient_of(s, 1) * MPoly.variable(tab, s)
     return dot(
@@ -320,8 +321,8 @@ def _built_family(tag: str) -> SolutionFamily:
         gen = open_generator_A(src.n, src_tab).substitute(images, tab)
     else:
         raise PolyError(f"{spec.tag} has no polynomial open solutions")
-    li = gen.table.laurent_index
-    domain = "C*" if any(exp[li] == 0 for exp in gen.terms) else "C"
+    tab, li = gen.table, gen.table.laurent_index
+    domain = "C*" if any(tab._field(k, li) == 0 for k in gen._keys()) else "C"
     expected = (
         "C*"
         if (spec.family == "A" and spec.n >= 2)
@@ -430,15 +431,16 @@ def _open_ansatz(base: FrobeniusStructure) -> MPoly:
     total = (3 - base.delta) / 2
     scale = math.lcm(total.denominator, *(w.denominator for w in ext.weights))
     weights = [int(w * scale) for w in ext.weights[1:]]
-    shape = _weighted_tuples(weights, int(total * scale))
+    shape = _weighted_keys(weights, int(total * scale))
     m = len(shape)
     names = ext.names + tuple(f"b{j}" for j in range(m))
     tab = VarTable(names, ext.weights + (Fraction(0),) * m, "s")
-    terms = {(1,) + (0,) * (base.rank - 1) + (1,) + (0,) * m: GaussianRational(1)}
-    for j, e in enumerate(shape):
-        c = rat(1, math.prod(map(math.factorial, e)))
-        terms[(0,) + e + tuple(int(i == j) for i in range(m))] = GaussianRational(c)
-    return MPoly(tab, terms)
+    n = base.rank
+    # the shape keys start at t2, slot 1 of tab; b_j sits in slot n + 1 + j
+    ratios = {tab.pack((1,) + (0,) * (n - 1) + (1,) + (0,) * m): (1, 1)}
+    for j, (key, _, _, q) in enumerate(shape):
+        ratios[tab._one + (key << _WIDTH) + (1 << (_WIDTH * (n + 1 + j)))] = (1, q)
+    return MPoly._from_ratios(tab, ratios)
 
 
 # ---------- nonexistence obstructions ----------

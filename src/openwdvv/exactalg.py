@@ -19,10 +19,13 @@ Inside, a polynomial is held in an integer layout:
 * the imaginary numerators sit in a second map that exists only when
   some coefficient is not real.
 
-Products, sums, derivatives, the Euler operator and substitution run on
-these ints.  Fractions and GaussianRationals are built only at the edges:
-the read-only terms view (exponent tuple -> GaussianRational), the
-coefficient queries, and the text and JSON forms.
+Products, sums, derivatives, the Euler operator, substitution and the
+builders of saito, openext and coxeter (int ratios by packed key, through
+MPoly._from_ratios) run on these ints.
+Fractions and GaussianRationals are made only at the edges: MPoly(table,
+terms), scalar operands, table weights and degrees, the read-only terms
+view (exponent tuple -> GaussianRational), the coefficient queries, and
+the text and JSON forms.
 
 Canonical order is graded lexicographic: terms sort by total degree, then
 by exponent tuple.  The text form and the JSON form both list terms in this
@@ -457,6 +460,18 @@ class MPoly:
         if im is not None and 0 in im.values():
             im = {k: v for k, v in im.items() if v}
         return MPoly._new(table, *_reduced(num, den, im or None))
+
+    @staticmethod
+    def _from_ratios(table: VarTable, ratios: dict, im: dict | None = None):
+        """Constructor from packed keys and coefficients p/q, q > 0, as int
+        pairs (real parts in ratios, imaginary ones in im) over the lcm of
+        the q's; ExponentError when a key left its slot's range."""
+        im = im or {}
+        den = math.lcm(1, *(q for _, q in ratios.values()), *(q for _, q in im.values()))
+        num = {k: p * (den // q) for k, (p, q) in ratios.items()}
+        ims = {k: p * (den // q) for k, (p, q) in im.items()}
+        table._check_keys(num.keys() | ims.keys())
+        return MPoly._from_ints(table, num, den, ims or None)
 
     def _coeff(self, key: int) -> GaussianRational:
         d = self._den
@@ -1105,6 +1120,7 @@ def _tokenize(src: str) -> list:
 
 _MAX_POWER = 1000  # largest exponent of a parsed power of a non-monomial
 _MAX_POWER_TERMS = 10_000  # most terms such a power may expand to
+_MAX_PRODUCT = 1_000_000  # most term products one parsed product may take
 
 
 class _Parser:
@@ -1147,6 +1163,11 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.next()
             rhs = self.parse_factor()
+            if op == "*" and len(acc) * len(rhs) > _MAX_PRODUCT:
+                raise ParseError(
+                    f"product of {len(acc)} and {len(rhs)} terms is too large "
+                    f"(at most {_MAX_PRODUCT} term products)"
+                )
             acc = acc * rhs if op == "*" else acc / rhs
         return acc
 
@@ -1194,15 +1215,16 @@ def parse(src: str, tab: VarTable) -> MPoly:
     Accepts +, -, *, /, ^, parentheses, integers, 'i', and the table's
     variable names.  Division is by constants or invertible monomials only.
     A power e of a base with k >= 2 terms is refused when e > 1000 or
-    when it could expand to C(e + k - 1, k - 1) > 10000 terms.  Stored
-    values admit at most a simple pole in the Laurent slot.
+    when it could expand to C(e + k - 1, k - 1) > 10000 terms, and a
+    product a*b when len(a)*len(b) > 10^6 term products.  Stored values
+    admit at most a simple pole in the Laurent slot.
     """
     p = _Parser(_tokenize(src), tab)
     out = p.parse_expr()
     if p.peek() is not None:
         raise ParseError(f"trailing input at token {p.peek()!r}")
     li = tab.laurent_index
-    if li is not None and out and min(e[li] for e in out.terms) < -1:
+    if li is not None and out and min(tab._field(k, li) for k in out._keys()) < -1:
         raise ParseError("stored values admit at most a simple pole")
     return out
 

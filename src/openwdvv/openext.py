@@ -40,7 +40,7 @@ from .saito import (
     FrobeniusStructure,
     _contractions,
     _first_monomial,
-    _weighted_tuples,
+    _weighted_keys,
     frobenius_structure,
     partials,
     pullback,
@@ -124,14 +124,12 @@ def open_generator_A(n: int, tab: VarTable) -> MPoly:
     The coefficient of prod (t^a)^{m_a} * s^k is (n_pts + k - 2)! divided
     by the automorphisms prod m_a! * k!, summed over the multiplicity
     vectors with sum m_a * (n + 2 - a) + k = n + 2."""
-    terms = {}
-    for exp in _weighted_tuples(range(n + 1, 0, -1), n + 2):
-        *mult, k = exp
-        c = rat(math.factorial(sum(mult) + k - 2), math.factorial(k))
-        for m in mult:
-            c = c / math.factorial(m)
-        terms[exp] = GaussianRational(c)
-    return MPoly(tab, terms)
+    if tab.arity != n + 1:
+        raise PolyError(f"the A{n} generator needs the table t1..t{n}, s")
+    return MPoly._from_ratios(tab, {
+        key + tab._one: (math.factorial(m - 2), q)
+        for key, m, _, q in _weighted_keys(range(n + 1, 0, -1), n + 2)
+    })
 
 
 @lru_cache(maxsize=None)
@@ -416,15 +414,14 @@ def omega_sequence(n: int, kmax: int) -> OmegaSequence:
     u = build_unfolding("D", n)
     vtab = VarTable(u.table.names[2 : n + 1], u.table.weights[2 : n + 1])
     wts = [n - i for i in range(1, n)]
-    closed = []
-    for k in range(kmax + 1):
-        terms = {}
-        for alpha in _weighted_tuples(wts, k):
-            c = rat(math.factorial(sum(alpha)))
-            for i, a in enumerate(alpha, start=1):
-                c = c * rat(1 - i) ** a / math.factorial(a)
-            terms[alpha] = c
-        closed.append(MPoly(vtab, terms))
+    bases = [1 - i for i in range(1, n)]
+    closed = [
+        MPoly._from_ratios(vtab, {
+            key: (math.factorial(m) * p // q, 1)
+            for key, m, p, q in _weighted_keys(wts, k, bases)
+        })
+        for k in range(kmax + 1)
+    ]
     sbar = [
         (1 - i) * MPoly.variable(vtab, f"v{i}") for i in range(1, n)
     ]

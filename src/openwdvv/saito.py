@@ -3,6 +3,9 @@ and D singularities, plus exact WDVV and homogeneity verifiers.
 
 Flat coordinates come from closed-form sums over exponent tuples; the
 coordinate change is inverted exactly in one pass of increasing weight.
+Coordinates and potential are formed as ints over one denominator;
+Fractions are made only for weights, delta, the metric (invert_matrix)
+and the factors of verify_homogeneity.
 Two routes give the flat third derivatives c_{abc}.  Every build, A_n,
 D_n and each restriction of them (B_n, I2(k), H3), takes the residue
 route (residue_structure): the lowered tensor comes from one residue
@@ -34,7 +37,9 @@ from .exactalg import (
     MPoly,
     PolyError,
     VarTable,
+    _FIELD,
     _ImagePowers,
+    _WIDTH,
     _render_term,
     dot,
     rat,
@@ -130,23 +135,27 @@ def invert_matrix(rows) -> tuple:
 # ---------- flat coordinates ----------
 
 
-def _weighted_tuples(weights, total):
-    """All nonnegative integer tuples a with sum weights[i]*a[i] == total."""
+def _weighted_keys(weights, total, bases=None) -> list:
+    """(key, m, p, q) for each tuple a >= 0 with sum weights[i]*a[i] == total,
+    in lexicographic order: key packs a (slot i at bit 16i, no bias),
+    m = sum(a) and p/q = prod bases[i]^a[i] / prod a[i]! (bases default 1)."""
+    bases = bases or [1] * len(weights)
+    last = len(weights) - 1
     out = []
 
-    def rec(i, rem, acc):
-        if i == len(weights):
-            if rem == 0:
-                out.append(tuple(acc))
+    def rec(i, rem, key, m, p, q):
+        w, b, sh = weights[i], bases[i], _WIDTH * i
+        if i == last:
+            a, r = divmod(rem, w)
+            if not r:
+                out.append((key + (a << sh), m + a, p * b ** a, q * math.factorial(a)))
             return
-        w = weights[i]
-        top = rem // w
-        for a in range(top + 1):
-            acc.append(a)
-            rec(i + 1, rem - w * a, acc)
-            acc.pop()
+        for a in range(rem // w + 1):
+            rec(i + 1, rem - w * a, key + (a << sh), m + a, p, q)
+            p *= b
+            q *= a + 1
 
-    rec(0, total, [])
+    rec(0, total, 0, 0, 1, 1)
     return out
 
 
@@ -155,18 +164,15 @@ def flat_coords_A(n: int) -> list:
     u = build_unfolding("A", n)
     vtab = parameter_table(u)
     wts = [n + 2 - i for i in range(1, n + 1)]
-    coords = []
-    for g in range(1, n + 1):
-        terms = {}
-        for alpha in _weighted_tuples(wts, n + 2 - g):
-            m = sum(alpha)
-            c = rat(1, n + 1 - g)
-            for k in range(m):
-                c = c * (n + 1 - g - k * (n + 1))
-            for a in alpha:
-                c = c / math.factorial(a)
-            terms[alpha] = GaussianRational(c)
-        coords.append(MPoly(vtab, terms))
+    step = n + 1
+    # t^g at v^a: prod_{0 < k < m} (n + 1 - g - k(n + 1)) / prod a_i!, m = sum(a)
+    coords = [
+        MPoly._from_ratios(vtab, {
+            key: (math.prod(range(-g, -g - (m - 1) * step, -step)), q)
+            for key, m, _, q in _weighted_keys(wts, n + 2 - g)
+        })
+        for g in range(1, n + 1)
+    ]
     _check_flat_homogeneity(coords, u)
     return coords
 
@@ -177,18 +183,15 @@ def flat_coords_D(n: int) -> list:
     u = build_unfolding("D", n)
     vtab = parameter_table(u)
     wts = [n - i for i in range(1, n)]
+    step = 2 * (n - 1)
     coords = []
     for g in range(1, n):
-        terms = {}
-        for alpha in _weighted_tuples(wts, n - g):
-            m = sum(alpha)
-            c = rat(-1, 2) ** (m - 1)
-            for k in range(m - 1):
-                c = c * (2 * g - 1 + 2 * k * (n - 1))
-            for a in alpha:
-                c = c / math.factorial(a)
-            terms[alpha + (0,)] = GaussianRational(c)
-        coords.append(MPoly(vtab, terms))
+        # t^g at v^a: (-1/2)^{m-1} prod_{k < m-1} (2g - 1 + 2k(n - 1)) / prod a_i!
+        ratios = {}
+        for key, m, _, q in _weighted_keys(wts, n - g):
+            p = math.prod(range(2 * g - 1, 2 * g - 1 + (m - 1) * step, step))
+            ratios[key] = (p if m % 2 else -p, q << (m - 1))
+        coords.append(MPoly._from_ratios(vtab, ratios))
     coords.append(MPoly.variable(vtab, f"v{n}"))
     _check_flat_homogeneity(coords, u)
     return coords
@@ -368,23 +371,26 @@ def _read_off(cflat, ttab: VarTable, label: str, restricted: bool):
     third partials give the t1 slice, which must be a constant
     nondegenerate metric.  A restricted group must come out real.
     """
-    terms = {}
-    for key, c in cflat.items():
-        for exp, coeff in c.terms.items():
-            if any(exp[: key[-1] - 1]):
-                continue
-            e = list(exp)
-            for a in key:
-                e[a - 1] += 1
-            fall = math.prod(math.perm(e[a - 1], key.count(a)) for a in set(key))
-            terms[tuple(e)] = coeff / fall
-    potential = MPoly(ttab, terms)
+    if ttab.laurent_index is not None:
+        raise PolyError(f"no read-off of {label} over a table with a Laurent slot")
+    parts = ({}, {})  # packed key -> (p, q), real and imaginary
+    for abc, c in cflat.items():
+        low = (1 << (_WIDTH * (abc[-1] - 1))) - 1  # the fields of t_1..t_{c-1}
+        up = sum(1 << (_WIDTH * (a - 1)) for a in abc)
+        mult = [(_WIDTH * (a - 1), abc.count(a)) for a in set(abc)]
+        for part, maps in zip(parts, (c._num, c._im or {})):
+            for k, v in maps.items():
+                if not k & low:
+                    k += up
+                    fall = math.prod(math.perm((k >> sh) & _FIELD, r) for sh, r in mult)
+                    part[k] = (v, c._den * fall)
+    potential = MPoly._from_ratios(ttab, *parts)
 
     d3 = partials(potential, ttab.names, 3)
     for (al, be, ga), want in cflat.items():
         if d3[(al, be, ga)] != want:
             raise PolyError(f"integrability failure at ({al},{be},{ga}) for {label}")
-    if restricted and any(c.im for c in potential.terms.values()):
+    if restricted and potential._im:
         raise PolyError(f"restriction for {label} left imaginary parts")
     m = ttab.arity
     pairs = combinations_with_replacement(range(1, m + 1), 2)

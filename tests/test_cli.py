@@ -98,6 +98,41 @@ class TestConstructiveVerbs:
         for c, p in zip(fwd["coords"], fs.t_of_v):
             assert MPoly.from_json(json.dumps(c["expr"])) == p
 
+    def test_coords_build_no_structure(self, capsys, monkeypatch):
+        # the coordinate verbs print t(v) and its inverse and build no
+        # potential: with the residue route refusing and the structure
+        # cache empty, they still serve, with the structure's rendering
+        want = {}
+        for verb, family, n in (("flat-coords", "A", 6), ("invert-coords", "D", 6)):
+            fs = frobenius_structure(family, n)
+            if verb == "flat-coords":
+                pairs = zip(fs.table.names, fs.t_of_v)
+            else:
+                pairs = zip(fs.v_table.names, fs.v_of_t)
+            want[verb] = "".join(f"{nm} = {p.text()}\n" for nm, p in pairs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a coordinate verb built a Frobenius structure")
+
+        monkeypatch.setattr(saito, "residue_structure", refuse)
+        frobenius_structure.cache_clear()
+        for argv in (("flat-coords", "A", "6"), ("invert-coords", "D", "6")):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            assert out == want[argv[0]], argv
+        assert frobenius_structure.cache_info().currsize == 0
+        for argv, message in (
+            (("flat-coords", "A", "0"), "error: A_n needs n >= 1\n"),
+            (("flat-coords", "D", "2"), "error: D_n needs n >= 3\n"),
+            (("invert-coords", "D", "1"), "error: D_n needs n >= 3\n"),
+            (
+                ("invert-coords", "E", "6"),
+                "error: flat coordinates are constructed for A and D only\n",
+            ),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", message), argv
+
     def test_correlators_text(self, capsys):
         code, out, _ = run(capsys, "correlators", "A", "2", "--max-n", "2")
         assert code == 0

@@ -13,7 +13,7 @@ import pytest
 
 from openwdvv import openext, saito
 from openwdvv.coxeter import _open_ansatz, coxeter_structure, open_family
-from openwdvv.exactalg import MPoly, dot, rat
+from openwdvv.exactalg import _WIDTH, MPoly, dot, rat
 from openwdvv.openext import (
     OpenExtension,
     open_potential_A,
@@ -26,7 +26,7 @@ from openwdvv.openext import (
 from openwdvv.report import Report
 from openwdvv.saito import (
     _first_monomial,
-    _weighted_tuples,
+    _weighted_keys,
     frobenius_structure,
     metric_and_potential,
     partials,
@@ -182,8 +182,9 @@ def bumped(p: MPoly) -> MPoly:
     d = p.weighted_degree()
     ws = tab.weights[1:]
     scale = math.lcm(d.denominator, *(w.denominator for w in ws))
-    shape = _weighted_tuples([int(w * scale) for w in ws], int(d * scale))
-    return p + MPoly(tab, {(0,) + exp: 1 for exp in shape})
+    shape = _weighted_keys([int(w * scale) for w in ws], int(d * scale))
+    # the shape keys start at t2, slot 1 of tab
+    return p + MPoly._from_ints(tab, {tab._one + (k << _WIDTH): 1 for k, *_ in shape})
 
 
 def open_extension_of(tag):

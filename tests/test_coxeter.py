@@ -22,7 +22,7 @@ from openwdvv.coxeter import (
     printed_open_potential,
     printed_potential,
 )
-from openwdvv.exactalg import GaussianRational, MPoly, PolyError, parse, rat
+from openwdvv.exactalg import GaussianRational, MPoly, PolyError, VarTable, parse, rat
 from openwdvv.openext import extended_table, open_wdvv_equations, verify_open_wdvv
 from openwdvv.saito import frobenius_structure, from_potential, verify_wdvv
 
@@ -345,9 +345,10 @@ class TestObstructions:
     def test_h3_candidate_monomials(self):
         # all (t1, t2, t3, s) monomials of weighted degree 11/10 under
         # weights (1, 3/5, 1/5, 1/10): the unit term plus nine unknowns
-        from openwdvv.saito import _weighted_tuples
+        from openwdvv.saito import _weighted_keys
 
-        got = set(_weighted_tuples((10, 6, 2, 1), 11))
+        plain = VarTable(("t1", "t2", "t3", "s"))  # unpacks the unbiased keys
+        got = {plain.unpack(key) for key, *_ in _weighted_keys((10, 6, 2, 1), 11)}
         want = {
             (1, 0, 0, 1),
             (0, 1, 2, 1), (0, 1, 1, 3), (0, 1, 0, 5),

@@ -10,6 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from openwdvv import exactalg
 from openwdvv.coxeter import coxeter_structure
 from openwdvv.exactalg import (
     ExponentError,
@@ -135,6 +136,25 @@ class TestPolyBasics:
         assert parse("(x+1)^3", WTAB) == parse("x^3 + 3*x^2 + 3*x + 1", WTAB)
         assert len(parse("(x+y+z)^4", WTAB)) == 15
         assert parse("(2*x*y)^1001", WTAB) == parse("2^1001*x^1001*y^1001", WTAB)
+
+    def test_parse_bounds_products(self, monkeypatch):
+        # the bound is checked before multiplying: 1771 * 1771 term products
+        with pytest.raises(ParseError, match="product of 1771 and 1771 terms"):
+            parse("(x+y+z+1)^20*(x+y+z+1)^20", WTAB)
+        monkeypatch.setattr(exactalg, "_MAX_PRODUCT", 100)
+        assert len(parse("(x+1)^9*(y+1)^9", WTAB)) == 100
+        assert parse("x*(x+1)^99*2", WTAB) == parse("2*x*(x+1)^99", WTAB)
+        for bad in ("(x+1)^10*(y+1)^9", "(x+1)^9*(y+1)^9*(z+1)"):
+            with pytest.raises(ParseError, match="at most 100 term products"):
+                parse(bad, WTAB)
+
+    def test_from_ratios(self):
+        x, s = LTAB.pack((1, 0)), LTAB.pack((0, -1))
+        got = MPoly._from_ratios(LTAB, {x: (1, 6), s: (-3, 4)}, {x: (2, 9)})
+        assert got == parse("(1/6+2/9*i)*x - 3/4*s^-1", LTAB)
+        assert got._den == 36
+        with pytest.raises(ExponentError):
+            MPoly._from_ratios(LTAB, {x + (1 << 15): (1, 1)})
 
     def test_from_json_rejects_malformed_terms(self):
         def doc(**term):
