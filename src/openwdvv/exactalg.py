@@ -21,7 +21,10 @@ Inside, a polynomial is held in an integer layout:
 
 Products, sums, derivatives, the Euler operator, substitution and the
 builders of saito, openext and coxeter (int ratios by packed key, through
-MPoly._from_ratios) run on these ints.
+MPoly._from_ratios) run on these ints.  dot is the one accumulation loop:
+a * b, a - b, mixed or Gaussian a + b, non-integer scalar multiples and
+substitution all run through it; only a + b over one real denominator
+and a real polynomial times an int keep their own one-pass paths.
 Fractions and GaussianRationals are made only at the edges: MPoly(table,
 terms), scalar operands, table weights and degrees, the read-only terms
 view (exponent tuple -> GaussianRational), the coefficient queries, and
@@ -325,94 +328,6 @@ class VarTable:
             raise ExponentError("an exponent left the packed range of its slot")
 
 
-def _mac(acc: dict, xs: dict, ys: dict, f: int, off: int) -> None:
-    """acc += f * xs * ys over packed keys; off is subtracted once per product
-    key (the constant monomial's bias).  Zero sums stay in acc."""
-    if len(xs) > len(ys):
-        xs, ys = ys, xs
-    get = acc.get
-    ys = ys.items()
-    for k1, c1 in xs.items():
-        k1 -= off
-        c1 *= f
-        for k2, c2 in ys:
-            k = k1 + k2
-            acc[k] = get(k, 0) + c1 * c2
-
-
-def _axpy(acc: dict, xs: dict, c: int) -> None:
-    """acc += c * xs."""
-    get = acc.get
-    for k, v in xs.items():
-        acc[k] = get(k, 0) + c * v
-
-
-class _Sum:
-    """A sum of polynomials and products accumulated in place over one
-    table: numerators in one dict (and an imaginary one when needed) over
-    one denominator, normalised once by result()."""
-
-    __slots__ = ("table", "num", "im", "den")
-
-    def __init__(self, table: VarTable):
-        self.table = table
-        self.num = {}
-        self.im = None
-        self.den = 1
-
-    def _over(self, d: int) -> int:
-        """Bring the running denominator to a multiple of d; return the
-        factor that puts an addend over d on it."""
-        D = self.den
-        if D % d == 0:
-            return D // d
-        g = math.gcd(D, d)
-        f = d // g
-        self.den = D * f
-        self.num = {k: v * f for k, v in self.num.items()}
-        if self.im:
-            self.im = {k: v * f for k, v in self.im.items()}
-        return D // g
-
-    def _imag(self) -> dict:
-        if self.im is None:
-            self.im = {}
-        return self.im
-
-    def add(self, p: "MPoly", re: int = 1, im: int = 0, den: int = 1):
-        """self += (re + im*i)/den * p."""
-        f = self._over(p._den * den)
-        if re:
-            _axpy(self.num, p._num, re * f)
-            if p._im:
-                _axpy(self._imag(), p._im, re * f)
-        if im:
-            _axpy(self._imag(), p._num, im * f)
-            if p._im:
-                _axpy(self.num, p._im, -im * f)
-
-    def add_product(self, a: "MPoly", b: "MPoly"):
-        """self += a * b."""
-        f = self._over(a._den * b._den)
-        off = self.table._one
-        _mac(self.num, a._num, b._num, f, off)
-        if a._im or b._im:
-            im = self._imag()
-            if a._im and b._im:
-                _mac(self.num, a._im, b._im, -f, off)
-            if b._im:
-                _mac(im, a._num, b._im, f, off)
-            if a._im:
-                _mac(im, a._im, b._num, f, off)
-
-    def result(self, den: int = 1) -> "MPoly":
-        """The accumulated sum divided by den."""
-        self.table._check_keys(self.num.keys())
-        if self.im:
-            self.table._check_keys(self.im.keys())
-        return MPoly._from_ints(self.table, self.num, self.den * den, self.im)
-
-
 _new_poly = object.__new__
 
 
@@ -641,14 +556,18 @@ class MPoly:
         self._check_table(other)
         if not other:
             return self
-        if self._den == other._den and self._im is None and other._im is None:
-            num = dict(self._num)
-            _axpy(num, other._num, 1)
-            return MPoly._from_ints(self.table, num, self._den)
-        s = _Sum(self.table)
-        s.add(self)
-        s.add(other)
-        return s.result()
+        den = self._den
+        if den != other._den or self._im is not None or other._im is not None:
+            return dot(((self, 1), (other, 1)), self.table)
+        num = dict(self._num)
+        get = num.get
+        for k, v in other._num.items():
+            num[k] = get(k, 0) + v
+        if 0 in num.values():
+            num = {k: v for k, v in num.items() if v}
+        if den != 1:
+            num, den, _ = _reduced(num, den, None)
+        return MPoly._new(self.table, num, den)
 
     __radd__ = __add__
 
@@ -659,39 +578,21 @@ class MPoly:
     def __sub__(self, other) -> "MPoly":
         if not isinstance(other, MPoly):
             other = MPoly.constant(self.table, other)
-        self._check_table(other)
-        s = _Sum(self.table)
-        s.add(self)
-        s.add(other, -1)
-        return s.result()
+        return dot(((self, 1), (other, -1)), self.table)
 
     def __rsub__(self, other) -> "MPoly":
         return MPoly.constant(self.table, other).__sub__(self)
 
     def __mul__(self, other) -> "MPoly":
-        if not isinstance(other, MPoly):
-            re, im, den = _scalar_ints(other)
-            if not re and not im:
+        if type(other) is int and self._im is None:
+            if not other:
                 return MPoly.zero(self.table)
-            if not im and den == 1 and self._im is None:
-                g = math.gcd(self._den, re)
-                f = re // g
-                return MPoly._new(
-                    self.table, {k: v * f for k, v in self._num.items()}, self._den // g
-                )
-            s = _Sum(self.table)
-            s.add(self, re, im, den)
-            return s.result()
-        self._check_table(other)
-        if self._im is None and other._im is None:
-            tab = self.table
-            num = {}
-            _mac(num, self._num, other._num, 1, tab._one)
-            tab._check_keys(num.keys())
-            return MPoly._from_ints(tab, num, self._den * other._den)
-        s = _Sum(self.table)
-        s.add_product(self, other)
-        return s.result()
+            g = math.gcd(self._den, other)
+            f = other // g
+            return MPoly._new(
+                self.table, {k: v * f for k, v in self._num.items()}, self._den // g
+            )
+        return dot(((self, other),), self.table)
 
     __rmul__ = __mul__
 
@@ -914,23 +815,116 @@ def _reduced(num: dict, den: int, im: dict | None) -> tuple:
     return num, den, im
 
 
-def dot(pairs, table: VarTable) -> MPoly:
-    """sum(a * b for a, b in pairs) over table, accumulated in one dict.
+def dot(pairs, table: VarTable, den: int = 1) -> MPoly:
+    """sum(a * b for a, b in pairs) / den over table.
 
-    The second factor of a pair may be a scalar; no intermediate product
-    or partial sum is built."""
-    s = _Sum(table)
+    This is the one accumulation loop of the kernel: products,
+    differences, mixed sums, non-integer scalar multiples and substitution
+    all run through it.  The second factor of a pair may be a scalar (int,
+    Fraction or GaussianRational).  Integer numerators accumulate in one
+    dict over one running denominator, lifted only when an addend's
+    denominator does not divide it; no intermediate product or partial sum
+    is built, and the result is normalised once."""
+    num = {}
+    im = None
+    D = 1
+    off = table._one
+    get = num.get
     for a, b in pairs:
         if a.table is not table:
             _same_table(table, a.table)
-        if isinstance(b, MPoly):
+        if type(b) is MPoly:
             if b.table is not table:
                 _same_table(table, b.table)
-            if (a._num or a._im) and (b._num or b._im):
-                s.add_product(a, b)
+            if a._im is not None or b._im is not None:
+                D, im = _add_gaussian(num, im, D, off, a, b._num, b._im, b._den)
+                continue
+            xs, ys = a._num, b._num
+            if not xs or not ys:
+                continue
+            d = a._den * b._den
+            if D % d:
+                D = _lift(num, im, D, d)
+            f = D // d
+            if len(xs) > len(ys):
+                xs, ys = ys, xs
+            ys = ys.items()
+            for k1, c1 in xs.items():
+                k1 -= off
+                c1 *= f
+                for k2, c2 in ys:
+                    k = k1 + k2
+                    num[k] = get(k, 0) + c1 * c2
         else:
-            s.add(a, *_scalar_ints(b))
-    return s.result()
+            re, bi, d = (b, 0, 1) if type(b) is int else _scalar_ints(b)
+            if bi or a._im is not None:
+                D, im = _add_gaussian(
+                    num, im, D, off, a, {off: re} if re else {}, {off: bi} if bi else None, d
+                )
+                continue
+            xs = a._num
+            if not xs or not re:
+                continue
+            d *= a._den
+            if D % d:
+                D = _lift(num, im, D, d)
+            c = re * (D // d)
+            for k, v in xs.items():
+                num[k] = get(k, 0) + c * v
+    if num:
+        table._check_keys(num)
+        if 0 in num.values():
+            num = {k: v for k, v in num.items() if v}
+    if im:
+        table._check_keys(im)
+        if 0 in im.values():
+            im = {k: v for k, v in im.items() if v}
+    im = im or None
+    D *= den
+    if D != 1:
+        num, D, im = _reduced(num, D, im)
+    return MPoly._new(table, num, D, im)
+
+
+def _lift(num: dict, im: dict | None, D: int, d: int) -> int:
+    """Scale num and im (or None) in place from denominator D to lcm(D, d);
+    return it."""
+    f = d // math.gcd(D, d)
+    for k, v in num.items():
+        num[k] = v * f
+    if im:
+        for k, v in im.items():
+            im[k] = v * f
+    return D * f
+
+
+def _add_gaussian(num, im, D, off, a, bre, bim, bden) -> tuple:
+    """The pairs of dot with an imaginary part: num + i*im over D gains
+    a * (bre + i*bim)/bden, bre and bim numerators by packed key (bim, and
+    im until a pair needs it, may be None).  Returns the new D and im."""
+    ai = a._im or {}
+    bim = bim or {}
+    if not (a._num or ai) or not (bre or bim):
+        return D, im
+    if im is None:
+        im = {}
+    d = a._den * bden
+    if D % d:
+        D = _lift(num, im, D, d)
+    f = D // d
+    for xs, ys, c, acc in (
+        (a._num, bre, f, num), (ai, bim, -f, num), (a._num, bim, f, im), (ai, bre, f, im)
+    ):
+        if len(xs) > len(ys):
+            xs, ys = ys, xs
+        get = acc.get
+        for k1, c1 in xs.items():
+            k1 -= off
+            c1 *= c
+            for k2, c2 in ys.items():
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    return D, im
 
 
 def _same_table(a: VarTable, b: VarTable) -> None:
@@ -1003,7 +997,8 @@ class _ImagePowers:
         got = self.monos.get(key)
         if got is None:
             src = self.src
-            j = max(j for j in range(src.arity) if src._field(key, j))
+            # the XOR zeroes exactly the fields at exponent 0, the Laurent bias too
+            j = ((key ^ src._one).bit_length() - 1) // _WIDTH
             e = src._field(key, j)
             prefix = key - (e << (_WIDTH * j))
             got = self.power(j, e)
@@ -1013,14 +1008,12 @@ class _ImagePowers:
         return got
 
     def apply(self, p: MPoly) -> MPoly:
-        s = _Sum(self.target)
         mono = self.mono
-        for k, v in p._num.items():
-            s.add(mono(k), v)
+        pairs = [(mono(k), v) for k, v in p._num.items()]
         if p._im:
-            for k, v in p._im.items():
-                s.add(mono(k), 0, v)
-        return s.result(p._den)
+            pairs += [(mono(k), GaussianRational._make(_R0, Fraction(v)))
+                      for k, v in p._im.items()]
+        return dot(pairs, self.target, p._den)
 
 
 def substitute_all(polys, images: Mapping[str, MPoly], target: VarTable | None = None):

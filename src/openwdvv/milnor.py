@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactalg import MPoly, PolyError, VarTable, dot, substitute_all
 from .report import Report
@@ -85,8 +86,10 @@ def parameter_table(u: Unfolding) -> VarTable:
     return VarTable(u.table.names[2:], u.table.weights[2:])
 
 
+@lru_cache(maxsize=None)
 def build_unfolding(family: str, n: int) -> Unfolding:
-    """Universal unfolding of A_n, D_n (n >= 3), or E_n (n in {6, 7, 8})."""
+    """Universal unfolding of A_n, D_n (n >= 3), or E_n (n in {6, 7, 8}),
+    built once per process: an Unfolding is frozen and its MPoly immutable."""
     if family == "A":
         if n < 1:
             raise PolyError("A_n needs n >= 1")

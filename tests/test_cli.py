@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import openwdvv
-from openwdvv import coxeter, openext, saito
+from openwdvv import cli, coxeter, openext, saito
 from openwdvv.cli import _build_parser, _emit_report, main
 from openwdvv.coxeter import (
     classify_I2,
@@ -339,6 +339,14 @@ class TestUsageErrors:
             code, _, err = run(capsys, *argv)
             assert code == 2, argv
             assert err.startswith("error: "), argv
+
+    def test_verify_all_rank_bound(self, capsys, monkeypatch):
+        # refused before the sweep starts; nothing past the bound is run
+        monkeypatch.setattr(cli, "_sweep", lambda max_rank: pytest.fail("swept"))
+        for rank in (cli.MAX_RANK + 1, 10 ** 9, 0):
+            code, out, err = run(capsys, "verify", "all", f"--max-rank={rank}")
+            assert (code, out) == (2, ""), rank
+            assert err == f"error: --max-rank must be between 1 and 12, not {rank}\n"
 
     def test_d_has_no_sign_branch(self, capsys):
         for argv in (

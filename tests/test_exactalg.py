@@ -2,12 +2,13 @@
 sympy cross-check of products and derivatives."""
 
 import json
+import math
 from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from openwdvv import exactalg
@@ -37,7 +38,7 @@ def scalars():
     return st.builds(GaussianRational, small_fractions(), small_fractions())
 
 
-def polys(tab=WTAB, min_exp=0, max_exp=4, max_terms=5):
+def polys(tab=WTAB, min_exp=0, max_exp=4, max_terms=5, coeffs=None):
     li = tab.laurent_index
     slots = [
         st.integers(min_value=min_exp if j == li else 0, max_value=max_exp)
@@ -45,8 +46,30 @@ def polys(tab=WTAB, min_exp=0, max_exp=4, max_terms=5):
     ]
     return st.builds(
         lambda d: MPoly(tab, d),
-        st.dictionaries(st.tuples(*slots), scalars(), max_size=max_terms),
+        st.dictionaries(st.tuples(*slots), coeffs if coeffs is not None else scalars(),
+                        max_size=max_terms),
     )
+
+
+def laurent_polys():
+    """Real and Gaussian polynomials over LTAB, poles included."""
+    return st.one_of(
+        polys(LTAB, min_exp=-2, max_exp=3, max_terms=3, coeffs=small_fractions()),
+        polys(LTAB, min_exp=-2, max_exp=3, max_terms=3),
+    )
+
+
+def factors():
+    """Second factors of a dot pair: int, Fraction, GaussianRational or poly."""
+    return st.one_of(
+        st.integers(min_value=-5, max_value=5), small_fractions(), scalars(), laurent_polys()
+    )
+
+
+def _assert_canonical(p):
+    assert p._den > 0 and 0 not in p._num.values()
+    assert p._im is None or (p._im and 0 not in p._im.values())
+    assert math.gcd(p._den, *p._num.values(), *(p._im or {}).values()) == 1
 
 
 class TestScalars:
@@ -281,6 +304,23 @@ class TestPolyBasics:
             " + 1/253440*t3^11"
         )
 
+    def test_image_powers_top_slot_on_a_laurent_table(self):
+        # _ImagePowers.mono peels the highest slot with a nonzero exponent
+        # off each key; the Laurent field stores exponent 0 as its bias
+        src = VarTable(("x", "y", "s"), None, "s")
+        target = VarTable(("u", "w"), None, "w")
+        u, w = MPoly.variable(target, "u"), MPoly.variable(target, "w")
+        imgs = {0: u + 1, 1: u * u - 2, 2: 3 * w}
+        table = exactalg._ImagePowers(src, target, dict(imgs))
+        for exp in ((2, 1, 0), (1, 0, -2), (3, 0, 0), (0, 2, -1), (0, 0, 1)):
+            want = MPoly.constant(target, 1)
+            for j, e in enumerate(exp):
+                want = want * imgs[j] ** e
+            assert table.mono(src.pack(exp)) == want
+        p = parse("x^2*y - 3*x*s^-1 + x^3 + 1", src)
+        got = p.substitute({"x": imgs[0], "y": imgs[1], "s": imgs[2]}, target)
+        assert got == (u + 1) ** 2 * (u * u - 2) - (u + 1) * w ** -1 + (u + 1) ** 3 + 1
+
     def test_euler_needs_weights(self):
         tab = VarTable(("x",))
         with pytest.raises(PolyError):
@@ -339,6 +379,13 @@ class TestPolyProperties:
         assert dot(pairs, WTAB) == want
         assert dot(iter(pairs), WTAB) == want
 
+    @given(st.lists(st.tuples(laurent_polys(), factors()), max_size=4),
+           laurent_polys(), factors())
+    def test_results_are_canonical(self, pairs, p, b):
+        # MPoly.__eq__ compares raw dicts, so every result must be reduced
+        for got in (dot(pairs, LTAB), p * b, p + b, p - b):
+            _assert_canonical(got)
+
     @given(polys(max_exp=3), st.integers(min_value=0, max_value=3))
     def test_integer_powers(self, p, k):
         prod = MPoly.constant(WTAB, 1)
@@ -347,11 +394,18 @@ class TestPolyProperties:
         assert p ** k == prod
 
 
+def _sympy_scalar(c):
+    c = GaussianRational(c) if not isinstance(c, GaussianRational) else c
+    return (sympy.Rational(int(c.re.numerator), int(c.re.denominator))
+            + sympy.I * sympy.Rational(int(c.im.numerator), int(c.im.denominator)))
+
+
 def _to_sympy(p, syms):
+    if not isinstance(p, MPoly):
+        return _sympy_scalar(p)
     acc = sympy.Integer(0)
     for exp, c in p.terms.items():
-        term = sympy.Rational(int(c.re.numerator), int(c.re.denominator))
-        term += sympy.I * sympy.Rational(int(c.im.numerator), int(c.im.denominator))
+        term = _sympy_scalar(c)
         for s, e in zip(syms, exp):
             term *= s ** e
         acc += term
@@ -374,6 +428,38 @@ class TestAgainstSympy:
         for s, nm in zip(self.syms, LTAB.names):
             got = _to_sympy(p.diff(nm), self.syms)
             assert sympy.expand(got - sympy.diff(_to_sympy(p, self.syms), s)) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(laurent_polys(), factors()), max_size=5))
+    # a denominator lift after an imaginary part exists, in each pair shape
+    @example([(parse("i*x + s^-1", LTAB), 1), (parse("x*s^-1", LTAB), rat(1, 3))])
+    @example([(parse("2*i*s", LTAB), parse("x", LTAB)),
+              (parse("x + 1/5*s^-1", LTAB), parse("1/7*x", LTAB))])
+    @example([(parse("x", LTAB), GaussianRational(0, 1)),
+              (parse("s^-1", LTAB), GaussianRational(rat(1, 2), rat(-1, 9))),
+              (parse("1/4*x^2", LTAB), parse("(1+i)*s - 1/6", LTAB))])
+    def test_dot_mixed_pairs(self, pairs):
+        # dot is the kernel's one accumulation loop, which a * b and a + b
+        # also run through, so the reference is sympy's
+        syms = self.syms
+        want = sum((_to_sympy(a, syms) * _to_sympy(b, syms) for a, b in pairs),
+                   sympy.Integer(0))
+        assert sympy.expand(_to_sympy(dot(pairs, LTAB), syms) - want) == 0
+
+    def test_dot_leaving_the_packed_range_raises(self):
+        s, x = MPoly.variable(LTAB, "s"), MPoly.variable(LTAB, "x")
+        top = s ** (2 ** 14 - 1)
+        i = GaussianRational(0, 1)
+        for pairs in (
+            [(top, s)],
+            [(x, 1), (top * i, s)],
+            [(s ** -(2 ** 14), s ** -1), (x, rat(1, 3))],
+        ):
+            with pytest.raises(ExponentError):
+                dot(pairs, LTAB)
+        big = MPoly(WTAB, {(2 ** 15 - 1, 0, 0): GaussianRational(1)})
+        with pytest.raises(ExponentError):
+            dot([(big, MPoly.variable(WTAB, "x"))], WTAB)
 
     def test_substitution(self):
         tab = VarTable(("x", "y"))

@@ -17,6 +17,7 @@ from openwdvv.milnor import (
     ideal_quotient_consistency,
     structure_constants,
 )
+from openwdvv.saito import _flat_source
 
 
 class TestUnfoldings:
@@ -49,6 +50,15 @@ class TestUnfoldings:
         for family, n in (("D", 2), ("E", 5), ("E", 9), ("Q", 3), ("A", 0)):
             with pytest.raises(PolyError):
                 build_unfolding(family, n)
+
+    def test_built_once_per_process(self):
+        # the flat coordinates and the shared source of a build ask for the
+        # same unfolding; the second request must reuse the first
+        build_unfolding.cache_clear()
+        _flat_source.cache_clear()
+        _flat_source("D", 7)
+        assert build_unfolding.cache_info().misses == 1
+        assert build_unfolding("D", 7) is _flat_source("D", 7)[0]
 
 
 class TestClosedAlgebra:
