@@ -10,8 +10,8 @@ of saito.residue_structure over the group's own coordinates, and no
 Milnor algebra is built.  F4 and H4 carry printed potentials in a
 normalization that differs from that route by coordinate rescalings, so
 they are stored as fixtures and every claim about them is checked in
-place.  No E potential is built; the D and E nonexistence checks read
-their closed Milnor algebras.
+place.  No E potential is built; the D and E nonexistence checks reduce
+one product of their closed Milnor algebras.
 Also here: the open solution families of A_N, B_N and I2(k) with the
 lambda-rescaling action, the boundary correlator recursion, the
 homogeneous open ansatz that the I2 classification and the H3
@@ -39,7 +39,7 @@ from .exactalg import (
     rat,
     sqrt_coefficient,
 )
-from .milnor import build_closed_algebra, build_unfolding, structure_constants
+from .milnor import build_closed_algebra, build_unfolding
 from .openext import (
     _extend,
     extended_table,
@@ -466,9 +466,12 @@ def _check_weight_sums(spec: CoxeterSpec, sums, checked, failures) -> None:
 
 
 def _obstruction_de(spec: CoxeterSpec) -> Report:
-    u = build_unfolding(spec.family, spec.n)
-    ten = structure_constants(build_closed_algebra(u))
-    ctab = ten.table
+    """D_n and E6-E8: the one product phi_al*phi_be of the closed Milnor
+    algebra, reduced to the basis, must be the pattern row c^mu_{al,be}
+    for every mu, and the weight sums must rule the open terms out.  Only
+    that product is reduced; no structure tensor is built."""
+    alg = build_closed_algebra(build_unfolding(spec.family, spec.n))
+    ctab = alg.coeff_table
     q = spec.q
     h = spec.h
     checked = []
@@ -496,10 +499,11 @@ def _obstruction_de(spec: CoxeterSpec) -> Report:
             ]
         else:
             sums = [("2*q3", 2 * q[2], Fraction(4, 3))]
+    row = alg.coeffs(alg.phi(al) * alg.phi(be))
     for mu in range(1, spec.rank + 1):
         checked.append(1)
         want = parse(comps[mu], ctab) if mu in comps else MPoly.zero(ctab)
-        if ten.c(mu, al, be) != want:
+        if row[mu - 1] != want:
             failures.append(f"c^{mu}_({al},{be})")
     _check_weight_sums(spec, sums, checked, failures)
     return Report(f"obstruction({spec.tag})", sum(checked), tuple(failures))

@@ -237,7 +237,12 @@ class QuotientAlgebra:
         )
 
     def coeffs(self, p: MPoly) -> list:
-        """Basis coefficients of normal_form(p), over the parameter ring."""
+        """Basis coefficients of normal_form(p), over the parameter ring.
+
+        coeff_table is the contiguous slice of the algebra table past the
+        generators, so each coefficient, whose generator slots collect()
+        zeroed, moves there by one shift of every key (exactalg._rekey's
+        slice path)."""
         parts = self.normal_form(p).collect(self.gens)
         for g in parts:
             if g not in self.basis:

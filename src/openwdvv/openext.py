@@ -463,16 +463,21 @@ def check_dn_second_derivative_identity(n: int) -> bool:
     base = frobenius_structure("D", n)
     vtab = base.v_table
     vn = vtab.names
-    sbar = [(1 - i) * MPoly.variable(vtab, f"v{i}") for i in range(1, n)]
+    # -sbar_i = (i - 1) v_i, the weights of the tail
+    neg_sbar = [(i - 1) * MPoly.variable(vtab, f"v{i}") for i in range(1, n)]
     for g in range(1, n):
         t = base.t_of_v[g - 1]
         d2 = partials(t, vn[: n - 1], 2)
         for a in range(1, n):
             for b in range(1, n):
-                lhs = d2[(a, b) if a <= b else (b, a)]
-                for i in range(1, a):
-                    j = a - i
-                    lhs = lhs - sbar[n - i - 1] * d2[(j, b) if j <= b else (b, j)]
+                lhs = dot(
+                    [(d2[(a, b) if a <= b else (b, a)], 1)]
+                    + [
+                        (neg_sbar[n - i - 1], d2[(a - i, b) if a - i <= b else (b, a - i)])
+                        for i in range(1, a)
+                    ],
+                    vtab,
+                )
                 if a + b >= n + 1:
                     rhs = t.diff(vn[a + b - n - 1]) * rat(
                         -(2 * (a + b - n) - 1), 2

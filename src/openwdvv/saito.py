@@ -111,11 +111,15 @@ class FrobeniusStructure:
 
 
 def invert_matrix(rows) -> tuple:
-    """Exact inverse of a square GaussianRational matrix (Gauss-Jordan)."""
+    """Exact inverse of a square GaussianRational matrix (Gauss-Jordan).
+
+    Only the nonzero entries of the pivot row are scaled and eliminated
+    with, and a unit pivot is not scaled, so a sparse metric (a signed
+    permutation, say) costs little more than its nonzero entries."""
     n = len(rows)
+    one, zero = GaussianRational(1), GaussianRational(0)
     aug = [
-        [GaussianRational(x.re, x.im) for x in row]
-        + [GaussianRational(1 if i == j else 0) for j in range(n)]
+        [*row] + [one if i == j else zero for j in range(n)]
         for i, row in enumerate(rows)
     ]
     for col in range(n):
@@ -123,12 +127,18 @@ def invert_matrix(rows) -> tuple:
         if pivot is None:
             raise PolyError("matrix is singular")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = GaussianRational(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        live = [(k, x) for k, x in enumerate(aug[col]) if x]
+        if aug[col][col] != 1:
+            inv = one / aug[col][col]
+            live = [(k, x * inv) for k, x in live]
+            for k, x in live:
+                aug[col][k] = x
         for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+            f = aug[r][col]
+            if r != col and f:
+                row = aug[r]
+                for k, x in live:
+                    row[k] = row[k] - f * x
     return tuple(tuple(row[n:]) for row in aug)
 
 
@@ -255,35 +265,53 @@ def pullback(T, first, second, keys, table) -> dict:
 
     T is keyed (a, i, j) with i <= j, so it is symmetric in its last two
     slots.  The matrices are lists of rows indexed by the source index;
-    indices are 1-based, zero entries are skipped, and one index is
-    contracted at a time.  Only the partial sums that keys need are formed.
+    indices are 1-based and zero entries are skipped.  One index is
+    contracted at a time, the two lower slots first and over the nonzero
+    entries of T only:
+
+        P(a, i, ga) = sum_j T[(a, i, j)] * second[j][ga]
+        L(a, be, ga) = sum_i second[i][be] * P(a, i, ga)   (be <= ga)
+        out = sum_a first[a][al] * L(a, be, ga)
+
+    L is symmetric in (be, ga), so it is formed once per unordered pair.
+    Only the partial sums that keys need and that have a nonzero term are
+    formed; an empty one is left out of the next contraction.
     """
     keys = list(keys)
     c1 = [_live(col) for col in zip(*first)]
     c2 = [_live(col) for col in zip(*second)]
-    # (al, be, j) with second[j][ga] != 0, then (al, i, j) with
-    # second[i][be] != 0 under each of them
-    need2 = dict.fromkeys((al, be, j) for al, be, ga in keys for j, _ in c2[ga - 1])
-    need1 = dict.fromkeys(
-        (al, i, j) if i <= j else (al, j, i)
-        for al, be, j in need2
-        for i, _ in c2[be - 1]
-    )
-    p1 = {
-        (al, i, j): dot(((f, T[(a, i, j)]) for a, f in c1[al - 1]), table)
-        for al, i, j in need1
-    }
-    p2 = {
-        (al, be, j): dot(
-            ((g, p1[(al, i, j) if i <= j else (al, j, i)]) for i, g in c2[be - 1]),
-            table,
-        )
-        for al, be, j in need2
-    }
-    return {
-        (al, be, ga): dot(((g, p2[(al, be, j)]) for j, g in c2[ga - 1]), table)
+    rows2 = [dict(_live(row)) for row in second]
+    # (a, be, ga) under each key, then (a, i, ga) with second[i][be] != 0
+    need2 = dict.fromkeys(
+        (a, be, ga) if be <= ga else (a, ga, be)
         for al, be, ga in keys
-    }
+        for a, _ in c1[al - 1]
+    )
+    need1 = dict.fromkeys((a, i, ga) for a, be, ga in need2 for i, _ in c2[be - 1])
+    # the nonzero T[(a, i, j)] by (a, i), both orders of i != j
+    lower = {}
+    for (a, i, j), t in T.items():
+        if t:
+            lower.setdefault((a, i), []).append((j, t))
+            if i != j:
+                lower.setdefault((a, j), []).append((i, t))
+    p1 = {}
+    for a, i, ga in need1:
+        pairs = [(t, rows2[j - 1][ga]) for j, t in lower.get((a, i), ())
+                 if ga in rows2[j - 1]]
+        if pairs:
+            p1[(a, i, ga)] = dot(pairs, table)
+    p2 = {}
+    for a, be, ga in need2:
+        pairs = [(p1[(a, i, ga)], g) for i, g in c2[be - 1] if (a, i, ga) in p1]
+        if pairs:
+            p2[(a, be, ga)] = dot(pairs, table)
+    out = {}
+    for al, be, ga in keys:
+        low = (be, ga) if be <= ga else (ga, be)
+        pairs = [(p2[(a, *low)], f) for a, f in c1[al - 1] if (a, *low) in p2]
+        out[(al, be, ga)] = dot(pairs, table) if pairs else MPoly.zero(table)
+    return out
 
 
 def _live(row) -> list:

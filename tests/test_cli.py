@@ -1,16 +1,20 @@
 """Command line surface: canonical output, JSON round-trips, exit codes."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import openwdvv
-from openwdvv import cli, coxeter, openext, saito
+from openwdvv import cli, openext, saito
 from openwdvv.cli import _build_parser, _emit_report, main
 from openwdvv.coxeter import (
     classify_I2,
@@ -263,16 +267,14 @@ class TestVerifyVerbs:
 
     def test_verify_all_builds_each_singularity_once(self, capsys, monkeypatch):
         # every A and D source, and B_n, I2(k) and H3 restricted from them,
-        # is read off residues and builds no closed algebra; the D
-        # obstructions, which read the closed D_n algebra, start at D4
+        # is read off residues and builds no structure tensor; the D
+        # obstructions, which reduce one product of the closed D_n algebra
+        # and build no tensor either, start at D4
         calls = []
-        for module in (saito, coxeter):
-            real = module.structure_constants
-            monkeypatch.setattr(
-                module,
-                "structure_constants",
-                lambda alg, real=real: calls.append(alg) or real(alg),
-            )
+        real = saito.structure_constants
+        monkeypatch.setattr(
+            saito, "structure_constants", lambda alg: calls.append(alg) or real(alg)
+        )
         # the extension and omega checks share one extended algebra
         built = []
         real_ext = openext.build_extended_algebra
@@ -450,3 +452,70 @@ class TestSharedParser:
         codes = [code for code, _, _ in shared]
         # the list holds each kind of outcome it is meant to hold
         assert {0, 2, ("SystemExit", 0), ("SystemExit", 2)} <= set(codes)
+
+
+# ---------- fuzzing the grammar ----------
+
+VERBS = ("potential", "open-potential", "flat-coords", "invert-coords",
+         "correlators", "verify", "classify", "obstruction", "verfy")
+FAMILIES = ("A", "B", "D", "E", "F", "H", "I2", "X", "i2")
+LAMBDAS = ("1", "1/2", "-1/3", "0", "1/0", "x", "2/-3", "1e3")
+INTS = st.integers(-3, 6).map(str)  # every group of these sizes builds in well under a second
+OPTIONS = st.one_of(
+    st.tuples(st.just("--format"), st.sampled_from(("text", "json", "xml"))),
+    st.tuples(st.just("--lambda"), st.sampled_from(LAMBDAS)),
+    st.sampled_from(LAMBDAS).map(lambda lam: (f"--lambda={lam}",)),
+    st.tuples(st.just("--branch"), st.sampled_from(("plus", "minus", "up"))),
+    st.tuples(st.just("--source"), st.sampled_from(("auto", "printed", "none"))),
+    st.tuples(st.just("--max-n"), INTS),
+    # only refused ranks: an accepted one would run a whole sweep
+    st.tuples(st.just("--max-rank"), st.sampled_from(("0", "13", str(10 ** 9)))),
+    st.just(("-h",)),
+)
+IDENTITIES = st.sampled_from(cli._IDENTITIES + ("bogus",))
+
+
+def _argv_strategy():
+    """argv lists from the CLI grammar: well-formed requests with options in
+    any place, and loose sequences of the same tokens."""
+    unit = st.one_of(
+        st.sampled_from(FAMILIES).map(lambda f: (f,)), INTS.map(lambda n: (n,)),
+        IDENTITIES.map(lambda i: (i,)), OPTIONS,
+    )
+    shaped = st.builds(
+        lambda verb, ident, fam, n, opts, at: _place(
+            [verb, *([ident] if verb == "verify" else []), fam, n], opts, at
+        ),
+        st.sampled_from(VERBS), IDENTITIES, st.sampled_from(FAMILIES), INTS,
+        st.lists(OPTIONS, max_size=3), st.integers(0, 5),
+    )
+    loose = st.builds(
+        lambda verb, units: [*verb, *(tok for u in units for tok in u)],
+        st.lists(st.sampled_from(VERBS), max_size=1), st.lists(unit, max_size=6),
+    )
+    return st.one_of(shaped, loose)
+
+
+def _place(words, opts, at):
+    """words with the option tuples inserted after word number at (clipped),
+    so that options land before, between and after the positionals."""
+    at = min(at, len(words))
+    return words[:at] + [tok for opt in opts for tok in opt] + words[at:]
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(_argv_strategy())
+    def test_every_request_gets_a_documented_exit(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse: --help, usage errors
+                code = exc.code
+        err = err.getvalue()
+        event(f"exit {code}")
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if code == 2:
+            assert any("error: " in line for line in err.splitlines()), argv

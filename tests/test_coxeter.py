@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+from openwdvv import milnor
 from openwdvv.coxeter import (
+    _E_PATTERNS,
     _fixture_text,
     _open_ansatz,
     classify_I2,
@@ -336,6 +338,36 @@ class TestObstructions:
         for tag in ("D4", "D5", "D6", "E6", "E7", "E8", "F4", "H4", "H3"):
             rep = obstruction_check(tag)
             assert rep.ok, rep.summary()
+
+    DE = ("D4", "D5", "D6", "D7", "D8", "E6", "E7", "E8")
+
+    def test_de_obstruction_reads_one_product(self, monkeypatch):
+        # the row c^mu_{al,be} the check compares comes from reducing the one
+        # product phi_al*phi_be; it is that row of the whole structure tensor
+        rows = []
+        real = milnor.QuotientAlgebra.coeffs
+        monkeypatch.setattr(
+            milnor.QuotientAlgebra, "coeffs",
+            lambda alg, p: rows.append((alg, p, real(alg, p))) or rows[-1][2],
+        )
+        for tag in self.DE:
+            rows.clear()
+            assert obstruction_check(tag).ok
+            [(alg, p, row)] = rows
+            n = int(tag[1:])
+            al, be = (2, n) if tag[0] == "D" else _E_PATTERNS[n][:2]
+            assert p == alg.phi(al) * alg.phi(be)
+            ten = milnor.structure_constants(alg)
+            assert row == [ten.c(mu, al, be) for mu in range(1, alg.rank + 1)]
+
+    def test_de_obstruction_builds_no_structure_tensor(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a structure tensor was built")
+
+        monkeypatch.setattr(milnor, "structure_constants", refuse)
+        monkeypatch.setattr(milnor, "StructureTensor", refuse)
+        for tag in self.DE:
+            assert obstruction_check(tag).ok
 
     def test_out_of_scope_groups_rejected(self):
         for tag in ("A3", "B3", "D3", "I2(5)"):

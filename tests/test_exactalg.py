@@ -106,6 +106,15 @@ class TestScalars:
         if a:
             assert a * (GaussianRational(1) / a) == 1
 
+    @given(scalars(), polys())
+    @example(GaussianRational(0, 1), parse("x - 2*y + 1/3", WTAB))
+    @example(GaussianRational(1), parse("x", WTAB))
+    def test_scalar_left_of_a_polynomial_defers_to_it(self, c, p):
+        # the scalar's operators return NotImplemented for a polynomial, so
+        # MPoly's reflected operators run
+        for got, want in ((c * p, p * c), (c + p, p + c), (c - p, -(p - c))):
+            assert isinstance(got, MPoly) and got == want
+
     def test_sqrt(self):
         assert sqrt_coefficient(GaussianRational(rat(4, 9))) == rat(2, 3)
         with pytest.raises(PolyError):
@@ -320,6 +329,51 @@ class TestPolyBasics:
         p = parse("x^2*y - 3*x*s^-1 + x^3 + 1", src)
         got = p.substitute({"x": imgs[0], "y": imgs[1], "s": imgs[2]}, target)
         assert got == (u + 1) ** 2 * (u * u - 2) - (u + 1) * w ** -1 + (u + 1) ** 3 + 1
+
+    def test_rekey_onto_a_slice_matches_slot_by_slot(self, monkeypatch):
+        # the slice path shifts every key by 16g; _moved is the slot-by-slot
+        # path it bypasses, so it must not run here
+        moved = exactalg._moved
+        monkeypatch.setattr(exactalg, "_moved", None)
+        laurent = VarTable(("x", "y", "w", "a", "b", "s"), None, "s")
+        plain = VarTable(("x", "y", "w", "a", "b"))
+        cases = (
+            (laurent, ("a", "b", "s"), "s", "3*a^2*b*s^-1 - (1+i)*s + 1/5*b^4*s^3 - 7"),
+            (laurent, ("b", "s"), "s", "s^-1 - b"),
+            (plain, ("y", "w", "a"), None, "y^2*a - 1/3*w + 2*i*y*w*a^5"),
+            (plain, ("x", "y"), None, "x^3 - 1/2*x*y + 4"),
+            (plain, ("a",), None, "0"),
+        )
+        for src, names, li, text in cases:
+            target = VarTable(names, None, li)
+            p = parse(text, src)
+            got = exactalg._rekey(p, target)
+            want = moved(p, target)
+            assert got.table is target and want.table is target
+            assert (got._num, got._den, got._im) == (want._num, want._den, want._im)
+            assert got == parse(text, target)
+
+    def test_rekey_onto_a_slice_refuses_a_dropped_variable(self):
+        src = VarTable(("x", "y", "w", "a", "b", "s"), None, "s")
+        target = VarTable(("a", "b", "s"), None, "s")
+        for text, name in (("a*b + x^2*s^-1", "x"), ("w*s + s^2", "w"), ("a*y", "y")):
+            p = parse(text, src)
+            for fn in (exactalg._rekey, exactalg._moved):
+                with pytest.raises(PolyError, match=f"unknown variable '{name}'"):
+                    fn(p, target)
+            with pytest.raises(PolyError, match=f"unknown variable '{name}'"):
+                exactalg.substitute_all([parse("a", src), p], {}, target)
+        # a Laurent slot outside the slice, or not lined up with the
+        # target's, takes the slot-by-slot path
+        for src, target, text in (
+            (VarTable(("s", "a", "b"), None, "s"), VarTable(("a", "b")), "a*b^2 - 3"),
+            (VarTable(("x", "a", "b")), VarTable(("a", "b"), None, "b"), "a*b^2 - 3"),
+        ):
+            got = exactalg._rekey(parse(text, src), target)
+            assert got == parse(text, target)
+        with pytest.raises(ExponentError):
+            exactalg._rekey(parse("a*s^-1", VarTable(("a", "s"), None, "s")),
+                            VarTable(("a", "s")))
 
     def test_euler_needs_weights(self):
         tab = VarTable(("x",))

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from openwdvv import exactalg
 from openwdvv.exactalg import MPoly, PolyError, parse
 from openwdvv.milnor import (
     StructureTensor,
@@ -100,6 +101,35 @@ class TestClosedAlgebra:
                 for j in range(i, ten.rank + 1):
                     assert ten.c(a, i, j) == ten.c(a, j, i)
         assert ten.l == alg.unfolding.l
+
+
+ALGEBRAS = (
+    [("A", n, ext) for n in range(1, 9) for ext in (False, True)]
+    + [("D", n, ext) for n in range(3, 9) for ext in (False, True)]
+    + [("E", n, False) for n in (6, 7, 8)]
+)
+
+
+class TestCoefficients:
+    @pytest.mark.parametrize("family, n, extended", ALGEBRAS)
+    def test_slice_rekey_matches_slot_by_slot(self, monkeypatch, family, n, extended):
+        # the coefficient table is a slice of the algebra table, so coeffs
+        # moves every key by one shift; the slot-by-slot _moved, which it
+        # used before, is the reference and must not run inside coeffs
+        u = build_unfolding(family, n)
+        alg = (build_extended_algebra if extended else build_closed_algebra)(u)
+        zero = MPoly.zero(alg.table)
+        moved = exactalg._moved
+        monkeypatch.setattr(exactalg, "_moved", None)
+        for i in range(1, alg.rank + 1):
+            for j in range(i, alg.rank + 1):
+                p = alg.phi(i) * alg.phi(j)
+                got = alg.coeffs(p)
+                parts = alg.normal_form(p).collect(alg.gens)
+                want = [moved(parts.get(b, zero), alg.coeff_table) for b in alg.basis]
+                assert [(c.table, c._num, c._den, c._im) for c in got] == [
+                    (c.table, c._num, c._den, c._im) for c in want
+                ]
 
 
 class TestExtendedAlgebra:

@@ -8,6 +8,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openwdvv import saito
 from openwdvv.coxeter import _restriction_images, _source_family, coxeter_spec
@@ -41,6 +43,19 @@ from openwdvv.saito import (
 
 FAMILIES = (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
             ("D", 3), ("D", 4), ("D", 5), ("D", 6))
+ZERO, ONE = GaussianRational(0), GaussianRational(1)
+# small Gaussian rationals, real ones drawn more often
+GAUSS = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    st.sampled_from((0, 0, 1, Fraction(-1, 2))),
+)
+
+
+def _matmul(a, b):
+    n = len(b)
+    return [[sum((row[k] * b[k][j] for k in range(n)), ZERO) for j in range(len(b[0]))]
+            for row in a]
 
 
 def fixed_point_inverse(t_of_v, ttab, images):
@@ -163,6 +178,36 @@ class TestFlatCoordinates:
         assert inv == ((one, -two), (GaussianRational(0), one))
         with pytest.raises(PolyError):
             invert_matrix(((one, one), (one, one)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_invert_matrix_property(self, data):
+        # A = P*L*U with P a permutation, L unit lower and U upper
+        # triangular with a nonzero diagonal: invertible, and sparse when
+        # the drawn entries are; a signed permutation is one such A
+        n = data.draw(st.integers(1, 5), label="n")
+        entry = st.one_of(st.just(ZERO), st.just(ZERO), GAUSS)
+        nonzero = GAUSS.filter(bool)
+        lower = [[data.draw(entry) if j < i else ONE if j == i else ZERO
+                  for j in range(n)] for i in range(n)]
+        upper = [[data.draw(nonzero) if j == i else data.draw(entry) if j > i else ZERO
+                  for j in range(n)] for i in range(n)]
+        perm = data.draw(st.permutations(range(n)), label="perm")
+        lu = _matmul(lower, upper)
+        a = [lu[perm[i]] for i in range(n)]
+        ident = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+        inv = invert_matrix(a)
+        assert _matmul(a, inv) == ident and _matmul(inv, a) == ident
+        assert all(isinstance(x, GaussianRational) for row in inv for x in row)
+        if n > 1:
+            # a row set to a combination of the others leaves A singular
+            # (p == q when n == 2)
+            rows = data.draw(st.permutations(range(n)), label="rows")
+            r, p, q = rows[0], rows[1], rows[-1]
+            c = data.draw(GAUSS, label="c")
+            a[r] = [x + c * y for x, y in zip(a[p], a[q])]
+            with pytest.raises(PolyError):
+                invert_matrix(a)
 
 
 class TestResidueRoute:
@@ -388,6 +433,42 @@ class TestPullback:
             assert list(got) == keys
             for key in keys:
                 assert got[key] == self.brute(T, first, second, key)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_triple_sum(self, data):
+        # sparse matrices with zero rows and columns, a tensor with zero and
+        # absent entries, and any list of distinct keys, both orders of the
+        # lower slots included
+        tab = self.TAB
+        n = data.draw(st.integers(1, 4), label="source rank")
+        m = data.draw(st.integers(1, 3), label="target rank")
+        texts = ("1", "-2", "x", "y", "x - 3*y", "1/2*x*y")
+        entry = st.one_of(st.just("0"), st.just("0"), st.sampled_from(texts))
+
+        def matrix(label):
+            rows = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                                      min_size=n, max_size=n), label=label)
+            return [[parse(e, tab) for e in row] for row in rows]
+
+        first, second = matrix("first"), matrix("second")
+        T = {}
+        for a in range(1, n + 1):
+            for i, j in combinations_with_replacement(range(1, n + 1), 2):
+                e = data.draw(st.one_of(st.none(), entry), label=f"T{a}{i}{j}")
+                if e is not None:
+                    T[(a, i, j)] = parse(e, tab)
+        keys = data.draw(st.lists(st.tuples(*[st.integers(1, m)] * 3), unique=True,
+                                  max_size=8), label="keys")
+        got = pullback(T, first, second, keys, tab)
+        assert list(got) == keys
+        zero = MPoly.zero(tab)
+        for al, be, ga in keys:
+            want = zero
+            for a, i, j in product(range(n), repeat=3):
+                t = T.get((a + 1, min(i, j) + 1, max(i, j) + 1), zero)
+                want = want + first[a][al - 1] * second[i][be - 1] * second[j][ga - 1] * t
+            assert got[(al, be, ga)] == want and got[(al, be, ga)].table is tab
 
 
 class TestFromPotential:
