@@ -269,7 +269,7 @@ def _extract(family, n, lam, branch) -> Report:
 
 def _vector(family, n, lam, branch) -> Report:
     ext = _open_ext_for(family, n, lam, branch)
-    return verify_vector_potential(ext.vector_potential(), f"vector({ext.label})")
+    return verify_vector_potential(ext, f"vector({ext.label})")
 
 
 def _omega(family, n, lam, branch) -> Report:

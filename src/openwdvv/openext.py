@@ -10,7 +10,9 @@ Verifiers in this module treat every statement as an exact polynomial
 (or Laurent polynomial) identity: the open WDVV equations themselves,
 the flat F-manifold axioms for the vector potential, the matching of the
 extended multiplication tensor with (F, F°), and the combinatorial
-omega-identities that drive the D-case proof.
+omega-identities that drive the D-case proof.  verify_vector_potential
+(ext, label) reads the vector axioms off the closed and open WDVV
+contractions of the same tables (_open_tables) as the other checks.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from .saito import (
     FrobeniusStructure,
     _contractions,
     _first_monomial,
+    _live,
+    _wdvv_contractions,
     _weighted_keys,
     frobenius_structure,
     partials,
@@ -213,24 +217,26 @@ def open_wdvv_eq2(base: FrobeniusStructure, fo: MPoly, al: int, be: int) -> tupl
 
 
 def _open_tables(base: FrobeniusStructure, fo: MPoly) -> tuple:
-    """(raised, o2) over the table of F°: raised is third_derivatives' raised
-    table of F lifted there, and o2 holds every second partial of F° in
-    t1..tN, s, keyed by the sorted index pair with s the index N+1."""
+    """(F, rows, raised, o2) over the table of F°: F is the closed potential
+    lifted there, rows and raised are third_derivatives' tables of it, and
+    o2 holds every second partial of F° in t1..tN, s, keyed by the sorted
+    index pair with s the index N+1."""
     tab = fo.table
     n = base.rank
     F = base.potential.substitute({}, tab)
-    _, _, raised = third_derivatives(F, base.eta_inv, tab.names[:n])
-    return raised, partials(fo, tab.names[: n + 1], 2)
+    _, rows, raised = third_derivatives(F, base.eta_inv, tab.names[:n])
+    return F, rows, raised, partials(fo, tab.names[: n + 1], 2)
 
 
-def _open_contractions(base: FrobeniusStructure, fo: MPoly) -> tuple:
-    """(q, o2): o2(a, b) = d2F°/dt^a dt^b with s the index N+1, and
-    q(a, b, g) = Q(ab; g) = sum_v c^v_{ab} o2(v, g) + o2(a, b) o2(s, g).
+def _open_contractions(base: FrobeniusStructure, fo: MPoly, tables=None) -> tuple:
+    """(q, o2) from tables = _open_tables(base, fo), formed if not given:
+    o2(a, b) = d2F°/dt^a dt^b with s the index N+1, and q(a, b, g) =
+    Q(ab; g) = sum_v c^v_{ab} o2(v, g) + o2(a, b) o2(s, g).
 
     Q is symmetric in (a, b), so q forms each Q once, keyed by the sorted
     (a, b) and g."""
     n = base.rank
-    raised, d2o = _open_tables(base, fo)
+    _, _, raised, d2o = tables or _open_tables(base, fo)
 
     def o2(a, b):
         return d2o[(a, b) if a <= b else (b, a)]
@@ -287,64 +293,77 @@ def verify_open_wdvv(ext: OpenExtension) -> Report:
     return Report(f"open-wdvv({base.label})", checked, tuple(failures))
 
 
-def verify_vector_potential(funcs, label: str) -> Report:
-    """Flat F-manifold axioms for one function per coordinate: the unit
-    condition d2F^a/dt1 dt^b = delta^a_b, the quadratic compatibility, and
-    (when the table is weighted) the conformal condition
-    E(F^a) = (1 + q_a) F^a.
+def verify_vector_potential(ext: OpenExtension, label: str) -> Report:
+    """Flat F-manifold axioms of the vector potential (F^1, ..., F^N, F°),
+    F^a = eta^{a mu} dF/dt^mu, over t1..tN, s (s the index N+1): the unit
+    condition d2F^a/dt1 dt^b = delta^a_b, the quadratic compatibility,
+    and the conformal condition E(F^a) = (1 + q_a) F^a.
 
     Compatibility (alpha, beta, gamma, delta) compares L(alpha, beta;
     gamma delta) with L(alpha, gamma; beta delta), where L(a, b; cd) =
-    sum_mu d2F^a/dt^b dt^mu d2F^mu/dt^c dt^d.  L is symmetric in (c, d), so
-    each L is formed once per call, keyed by (a, b) and the sorted (c, d),
-    over the mu that are live on both sides (saito._contractions)."""
-    funcs = tuple(funcs)
-    if not funcs or len(funcs) != funcs[0].table.arity:
-        raise PolyError("need one component per coordinate")
-    tab = funcs[0].table
-    if any(f.table != tab for f in funcs):
-        raise PolyError("components are over different tables")
-    n = tab.arity
-    d2 = [partials(f, tab.names, 2) for f in funcs]
+    sum_mu d2F^a/dt^b dt^mu d2F^mu/dt^c dt^d.  No component is
+    differentiated twice: d2F^a/dt^b dt^c = c^a_bc for a, b, c <= N, and
+    every L is read off the contractions the WDVV sweeps form once per call:
+    - L(a, b; cd) = sum_a' eta^{aa'} P(a'b; cd) for a, b, c, d <= N, with
+      P verify_wdvv's (saito._wdvv_contractions).  A row of eta^{-1} with
+      one live entry e (every constructed group's) compares two P's and
+      scales only a failure's residual by e; other rows take one dot.
+    - L(s, b; cd) = Q(cd; b) (_open_contractions) for c, d <= N, and
+      d2F°/dt^b ds d2F°/dt^c ds when d = s, the same on both sides.
+    - L(a, b; cd) = 0 for a <= N when b, c or d is s, since dF^a/ds = 0.
+    The conformal condition of a one-entry row reads dF/dt^a' itself."""
+    base = ext.base
+    n = base.rank
+    m = n + 1
+    tab = ext.table
+    fo = ext.potential
+    tables = _open_tables(base, fo)
+    F, rows, raised, _ = tables
+    q, o2 = _open_contractions(base, fo, tables)
+    closed = _wdvv_contractions(rows, raised, tab)
+    eta_live = [_live(row) for row in base.eta_inv]
 
-    def g(a, b, c):
-        return d2[a - 1][(b, c) if b <= c else (c, b)]
-
-    # rows g(a, b, .) for all a, b against the columns g(., c, d), c <= d
-    idx = range(1, n + 1)
-    form = _contractions(
-        {(a, b): [g(a, b, mu) for mu in idx] for a in idx for b in idx},
-        {cd: [d2m[cd] for d2m in d2] for cd in d2[0]},
-        tab,
-    )
-
-    def contraction(a, b, c, d):
-        return form((a, b), (c, d) if c <= d else (d, c))
+    def lowered(a, pick):
+        """(p, e) with sum_a' eta^{aa'} pick(a') = e * p."""
+        live = eta_live[a - 1]
+        if len(live) == 1:
+            ((a1, e),) = live
+            return pick(a1), e
+        return dot([(pick(a1), e) for a1, e in live], tab), 1
 
     failures = []
     checked = 0
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
+    for a in range(1, m + 1):
+        for b in range(1, m + 1):
             checked += 1
             want = MPoly.constant(tab, 1 if a == b else 0)
-            if g(a, 1, b) != want:
+            got = o2(1, b) if a == m else raised[(1, b)][a - 1] if b <= n else want
+            if got != want:
                 failures.append(f"unit({a},{b})")
-    for be in range(1, n + 1):
-        for ga in range(be + 1, n + 1):
-            for al in range(1, n + 1):
-                for de in range(1, n + 1):
+    for be in range(1, m + 1):
+        for ga in range(be + 1, m + 1):
+            for al in range(1, m + 1):
+                for de in range(1, m + 1):
                     checked += 1
-                    left = contraction(al, be, ga, de)
-                    right = contraction(al, ga, be, de)
+                    if de == m or (al <= n and ga == m):
+                        continue  # both sides vanish or are one product
+                    if al <= n:
+                        left, e = lowered(al, lambda a1: closed(a1, be, ga, de))
+                        right, _ = lowered(al, lambda a1: closed(a1, ga, be, de))
+                    else:
+                        e = 1
+                        left = o2(be, m) * o2(de, m) if ga == m else q(ga, de, be)
+                        right = q(be, de, ga)
                     if left != right:
                         failures.append(
-                            f"({al},{be},{ga},{de}): {_first_monomial(left - right)}"
+                            f"({al},{be},{ga},{de}): {_first_monomial((left - right) * e)}"
                         )
-    if tab.weights is not None:
-        for a in range(1, n + 1):
-            checked += 1
-            if funcs[a - 1].euler() != funcs[a - 1] * rat(1 + tab.weights[a - 1]):
-                failures.append(f"conformal({a})")
+    grads = [F.diff(nm) for nm in tab.names[:n]]
+    for a in range(1, m + 1):
+        checked += 1
+        comp = lowered(a, lambda a1: grads[a1 - 1])[0] if a <= n else fo
+        if comp.euler() != comp * rat(1 + tab.weights[a - 1]):
+            failures.append(f"conformal({a})")
     return Report(f"vector-potential({label})", checked, tuple(failures))
 
 
@@ -383,7 +402,7 @@ def verify_extension_theorems(family: str, n: int) -> Report:
     inv = [dt[a * n : (a + 1) * n] + [zero] for a in range(n)] + [s_row]
     got = pullback(cv, inv, jac, keys, tab)
 
-    raised, d2o = _open_tables(base, ext.potential)
+    _, _, raised, d2o = _open_tables(base, ext.potential)
     failures = []
     for (al, be, ga), p in got.items():
         if al > n:

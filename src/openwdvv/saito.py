@@ -687,8 +687,9 @@ def third_derivatives(F: MPoly, eta_inv, names) -> tuple:
 
     d3[(a, b, c)] = d3F/dt^a dt^b dt^c for 1 <= a <= b <= c <= N,
     rows[(a, b)] lists c_{ab1}, ..., c_{abN} out of d3, and raised[(a, b)]
-    lists c^v_{ab} = eta^{vm} c_{abm} for v = 1..N (a <= b), each one form
-    of _contractions, so zero entries of d3F and of eta_inv are skipped.
+    lists c^v_{ab} = eta^{vm} c_{abm} for v = 1..N (a <= b): c_{abm} itself,
+    or e times it, when row v of eta_inv has one live entry e at m (every
+    constructed group's), else one form of _contractions.
     Nothing is cached: every caller sweeps the tensors once and drops them.
     """
     n = len(names)
@@ -699,8 +700,31 @@ def third_derivatives(F: MPoly, eta_inv, names) -> tuple:
         for a, b in combinations_with_replacement(idx, 2)
     }
     form = _contractions(rows, dict(enumerate(eta_inv, 1)), F.table)
-    raised = {ab: [form(ab, v) for v in idx] for ab in rows}
+    lives = [_live(row) for row in eta_inv]
+
+    def entry(ab, v):
+        if len(lives[v - 1]) != 1:
+            return form(ab, v)
+        ((m, e),) = lives[v - 1]
+        return rows[ab][m - 1] if e == 1 else rows[ab][m - 1] * e
+
+    raised = {ab: [entry(ab, v) for v in idx] for ab in rows}
     return d3, rows, raised
+
+
+def _wdvv_contractions(rows, raised, table):
+    """contraction(a, b, c, d) = P(ab; cd) = sum_v c_{abv} c^v_{cd} over
+    third_derivatives' rows and raised.  P is symmetric within each pair
+    and, eta^{-1} being symmetric, under the pair swap, so each P is formed
+    once, keyed by the sorted pair of sorted pairs (_contractions)."""
+    form = _contractions(rows, raised, table)
+
+    def contraction(a, b, c, d):
+        ab = (a, b) if a <= b else (b, a)
+        cd = (c, d) if c <= d else (d, c)
+        return form(ab, cd) if ab <= cd else form(cd, ab)
+
+    return contraction
 
 
 def verify_wdvv(fs: FrobeniusStructure) -> Report:
@@ -711,22 +735,13 @@ def verify_wdvv(fs: FrobeniusStructure) -> Report:
     either swap, so the restricted sweep is exhaustive.
 
     Identity (alpha, beta, gamma, delta) compares P(alpha beta; gamma delta)
-    with P(delta beta; gamma alpha), where P(ab; cd) = sum_v c_{abv} c^v_{cd}.
-    P is symmetric within each pair and, since eta^{-1} is symmetric, under
-    swapping the two pairs, so each P is formed once per call, keyed by the
-    sorted pair of sorted pairs, over the v that are live in both rows
-    (_contractions).
+    with P(delta beta; gamma alpha), where P(ab; cd) = sum_v c_{abv} c^v_{cd}
+    is formed once per call (_wdvv_contractions).
     """
     n = fs.rank
     tab = fs.table
     d3, rows, raised = third_derivatives(fs.potential, fs.eta_inv, tab.names)
-    # rows (c_{ab1}, ..., c_{abN}) against the columns raised[(c, d)]
-    form = _contractions(rows, raised, tab)
-
-    def contraction(a, b, c, d):
-        ab = (a, b) if a <= b else (b, a)
-        cd = (c, d) if c <= d else (d, c)
-        return form(ab, cd) if ab <= cd else form(cd, ab)
+    contraction = _wdvv_contractions(rows, raised, tab)
 
     failures = []
     checked = 0

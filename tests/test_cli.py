@@ -265,6 +265,17 @@ class TestVerifyVerbs:
             )
             assert got == digest, fmt
 
+    def test_verify_all_rank8_output_is_unchanged(self, capsys):
+        # as above, for `--max-rank 8`: A7, A8, D7 and D8 are pinned here only
+        for fmt, digest in (
+            ("text", "fe350bf5ae8044a16614686fba25f10e4d30c2b03e3d0df3a08f1801446c3acf"),
+            ("json", "eb53c38001fd666224a493755f8f38b29a7e876a2beef5de1e949fe764015eff"),
+        ):
+            got = stdout_sha256(
+                capsys, "verify", "all", "--max-rank", "8", "--format", fmt
+            )
+            assert got == digest, fmt
+
     def test_verify_all_builds_each_singularity_once(self, capsys, monkeypatch):
         # every A and D source, and B_n, I2(k) and H3 restricted from them,
         # is read off residues and builds no structure tensor; the D

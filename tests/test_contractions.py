@@ -8,12 +8,14 @@ inputs.  The dot counts pin the sharing itself."""
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from openwdvv import openext, saito
+from openwdvv import cli, openext, saito
+from openwdvv.cli import _tag
 from openwdvv.coxeter import _open_ansatz, coxeter_structure, open_family
-from openwdvv.exactalg import _WIDTH, MPoly, dot, rat
+from openwdvv.exactalg import _WIDTH, GaussianRational, MPoly, dot, rat
 from openwdvv.openext import (
     OpenExtension,
     open_potential_A,
@@ -187,6 +189,25 @@ def bumped(p: MPoly) -> MPoly:
     return p + MPoly._from_ints(tab, {tab._one + (k << _WIDTH): 1 for k, *_ in shape})
 
 
+def tampered(ext):
+    """ext with its closed potential F bumped (rank >= 2: the bump needs a
+    coordinate besides t1), then with F° bumped."""
+    base = ext.base
+    bad_fo = replace(ext, potential=bumped(ext.potential))
+    if base.rank == 1:
+        return (bad_fo,)
+    return replace(ext, base=replace(base, potential=bumped(base.potential))), bad_fo
+
+
+# (family, n, branch) of A1-A8, D3-D8, B2-B5 and I2(3)-I2(8), even I2 on both branches
+VECTOR_INPUTS = (
+    [("A", n, "plus") for n in range(1, 9)]
+    + [("D", n, "plus") for n in range(3, 9)]
+    + [("B", n, "plus") for n in range(2, 6)]
+    + [("I2", k, b) for k in range(3, 9) for b in ("plus", "minus")[: 2 - k % 2]]
+)
+
+
 def open_extension_of(tag):
     if tag == "A5":
         return open_potential_A(5)
@@ -234,14 +255,45 @@ class TestSameReports:
     @pytest.mark.parametrize("tag", OPEN_GROUPS)
     def test_vector(self, tag):
         ext = open_extension_of(tag)
-        funcs = ext.vector_potential()
-        rep = verify_vector_potential(funcs, tag)
-        assert rep.ok and rep == reference_vector(funcs, tag)
-        for a in (1, len(funcs)):  # a closed component and F°
-            bad = list(funcs)
-            bad[a - 1] = bumped(bad[a - 1])
+        rep = verify_vector_potential(ext, tag)
+        assert rep.ok and rep == reference_vector(ext.vector_potential(), tag)
+        for bad in tampered(ext):  # F, then F°
             rep = verify_vector_potential(bad, tag)
-            assert not rep.ok and rep == reference_vector(bad, tag)
+            assert not rep.ok and rep == reference_vector(bad.vector_potential(), tag)
+
+    @pytest.mark.parametrize(
+        "family, n, branch", VECTOR_INPUTS, ids=[_tag(*i[:2]) + i[2] for i in VECTOR_INPUTS]
+    )
+    def test_vector_as_served(self, family, n, branch):
+        # the extensions `verify vector` and `verify all` build, at three
+        # lambdas, and both tamperings at lambda = 1
+        label = _tag(family, n)
+        for lam in (1, 2, Fraction(-1, 3)):
+            ext = cli._open_ext_for(family, n, GaussianRational(lam), branch)
+            rep = verify_vector_potential(ext, label)
+            assert rep.ok and rep == reference_vector(ext.vector_potential(), label)
+        ext = cli._open_ext_for(family, n, 1, branch)
+        for bad in tampered(ext):
+            rep = verify_vector_potential(bad, label)
+            # A1's bumped F° only moves the s^3 coefficient, which stays a solution
+            assert rep.ok == (label == "A1")
+            assert rep == reference_vector(bad.vector_potential(), label)
+
+    def test_vector_general_metric_row(self):
+        # D4 in the coordinates t2 + t4, t4: eta^{-1} has a row with two
+        # live entries, so that row is raised by a dot, not re-keyed
+        ext = open_potential_D(4)
+        base = ext.base
+        base_mix = {"t2": MPoly.variable(base.table, "t2") + MPoly.variable(base.table, "t4")}
+        ext_mix = {"t2": MPoly.variable(ext.table, "t2") + MPoly.variable(ext.table, "t4")}
+        mixed = saito.from_potential("D4'", base.potential.substitute(base_mix, base.table))
+        assert max(sum(1 for e in row if e) for row in mixed.eta_inv) == 2
+        ext = openext.open_extension(mixed, ext.potential.substitute(ext_mix, ext.table))
+        rep = verify_vector_potential(ext, "D4'")
+        assert rep.ok and rep == reference_vector(ext.vector_potential(), "D4'")
+        for bad in tampered(ext):
+            rep = verify_vector_potential(bad, "D4'")
+            assert not rep.ok and rep == reference_vector(bad.vector_potential(), "D4'")
 
 
 # ---------- dot counts ----------
@@ -266,40 +318,47 @@ class TestDotCounts:
         fs = frobenius_structure("A", 6)
         n = fs.rank
         pairs = n * (n + 1) // 2
-        # third_derivatives: one dot per raised entry; then at most one dot
-        # per unordered pair of index pairs
-        bound = pairs * n + pairs * (pairs + 1) // 2
+        # eta^-1 of A6 is a permutation, so third_derivatives raises by
+        # re-keying and takes no dot; then at most one dot per unordered
+        # pair of index pairs
+        bound = pairs * (pairs + 1) // 2
         got = count_dots(monkeypatch, verify_wdvv, fs)
         assert got <= bound
-        assert got == 126 + 195
+        assert got == 195
 
     def test_vector_a6(self, monkeypatch):
         ext = open_potential_A(6)
-        funcs = ext.vector_potential()
-        n = len(funcs)
-        # partials takes no dot; at most one dot per (alpha, beta, {gamma, delta})
-        bound = n * n * n * (n + 1) // 2
-        got = count_dots(monkeypatch, verify_vector_potential, funcs, "A6")
+        n = ext.base.rank
+        pairs = n * (n + 1) // 2
+        # at most one dot per distinct P(ab; cd) and per distinct Q(ab; g);
+        # eta^-1 of A6 is a permutation, so neither the raising nor a row
+        # of L takes a dot of its own
+        bound = pairs * (pairs + 1) // 2 + pairs * (n + 1)
+        got = count_dots(monkeypatch, verify_vector_potential, ext, "A6")
         assert got <= bound
-        assert got == 1323
+        assert got == 366
 
     def test_open_wdvv(self, monkeypatch):
-        # third_derivatives' raising, then one dot per distinct Q(ab; g)
-        assert count_dots(monkeypatch, verify_open_wdvv, open_potential_A(6)) == 267
-        assert count_dots(monkeypatch, verify_open_wdvv, open_potential_D(5)) == 160
+        # one dot per distinct Q(ab; g); the raising re-keys (signed
+        # permutations) and takes none
+        assert count_dots(monkeypatch, verify_open_wdvv, open_potential_A(6)) == 141
+        assert count_dots(monkeypatch, verify_open_wdvv, open_potential_D(5)) == 85
 
     def test_extension_a6(self, monkeypatch):
         open_potential_A(6)
         openext.extended_algebra("A", 6)
         got = count_dots(monkeypatch, openext.verify_extension_theorems, "A", 6)
         # pullback contracts the two lower slots first, over the nonzero
-        # entries of the tensor, and forms no empty partial sum
-        assert got == 429
+        # entries of the tensor, and forms no empty partial sum; the want
+        # side's raising re-keys and takes no dot
+        assert got == 303
 
     def test_eq2_over_an_ansatz(self, monkeypatch):
         fs = coxeter_structure("H3")
         fo = _open_ansatz(fs)
-        assert count_dots(monkeypatch, open_wdvv_eq2, fs, fo, 2, 3) == 19
+        # one Q; eta^-1 of H3 is a permutation scaled by 1/2 in one row,
+        # so the raising re-keys and scales
+        assert count_dots(monkeypatch, open_wdvv_eq2, fs, fo, 2, 3) == 1
 
     def test_metric_and_potential(self, monkeypatch):
         # the pullback's lower slots first, as in test_extension_a6

@@ -76,22 +76,24 @@ class TestVectorPotential:
     def test_axioms(self):
         for n in (1, 2, 3):
             ext = open_potential_A(n)
-            rep = verify_vector_potential(ext.vector_potential(), ext.label)
+            rep = verify_vector_potential(ext, ext.label)
             assert rep.ok, rep.summary()
         for n in (3, 4):
             ext = open_potential_D(n)
-            rep = verify_vector_potential(ext.vector_potential(), ext.label)
+            rep = verify_vector_potential(ext, ext.label)
             assert rep.ok, rep.summary()
 
-    def test_tampered_component_fails(self):
+    def test_tampered_potential_fails(self):
+        # doubling F doubles every closed component F^a against the same
+        # metric: the closed unit conditions fail, and so do the rows of F°,
+        # whose contractions read c^v_ab
         ext = open_potential_A(2)
-        funcs = list(ext.vector_potential())
-        funcs[0] = funcs[0] * 2
-        assert not verify_vector_potential(tuple(funcs), "bad").ok
-
-    def test_rejects_no_components(self):
-        with pytest.raises(PolyError, match="one component per coordinate"):
-            verify_vector_potential((), "x")
+        bad = replace(ext, base=replace(ext.base, potential=ext.base.potential * 2))
+        rep = verify_vector_potential(bad, "bad")
+        assert rep.failures == (
+            "unit(1,1)", "unit(2,2)", "(3,1,2,2): -1", "(3,1,3,1): -1",
+            "(3,1,3,2): -s", "(3,2,3,1): -s", "(3,2,3,2): t2",
+        )
 
 
 class TestExtensionTheorems:

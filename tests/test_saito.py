@@ -12,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openwdvv import saito
-from openwdvv.coxeter import _restriction_images, _source_family, coxeter_spec
+from openwdvv.coxeter import (
+    _restriction_images,
+    _source_family,
+    coxeter_spec,
+    coxeter_structure,
+)
 from openwdvv.exactalg import (
     GaussianRational,
     MPoly,
@@ -357,7 +362,13 @@ class TestIdentitySweeps:
 
 class TestThirdDerivatives:
     def test_matches_direct_contraction(self):
-        fs = frobenius_structure("D", 4)
+        # eta^-1 of D4 has a -1 entry and that of H3 a 1/2 entry: both raise
+        # by re-keying and scaling
+        for fs in (frobenius_structure("D", 4), coxeter_structure("H3")):
+            self.check_against_direct_sums(fs)
+
+    @staticmethod
+    def check_against_direct_sums(fs):
         F, nm, n = fs.potential, fs.table.names, fs.rank
         d3, rows, raised = third_derivatives(F, fs.eta_inv, nm)
         assert len(d3) == n * (n + 1) * (n + 2) // 6
