@@ -313,12 +313,10 @@ def _built_family(tag: str) -> SolutionFamily:
         base, gen = ext.base, ext.potential
     elif spec.family in ("B", "I2"):
         base = coxeter_structure(tag)
-        src = coxeter_spec(f"A{_source_family(spec)[1]}")
-        src_tab = _extend(src.table(), src.delta)
         tab = extended_table(base)
-        images = dict(zip(src_tab.names, _restriction_images(spec, tab)))
-        images["s"] = MPoly.variable(tab, "s")
-        gen = open_generator_A(src.n, src_tab).substitute(images, tab)
+        images = _restriction_images(spec, tab)
+        live = [a for a, img in enumerate(images, start=1) if img]
+        gen = open_generator_A(len(images), tab, live)
     else:
         raise PolyError(f"{spec.tag} has no polynomial open solutions")
     tab, li = gen.table, gen.table.laurent_index
@@ -343,11 +341,11 @@ def _built_family(tag: str) -> SolutionFamily:
 def open_family(group) -> SolutionFamily:
     """The open solution family of A_N, B_N or I2(k).
 
-    The generator of B_N and I2(k) is F°_{A_m}, built from its closed form
-    over the flat coordinates of A_m, restricted to the group's subspace
-    like the closed potential; the lambda-domain is read off mechanically
-    (0 is admissible exactly when the s-free part vanishes) and must agree
-    with the classification table.  Cached by canonical tag."""
+    The generator of B_N and I2(k) is F°_{A_m} on the group's subspace,
+    built from its closed form on the A_m flat coordinates that stay live
+    there; the lambda-domain is read off mechanically (0 is admissible
+    exactly when the s-free part vanishes) and must agree with the
+    classification table.  Cached by canonical tag."""
     return _built_family(_spec(group).tag)
 
 

@@ -693,35 +693,17 @@ class MPoly:
         im = {k: v * wdeg(k) for k, v in self._im.items()} if self._im else None
         return MPoly._from_ints(tab, num, self._den * tab._wden, im)
 
-    def weighted_degree_decompose(self) -> list:
-        """Split into weighted-homogeneous parts.
-
-        Returns [(degree, part), ...] sorted by degree, degrees as Fractions.
-        Requires table weights.
-        """
-        if self.table.weights is None:
-            raise PolyError("decomposition needs table weights")
-        tab = self.table
-        wdeg = tab._wdeg
-        buckets: dict = {}
-        for part, maps in ((0, self._num), (1, self._im or {})):
-            for k, v in maps.items():
-                buckets.setdefault(wdeg(k), ({}, {}))[part][k] = v
-        return [
-            (Fraction(d, tab._wden), MPoly._from_ints(tab, num, self._den, im or None))
-            for d, (num, im) in sorted(buckets.items())
-        ]
-
     def weighted_degree(self) -> Fraction | None:
         """Degree if weighted-homogeneous (None for zero); raises otherwise."""
-        parts = self.weighted_degree_decompose()
-        if not parts:
-            return None
-        if len(parts) > 1:
+        tab = self.table
+        if tab.weights is None:
+            raise PolyError("weighted degree needs table weights")
+        degs = sorted({tab._wdeg(k) for k in self._keys()})
+        if len(degs) > 1:
             raise PolyError(
-                f"not weighted-homogeneous: degrees {[str(d) for d, _ in parts]}"
+                f"not weighted-homogeneous: degrees {[str(Fraction(d, tab._wden)) for d in degs]}"
             )
-        return parts[0][0]
+        return Fraction(degs[0], tab._wden) if degs else None
 
     # ---------- substitution ----------
 

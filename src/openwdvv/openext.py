@@ -121,18 +121,21 @@ def open_extension(base: FrobeniusStructure, fo: MPoly) -> OpenExtension:
     return OpenExtension(base, tab, fo)
 
 
-def open_generator_A(n: int, tab: VarTable) -> MPoly:
-    """F° of the A_n extension from the closed correlator formula, over the
-    table t1..tn, s.
+def open_generator_A(n: int, tab: VarTable, slots=None) -> MPoly:
+    """F° of the A_n extension from the closed correlator formula, over a
+    table t1..tk, s whose t-slots are the coordinates t^a, a in slots
+    (default 1..n), in order; every other t^a is zero.  B_N and I2(k) pass
+    the A coordinates their subspace keeps.
 
     The coefficient of prod (t^a)^{m_a} * s^k is (n_pts + k - 2)! divided
     by the automorphisms prod m_a! * k!, summed over the multiplicity
     vectors with sum m_a * (n + 2 - a) + k = n + 2."""
-    if tab.arity != n + 1:
-        raise PolyError(f"the A{n} generator needs the table t1..t{n}, s")
+    slots = range(1, n + 1) if slots is None else slots
+    if tab.arity != len(slots) + 1:
+        raise PolyError(f"the A{n} generator needs the table t1..t{len(slots)}, s")
     return MPoly._from_ratios(tab, {
         key + tab._one: (math.factorial(m - 2), q)
-        for key, m, _, q in _weighted_keys(range(n + 1, 0, -1), n + 2)
+        for key, m, _, q in _weighted_keys([n + 2 - a for a in slots] + [1], n + 2)
     })
 
 

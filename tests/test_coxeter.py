@@ -13,6 +13,8 @@ from openwdvv.coxeter import (
     _E_PATTERNS,
     _fixture_text,
     _open_ansatz,
+    _restriction_images,
+    _source_family,
     classify_I2,
     correlator_recursion_A,
     coxeter_spec,
@@ -25,7 +27,13 @@ from openwdvv.coxeter import (
     printed_potential,
 )
 from openwdvv.exactalg import GaussianRational, MPoly, PolyError, VarTable, parse, rat
-from openwdvv.openext import extended_table, open_wdvv_equations, verify_open_wdvv
+from openwdvv.openext import (
+    _extend,
+    extended_table,
+    open_generator_A,
+    open_wdvv_equations,
+    verify_open_wdvv,
+)
 from openwdvv.saito import frobenius_structure, from_potential, verify_wdvv
 
 DEGREES = {
@@ -258,6 +266,23 @@ class TestOpenFamilies:
         fam = open_family("B2")
         want = "t1*s + 1/2*t2^2*s + 1/3*t2*s^3 + 1/20*s^5"
         assert fam.generator.text() == want
+
+    @pytest.mark.parametrize(
+        "tag", [f"B{n}" for n in range(2, 7)] + [f"I2({k})" for k in range(3, 13)]
+    )
+    def test_generator_on_live_slots_matches_substitution(self, tag):
+        # oracle: the whole A_m generator with the restriction images put in
+        spec = coxeter_spec(tag)
+        src = coxeter_spec(f"A{_source_family(spec)[1]}")
+        src_tab = _extend(src.table(), src.delta)
+        got = open_family(tag).generator
+        tab = got.table
+        images = dict(zip(src_tab.names, _restriction_images(spec, tab)))
+        images["s"] = MPoly.variable(tab, "s")
+        want = open_generator_A(src.n, src_tab).substitute(images, tab)
+        assert (got.table, got._num, got._den, got._im) == (
+            want.table, want._num, want._den, want._im
+        )
 
     def test_domains(self):
         for tag, dom in (("A1", "C"), ("A2", "C*"), ("B2", "C"), ("B4", "C"),

@@ -380,6 +380,25 @@ class TestPolyBasics:
         with pytest.raises(PolyError):
             MPoly.variable(tab, "x").euler()
 
+    def test_weighted_degree(self):
+        x, y, z = (MPoly.variable(WTAB, nm) for nm in ("x", "y", "z"))
+        assert (x * y + y ** 3).weighted_degree() == Fraction(3, 2)
+        assert MPoly.zero(WTAB).weighted_degree() is None
+        with pytest.raises(PolyError) as err:
+            (z + y + x * y).weighted_degree()
+        assert str(err.value) == "not weighted-homogeneous: degrees ['1/3', '1/2', '3/2']"
+        # the Laurent slot: negative powers of s give negative degrees
+        s = MPoly.variable(LTAB, "s")
+        xs = MPoly.variable(LTAB, "x") * s ** -4
+        assert xs.weighted_degree() == 0 and (s ** -1).weighted_degree() == Fraction(-1, 4)
+        with pytest.raises(PolyError) as err:
+            (xs + s ** -2).weighted_degree()
+        assert str(err.value) == "not weighted-homogeneous: degrees ['-1/2', '0']"
+
+    def test_weighted_degree_needs_weights(self):
+        with pytest.raises(PolyError, match="needs table weights"):
+            MPoly.variable(VarTable(("x",)), "x").weighted_degree()
+
 
 class TestPolyProperties:
     @given(polys(), polys(), polys())

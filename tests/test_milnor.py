@@ -1,6 +1,7 @@
-"""Unfoldings and their quotient algebras: frozen products, confluence and
-associativity sweeps, consistency of the extension, and a corrupted-tensor
-negative control."""
+"""Unfoldings and their quotient algebras: frozen products, the confluence
+proof by critical pairs and the associativity sweep, the decreasing-order
+refusal, consistency of the extension, and corrupted-tensor and tampered
+rule-set negative controls."""
 
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from openwdvv import exactalg
 from openwdvv.exactalg import MPoly, PolyError, parse
 from openwdvv.milnor import (
+    QuotientAlgebra,
     StructureTensor,
     build_closed_algebra,
     build_extended_algebra,
@@ -108,6 +110,52 @@ ALGEBRAS = (
     + [("D", n, ext) for n in range(3, 9) for ext in (False, True)]
     + [("E", n, False) for n in (6, 7, 8)]
 )
+
+
+def _algebra(family, n, extended):
+    u = build_unfolding(family, n)
+    return (build_extended_algebra if extended else build_closed_algebra)(u)
+
+
+# overlapping rule pairs: (family, extended) for A and D, n for E
+CRITICAL_PAIRS = {("A", False): 0, ("A", True): 2, ("D", False): 2, ("D", True): 9}
+E_CRITICAL_PAIRS = {6: 0, 7: 2, 8: 0}
+
+# rule sets whose normal forms are not unique, yet agree on every basis
+# pair product under the first-match and the last-match rule scan
+TAMPERED = (
+    ("D", 5, (1, 0, 1), 2),  # w*x rule times 2
+    ("D", 5, (0, 1, 1), 3),  # w*y rule times 3
+    ("A", 4, (1, 0, 1), 2),  # w*x rule times 2
+    ("D", 4, (1, 1, 0), 3),  # x*y rule times 3
+)
+
+
+class TestRewriteProof:
+    @pytest.mark.parametrize("family, n, extended", ALGEBRAS)
+    def test_every_critical_pair_joins(self, family, n, extended):
+        alg = _algebra(family, n, extended)
+        rep = check_confluence(alg)
+        want = E_CRITICAL_PAIRS[n] if family == "E" else CRITICAL_PAIRS[family, extended]
+        assert rep.label == f"confluence({alg.label()})"
+        assert rep.ok and rep.checked == want
+
+    @pytest.mark.parametrize("family, n, lhs, factor", TAMPERED)
+    def test_tampered_rule_set_fails(self, family, n, lhs, factor):
+        alg = _algebra(family, n, True)
+        rules = [(l, factor * r if l == lhs else r) for l, r in alg.rules]
+        bad = QuotientAlgebra(alg.unfolding, alg.table, alg.gens, alg.basis, rules, True)
+        assert not check_confluence(bad).ok
+        assert not check_associativity(bad).ok
+
+    @pytest.mark.parametrize("power", [5, 4])
+    def test_non_decreasing_rule_refused(self, power):
+        # x^5 outweighs y^2 (10 against 8 in D5's order), x^4 ties with it
+        alg = _algebra("D", 5, False)
+        xp = MPoly.variable(alg.table, "x") ** power
+        rules = [(l, r + xp if l == (0, 2) else r) for l, r in alg.rules]
+        with pytest.raises(PolyError, match=rf"rule \(0, 2\) -> \({power}, 0\) does not"):
+            QuotientAlgebra(alg.unfolding, alg.table, alg.gens, alg.basis, rules, False)
 
 
 class TestCoefficients:
