@@ -535,8 +535,8 @@ def _obstruction_printed(spec: CoxeterSpec) -> Report:
 def _obstruction_h3() -> Report:
     """H3: the unit and homogeneity conditions leave a 9-parameter space
     of candidate F° (_open_ansatz); d2/dt2^2 of eq2(2,3) has (t,s)-free
-    part exactly 2, independently of the parameters."""
-    fs = from_potential("H3", printed_potential("H3"))
+    part exactly 2, independently of the parameters, on the built H3."""
+    fs = coxeter_structure("H3")
     fo = _open_ansatz(fs)
     tab = fo.table
     failures = []

@@ -6,18 +6,20 @@ coordinate change is inverted exactly in one pass of increasing weight.
 Coordinates and potential are formed as ints over one denominator;
 Fractions are made only for weights, delta, the metric (invert_matrix)
 and the factors of verify_homogeneity.
-Two routes give the flat third derivatives c_{abc}.  Every build, A_n,
-D_n and each restriction of them (B_n, I2(k), H3), takes the residue
-route (residue_structure): the lowered tensor comes from one residue
-sequence r_s = [phi_l] NF(x^s), read off the relations of dL/dx and
+Every structure is built by one driver (_build) from the fully lowered
+tensor T(a, b, c) = [phi_l] phi_a phi_b phi_c at v = v(t), and two routes
+form T.  Every build, A_n, D_n and each restriction of them (B_n, I2(k),
+H3), takes the residue route (residue_structure): T is read off one
+residue sequence r_s = [phi_l] NF(x^s), from the relations of dL/dx and
 dL/dy, so no Milnor algebra is built.  The tensor route
-(metric_and_potential, fed by singularity_data) lowers, substitutes and
-pulls back Milnor structure constants; the tests keep it as the oracle of
-the residue route.  Both hand c_{abc} to one read-off: the potential has no
-term below cubic (3 - delta > 2 >= q_a + q_b), so each monomial is fixed
-by the c_{abc} of its three smallest indices; the third partials that
-check integrability then give the metric and grading, as from_potential
-does for printed potentials.  `pullback` is the one Jacobian contraction
+(metric_and_potential, fed by singularity_data) lowers Milnor structure
+constants and substitutes v(t); the tests keep it as the oracle of the
+residue route.  The driver pulls T back through J = dv/dt to the flat
+third derivatives c_{abc} and reads F off them: the potential has no term
+below cubic (3 - delta > 2 >= q_a + q_b), so each monomial is fixed by the
+c_{abc} of its three smallest indices; the third partials that check
+integrability then give the metric and grading, as from_potential does
+for printed potentials.  `pullback` is the one Jacobian contraction
 of a three-index tensor, `partials` the one table of shared partial
 derivatives and `_contractions` the one memo of the bilinear
 contractions the verifiers compare; every module builds its tensors and
@@ -425,6 +427,41 @@ def _read_off(cflat, ttab: VarTable, label: str, restricted: bool):
     return _structure(label, potential, {(b, c): d3[(1, b, c)] for b, c in pairs})
 
 
+def _build(u: Unfolding, t_of_v, images, label, lowered) -> FrobeniusStructure:
+    """The structure of u on its flat coordinates, or on the linear subspace
+    images, given the fully lowered tensor T(a, b, c) = [phi_l]
+    phi_a phi_b phi_c at v = v(t): the one driver of both routes.
+
+    images and the target table are checked (_target), v(t) is inverted over
+    the target table (invert_coords) and J = dv/dt has one column per target
+    coordinate.  lowered(v_of_t, ttab, keys) gives T at each sorted triple
+    of keys, the source indices whose row of J is nonzero; one pullback
+    gives c_{al be ga} = sum J_{a al} J_{b be} J_{c ga} T(a, b, c), and
+    _read_off takes F and its checks from there.  The Euler field is
+    diagonal, so restriction commutes with every step; the coordinate
+    changes are kept only for the identity.
+    """
+    ttab, images, restricted = _target(u.weights, images)
+    v_of_t = invert_coords(t_of_v, ttab, images)
+    jac = [[v.diff(nm) for nm in ttab.names] for v in v_of_t]
+    live = [a for a, row in enumerate(jac, 1) if any(row)]
+    keys = list(combinations_with_replacement(live, 3))
+    low = dict(zip(keys, lowered(v_of_t, ttab, keys)))
+    T = {
+        (a, b, c): low[tuple(sorted((a, b, c)))]
+        for a in live
+        for b, c in combinations_with_replacement(live, 2)
+    }
+    cflat = pullback(
+        T, jac, jac, combinations_with_replacement(range(1, ttab.arity + 1), 3), ttab
+    )
+    fs = _read_off(cflat, ttab, label or u.label(), restricted)
+    if not restricted:
+        vtab = t_of_v[0].table
+        fs = replace(fs, v_table=vtab, t_of_v=tuple(t_of_v), v_of_t=tuple(v_of_t))
+    return fs
+
+
 def metric_and_potential(
     u: Unfolding, tensor: StructureTensor, t_of_v, images=None, label=None
 ) -> FrobeniusStructure:
@@ -435,54 +472,26 @@ def metric_and_potential(
     takes any unfolding whose structure tensor and flat coordinates are
     given.
 
-    The fully lowered tensor is the phi_l-coefficient of triple products;
-    pulling it through the Jacobian of v(t) gives c_{abc} = d3F/dt.dt.dt
-    directly, and _read_off takes F and its checks from there.
-
-    images gives every flat coordinate t^a as a weight-preserving linear
-    form over a target table whose t1 is the unit coordinate; the default
-    is the identity onto t_table(u.weights).  The Euler field is diagonal,
-    so restriction commutes with every step: v(t) is inverted over the
-    target table, the Jacobian has one column per target coordinate, and
-    only source indices whose Jacobian row is nonzero enter the lowered
-    triples and the contractions.  The potential is then F(images); the
-    coordinate changes are kept only for the identity.
+    T(a, b, c) = sum_d c^d_{ab} c^l_{dc} is formed in v and substituted at
+    v(t), every triple through one table of powers of v(t); _build pulls it
+    back and reads F off.  images gives every flat coordinate t^a as a
+    weight-preserving linear form over a target table whose t1 is the unit
+    coordinate; the default is the identity onto t_table(u.weights).  The
+    potential is then F(images).
     """
     n = u.rank
-    ttab, images, restricted = _target(u.weights, images)
-    tnames = ttab.names
-    m = ttab.arity
-    v_of_t = invert_coords(t_of_v, ttab, images)
-    jac = [[v.diff(nm) for nm in tnames] for v in v_of_t]
-    live = [a for a in range(1, n + 1) if any(jac[a - 1])]
 
-    # c_{abc} = sum_d c^d_{ab} * c^l_{dc}, then v -> v(t), all triples
-    # through one table of powers of v(t).
-    keys = list(combinations_with_replacement(live, 3))
-    lowered = [
-        dot(
-            ((tensor.c(d, a, b), tensor.c(tensor.l, d, c)) for d in range(1, n + 1)),
-            tensor.table,
-        )
-        for a, b, c in keys
-    ]
-    vmap = dict(zip(tensor.table.names, v_of_t))
-    low = dict(zip(keys, substitute_all(lowered, vmap, ttab)))
+    def lowered(v_of_t, ttab, keys):
+        low = [
+            dot(
+                ((tensor.c(d, a, b), tensor.c(tensor.l, d, c)) for d in range(1, n + 1)),
+                tensor.table,
+            )
+            for a, b, c in keys
+        ]
+        return substitute_all(low, dict(zip(tensor.table.names, v_of_t)), ttab)
 
-    sym = {
-        (a, b, c): low[tuple(sorted((a, b, c)))]
-        for a in live
-        for b, c in combinations_with_replacement(live, 2)
-    }
-    cflat = pullback(
-        sym, jac, jac, combinations_with_replacement(range(1, m + 1), 3), ttab
-    )
-    fs = _read_off(cflat, ttab, label or u.label(), restricted)
-    if not restricted:
-        fs = replace(
-            fs, v_table=tensor.table, t_of_v=tuple(t_of_v), v_of_t=tuple(v_of_t)
-        )
-    return fs
+    return _build(u, t_of_v, images, label, lowered)
 
 
 def residue_structure(
@@ -497,84 +506,46 @@ def residue_structure(
     then r_{a+b+c-3}.  A_n reads r_s at x^{n-1}, off x^s mod W'.  D_n reads
     it at x^{n-2} and reduces its y insertions to r by xy = h and
     y^2 = sum_j s_j x^j (_d_relations): T(a, b, n) = h r_{a+b-3},
-    T(a, n, n) = sum_j s_j r_{a-1+j} and T(n, n, n) = 0.  The r_s are
-    formed over the target ring, with v already v(t), and pulled back
-    through J = dv/dt.  No Milnor algebra is built.  images and label are
-    as for metric_and_potential, and _read_off makes the same checks.
+    T(a, n, n) = sum_j s_j r_{a-1+j} and T(n, n, n) = 0.  T(1, 1, n) is
+    [x^{n-2}] y = 0.  The r_s are formed over the target ring, with v
+    already v(t), and _build pulls T back and reads F off, as for
+    metric_and_potential.  No Milnor algebra is built.  images and label
+    are as for metric_and_potential, and the same checks are made.
     """
     if family not in ("A", "D"):
         raise PolyError(f"no residue route for family {family!r}")
     u, t_of_v = _flat_source(family, n)
-    vtab = t_of_v[0].table
-    ttab, images, restricted = _target(u.weights, images)
-    v_of_t = invert_coords(t_of_v, ttab, images)
-    vmap = dict(zip(vtab.names, v_of_t))
 
-    # x^n = sum_j rho_j x^j in the Milnor ring, and phi_l = x^top
-    if family == "A":  # W' = x^n + sum_{j < n} w_j x^j
-        top = n - 1
-        parts = u.poly.diff("x").collect(("x",))
-        if parts.pop((n,)) != MPoly.constant(u.table, 1):
-            raise PolyError(f"W' of {u.label()} is not monic")
-        lower = substitute_all([-p for p in parts.values()], vmap, ttab)
-        rho = dict(zip([j for (j,) in parts], lower))
-    else:  # x y^2 = h y gives x^n = -h^2 + sum_{j < n-2} s_j x^{j+2}
-        top = n - 2
-        h, s = _d_relations(u, vmap, ttab)
-        rho = {0: -(h * h)} | {j + 2: c for j, c in s.items() if j < top}
-    r = _residues(rho, n, top, ttab)
-
-    # c_{al be ga} = sum_k P_{al be}(k) R_ga(k), with the pair sums
-    # P_{al be}(k) = sum_{a+b=k} J_{a al} J_{b be} and
-    # R_ga(k) = sum_c J_{c ga} r_{k+c-3}, over live entries of the x rows of J
-    m = ttab.arity
-    cols = [_live([v.diff(nm) for v in v_of_t[: top + 1]]) for nm in ttab.names]
-    ks = range(2, 2 * top + 3)
-    R = [
-        {k: dot(((j, r[k + c - 3]) for c, j in col if r[k + c - 3]), ttab) for k in ks}
-        for col in cols
-    ]
-    P = {}
-    for al, be in combinations_with_replacement(range(1, m + 1), 2):
-        by_k = {}
-        for a, ja in cols[al - 1]:
-            for b, jb in cols[be - 1]:
-                by_k.setdefault(a + b, []).append((ja, jb))
-        P[(al, be)] = {k: dot(prs, ttab) for k, prs in by_k.items()}
-
-    # D_n: with Y = J_{n .} the row of v_n, one y adds Y_al h Q_{be ga} with
-    # Q_{be ga} = sum_k P_{be ga}(k) r_{k-3}, two y add Y_be Y_ga S_al with
-    # S_al = sum_{c<n} J_{c al} T(c, n, n), each in its three rotations
-    Y = [v_of_t[-1].diff(nm) for nm in ttab.names] if family == "D" else []
-    ys = any(Y)
-    if ys:
-        hY = [h * y for y in Y]
-        tnn = [
-            dot(((w, r[c - 1 + j]) for j, w in s.items() if r[c - 1 + j]), ttab)
-            for c in range(1, n)
+    def lowered(v_of_t, ttab, keys):
+        vmap = dict(zip(t_of_v[0].table.names, v_of_t))
+        # x^n = sum_j rho_j x^j in the Milnor ring, and phi_l = x^top
+        if family == "A":  # W' = x^n + sum_{j < n} w_j x^j
+            top = n - 1
+            parts = u.poly.diff("x").collect(("x",))
+            if parts.pop((n,)) != MPoly.constant(u.table, 1):
+                raise PolyError(f"W' of {u.label()} is not monic")
+            lower = substitute_all([-p for p in parts.values()], vmap, ttab)
+            rho = dict(zip([j for (j,) in parts], lower))
+        else:  # x y^2 = h y gives x^n = -h^2 + sum_{j < n-2} s_j x^{j+2}
+            top = n - 2
+            h, s = _d_relations(u, vmap, ttab)
+            rho = {0: -(h * h)} | {j + 2: c for j, c in s.items() if j < top}
+        r = _residues(rho, n, top, ttab)
+        if family == "A":
+            return [r[a + b + c - 3] for a, b, c in keys]
+        # T(a, b, n) = hr[a + b - 2]; hr[0] is T(1, 1, n) = [x^top] y = 0
+        zero = MPoly.zero(ttab)
+        hr = [zero] + [h * x for x in r[: 2 * top]]
+        return [
+            r[a + b + c - 3] if c < n
+            else hr[a + b - 2] if b < n
+            else dot(((w, r[a - 1 + j]) for j, w in s.items() if r[a - 1 + j]), ttab)
+            if a < n
+            else zero
+            for a, b, c in keys
         ]
-        S = [
-            dot(((j, tnn[c - 1]) for c, j in col if tnn[c - 1]), ttab) for col in cols
-        ]
-        Q = {
-            bc: dot(((p, r[k - 3]) for k, p in pk.items() if k > 2 and r[k - 3]), ttab)
-            for bc, pk in P.items()
-        }
-    cflat = {}
-    for al, be, ga in combinations_with_replacement(range(1, m + 1), 3):
-        rg = R[ga - 1]
-        pairs = [(p, rg[k]) for k, p in P[(al, be)].items() if rg[k]]
-        if ys:
-            for a, b, c in ((al, be, ga), (be, al, ga), (ga, al, be)):
-                if Y[a - 1]:
-                    pairs.append((Q[(b, c)], hY[a - 1]))
-                if Y[b - 1] and Y[c - 1]:
-                    pairs.append((S[a - 1], Y[b - 1] * Y[c - 1]))
-        cflat[(al, be, ga)] = dot(pairs, ttab)
-    fs = _read_off(cflat, ttab, label or u.label(), restricted)
-    if not restricted:
-        fs = replace(fs, v_table=vtab, t_of_v=tuple(t_of_v), v_of_t=tuple(v_of_t))
-    return fs
+
+    return _build(u, t_of_v, images, label, lowered)
 
 
 def _d_relations(u: Unfolding, vmap, ttab: VarTable) -> tuple:

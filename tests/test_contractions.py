@@ -367,13 +367,15 @@ class TestDotCounts:
             assert count_dots(monkeypatch, metric_and_potential, *data) == want
 
     def test_residue_structure_a6(self, monkeypatch):
-        # the residues r_6..r_15, the sums R_ga(k) of 6 columns over k = 2..12,
-        # the pair sums P_{al be}(k) with a live term, and one dot per c_{al be ga}
-        assert count_dots(monkeypatch, residue_structure, "A", 6) == 10 + 66 + 100 + 56
+        # the residues r_6..r_15, which are the entries T(a, b, c) = r_{a+b+c-3},
+        # then the pullback's three stages over the nonzero T: the lower-slot
+        # sums P(a, i, ga), the sums L(a, be, ga) and the c_{al be ga} with a
+        # live term
+        assert count_dots(monkeypatch, residue_structure, "A", 6) == 10 + 62 + 39 + 39
 
     def test_residue_structure_d6(self, monkeypatch):
-        # the residues r_5..r_12, the sums R_ga(k) of 6 columns over k = 2..10,
-        # the pair sums P_{al be}(k) with a live term, T(c,6,6) for c < 6,
-        # S_ga per column, Q_{be ga} per pair, and one dot per c_{al be ga}
+        # the residues r_5..r_12, the entries T(c, 6, 6) = sum_j s_j r_{c-1+j}
+        # for c < 6 (the other T are residues or h times one), then the
+        # pullback's three stages as for A6
         got = count_dots(monkeypatch, residue_structure, "D", 6)
-        assert got == 8 + 54 + 75 + 5 + 6 + 21 + 56
+        assert got == 8 + 5 + 57 + 35 + 39

@@ -247,6 +247,34 @@ class TestResidueRoute:
         assert got == want
         assert got.label == "H3" and got.t_of_v is None
 
+    def test_lowered_tensor_entry_by_entry(self, monkeypatch):
+        # along a restriction the pullback does not determine T, so the
+        # routes must agree on T itself, as each hands it to the pullback
+        def lowered(build, *args):
+            seen = []
+
+            def capture(T, *rest):
+                seen.append(T)
+                return pullback(T, *rest)
+
+            monkeypatch.setattr(saito, "pullback", capture)
+            build(*args)
+            monkeypatch.undo()
+            (T,) = seen
+            return T
+
+        cases = [("A", n, None, None) for n in range(1, 9)]
+        cases += [("D", n, None, None) for n in range(3, 9)]
+        cases += [(*restriction(tag), tag) for tag in ("B3", "I2(5)", "H3")]
+        for family, m, images, tag in cases:
+            got = lowered(residue_structure, family, m, images, tag)
+            want = lowered(
+                metric_and_potential, *singularity_data(family, m), images, tag
+            )
+            assert got.keys() == want.keys(), (family, m, tag)
+            for abc, t in want.items():
+                assert got[abc] == t, (family, m, tag, abc)
+
     def test_refuses_other_d_relations(self, monkeypatch):
         u, coords = saito._flat_source("D", 4)
         x, y, v1 = (MPoly.variable(u.table, nm) for nm in ("x", "y", "v1"))
