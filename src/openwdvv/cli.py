@@ -45,6 +45,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .coxeter import (
+    boundary_power,
     classify_I2,
     correlator_recursion_A,
     coxeter_spec,
@@ -70,7 +71,7 @@ from .openext import (
     verify_open_wdvv,
     verify_vector_potential,
 )
-from .report import Report, merge
+from .report import Report, merge, tally
 from .saito import _flat_source, invert_coords, t_table, verify_wdvv
 
 
@@ -198,9 +199,6 @@ def _cmd_correlators(args) -> int:
     table = correlator_recursion_A(args.n, args.max_n)
     items = sorted(table.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
-    def kof(t):
-        return args.n + 2 - sum(args.n + 2 - a for a in t)
-
     if args.format == "json":
         print(
             json.dumps(
@@ -209,7 +207,7 @@ def _cmd_correlators(args) -> int:
                     "entries": [
                         {
                             "insertions": list(t),
-                            "boundary_power": kof(t),
+                            "boundary_power": boundary_power(args.n, t),
                             "value": [int(v.numerator), int(v.denominator)],
                         }
                         for t, v in items
@@ -221,7 +219,8 @@ def _cmd_correlators(args) -> int:
     else:
         for t, v in items:
             taus = " ".join(f"tau_{a}" for a in t)
-            head = f"<{taus} sigma^{kof(t)}>" if taus else f"<sigma^{kof(t)}>"
+            k = boundary_power(args.n, t)
+            head = f"<{taus} sigma^{k}>" if taus else f"<sigma^{k}>"
             print(f"{head} = {v}")
     return 0
 
@@ -256,42 +255,41 @@ def _extension(family, n, lam, branch) -> Report:
     return verify_extension_theorems(family, n)
 
 
+def _refusal(fn, *args):
+    """The message of the PolyError fn(*args) raises, as a failure label,
+    or False when it returns."""
+    try:
+        fn(*args)
+    except PolyError as exc:
+        return str(exc) or repr(exc)
+    return False
+
+
 def _foan(family, n, lam, branch) -> Report:
     ok = check_foan_relation(open_potential_A(n))
-    return Report(f"foan(A{n})", 1, () if ok else ("s-derivative expansion",))
+    return tally(f"foan(A{n})", [not ok and "s-derivative expansion"])
 
 
 def _extract(family, n, lam, branch) -> Report:
     ext = open_potential_D(n)
     ok = extract_v_from_open_D(ext) == list(ext.base.v_of_t)
-    return Report(f"extract(D{n})", 1, () if ok else ("recovered v(t)",))
+    return tally(f"extract(D{n})", [not ok and "recovered v(t)"])
 
 
 def _vector(family, n, lam, branch) -> Report:
-    ext = _open_ext_for(family, n, lam, branch)
-    return verify_vector_potential(ext, f"vector({ext.label})")
+    return verify_vector_potential(_open_ext_for(family, n, lam, branch))
 
 
 def _omega(family, n, lam, branch) -> Report:
-    failures = []
-    try:
-        omega_sequence(n, 2 * n)
-    except PolyError as exc:
-        failures.append(str(exc))
-    if not check_coefw_lemma(n):
-        failures.append("boundary coefficient expansion")
-    if not check_dn_second_derivative_identity(n):
-        failures.append("second-derivative reduction")
-    return Report(f"omega(D{n})", 3, tuple(failures))
+    return tally(f"omega(D{n})", [
+        _refusal(omega_sequence, n, 2 * n),
+        not check_coefw_lemma(n) and "boundary coefficient expansion",
+        not check_dn_second_derivative_identity(n) and "second-derivative reduction",
+    ])
 
 
 def _classification(family, n, lam, branch) -> Report:
-    label = f"classification(I2({n}))"
-    try:
-        classify_I2(n)
-    except PolyError as exc:
-        return Report(label, 1, (str(exc),))
-    return Report(label, 1)
+    return tally(f"classification(I2({n}))", [_refusal(classify_I2, n)])
 
 
 def _obstruction(family, n, lam, branch) -> Report:

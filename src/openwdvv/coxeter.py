@@ -48,7 +48,7 @@ from .openext import (
     open_potential_A,
     open_wdvv_eq2,
 )
-from .report import Report
+from .report import Report, tally
 from .saito import (
     FrobeniusStructure,
     _weighted_keys,
@@ -69,6 +69,7 @@ __all__ = [
     "printed_open_potential",
     "open_family",
     "lambda_rescale",
+    "boundary_power",
     "correlator_recursion_A",
     "obstruction_check",
     "classify_I2",
@@ -356,12 +357,18 @@ open_family.cache_clear = _built_family.cache_clear
 # ---------- boundary correlators of A_N ----------
 
 
+def boundary_power(N: int, t) -> int:
+    """The power k of sigma in <tau_a1 .. tau_an sigma^k>° of A_N, forced
+    by homogeneity: k = N + 2 - sum(N + 2 - a) over the insertions t."""
+    return N + 2 - sum(N + 2 - a for a in t)
+
+
 def correlator_recursion_A(N: int, max_n: int) -> dict:
     """All <tau_a1 .. tau_an sigma^k>° of A_N with n <= max_n insertions,
     from the two seeds by splitting off the first two insertions.
 
-    Keys are sorted insertion tuples; k = k(abar) is forced by
-    homogeneity and tuples with k < 0 are omitted (their value is 0).
+    Keys are sorted insertion tuples; k = boundary_power(N, abar) is forced
+    by homogeneity and tuples with k < 0 are omitted (their value is 0).
     Every insertion adds at least 2 to sum(N + 2 - a), so no tuple of
     more than (N + 2) // 2 insertions has k >= 0 and none is enumerated.
     Reciprocal factorials of negative integers vanish, which silently
@@ -370,14 +377,10 @@ def correlator_recursion_A(N: int, max_n: int) -> dict:
     if max_n < 0:
         raise PolyError("the insertion count bound must be nonnegative")
     fact = math.factorial
-
-    def kof(t):
-        return N + 2 - sum(N + 2 - a for a in t)
-
     memo = {}
 
     def corr(t):
-        k = kof(t)
+        k = boundary_power(N, t)
         if k < 0:
             return rat(0)
         got = memo.get(t)
@@ -395,12 +398,12 @@ def correlator_recursion_A(N: int, max_n: int) -> dict:
                 Sc = [rest[i] for i in range(len(rest)) if not mask >> i & 1]
                 I = tuple(sorted([t[0], *S]))
                 J = tuple(sorted([t[1], *Sc]))
-                kI, kJ = kof(I), kof(J)
+                kI, kJ = boundary_power(N, I), boundary_power(N, J)
                 if kI >= 1 and kJ >= 1:
                     acc += corr(I) * corr(J) / (fact(kI - 1) * fact(kJ - 1))
                 I2 = tuple(sorted([t[0], t[1], *S]))
-                k2 = kof(I2)
-                kJ2 = kof(tuple(Sc))
+                k2 = boundary_power(N, I2)
+                kJ2 = boundary_power(N, tuple(Sc))
                 if Sc and k2 >= 0 and kJ2 >= 2:
                     acc -= corr(I2) * corr(tuple(sorted(Sc))) / (
                         fact(k2) * fact(kJ2 - 2)
@@ -412,7 +415,7 @@ def correlator_recursion_A(N: int, max_n: int) -> dict:
     table = {}
     for n in range(min(max_n, (N + 2) // 2) + 1):
         for t in combinations_with_replacement(range(1, N + 1), n):
-            if kof(t) >= 0:
+            if boundary_power(N, t) >= 0:
                 table[t] = corr(t)
     return table
 
@@ -451,19 +454,17 @@ _E_PATTERNS = {
 }
 
 
-def _check_weight_sums(spec: CoxeterSpec, sums, checked, failures) -> None:
+def _check_weight_sums(spec: CoxeterSpec, sums):
     """Each (label, value, printed) must match its printed value and
-    exceed (3 - delta)/2, which kills the corresponding F° derivative."""
+    exceed (3 - delta)/2, which kills the corresponding F° derivative:
+    two outcomes per sum."""
     bound = Fraction(3 - spec.delta, 2)
     for label, value, printed in sums:
-        checked.append(2)
-        if value != printed:
-            failures.append(f"{label} != {printed}")
-        if value <= bound:
-            failures.append(f"{label} <= (3-delta)/2")
+        yield value != printed and f"{label} != {printed}"
+        yield value <= bound and f"{label} <= (3-delta)/2"
 
 
-def _obstruction_de(spec: CoxeterSpec) -> Report:
+def _obstruction_de(spec: CoxeterSpec):
     """D_n and E6-E8: the one product phi_al*phi_be of the closed Milnor
     algebra, reduced to the basis, must be the pattern row c^mu_{al,be}
     for every mu, and the weight sums must rule the open terms out.  Only
@@ -472,11 +473,7 @@ def _obstruction_de(spec: CoxeterSpec) -> Report:
     ctab = alg.coeff_table
     q = spec.q
     h = spec.h
-    checked = []
-    failures = []
-    checked.append(1)
-    if ctab.weights != q:
-        failures.append("parameter weights disagree with the degree table")
+    yield ctab.weights != q and "parameter weights disagree with the degree table"
     if spec.family == "D":
         n = spec.n
         al, be = 2, n
@@ -499,68 +496,53 @@ def _obstruction_de(spec: CoxeterSpec) -> Report:
             sums = [("2*q3", 2 * q[2], Fraction(4, 3))]
     row = alg.coeffs(alg.phi(al) * alg.phi(be))
     for mu in range(1, spec.rank + 1):
-        checked.append(1)
         want = parse(comps[mu], ctab) if mu in comps else MPoly.zero(ctab)
-        if row[mu - 1] != want:
-            failures.append(f"c^{mu}_({al},{be})")
-    _check_weight_sums(spec, sums, checked, failures)
-    return Report(f"obstruction({spec.tag})", sum(checked), tuple(failures))
+        yield row[mu - 1] != want and f"c^{mu}_({al},{be})"
+    yield from _check_weight_sums(spec, sums)
 
 
-def _obstruction_printed(spec: CoxeterSpec) -> Report:
+def _obstruction_printed(spec: CoxeterSpec):
     """F4 and H4: on the printed potential, c^mu_{2,2} vanishes at t = 0
     and its t2-derivative is exactly delta^{mu,1}, while the weight of
     t2^2 rules the remaining open WDVV term out."""
     fs = coxeter_structure(spec)
     tab = fs.table
-    checked = []
-    failures = []
     _, _, raised = third_derivatives(fs.potential, fs.eta_inv, tab.names)
     for mu, c in enumerate(raised[(2, 2)], start=1):
-        checked.append(2)
-        if c.constant_term():
-            failures.append(f"c^{mu}_(2,2) at t=0")
+        yield bool(c.constant_term()) and f"c^{mu}_(2,2) at t=0"
         want = MPoly.constant(tab, 1 if mu == 1 else 0)
-        if c.diff("t2") != want:
-            failures.append(f"dc^{mu}_(2,2)/dt2")
-    _check_weight_sums(
-        spec,
-        [("2*q2", 2 * spec.q[1], Fraction(4, 3))],
-        checked,
-        failures,
-    )
-    return Report(f"obstruction({spec.tag})", sum(checked), tuple(failures))
+        yield c.diff("t2") != want and f"dc^{mu}_(2,2)/dt2"
+    yield from _check_weight_sums(spec, [("2*q2", 2 * spec.q[1], Fraction(4, 3))])
 
 
-def _obstruction_h3() -> Report:
+def _obstruction_h3():
     """H3: the unit and homogeneity conditions leave a 9-parameter space
     of candidate F° (_open_ansatz); d2/dt2^2 of eq2(2,3) has (t,s)-free
     part exactly 2, independently of the parameters, on the built H3."""
     fs = coxeter_structure("H3")
     fo = _open_ansatz(fs)
     tab = fo.table
-    failures = []
-    if tab.arity != 4 + 9:
-        failures.append("candidate space dimension")
+    yield tab.arity != 4 + 9 and "candidate space dimension"
     left, right = open_wdvv_eq2(fs, fo, 2, 3)
     r = (left - right).diff("t2").diff("t2")
     free = r.collect(tab.names[:4]).get((0, 0, 0, 0), MPoly.zero(tab))
-    if free != MPoly.constant(tab, 2):
-        failures.append("residual constant")
-    return Report("obstruction(H3)", 2, tuple(failures))
+    yield free != MPoly.constant(tab, 2) and "residual constant"
 
 
 def obstruction_check(group) -> Report:
     """Exact nonexistence evidence for the groups without polynomial
-    open solutions; every subcheck is a polynomial or rational identity."""
+    open solutions; every subcheck is a polynomial or rational identity.
+    The argument that applies yields one outcome per subcheck."""
     spec = _spec(group)
     if spec.family == "D" and spec.n >= 4 or spec.family == "E":
-        return _obstruction_de(spec)
-    if spec.tag in ("F4", "H4"):
-        return _obstruction_printed(spec)
-    if spec.tag == "H3":
-        return _obstruction_h3()
-    raise PolyError(f"no obstruction argument applies to {spec.tag}")
+        outcomes = _obstruction_de(spec)
+    elif spec.tag in ("F4", "H4"):
+        outcomes = _obstruction_printed(spec)
+    elif spec.tag == "H3":
+        outcomes = _obstruction_h3()
+    else:
+        raise PolyError(f"no obstruction argument applies to {spec.tag}")
+    return tally(f"obstruction({spec.tag})", outcomes)
 
 
 # ---------- classification for I2(k) ----------

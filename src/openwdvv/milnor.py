@@ -29,7 +29,7 @@ from functools import lru_cache
 from operator import ge, mul
 
 from .exactalg import MPoly, PolyError, VarTable, dot, substitute_all
-from .report import Report
+from .report import Report, tally
 
 __all__ = [
     "Unfolding",
@@ -431,35 +431,33 @@ def check_confluence(alg: QuotientAlgebra) -> Report:
     one normal form (coprime pairs join by Buchberger's first criterion);
     with the decreasing order checked at construction, Newman's lemma gives
     confluence.  checked counts the overlapping pairs."""
-    failures = []
-    checked = 0
-    for i, (l1, r1) in enumerate(alg.rules):
-        for l2, r2 in alg.rules[i + 1 :]:
-            if not any(a and b for a, b in zip(l1, l2)):
-                continue
-            checked += 1
-            lcm = tuple(map(max, l1, l2))
-            left, right = (
-                alg.normal_form(alg._gen_monomial([c - e for c, e in zip(lcm, l)]) * r)
-                for l, r in ((l1, r1), (l2, r2))
-            )
-            if left != right:
-                failures.append(f"{l1}/{l2}")
-    return Report(f"confluence({alg.label()})", checked, tuple(failures))
+
+    def outcomes():
+        for i, (l1, r1) in enumerate(alg.rules):
+            for l2, r2 in alg.rules[i + 1 :]:
+                if not any(a and b for a, b in zip(l1, l2)):
+                    continue
+                lcm = tuple(map(max, l1, l2))
+                left, right = (
+                    alg.normal_form(alg._gen_monomial([c - e for c, e in zip(lcm, l)]) * r)
+                    for l, r in ((l1, r1), (l2, r2))
+                )
+                yield left != right and f"{l1}/{l2}"
+
+    return tally(f"confluence({alg.label()})", outcomes())
 
 
 def check_associativity(alg: QuotientAlgebra) -> Report:
     """(phi_a*phi_b)*phi_c = phi_a*(phi_b*phi_c) after reduction, all triples."""
-    failures = []
-    checked = 0
     nf = alg.normal_form
-    for a in range(1, alg.rank + 1):
-        for b in range(a, alg.rank + 1):
-            ab = alg.multiply(a, b)
-            for c in range(b, alg.rank + 1):
-                checked += 1
-                left = nf(ab * alg.phi(c))
-                right = nf(alg.phi(a) * nf(alg.phi(b) * alg.phi(c)))
-                if left != right:
-                    failures.append(f"({a},{b},{c})")
-    return Report(f"associativity({alg.label()})", checked, tuple(failures))
+
+    def outcomes():
+        for a in range(1, alg.rank + 1):
+            for b in range(a, alg.rank + 1):
+                ab = alg.multiply(a, b)
+                for c in range(b, alg.rank + 1):
+                    left = nf(ab * alg.phi(c))
+                    right = nf(alg.phi(a) * nf(alg.phi(b) * alg.phi(c)))
+                    yield left != right and f"({a},{b},{c})"
+
+    return tally(f"associativity({alg.label()})", outcomes())

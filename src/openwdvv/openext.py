@@ -11,8 +11,9 @@ Verifiers in this module treat every statement as an exact polynomial
 the flat F-manifold axioms for the vector potential, the matching of the
 extended multiplication tensor with (F, F°), and the combinatorial
 omega-identities that drive the D-case proof.  verify_vector_potential
-(ext, label) reads the vector axioms off the closed and open WDVV
-contractions of the same tables (_open_tables) as the other checks.
+(ext) reads the vector axioms off the closed and open WDVV contractions
+of the same tables (_open_tables) as the other checks.  Every verifier
+yields one outcome per identity and report.tally counts them.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ from .milnor import (
     build_unfolding,
     structure_constants,
 )
-from .report import Report
+from .report import Report, tally
 from .saito import (
     FrobeniusStructure,
     _contractions,
     _first_monomial,
     _live,
+    _raise_row,
     _wdvv_contractions,
     _weighted_keys,
     frobenius_structure,
@@ -102,10 +104,11 @@ class OpenExtension:
         tab = self.table
         F = self.base.potential.substitute({}, tab)
         grads = [F.diff(nm) for nm in self.base.table.names]
-        return tuple(
-            dot(((g, e) for g, e in zip(grads, row) if e), tab)
+        raised = (
+            _raise_row(_live(row), lambda m: grads[m - 1], tab)
             for row in self.base.eta_inv
-        ) + (self.potential,)
+        )
+        return tuple(p * e for p, e in raised) + (self.potential,)
 
 
 def open_extension(base: FrobeniusStructure, fo: MPoly) -> OpenExtension:
@@ -280,23 +283,19 @@ def verify_open_wdvv(ext: OpenExtension) -> Report:
     n = base.rank
     fo = ext.potential
     q, o2 = _open_contractions(base, fo)
-    failures = []
-    checked = n + 2
-    for al in range(1, n + 1):
-        if o2(1, al):
-            failures.append(f"unit(1,{al})")
-    if o2(1, n + 1) != MPoly.constant(ext.table, 1):
-        failures.append("unit(1,s)")
-    if fo.euler() != fo * rat((3 - base.delta) / 2):
-        failures.append("homogeneity")
-    for label, left, right in _equations(n, q, o2):
-        checked += 1
-        if left != right:
-            failures.append(f"{label}: {_first_monomial(left - right)}")
-    return Report(f"open-wdvv({base.label})", checked, tuple(failures))
+
+    def outcomes():
+        for al in range(1, n + 1):
+            yield bool(o2(1, al)) and f"unit(1,{al})"
+        yield o2(1, n + 1) != MPoly.constant(ext.table, 1) and "unit(1,s)"
+        yield fo.euler() != fo * rat((3 - base.delta) / 2) and "homogeneity"
+        for label, left, right in _equations(n, q, o2):
+            yield left != right and f"{label}: {_first_monomial(left - right)}"
+
+    return tally(f"open-wdvv({base.label})", outcomes())
 
 
-def verify_vector_potential(ext: OpenExtension, label: str) -> Report:
+def verify_vector_potential(ext: OpenExtension) -> Report:
     """Flat F-manifold axioms of the vector potential (F^1, ..., F^N, F°),
     F^a = eta^{a mu} dF/dt^mu, over t1..tN, s (s the index N+1): the unit
     condition d2F^a/dt1 dt^b = delta^a_b, the quadratic compatibility,
@@ -308,13 +307,16 @@ def verify_vector_potential(ext: OpenExtension, label: str) -> Report:
     differentiated twice: d2F^a/dt^b dt^c = c^a_bc for a, b, c <= N, and
     every L is read off the contractions the WDVV sweeps form once per call:
     - L(a, b; cd) = sum_a' eta^{aa'} P(a'b; cd) for a, b, c, d <= N, with
-      P verify_wdvv's (saito._wdvv_contractions).  A row of eta^{-1} with
-      one live entry e (every constructed group's) compares two P's and
-      scales only a failure's residual by e; other rows take one dot.
+      P verify_wdvv's (saito._wdvv_contractions), raised by
+      saito._raise_row.  A row of eta^{-1} with one live entry e (every
+      constructed group's) compares two P's and scales only a failure's
+      residual by e; other rows take one dot.
     - L(s, b; cd) = Q(cd; b) (_open_contractions) for c, d <= N, and
       d2F°/dt^b ds d2F°/dt^c ds when d = s, the same on both sides.
     - L(a, b; cd) = 0 for a <= N when b, c or d is s, since dF^a/ds = 0.
-    The conformal condition of a one-entry row reads dF/dt^a' itself."""
+    The conformal condition of a one-entry row reads dF/dt^a' itself.
+    Trivially equal identities are counted as passes.  The Report is
+    labelled vector-potential(vector(<label of ext>))."""
     base = ext.base
     n = base.rank
     m = n + 1
@@ -327,47 +329,37 @@ def verify_vector_potential(ext: OpenExtension, label: str) -> Report:
     eta_live = [_live(row) for row in base.eta_inv]
 
     def lowered(a, pick):
-        """(p, e) with sum_a' eta^{aa'} pick(a') = e * p."""
-        live = eta_live[a - 1]
-        if len(live) == 1:
-            ((a1, e),) = live
-            return pick(a1), e
-        return dot([(pick(a1), e) for a1, e in live], tab), 1
+        return _raise_row(eta_live[a - 1], pick, tab)
 
-    failures = []
-    checked = 0
-    for a in range(1, m + 1):
-        for b in range(1, m + 1):
-            checked += 1
-            want = MPoly.constant(tab, 1 if a == b else 0)
-            got = o2(1, b) if a == m else raised[(1, b)][a - 1] if b <= n else want
-            if got != want:
-                failures.append(f"unit({a},{b})")
-    for be in range(1, m + 1):
-        for ga in range(be + 1, m + 1):
-            for al in range(1, m + 1):
-                for de in range(1, m + 1):
-                    checked += 1
-                    if de == m or (al <= n and ga == m):
-                        continue  # both sides vanish or are one product
-                    if al <= n:
-                        left, e = lowered(al, lambda a1: closed(a1, be, ga, de))
-                        right, _ = lowered(al, lambda a1: closed(a1, ga, be, de))
-                    else:
-                        e = 1
-                        left = o2(be, m) * o2(de, m) if ga == m else q(ga, de, be)
-                        right = q(be, de, ga)
-                    if left != right:
-                        failures.append(
+    def outcomes():
+        for a in range(1, m + 1):
+            for b in range(1, m + 1):
+                want = MPoly.constant(tab, 1 if a == b else 0)
+                got = o2(1, b) if a == m else raised[(1, b)][a - 1] if b <= n else want
+                yield got != want and f"unit({a},{b})"
+        for be in range(1, m + 1):
+            for ga in range(be + 1, m + 1):
+                for al in range(1, m + 1):
+                    for de in range(1, m + 1):
+                        if de == m or (al <= n and ga == m):
+                            yield False  # both sides vanish or are one product
+                            continue
+                        if al <= n:
+                            left, e = lowered(al, lambda a1: closed(a1, be, ga, de))
+                            right, _ = lowered(al, lambda a1: closed(a1, ga, be, de))
+                        else:
+                            e = 1
+                            left = o2(be, m) * o2(de, m) if ga == m else q(ga, de, be)
+                            right = q(be, de, ga)
+                        yield left != right and (
                             f"({al},{be},{ga},{de}): {_first_monomial((left - right) * e)}"
                         )
-    grads = [F.diff(nm) for nm in tab.names[:n]]
-    for a in range(1, m + 1):
-        checked += 1
-        comp = lowered(a, lambda a1: grads[a1 - 1])[0] if a <= n else fo
-        if comp.euler() != comp * rat(1 + tab.weights[a - 1]):
-            failures.append(f"conformal({a})")
-    return Report(f"vector-potential({label})", checked, tuple(failures))
+        grads = [F.diff(nm) for nm in tab.names[:n]]
+        for a in range(1, m + 1):
+            comp = lowered(a, lambda a1: grads[a1 - 1])[0] if a <= n else fo
+            yield comp.euler() != comp * rat(1 + tab.weights[a - 1]) and f"conformal({a})"
+
+    return tally(f"vector-potential(vector({ext.label}))", outcomes())
 
 
 @lru_cache(maxsize=None)
@@ -406,17 +398,18 @@ def verify_extension_theorems(family: str, n: int) -> Report:
     got = pullback(cv, inv, jac, keys, tab)
 
     _, _, raised, d2o = _open_tables(base, ext.potential)
-    failures = []
-    for (al, be, ga), p in got.items():
-        if al > n:
-            want = d2o[(be, ga)]
-        elif ga <= n:
-            want = raised[(be, ga)][al - 1]
-        else:
-            want = zero
-        if p != want:
-            failures.append(f"c^{al}_({be},{ga})")
-    return Report(f"extension({family}{n})", len(got), tuple(failures))
+
+    def outcomes():
+        for (al, be, ga), p in got.items():
+            if al > n:
+                want = d2o[(be, ga)]
+            elif ga <= n:
+                want = raised[(be, ga)][al - 1]
+            else:
+                want = zero
+            yield p != want and f"c^{al}_({be},{ga})"
+
+    return tally(f"extension({family}{n})", outcomes())
 
 
 @dataclass(frozen=True)

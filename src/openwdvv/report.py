@@ -9,8 +9,9 @@ from dataclasses import dataclass
 class Report:
     """Outcome of one exact verification sweep.
 
-    failures holds one short label per violated identity, e.g. an index
-    quadruple plus the first offending monomial.
+    checked is the number of identities the sweep compares, counted by
+    tally; failures holds one short label per violated identity, e.g. an
+    index quadruple plus the first offending monomial.
     """
 
     label: str
@@ -30,6 +31,20 @@ class Report:
         head = "; ".join(self.failures[:3])
         more = "" if len(self.failures) <= 3 else f" (+{len(self.failures) - 3} more)"
         return f"{self.label}: FAIL {len(self.failures)}/{self.checked}: {head}{more}"
+
+
+def tally(label: str, outcomes) -> Report:
+    """The Report of a sweep that yields one outcome per identity it
+    compares: a false value when the identity holds, its failure label
+    when it does not.  Sweeps write `left != right and label`, so a label
+    is formatted only for an identity that fails."""
+    checked = 0
+    failures = []
+    for outcome in outcomes:
+        checked += 1
+        if outcome:
+            failures.append(outcome)
+    return Report(label, checked, tuple(failures))
 
 
 def merge(label: str, reports) -> Report:

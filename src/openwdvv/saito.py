@@ -55,7 +55,7 @@ from .milnor import (
     parameter_table,
     structure_constants,
 )
-from .report import Report
+from .report import Report, tally
 
 __all__ = [
     "FrobeniusStructure",
@@ -319,6 +319,17 @@ def pullback(T, first, second, keys, table) -> dict:
 def _live(row) -> list:
     """The (index, entry) pairs of the nonzero entries of row, 1-based."""
     return [(i, e) for i, e in enumerate(row, 1) if e]
+
+
+def _raise_row(live, pick, table) -> tuple:
+    """(p, e) with sum_m eta^{vm} pick(m) = e * p, for the live entries
+    [(m, eta^{vm})] of one row of eta^{-1} (_live): a one-entry row (every
+    constructed group's) re-keys, p = pick(m) and e = eta^{vm}; any other
+    row takes one dot and e = 1."""
+    if len(live) == 1:
+        ((m, e),) = live
+        return pick(m), e
+    return dot([(pick(m), e) for m, e in live], table), 1
 
 
 def _contractions(rows, cols, table):
@@ -658,9 +669,8 @@ def third_derivatives(F: MPoly, eta_inv, names) -> tuple:
 
     d3[(a, b, c)] = d3F/dt^a dt^b dt^c for 1 <= a <= b <= c <= N,
     rows[(a, b)] lists c_{ab1}, ..., c_{abN} out of d3, and raised[(a, b)]
-    lists c^v_{ab} = eta^{vm} c_{abm} for v = 1..N (a <= b): c_{abm} itself,
-    or e times it, when row v of eta_inv has one live entry e at m (every
-    constructed group's), else one form of _contractions.
+    lists c^v_{ab} = eta^{vm} c_{abm} for v = 1..N (a <= b), each row v of
+    eta_inv raised by _raise_row.
     Nothing is cached: every caller sweeps the tensors once and drops them.
     """
     n = len(names)
@@ -670,16 +680,13 @@ def third_derivatives(F: MPoly, eta_inv, names) -> tuple:
         (a, b): [d3[tuple(sorted((a, b, m)))] for m in idx]
         for a, b in combinations_with_replacement(idx, 2)
     }
-    form = _contractions(rows, dict(enumerate(eta_inv, 1)), F.table)
     lives = [_live(row) for row in eta_inv]
 
-    def entry(ab, v):
-        if len(lives[v - 1]) != 1:
-            return form(ab, v)
-        ((m, e),) = lives[v - 1]
-        return rows[ab][m - 1] if e == 1 else rows[ab][m - 1] * e
+    def entry(row, live):
+        p, e = _raise_row(live, lambda m: row[m - 1], F.table)
+        return p if e == 1 else p * e
 
-    raised = {ab: [entry(ab, v) for v in idx] for ab in rows}
+    raised = {ab: [entry(row, live) for live in lives] for ab, row in rows.items()}
     return d3, rows, raised
 
 
@@ -714,40 +721,33 @@ def verify_wdvv(fs: FrobeniusStructure) -> Report:
     d3, rows, raised = third_derivatives(fs.potential, fs.eta_inv, tab.names)
     contraction = _wdvv_contractions(rows, raised, tab)
 
-    failures = []
-    checked = 0
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            checked += 1
-            want = MPoly.constant(tab, fs.eta[a - 1][b - 1])
-            if d3[(1, a, b)] != want:
-                failures.append(f"unit({a},{b})")
-
-    for al in range(1, n + 1):
-        for de in range(al + 1, n + 1):
-            for be in range(1, n + 1):
-                for ga in range(be + 1, n + 1):
-                    checked += 1
-                    left = contraction(al, be, ga, de)
-                    right = contraction(de, be, ga, al)
-                    if left != right:
-                        failures.append(
+    def outcomes():
+        for a in range(1, n + 1):
+            for b in range(a, n + 1):
+                want = MPoly.constant(tab, fs.eta[a - 1][b - 1])
+                yield d3[(1, a, b)] != want and f"unit({a},{b})"
+        for al in range(1, n + 1):
+            for de in range(al + 1, n + 1):
+                for be in range(1, n + 1):
+                    for ga in range(be + 1, n + 1):
+                        left = contraction(al, be, ga, de)
+                        right = contraction(de, be, ga, al)
+                        yield left != right and (
                             f"({al},{be},{ga},{de}): {_first_monomial(left - right)}"
                         )
-    return Report(f"wdvv({fs.label})", checked, tuple(failures))
+
+    return tally(f"wdvv({fs.label})", outcomes())
 
 
 def verify_homogeneity(fs: FrobeniusStructure) -> Report:
     """Euler(F) = (3 - delta) F, and E t^i = q_i t^i when maps are present."""
-    failures = []
-    d = 3 - fs.delta
-    checked = 1
-    if fs.potential.euler() != fs.potential * rat(d.numerator, d.denominator):
-        failures.append("potential")
-    if fs.t_of_v is not None:
-        for g, t in enumerate(fs.t_of_v, start=1):
-            checked += 1
+
+    def outcomes():
+        F = fs.potential
+        d = 3 - fs.delta
+        yield F.euler() != F * rat(d.numerator, d.denominator) and "potential"
+        for g, t in enumerate(fs.t_of_v or (), start=1):
             qg = fs.weights[g - 1]
-            if t.euler() != t * rat(qg.numerator, qg.denominator):
-                failures.append(f"t^{g}")
-    return Report(f"homogeneity({fs.label})", checked, tuple(failures))
+            yield t.euler() != t * rat(qg.numerator, qg.denominator) and f"t^{g}"
+
+    return tally(f"homogeneity({fs.label})", outcomes())

@@ -255,11 +255,12 @@ class TestSameReports:
     @pytest.mark.parametrize("tag", OPEN_GROUPS)
     def test_vector(self, tag):
         ext = open_extension_of(tag)
-        rep = verify_vector_potential(ext, tag)
-        assert rep.ok and rep == reference_vector(ext.vector_potential(), tag)
+        label = f"vector({tag})"  # the Report label names the extension
+        rep = verify_vector_potential(ext)
+        assert rep.ok and rep == reference_vector(ext.vector_potential(), label)
         for bad in tampered(ext):  # F, then F°
-            rep = verify_vector_potential(bad, tag)
-            assert not rep.ok and rep == reference_vector(bad.vector_potential(), tag)
+            rep = verify_vector_potential(bad)
+            assert not rep.ok and rep == reference_vector(bad.vector_potential(), label)
 
     @pytest.mark.parametrize(
         "family, n, branch", VECTOR_INPUTS, ids=[_tag(*i[:2]) + i[2] for i in VECTOR_INPUTS]
@@ -267,16 +268,16 @@ class TestSameReports:
     def test_vector_as_served(self, family, n, branch):
         # the extensions `verify vector` and `verify all` build, at three
         # lambdas, and both tamperings at lambda = 1
-        label = _tag(family, n)
+        label = f"vector({_tag(family, n)})"
         for lam in (1, 2, Fraction(-1, 3)):
             ext = cli._open_ext_for(family, n, GaussianRational(lam), branch)
-            rep = verify_vector_potential(ext, label)
+            rep = verify_vector_potential(ext)
             assert rep.ok and rep == reference_vector(ext.vector_potential(), label)
         ext = cli._open_ext_for(family, n, 1, branch)
         for bad in tampered(ext):
-            rep = verify_vector_potential(bad, label)
+            rep = verify_vector_potential(bad)
             # A1's bumped F° only moves the s^3 coefficient, which stays a solution
-            assert rep.ok == (label == "A1")
+            assert rep.ok == (label == "vector(A1)")
             assert rep == reference_vector(bad.vector_potential(), label)
 
     def test_vector_general_metric_row(self):
@@ -289,11 +290,11 @@ class TestSameReports:
         mixed = saito.from_potential("D4'", base.potential.substitute(base_mix, base.table))
         assert max(sum(1 for e in row if e) for row in mixed.eta_inv) == 2
         ext = openext.open_extension(mixed, ext.potential.substitute(ext_mix, ext.table))
-        rep = verify_vector_potential(ext, "D4'")
-        assert rep.ok and rep == reference_vector(ext.vector_potential(), "D4'")
+        rep = verify_vector_potential(ext)
+        assert rep.ok and rep == reference_vector(ext.vector_potential(), "vector(D4')")
         for bad in tampered(ext):
-            rep = verify_vector_potential(bad, "D4'")
-            assert not rep.ok and rep == reference_vector(bad.vector_potential(), "D4'")
+            rep = verify_vector_potential(bad)
+            assert not rep.ok and rep == reference_vector(bad.vector_potential(), "vector(D4')")
 
 
 # ---------- dot counts ----------
@@ -334,7 +335,7 @@ class TestDotCounts:
         # eta^-1 of A6 is a permutation, so neither the raising nor a row
         # of L takes a dot of its own
         bound = pairs * (pairs + 1) // 2 + pairs * (n + 1)
-        got = count_dots(monkeypatch, verify_vector_potential, ext, "A6")
+        got = count_dots(monkeypatch, verify_vector_potential, ext)
         assert got <= bound
         assert got == 366
 

@@ -76,11 +76,11 @@ class TestVectorPotential:
     def test_axioms(self):
         for n in (1, 2, 3):
             ext = open_potential_A(n)
-            rep = verify_vector_potential(ext, ext.label)
+            rep = verify_vector_potential(ext)
             assert rep.ok, rep.summary()
         for n in (3, 4):
             ext = open_potential_D(n)
-            rep = verify_vector_potential(ext, ext.label)
+            rep = verify_vector_potential(ext)
             assert rep.ok, rep.summary()
 
     def test_tampered_potential_fails(self):
@@ -89,7 +89,7 @@ class TestVectorPotential:
         # whose contractions read c^v_ab
         ext = open_potential_A(2)
         bad = replace(ext, base=replace(ext.base, potential=ext.base.potential * 2))
-        rep = verify_vector_potential(bad, "bad")
+        rep = verify_vector_potential(bad)
         assert rep.failures == (
             "unit(1,1)", "unit(2,2)", "(3,1,2,2): -1", "(3,1,3,1): -1",
             "(3,1,3,2): -s", "(3,2,3,1): -s", "(3,2,3,2): t2",
