@@ -307,9 +307,7 @@ class _Identity(NamedTuple):
 _CHECKS = {
     "wdvv": _Identity(_wdvv),
     "open-wdvv": _Identity(_open_wdvv, member=True),
-    "extension": _Identity(
-        _extension, ("A", "D"), "extension theorems cover A and D only"
-    ),
+    "extension": _Identity(_extension),
     "foan": _Identity(_foan, ("A",), "the s-derivative expansion is an A identity"),
     "extract": _Identity(_extract, ("D",), "coordinate recovery is a D identity"),
     "vector": _Identity(_vector, member=True),

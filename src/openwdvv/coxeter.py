@@ -287,21 +287,18 @@ def lambda_rescale(fo: MPoly, lam) -> MPoly:
     lambda = 0 keeps exactly the s-linear part and is defined only when
     F° vanishes at s = 0 (and has no pole)."""
     tab = fo.table
-    li = tab.laurent_index
-    if li is None:
+    s = tab.laurent
+    if s is None:
         raise PolyError("open potential table has no s slot")
     if not isinstance(lam, GaussianRational):
         lam = GaussianRational(rat(lam))
-    s = tab.laurent
+    parts = fo.collect((s,))
     if not lam:
-        if any(tab._field(k, li) <= 0 for k in fo._keys()):
+        if any(j <= 0 for (j,) in parts):
             raise PolyError("lambda = 0 needs F° to vanish at s = 0")
-        return fo.coefficient_of(s, 1) * MPoly.variable(tab, s)
+        return parts.get((1,), MPoly.zero(tab)) * MPoly.variable(tab, s)
     return dot(
-        (
-            (part, MPoly.monomial(tab, lam ** (j - 1), {s: j}))
-            for (j,), part in fo.collect((s,)).items()
-        ),
+        ((part, MPoly.monomial(tab, lam ** (j - 1), {s: j})) for (j,), part in parts.items()),
         tab,
     )
 
@@ -320,8 +317,7 @@ def _built_family(tag: str) -> SolutionFamily:
         gen = open_generator_A(len(images), tab, live)
     else:
         raise PolyError(f"{spec.tag} has no polynomial open solutions")
-    tab, li = gen.table, gen.table.laurent_index
-    domain = "C*" if any(tab._field(k, li) == 0 for k in gen._keys()) else "C"
+    domain = "C*" if (0,) in gen.collect((gen.table.laurent,)) else "C"
     expected = (
         "C*"
         if (spec.family == "A" and spec.n >= 2)
@@ -363,6 +359,15 @@ def boundary_power(N: int, t) -> int:
     return N + 2 - sum(N + 2 - a for a in t)
 
 
+# Largest predicted work N^2 * C(N + m, m) of correlator_recursion_A, with
+# m = min(max_n, (N + 2) // 2): C(N + m, m) tuples, each costing about N
+# (its values are ratios of factorials up to N!), and one more N to bound
+# few insertions at large N.  From the command line (2-core shared host)
+# A21 with 10 insertions took 55 s, A23 with 9 27 s, and A56 with 5 and
+# A86 with 4 10 s, at most 60 MB; a refusal ends in 0.2 s.
+MAX_CORRELATOR_WORK = 2 * 10**10
+
+
 def correlator_recursion_A(N: int, max_n: int) -> dict:
     """All <tau_a1 .. tau_an sigma^k>° of A_N with n <= max_n insertions,
     from the two seeds by splitting off the first two insertions.
@@ -372,10 +377,19 @@ def correlator_recursion_A(N: int, max_n: int) -> dict:
     Every insertion adds at least 2 to sum(N + 2 - a), so no tuple of
     more than (N + 2) // 2 insertions has k >= 0 and none is enumerated.
     Reciprocal factorials of negative integers vanish, which silently
-    prunes inadmissible splittings."""
-    coxeter_spec(f"A{N}")
+    prunes inadmissible splittings.  A request whose predicted work
+    exceeds MAX_CORRELATOR_WORK is refused before anything is built."""
     if max_n < 0:
         raise PolyError("the insertion count bound must be nonnegative")
+    m = min(max_n, (N + 2) // 2)
+    budget = MAX_CORRELATOR_WORK
+    # N^2 alone refuses the largest N before math.comb runs
+    if N > 0 and (N * N > budget or N * N * math.comb(N + m, m) > budget):
+        raise PolyError(
+            f"correlators of A{N} with up to {m} insertions exceed the work "
+            f"budget N^2 * C(N + m, m) <= {budget}"
+        )
+    coxeter_spec(f"A{N}")
     fact = math.factorial
     memo = {}
 
@@ -413,7 +427,7 @@ def correlator_recursion_A(N: int, max_n: int) -> dict:
         return val
 
     table = {}
-    for n in range(min(max_n, (N + 2) // 2) + 1):
+    for n in range(m + 1):
         for t in combinations_with_replacement(range(1, N + 1), n):
             if boundary_power(N, t) >= 0:
                 table[t] = corr(t)
@@ -589,8 +603,9 @@ def classify_I2(k: int, free_coefficient=None) -> SolutionFamily:
     def known_images():
         return {bn: MPoly.constant(btab, v) for bn, v in sol.items()}
 
+    rows = E.collect(("t2", "s"))
     for i in range(k - 1):
-        row = E.coefficient_of("t2", k - 2 - i).coefficient_of("s", 2 * i)
+        row = rows.get((k - 2 - i, 2 * i), MPoly.zero(btab))
         P = row.substitute(known_images(), btab)
         unknowns = [bn for bn in bnames if bn not in sol and P.depends_on(bn)]
         if not unknowns:
@@ -600,15 +615,14 @@ def classify_I2(k: int, free_coefficient=None) -> SolutionFamily:
         if len(unknowns) > 1:
             raise PolyError(f"row {i} for I2({k}) is not triangular")
         bu = unknowns[0]
-        deg = P.max_exponent(bu)
+        # P = sum c[e] * bu^e, the c[e] constants
+        c = {e: part.constant_term() for (e,), part in P.collect((bu,)).items()}
+        deg = max(c)
+        b = c.get(0, GaussianRational(0))
         if deg == 1:
-            a = P.coefficient_of(bu, 1).constant_term()
-            b = P.coefficient_of(bu, 0).constant_term()
-            sol[bu] = -b / a
-        elif deg == 2 and not P.coefficient_of(bu, 1):
-            a = P.coefficient_of(bu, 2).constant_term()
-            b = P.coefficient_of(bu, 0).constant_term()
-            root = sqrt_coefficient(-b / a)
+            sol[bu] = -b / c[1]
+        elif deg == 2 and 1 not in c:
+            root = sqrt_coefficient(-b / c[2])
             want = gen_beta(int(bu[1:]))
             if want != root and want != -root:
                 raise PolyError(f"branch value of {bu} disagrees with the generator")

@@ -21,14 +21,13 @@ Inside, a polynomial is held in an integer layout:
 
 Products, sums, derivatives, the Euler operator, substitution and the
 builders of saito, openext and coxeter (int ratios by packed key, through
-MPoly._from_ratios) run on these ints.  dot is the one accumulation loop:
-a * b, a - b, mixed or Gaussian a + b, non-integer scalar multiples and
-substitution all run through it; only a + b over one real denominator
-and a real polynomial times an int keep their own one-pass paths.
-Fractions and GaussianRationals are made only at the edges: MPoly(table,
-terms), scalar operands, table weights and degrees, the read-only terms
-view (exponent tuple -> GaussianRational), the coefficient queries, and
-the text and JSON forms.
+MPoly._from_ratios) run on these ints.  dot is the one accumulation
+loop: every a + b, a - b, a * b, scalar multiple and substitution runs
+through it, and collect is the one grouping of terms by slot.  Fractions
+and GaussianRationals are made only at the edges: MPoly(table, terms),
+scalar operands, table weights and degrees, the read-only terms view
+(exponent tuple -> GaussianRational), the coefficient queries, and the
+text and JSON forms.
 
 Canonical order is graded lexicographic: terms sort by total degree, then
 by exponent tuple.  The text form and the JSON form both list terms in this
@@ -463,32 +462,13 @@ class MPoly:
         except ExponentError:
             return _GR0
 
-    def _rekeyed(self, fn, target: VarTable | None = None) -> "MPoly":
-        """The polynomial with key k moved to fn(k) over target (default: the
-        same table); fn returns None to drop a term and must be injective on
-        the kept keys."""
-        target = target or self.table
-        out = []
-        for maps in (self._num, self._im or {}):
-            moved = {}
-            for k, v in maps.items():
-                k2 = fn(k)
-                if k2 is not None:
-                    moved[k2] = v
-            target._check_keys(moved.keys())
-            out.append(moved)
-        return MPoly._from_ints(target, out[0], self._den, out[1] or None)
-
-    def coefficient_of(self, name: str, power: int) -> "MPoly":
-        """Coefficient of name**power, as a polynomial with that slot zeroed."""
-        tab = self.table
-        j = tab.index(name)
-        raw = power + tab._biases[j]
-        if not 0 <= raw < _TOP:
-            return MPoly.zero(tab)
-        sh = _WIDTH * j
-        drop = power << sh
-        return self._rekeyed(lambda k: k - drop if (k >> sh) & _FIELD == raw else None)
+    def _rekeyed(self, fn, target: VarTable) -> "MPoly":
+        """The polynomial with key k moved to fn(k) over target; fn must be
+        injective."""
+        num = {fn(k): v for k, v in self._num.items()}
+        im = {fn(k): v for k, v in self._im.items()} if self._im else None
+        target._check_keys(num.keys() | (im.keys() if im else ()))
+        return MPoly._new(target, num, self._den, im)
 
     def collect(self, names) -> dict:
         """Group the terms by their exponents in the named variables:
@@ -511,13 +491,6 @@ class MPoly:
 
     def _keys(self):
         return self._num.keys() if self._im is None else self._num.keys() | self._im.keys()
-
-    def max_exponent(self, name: str) -> int:
-        j = self.table.index(name)
-        keys = self._keys()
-        if not keys:
-            return 0
-        return max(self.table._field(k, j) for k in keys)
 
     def depends_on(self, name: str) -> bool:
         j = self.table.index(name)
@@ -573,21 +546,7 @@ class MPoly:
     def __add__(self, other) -> "MPoly":
         if not isinstance(other, MPoly):
             other = MPoly.constant(self.table, other)
-        self._check_table(other)
-        if not other:
-            return self
-        den = self._den
-        if den != other._den or self._im is not None or other._im is not None:
-            return dot(((self, 1), (other, 1)), self.table)
-        num = dict(self._num)
-        get = num.get
-        for k, v in other._num.items():
-            num[k] = get(k, 0) + v
-        if 0 in num.values():
-            num = {k: v for k, v in num.items() if v}
-        if den != 1:
-            num, den, _ = _reduced(num, den, None)
-        return MPoly._new(self.table, num, den)
+        return dot(((self, 1), (other, 1)), self.table)
 
     __radd__ = __add__
 
@@ -604,14 +563,6 @@ class MPoly:
         return MPoly.constant(self.table, other).__sub__(self)
 
     def __mul__(self, other) -> "MPoly":
-        if type(other) is int and self._im is None:
-            if not other:
-                return MPoly.zero(self.table)
-            g = math.gcd(self._den, other)
-            f = other // g
-            return MPoly._new(
-                self.table, {k: v * f for k, v in self._num.items()}, self._den // g
-            )
         return dot(((self, other),), self.table)
 
     __rmul__ = __mul__
@@ -676,12 +627,6 @@ class MPoly:
 
         im = part(self._im) if self._im else None
         return MPoly._from_ints(tab, part(self._num), self._den, im)
-
-    def diff_many(self, *names: str) -> "MPoly":
-        p = self
-        for nm in names:
-            p = p.diff(nm)
-        return p
 
     def euler(self) -> "MPoly":
         """Euler derivative sum(q_a * x_a * d/dx_a); requires table weights."""
@@ -820,9 +765,9 @@ def _reduced(num: dict, den: int, im: dict | None) -> tuple:
 def dot(pairs, table: VarTable, den: int = 1) -> MPoly:
     """sum(a * b for a, b in pairs) / den over table.
 
-    This is the one accumulation loop of the kernel: products,
-    differences, mixed sums, non-integer scalar multiples and substitution
-    all run through it.  The second factor of a pair may be a scalar (int,
+    This is the one accumulation loop of the kernel: every +, - and * of
+    MPoly (by a polynomial or by a scalar) and substitution run through
+    it.  The second factor of a pair may be a scalar (int,
     Fraction or GaussianRational).  Integer numerators accumulate in one
     dict over one running denominator, lifted only when an addend's
     denominator does not divide it; no intermediate product or partial sum

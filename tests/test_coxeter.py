@@ -4,11 +4,12 @@ obstructions, and the sign-branch classification for I2."""
 
 import hashlib
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
-from openwdvv import milnor
+from openwdvv import coxeter, milnor
 from openwdvv.coxeter import (
     _E_PATTERNS,
     _fixture_text,
@@ -318,8 +319,8 @@ class TestOpenFamilies:
         got = fam.member("1/2")
         powers = {e[fam.generator.table.laurent_index] for e in fam.generator.terms}
         for j in powers:
-            want = fam.generator.coefficient_of("s", j) * (lam ** (j - 1))
-            assert got.coefficient_of("s", j) == want
+            want = fam.generator.collect(("s",))[(j,)] * (lam ** (j - 1))
+            assert got.collect(("s",))[(j,)] == want
         assert got == lambda_rescale(fam.generator, "1/2")
 
     def test_no_open_family_for_d(self):
@@ -352,6 +353,30 @@ class TestCorrelators:
         for N in (3, 4, 6):
             cap = (N + 2) // 2
             assert correlator_recursion_A(N, cap + 4) == correlator_recursion_A(N, cap)
+
+    def test_refused_requests_return_at_once(self, monkeypatch):
+        def build_nothing(*args):
+            raise AssertionError("a refused request built something")
+
+        monkeypatch.setattr(coxeter, "combinations_with_replacement", build_nothing)
+        monkeypatch.setattr(coxeter, "coxeter_spec", build_nothing)
+        t0 = time.perf_counter()
+        # the CLI default --max-n 5 at A1000, just past the budget at A20,
+        # and an N whose square alone is past it, whatever the bound
+        for N, max_n in ((1000, 5), (20, 11), (10 ** 9, 10 ** 9)):
+            with pytest.raises(PolyError, match="exceed the work budget"):
+                correlator_recursion_A(N, max_n)
+        assert time.perf_counter() - t0 < 1
+
+    def test_budget_edge(self, monkeypatch):
+        # A4 up to 3 insertions: N^2 * C(7, 3) = 16 * 35
+        monkeypatch.setattr(coxeter, "MAX_CORRELATOR_WORK", 16 * 35)
+        assert correlator_recursion_A(4, 3)[(4, 4, 4)] == 1
+        assert correlator_recursion_A(4, 9) == correlator_recursion_A(4, 3)
+        monkeypatch.setattr(coxeter, "MAX_CORRELATOR_WORK", 16 * 35 - 1)
+        with pytest.raises(PolyError, match="exceed the work budget"):
+            correlator_recursion_A(4, 3)
+        assert len(correlator_recursion_A(4, 2)) == 9
 
     def test_closed_form(self):
         for N in (2, 3, 4):

@@ -39,7 +39,7 @@ class TestOpenPotentials:
         li = ext.table.laurent_index
         assert min(e[li] for e in ext.potential.terms) == -1
         assert ext.table.weights[li] == (1 - ext.base.delta) / 2
-        pole = ext.potential.coefficient_of("s", -1)
+        pole = ext.potential.collect(("s",))[(-1,)]
         assert pole == parse("1/2*t4^2", ext.table)
 
     def test_unit_condition_enforced(self):
@@ -106,6 +106,15 @@ class TestExtensionTheorems:
     def test_rejects_unknown_family(self):
         with pytest.raises(PolyError):
             verify_extension_theorems("E", 6)
+
+    def test_refuses_other_families_before_building(self):
+        before = open_potential_A.cache_info().misses, open_potential_D.cache_info().misses
+        for family, n in (("B", 3), ("E", 6), ("I2", 5)):
+            with pytest.raises(PolyError) as err:
+                verify_extension_theorems(family, n)
+            assert str(err.value) == "extension theorems cover A and D only"
+        after = open_potential_A.cache_info().misses, open_potential_D.cache_info().misses
+        assert after == before
 
     def test_tampered_potential_fails(self, monkeypatch):
         ext = open_potential_A(3)

@@ -5,6 +5,7 @@ homogeneity sweeps, and negative controls on tampered data."""
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -401,7 +402,7 @@ class TestThirdDerivatives:
         d3, rows, raised = third_derivatives(F, fs.eta_inv, nm)
         assert len(d3) == n * (n + 1) * (n + 2) // 6
         for (a, b, c), p in d3.items():
-            assert p == F.diff_many(nm[a - 1], nm[b - 1], nm[c - 1])
+            assert p == F.diff(nm[a - 1]).diff(nm[b - 1]).diff(nm[c - 1])
         assert len(raised) == n * (n + 1) // 2
         assert list(rows) == list(raised)
         for (a, b), row in rows.items():
@@ -410,7 +411,7 @@ class TestThirdDerivatives:
             for v, got in enumerate(row, start=1):
                 want = MPoly.zero(fs.table)
                 for m in range(1, n + 1):
-                    f3 = F.diff_many(nm[a - 1], nm[b - 1], nm[m - 1])
+                    f3 = F.diff(nm[a - 1]).diff(nm[b - 1]).diff(nm[m - 1])
                     want = want + f3 * fs.eta_inv[v - 1][m - 1]
                 assert got == want
         # the unit slice raises to the identity: c^v_(1,b) = delta^v_b
@@ -429,7 +430,7 @@ class TestThirdDerivatives:
             assert len(got) == count
             for key, p in got.items():
                 assert list(key) == sorted(key)
-                assert p == fo.diff_many(*(nm[k - 1] for k in key))
+                assert p == reduce(MPoly.diff, (nm[k - 1] for k in key), fo)
         assert partials(fo, nm, 0) == {(): fo}
 
 
