@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -378,7 +379,10 @@ def correlator_recursion_A(N: int, max_n: int) -> dict:
     more than (N + 2) // 2 insertions has k >= 0 and none is enumerated.
     Reciprocal factorials of negative integers vanish, which silently
     prunes inadmissible splittings.  A request whose predicted work
-    exceeds MAX_CORRELATOR_WORK is refused before anything is built."""
+    exceeds MAX_CORRELATOR_WORK is refused before anything is built, and
+    so is one whose table could not be printed: the largest value is the
+    empty tuple's N!, and an integer of more digits than
+    sys.get_int_max_str_digits() allows has no decimal text."""
     if max_n < 0:
         raise PolyError("the insertion count bound must be nonnegative")
     m = min(max_n, (N + 2) // 2)
@@ -388,6 +392,12 @@ def correlator_recursion_A(N: int, max_n: int) -> dict:
         raise PolyError(
             f"correlators of A{N} with up to {m} insertions exceed the work "
             f"budget N^2 * C(N + m, m) <= {budget}"
+        )
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if N > 0 and limit and _factorial_exceeds(N, limit):
+        raise PolyError(
+            f"correlators of A{N} hold {N}!, which has more than {limit} "
+            f"digits, the most an integer may be printed with"
         )
     coxeter_spec(f"A{N}")
     fact = math.factorial
@@ -432,6 +442,16 @@ def correlator_recursion_A(N: int, max_n: int) -> dict:
             if boundary_power(N, t) >= 0:
                 table[t] = corr(t)
     return table
+
+
+def _factorial_exceeds(N: int, digits: int) -> bool:
+    """N! has more than digits decimal digits, that is N! >= 10^digits:
+    read off log10 N! = lgamma(N + 1) / ln 10, and decided exactly when
+    the estimate lies within one of the edge."""
+    est = math.lgamma(N + 1) / math.log(10)
+    if abs(est - digits) > 1:
+        return est > digits
+    return math.factorial(N) >= 10**digits
 
 
 # ---------- the homogeneous open ansatz ----------

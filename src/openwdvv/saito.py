@@ -15,7 +15,10 @@ dL/dy, so no Milnor algebra is built.  The tensor route
 (metric_and_potential, fed by singularity_data) lowers Milnor structure
 constants and substitutes v(t); the tests keep it as the oracle of the
 residue route.  The driver pulls T back through J = dv/dt to the flat
-third derivatives c_{abc} and reads F off them: the potential has no term
+third derivatives c_{abc}; each route names the rows of T that are equal
+by a row key (a + i for a residue x-row, the sorted pair for the
+symmetric tensor route), so the pullback forms one first-stage sum per
+distinct row.  F is read off the c_{abc}: the potential has no term
 below cubic (3 - delta > 2 >= q_a + q_b), so each monomial is fixed by the
 c_{abc} of its three smallest indices; the third partials that check
 integrability then give the metric and grading, as from_potential does
@@ -261,7 +264,7 @@ def invert_coords(t_of_v, ttab: VarTable, images=None):
 # ---------- tensor calculus ----------
 
 
-def pullback(T, first, second, keys, table) -> dict:
+def pullback(T, first, second, keys, table, row=None) -> dict:
     """out[(al, be, ga)] = sum first[a][al] * second[i][be] * second[j][ga]
     * T[(a, i, j)] for every (al, be, ga) in keys.
 
@@ -271,25 +274,23 @@ def pullback(T, first, second, keys, table) -> dict:
     contracted at a time, the two lower slots first and over the nonzero
     entries of T only:
 
-        P(a, i, ga) = sum_j T[(a, i, j)] * second[j][ga]
-        L(a, be, ga) = sum_i second[i][be] * P(a, i, ga)   (be <= ga)
+        P(k, ga) = sum_j T[(a, i, j)] * second[j][ga]   for k = row(a, i)
+        L(a, be, ga) = sum_i second[i][be] * P(row(a, i), ga)   (be <= ga)
         out = sum_a first[a][al] * L(a, be, ga)
 
-    L is symmetric in (be, ga), so it is formed once per unordered pair.
-    Only the partial sums that keys need and that have a nonzero term are
-    formed; an empty one is left out of the next contraction.
+    row(a, i) is the row key of the row T(a, i, .): rows that share a key
+    must be equal entry by entry, and P is formed once per (row key, ga),
+    the first time L needs it.  A tensor whose rows repeat (a residue T,
+    where T(a, i, .) depends on a + i) so forms one first-stage sum per
+    distinct row; by default each (a, i) is its own row.  L is symmetric
+    in (be, ga), so it is formed once per unordered pair.  Only the partial
+    sums that keys need and that have a nonzero term are formed; an empty
+    one is left out of the next contraction.
     """
     keys = list(keys)
     c1 = [_live(col) for col in zip(*first)]
     c2 = [_live(col) for col in zip(*second)]
     rows2 = [dict(_live(row)) for row in second]
-    # (a, be, ga) under each key, then (a, i, ga) with second[i][be] != 0
-    need2 = dict.fromkeys(
-        (a, be, ga) if be <= ga else (a, ga, be)
-        for al, be, ga in keys
-        for a, _ in c1[al - 1]
-    )
-    need1 = dict.fromkeys((a, i, ga) for a, be, ga in need2 for i, _ in c2[be - 1])
     # the nonzero T[(a, i, j)] by (a, i), both orders of i != j
     lower = {}
     for (a, i, j), t in T.items():
@@ -297,15 +298,37 @@ def pullback(T, first, second, keys, table) -> dict:
             lower.setdefault((a, i), []).append((j, t))
             if i != j:
                 lower.setdefault((a, j), []).append((i, t))
-    p1 = {}
-    for a, i, ga in need1:
-        pairs = [(t, rows2[j - 1][ga]) for j, t in lower.get((a, i), ())
-                 if ga in rows2[j - 1]]
-        if pairs:
-            p1[(a, i, ga)] = dot(pairs, table)
+    # each nonzero row (a, i): its entries and the memo of its first-stage
+    # sums by ga, one memo per row key
+    if row is None:
+        rows1 = {ai: (pairs, {}) for ai, pairs in lower.items()}
+    else:
+        shared = {}
+        rows1 = {
+            ai: shared.setdefault(row(*ai), (pairs, {}))
+            for ai, pairs in lower.items()
+        }
+    # (a, be, ga) under each key, and the nonzero rows (a, i) with
+    # second[i][be] != 0 by (a, be)
+    need2 = dict.fromkeys(
+        (a, be, ga) if be <= ga else (a, ga, be)
+        for al, be, ga in keys
+        for a, _ in c1[al - 1]
+    )
+    lifts = {
+        (a, be): [(*rows1[(a, i)], g) for i, g in c2[be - 1] if (a, i) in rows1]
+        for a, be in dict.fromkeys((a, be) for a, be, _ in need2)
+    }
     p2 = {}
     for a, be, ga in need2:
-        pairs = [(p1[(a, i, ga)], g) for i, g in c2[be - 1] if (a, i, ga) in p1]
+        pairs = []
+        for entries, memo, g in lifts[(a, be)]:
+            p = memo.get(ga, False)
+            if p is False:  # not formed yet; None marks an empty sum
+                terms = [(t, rows2[j - 1][ga]) for j, t in entries if ga in rows2[j - 1]]
+                p = memo[ga] = dot(terms, table) if terms else None
+            if p is not None:
+                pairs.append((p, g))
         if pairs:
             p2[(a, be, ga)] = dot(pairs, table)
     out = {}
@@ -446,26 +469,27 @@ def _build(u: Unfolding, t_of_v, images, label, lowered) -> FrobeniusStructure:
     images and the target table are checked (_target), v(t) is inverted over
     the target table (invert_coords) and J = dv/dt has one column per target
     coordinate.  lowered(v_of_t, ttab, keys) gives T at each sorted triple
-    of keys, the source indices whose row of J is nonzero; one pullback
-    gives c_{al be ga} = sum J_{a al} J_{b be} J_{c ga} T(a, b, c), and
-    _read_off takes F and its checks from there.  The Euler field is
-    diagonal, so restriction commutes with every step; the coordinate
-    changes are kept only for the identity.
+    of keys, the source indices whose row of J is nonzero, and the row key
+    row(a, i) under which rows T(a, i, .) are equal; one pullback gives
+    c_{al be ga} = sum J_{a al} J_{b be} J_{c ga} T(a, b, c), forming one
+    first-stage sum per row key, and _read_off takes F and its checks from
+    there.  The Euler field is diagonal, so restriction commutes with every
+    step; the coordinate changes are kept only for the identity.
     """
     ttab, images, restricted = _target(u.weights, images)
     v_of_t = invert_coords(t_of_v, ttab, images)
     jac = [[v.diff(nm) for nm in ttab.names] for v in v_of_t]
     live = [a for a, row in enumerate(jac, 1) if any(row)]
     keys = list(combinations_with_replacement(live, 3))
-    low = dict(zip(keys, lowered(v_of_t, ttab, keys)))
+    values, row = lowered(v_of_t, ttab, keys)
+    low = dict(zip(keys, values))
     T = {
         (a, b, c): low[tuple(sorted((a, b, c)))]
         for a in live
         for b, c in combinations_with_replacement(live, 2)
     }
-    cflat = pullback(
-        T, jac, jac, combinations_with_replacement(range(1, ttab.arity + 1), 3), ttab
-    )
+    targets = combinations_with_replacement(range(1, ttab.arity + 1), 3)
+    cflat = pullback(T, jac, jac, targets, ttab, row)
     fs = _read_off(cflat, ttab, label or u.label(), restricted)
     if not restricted:
         vtab = t_of_v[0].table
@@ -500,7 +524,9 @@ def metric_and_potential(
             )
             for a, b, c in keys
         ]
-        return substitute_all(low, dict(zip(tensor.table.names, v_of_t)), ttab)
+        vmap = dict(zip(tensor.table.names, v_of_t))
+        # T is symmetric in all three slots, so rows (a, i) and (i, a) agree
+        return substitute_all(low, vmap, ttab), _sorted_pair
 
     return _build(u, t_of_v, images, label, lowered)
 
@@ -518,14 +544,20 @@ def residue_structure(
     it at x^{n-2} and reduces its y insertions to r by xy = h and
     y^2 = sum_j s_j x^j (_d_relations): T(a, b, n) = h r_{a+b-3},
     T(a, n, n) = sum_j s_j r_{a-1+j} and T(n, n, n) = 0.  T(1, 1, n) is
-    [x^{n-2}] y = 0.  The r_s are formed over the target ring, with v
-    already v(t), and _build pulls T back and reads F off, as for
+    [x^{n-2}] y = 0.  So T(a, i, .) depends on a + i alone when a, i < n,
+    and on the other index alone when one of them is n: those are the row
+    keys lowered hands the pullback.  The r_s are formed over the target
+    ring, with v already v(t), and _build pulls T back and reads F off, as for
     metric_and_potential.  No Milnor algebra is built.  images and label
     are as for metric_and_potential, and the same checks are made.
     """
     if family not in ("A", "D"):
         raise PolyError(f"no residue route for family {family!r}")
     u, t_of_v = _flat_source(family, n)
+
+    def d_row(a, i):
+        # x-rows by a + i; rows (a, n) and (n, a) by ("y", a), (n, n) by ("y", n)
+        return a + i if a < n and i < n else ("y", a + i - n)
 
     def lowered(v_of_t, ttab, keys):
         vmap = dict(zip(t_of_v[0].table.names, v_of_t))
@@ -543,7 +575,7 @@ def residue_structure(
             rho = {0: -(h * h)} | {j + 2: c for j, c in s.items() if j < top}
         r = _residues(rho, n, top, ttab)
         if family == "A":
-            return [r[a + b + c - 3] for a, b, c in keys]
+            return [r[a + b + c - 3] for a, b, c in keys], _x_row
         # T(a, b, n) = hr[a + b - 2]; hr[0] is T(1, 1, n) = [x^top] y = 0
         zero = MPoly.zero(ttab)
         hr = [zero] + [h * x for x in r[: 2 * top]]
@@ -554,9 +586,19 @@ def residue_structure(
             if a < n
             else zero
             for a, b, c in keys
-        ]
+        ], d_row
 
     return _build(u, t_of_v, images, label, lowered)
+
+
+def _sorted_pair(a, i):
+    """The row key of a tensor symmetric in all three slots."""
+    return (a, i) if a <= i else (i, a)
+
+
+def _x_row(a, i):
+    """The row key of an x-row T(a, i, .) = r_{a+i+.-3} of a residue T."""
+    return a + i
 
 
 def _d_relations(u: Unfolding, vmap, ttab: VarTable) -> tuple:

@@ -3,10 +3,12 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,19 @@ from openwdvv.exactalg import MPoly
 from openwdvv.openext import open_potential_A, open_potential_D
 from openwdvv.report import Report
 from openwdvv.saito import frobenius_structure
+
+
+@lru_cache(maxsize=None)
+def printable_edge():
+    """(largest N whose N! has at most sys.get_int_max_str_digits() digits,
+    that N + 1), found by exact comparison with a power of ten."""
+    limit = sys.get_int_max_str_digits()
+    assert limit, "integer printing is unlimited here"
+    bound, n, fact = 10 ** limit, 1, 1
+    while fact * (n + 1) < bound:
+        n += 1
+        fact *= n
+    return n, n + 1
 
 
 def run(capsys, *argv):
@@ -143,6 +158,28 @@ class TestConstructiveVerbs:
         lines = out.strip().splitlines()
         assert "<sigma^4> = 2" in lines
         assert "<tau_2 tau_2 sigma^0> = 1" in lines
+
+    def test_correlators_at_the_printable_edge(self, capsys):
+        # N! is the empty tuple's value and the largest of the table: the
+        # largest N whose N! can be printed runs, the next one is refused
+        # before its table is built, in text and in JSON
+        ok, refused = printable_edge()
+        value = math.factorial(ok)
+        code, out, _ = run(capsys, "correlators", "A", str(ok), "--max-n", "0")
+        assert code == 0 and out == f"<sigma^{ok + 2}> = {value}\n"
+        code, out, _ = run(
+            capsys, "correlators", "A", str(ok), "--max-n", "0", "--format", "json"
+        )
+        assert code == 0
+        (entry,) = json.loads(out)["entries"]
+        assert entry["value"] == [value, 1]
+        for fmt in ("text", "json"):
+            for max_n in ("0", "1"):
+                code, out, err = run(capsys, "correlators", "A", str(refused),
+                                     "--max-n", max_n, "--format", fmt)
+                assert (code, out) == (2, ""), (fmt, max_n)
+                assert err.startswith(f"error: correlators of A{refused} hold "
+                                      f"{refused}!, which has more than "), (fmt, max_n)
 
     def test_classify_json(self, capsys):
         code, out, _ = run(
@@ -500,11 +537,17 @@ def _argv_strategy():
         st.sampled_from(VERBS), IDENTITIES, st.sampled_from(FAMILIES), INTS,
         st.lists(OPTIONS, max_size=3), st.integers(0, 5),
     )
+    # the smallest A_N whose correlator table cannot be printed, with any
+    # options: refused before it is built; no large admitted size is drawn
+    unprintable = st.builds(
+        lambda opts, at: _place(["correlators", "A", str(printable_edge()[1])], opts, at),
+        st.lists(OPTIONS, max_size=3), st.integers(0, 3),
+    )
     loose = st.builds(
         lambda verb, units: [*verb, *(tok for u in units for tok in u)],
         st.lists(st.sampled_from(VERBS), max_size=1), st.lists(unit, max_size=6),
     )
-    return st.one_of(shaped, loose)
+    return st.one_of(shaped, unprintable, loose)
 
 
 def _place(words, opts, at):

@@ -362,21 +362,25 @@ class TestDotCounts:
         assert count_dots(monkeypatch, open_wdvv_eq2, fs, fo, 2, 3) == 1
 
     def test_metric_and_potential(self, monkeypatch):
-        # the pullback's lower slots first, as in test_extension_a6
-        for family, want in (("A", 196), ("D", 187)):
+        # the 56 entries T(a, b, c) = sum_d c^d_ab c^l_dc, then the pullback's
+        # lower slots first, as in test_extension_a6; T is symmetric in all
+        # three slots, so the first stage is formed once per sorted pair (a, i):
+        # A6 56 + 39 + 39 + 39, D6 56 + 35 + 35 + 39
+        for family, want in (("A", 173), ("D", 165)):
             data = singularity_data(family, 6)
             assert count_dots(monkeypatch, metric_and_potential, *data) == want
 
     def test_residue_structure_a6(self, monkeypatch):
         # the residues r_6..r_15, which are the entries T(a, b, c) = r_{a+b+c-3},
         # then the pullback's three stages over the nonzero T: the lower-slot
-        # sums P(a, i, ga), the sums L(a, be, ga) and the c_{al be ga} with a
-        # live term
-        assert count_dots(monkeypatch, residue_structure, "A", 6) == 10 + 62 + 39 + 39
+        # sums P(a + i, ga), one per row key a + i, the sums L(a, be, ga) and
+        # the c_{al be ga} with a live term
+        assert count_dots(monkeypatch, residue_structure, "A", 6) == 10 + 22 + 39 + 39
 
     def test_residue_structure_d6(self, monkeypatch):
         # the residues r_5..r_12, the entries T(c, 6, 6) = sum_j s_j r_{c-1+j}
         # for c < 6 (the other T are residues or h times one), then the
-        # pullback's three stages as for A6
+        # pullback's three stages as for A6, the first one per row key: a + i
+        # for the x-rows, one per y-row (c, 6) and one for (6, 6)
         got = count_dots(monkeypatch, residue_structure, "D", 6)
-        assert got == 8 + 5 + 57 + 35 + 39
+        assert got == 8 + 5 + 23 + 35 + 39

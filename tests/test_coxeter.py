@@ -4,6 +4,7 @@ obstructions, and the sign-branch classification for I2."""
 
 import hashlib
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -367,6 +368,32 @@ class TestCorrelators:
             with pytest.raises(PolyError, match="exceed the work budget"):
                 correlator_recursion_A(N, max_n)
         assert time.perf_counter() - t0 < 1
+
+    def test_unprintable_tables_are_refused_before_building(self, monkeypatch):
+        # the empty tuple's N! must print within sys.get_int_max_str_digits();
+        # the edge is exact for any limit (4300 is the default), and no
+        # limit refuses nothing
+        def build_nothing(*args):
+            raise AssertionError("a refused request built something")
+
+        limit = sys.get_int_max_str_digits()
+        try:
+            for digits in (640, 1001, 4300):
+                sys.set_int_max_str_digits(digits)
+                n, fact = 1, 1
+                while fact < 10 ** digits:
+                    n += 1
+                    fact *= n
+                assert correlator_recursion_A(n - 1, 0) == {(): fact // n}
+                monkeypatch.setattr(coxeter, "coxeter_spec", build_nothing)
+                for max_n in (0, 1):
+                    with pytest.raises(PolyError, match=f"{n}!, which has more than {digits} digits"):
+                        correlator_recursion_A(n, max_n)
+                monkeypatch.undo()
+            sys.set_int_max_str_digits(0)
+            assert correlator_recursion_A(n, 0) == {(): fact}
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_budget_edge(self, monkeypatch):
         # A4 up to 3 insertions: N^2 * C(7, 3) = 16 * 35

@@ -88,6 +88,19 @@ def restriction(tag):
     return family, m, list(_restriction_images(spec, spec.table()))
 
 
+def triple_sum(T, first, second, key):
+    """sum first[a][al] second[i][be] second[j][ga] T[(a, min, max of i, j)]
+    over every source triple, an absent entry of T read as zero."""
+    al, be, ga = key
+    idx = range(1, len(first) + 1)
+    want = MPoly.zero(first[0][0].table)
+    for a, i, j in product(idx, repeat=3):
+        t = T.get((a, min(i, j), max(i, j)))
+        if t is not None:
+            want = want + first[a - 1][al - 1] * second[i - 1][be - 1] * second[j - 1][ga - 1] * t
+    return want
+
+
 class TestFlatCoordinates:
     def test_a3_frozen(self):
         fs = frobenius_structure("A", 3)
@@ -275,6 +288,49 @@ class TestResidueRoute:
             assert got.keys() == want.keys(), (family, m, tag)
             for abc, t in want.items():
                 assert got[abc] == t, (family, m, tag, abc)
+
+    def test_row_keys_name_equal_rows(self, monkeypatch):
+        # every build hands the pullback a row key under which the rows
+        # T(a, i, .) must be equal; a key that merged two different rows
+        # would give a wrong c_abc that only integrability might catch
+        def keyed_rows(build, *args):
+            seen = []
+
+            def capture(T, first, second, keys, table, row):
+                seen.append((T, row))
+                return pullback(T, first, second, keys, table, row)
+
+            monkeypatch.setattr(saito, "pullback", capture)
+            build(*args)
+            monkeypatch.undo()
+            ((T, row),) = seen
+            live = sorted({a for a, _, _ in T})
+            groups = {}
+            for a, i in product(live, repeat=2):
+                entries = [T[(a, *sorted((i, j)))] for j in live]
+                groups.setdefault(row(a, i), []).append(((a, i), entries))
+            for k, members in groups.items():
+                (a, i), entries = members[0]
+                for ai, other in members[1:]:
+                    assert other == entries, (k, (a, i), ai)
+            # the grouping is not the trivial one past a single live index
+            assert len(groups) < len(live) ** 2 or len(live) == 1
+            return groups
+
+        cases = [("A", n, None, None) for n in range(1, 13)]
+        cases += [("D", n, None, None) for n in range(3, 11)]
+        tags = [f"B{n}" for n in range(2, 7)] + [f"I2({k})" for k in range(3, 11)]
+        cases += [(*restriction(tag), tag) for tag in tags + ["H3"]]
+        for family, m, images, tag in cases:
+            groups = keyed_rows(residue_structure, family, m, images, tag)
+            if images is None:
+                # x-rows by a + i; for D_m also (a, m) and (m, a) by a, (m, m) alone
+                want = 2 * m - 1 if family == "A" else (2 * m - 3) + m
+                assert len(groups) == want, (family, m)
+        for family, ranks in (("A", range(1, 9)), ("D", range(3, 9))):
+            for m in ranks:
+                groups = keyed_rows(metric_and_potential, *singularity_data(family, m))
+                assert len(groups) == m * (m + 1) // 2, (family, m)
 
     def test_refuses_other_d_relations(self, monkeypatch):
         u, coords = saito._flat_source("D", 4)
@@ -502,13 +558,60 @@ class TestPullback:
                                   max_size=8), label="keys")
         got = pullback(T, first, second, keys, tab)
         assert list(got) == keys
-        zero = MPoly.zero(tab)
-        for al, be, ga in keys:
-            want = zero
-            for a, i, j in product(range(n), repeat=3):
-                t = T.get((a + 1, min(i, j) + 1, max(i, j) + 1), zero)
-                want = want + first[a][al - 1] * second[i][be - 1] * second[j][ga - 1] * t
-            assert got[(al, be, ga)] == want and got[(al, be, ga)].table is tab
+        for abc in keys:
+            assert got[abc] == triple_sum(T, first, second, abc) and got[abc].table is tab
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_keyed_rows_match_triple_sum(self, data):
+        # any grouping of the rows (a, i) under row keys, and a tensor whose
+        # rows under one key are equal entry by entry, zero and absent
+        # entries included: one first-stage sum per key gives the brute sum
+        tab = self.TAB
+        n = data.draw(st.integers(1, 4), label="source rank")
+        m = data.draw(st.integers(1, 3), label="target rank")
+        texts = ("1", "-2", "x", "y", "x - 3*y", "1/2*x*y")
+        entry = st.one_of(st.none(), st.just("0"), st.sampled_from(texts))
+        idx = range(1, n + 1)
+        rows = list(product(idx, repeat=2))
+        groups = data.draw(st.lists(st.integers(0, 3), min_size=len(rows),
+                                    max_size=len(rows)), label="row keys")
+        key = dict(zip(rows, groups))
+        # entry j of row (a, i) is T[(a, min(i, j), max(i, j))]: merge the
+        # slots that rows of one key share, then draw one value per class
+        slot = {(a, *ij): (a, *ij) for a in idx for ij in combinations_with_replacement(idx, 2)}
+
+        def find(s):
+            while slot[s] != s:
+                s = slot[s]
+            return s
+
+        for (a, i), (b, k) in combinations_with_replacement(rows, 2):
+            if key[(a, i)] == key[(b, k)]:
+                for j in idx:
+                    slot[find((a, *sorted((i, j))))] = find((b, *sorted((k, j))))
+        value = {}
+        T = {}
+        for a in idx:
+            for i, j in combinations_with_replacement(idx, 2):
+                root = find((a, i, j))
+                if root not in value:
+                    value[root] = data.draw(entry, label=f"T{root}")
+                if value[root] is not None:
+                    T[(a, i, j)] = parse(value[root], tab)
+
+        def matrix(label):
+            cells = st.lists(st.sampled_from(("0", "0") + texts), min_size=m, max_size=m)
+            grid = data.draw(st.lists(cells, min_size=n, max_size=n), label=label)
+            return [[parse(e, tab) for e in row] for row in grid]
+
+        first, second = matrix("first"), matrix("second")
+        keys = data.draw(st.lists(st.tuples(*[st.integers(1, m)] * 3), unique=True,
+                                  max_size=8), label="keys")
+        got = pullback(T, first, second, keys, tab, lambda a, i: key[(a, i)])
+        assert list(got) == keys
+        for abc in keys:
+            assert got[abc] == triple_sum(T, first, second, abc) and got[abc].table is tab
 
 
 class TestFromPotential:
