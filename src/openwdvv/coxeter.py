@@ -502,12 +502,14 @@ def _obstruction_de(spec: CoxeterSpec):
     """D_n and E6-E8: the one product phi_al*phi_be of the closed Milnor
     algebra, reduced to the basis, must be the pattern row c^mu_{al,be}
     for every mu, and the weight sums must rule the open terms out.  Only
-    that product is reduced; no structure tensor is built."""
+    that product is reduced; no structure tensor is built.  The patterns
+    are parsed over the algebra table, where coeffs leaves the row, and
+    the unfolding's parameter weights must be the degree table's."""
     alg = build_closed_algebra(build_unfolding(spec.family, spec.n))
-    ctab = alg.coeff_table
+    tab = alg.table
     q = spec.q
     h = spec.h
-    yield ctab.weights != q and "parameter weights disagree with the degree table"
+    yield alg.unfolding.weights != q and "parameter weights disagree with the degree table"
     if spec.family == "D":
         n = spec.n
         al, be = 2, n
@@ -530,7 +532,7 @@ def _obstruction_de(spec: CoxeterSpec):
             sums = [("2*q3", 2 * q[2], Fraction(4, 3))]
     row = alg.coeffs(alg.phi(al) * alg.phi(be))
     for mu in range(1, spec.rank + 1):
-        want = parse(comps[mu], ctab) if mu in comps else MPoly.zero(ctab)
+        want = parse(comps[mu], tab) if mu in comps else MPoly.zero(tab)
         yield row[mu - 1] != want and f"c^{mu}_({al},{be})"
     yield from _check_weight_sums(spec, sums)
 

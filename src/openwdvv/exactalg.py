@@ -882,13 +882,10 @@ def _same_table(a: VarTable, b: VarTable) -> None:
 def _rekey(p: MPoly, target: VarTable) -> MPoly:
     """p over target, every variable of p mapped to the same name there.
 
-    Two layouts move every key by one integer operation: src a prefix of
-    target (one addition, for the Laurent bias) and target a contiguous
-    slice src.names[g:g + target.arity] with the Laurent slot inside it
-    or absent on both sides (one shift k >> 16g, taken when every field
-    outside the slice is zero in every key).  Anything else goes slot by
-    slot through _moved, which raises for a term that has no place in
-    target."""
+    When src is a prefix of target, with the Laurent slot at the same
+    place or only in target's new slots, every key moves by one addition
+    (for the Laurent bias).  Anything else goes slot by slot through
+    _moved, which raises for a term that has no place in target."""
     src = p.table
     if src.names == target.names[: src.arity] and (
         src._li == target._li or (src._li is None and target._li >= src.arity)
@@ -897,25 +894,7 @@ def _rekey(p: MPoly, target: VarTable) -> MPoly:
         if src.arity == target.arity and not shift:
             return MPoly._new(target, p._num, p._den, p._im)
         return p._rekeyed(lambda k: k + shift, target)
-    g = _slice_start(src, target)
-    if g is not None:
-        sh = _WIDTH * g
-        used = reduce(or_, p._keys(), 0)
-        if not used & ((1 << sh) - 1) and not used >> (sh + _WIDTH * target.arity):
-            im = {k >> sh: v for k, v in p._im.items()} if p._im else None
-            return MPoly._new(target, {k >> sh: v for k, v in p._num.items()}, p._den, im)
     return _moved(p, target)
-
-
-def _slice_start(src: VarTable, target: VarTable) -> int | None:
-    """g when target.names == src.names[g:g + target.arity] and the Laurent
-    slot lines up (or neither table has one), else None."""
-    if not target.names or target.names[0] not in src.names:
-        return None
-    g = src.names.index(target.names[0])
-    if src.names[g : g + target.arity] != target.names:
-        return None
-    return g if src._li == (None if target._li is None else target._li + g) else None
 
 
 def _moved(p: MPoly, target: VarTable) -> MPoly:

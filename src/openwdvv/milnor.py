@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import ge, mul
 
-from .exactalg import MPoly, PolyError, VarTable, dot, substitute_all
+from .exactalg import MPoly, PolyError, VarTable, dot
 from .report import Report, tally
 
 __all__ = [
@@ -158,7 +158,8 @@ class QuotientAlgebra:
     sides are exponent tuples over those slots.  Each rule must strictly
     decrease the generator weight order (module docstring), else PolyError.
     Normal forms are memoized, so repeated products (structure constants,
-    associativity sweeps) stay cheap.
+    associativity sweeps) stay cheap.  The algebra has one table: its
+    basis coefficients (coeffs) stay on it, with the generator slots zero.
     """
 
     def __init__(self, unfolding, table, gens, basis, rules, extended):
@@ -169,12 +170,6 @@ class QuotientAlgebra:
         self.basis = tuple(tuple(b) for b in basis)
         self.rules = tuple(rules)  # (lhs gen-exponents, rhs MPoly over table)
         self.extended = extended
-        vslots = [j for j in range(table.arity) if j not in self.gen_slots]
-        self.coeff_table = VarTable(
-            tuple(table.names[j] for j in vslots),
-            tuple(table.weights[j] for j in vslots),
-            table.laurent,
-        )
         self._rhs_parts = {lhs: rhs.collect(self.gens) for lhs, rhs in self.rules}
         n = unfolding.n
         wts = {"A": (2, 1, 1), "D": (2, n - 1, 1)}.get(unfolding.family) or _E_ORDER[n]
@@ -233,20 +228,14 @@ class QuotientAlgebra:
         )
 
     def coeffs(self, p: MPoly) -> list:
-        """Basis coefficients of normal_form(p), over the parameter ring.
-
-        coeff_table is the contiguous slice of the algebra table past the
-        generators, so each coefficient, whose generator slots collect()
-        zeroed, moves there by one shift of every key (exactalg._rekey's
-        slice path)."""
+        """Basis coefficients of normal_form(p), as collect() leaves them:
+        over the algebra table, with the generator slots zero."""
         parts = self.normal_form(p).collect(self.gens)
         for g in parts:
             if g not in self.basis:
                 raise PolyError(f"normal form leaves the basis span: {g}")
         zero = MPoly.zero(self.table)
-        return substitute_all(
-            (parts.get(b, zero) for b in self.basis), {}, self.coeff_table
-        )
+        return [parts.get(b, zero) for b in self.basis]
 
     def multiply(self, j: int, k: int) -> MPoly:
         """Normal form of phi_j*phi_k (1-based)."""
@@ -255,8 +244,9 @@ class QuotientAlgebra:
 
 @dataclass(frozen=True)
 class StructureTensor:
-    """Structure constants c[a][i][j] over the parameter ring; the metric
-    row is c[l]: eta(d/dv_i, d/dv_j) = c^l_{ij}."""
+    """Structure constants c[a][i][j] over the algebra table, with the
+    generator slots zero; the metric row is c[l]: eta(d/dv_i, d/dv_j) =
+    c^l_{ij}."""
 
     table: VarTable
     entries: tuple
@@ -393,7 +383,8 @@ def build_extended_algebra(u: Unfolding) -> QuotientAlgebra:
 
 
 def structure_constants(alg: QuotientAlgebra) -> StructureTensor:
-    """All products phi_i*phi_j expanded over the basis."""
+    """All products phi_i*phi_j expanded over the basis, each coefficient
+    as coeffs gives it."""
     n = alg.rank
     entries = [[[None] * n for _ in range(n)] for _ in range(n)]
     for i in range(1, n + 1):
@@ -403,7 +394,7 @@ def structure_constants(alg: QuotientAlgebra) -> StructureTensor:
                 entries[a][i - 1][j - 1] = cs[a]
                 entries[a][j - 1][i - 1] = cs[a]
     frozen = tuple(tuple(tuple(row) for row in mat) for mat in entries)
-    return StructureTensor(alg.coeff_table, frozen, alg.unfolding.l)
+    return StructureTensor(alg.table, frozen, alg.unfolding.l)
 
 
 def ideal_quotient_consistency(ext: QuotientAlgebra, closed: QuotientAlgebra) -> bool:
@@ -414,11 +405,10 @@ def ideal_quotient_consistency(ext: QuotientAlgebra, closed: QuotientAlgebra) ->
     n = closed.rank
     ce = structure_constants(ext)
     cc = structure_constants(closed)
-    embed = {nm: MPoly.variable(ext.coeff_table, nm) for nm in cc.table.names}
     for a in range(1, n + 1):
         for i in range(1, n + 1):
             for j in range(i, n + 1):
-                if cc.c(a, i, j).substitute(embed, ext.coeff_table) != ce.c(a, i, j):
+                if cc.c(a, i, j).substitute({}, ext.table) != ce.c(a, i, j):
                     return False
             if ce.c(a, i, n + 1):
                 return False

@@ -215,36 +215,30 @@ def open_wdvv_equations(base: FrobeniusStructure, fo: MPoly):
     where Q(ab; g) = sum_v c^v_{ab} d2F°/dt^v dt^g + d2F°/dt^a dt^b
     d2F°/ds dt^g.  Q is symmetric in (a, b), so each Q is formed once per
     call, over the v that are live on both sides (saito._contractions)."""
-    return _equations(base.rank, *_open_contractions(base, fo))
+    *_, o2, q = _open_tables(base, fo)
+    return _equations(base.rank, q, o2)
 
 
 def open_wdvv_eq2(base: FrobeniusStructure, fo: MPoly, al: int, be: int) -> tuple:
     """(left, right) of eq2(al, be) alone, as open_wdvv_equations forms it."""
-    q, o2 = _open_contractions(base, fo)
-    return _eq2(q, o2, al, be, base.rank + 1)
+    *_, o2, q = _open_tables(base, fo)
+    s_ix = base.rank + 1
+    return q(al, be, s_ix), o2(s_ix, al) * o2(s_ix, be)
 
 
 def _open_tables(base: FrobeniusStructure, fo: MPoly) -> tuple:
-    """(F, rows, raised, o2) over the table of F°: F is the closed potential
-    lifted there, rows and raised are third_derivatives' tables of it, and
-    o2 holds every second partial of F° in t1..tN, s, keyed by the sorted
-    index pair with s the index N+1."""
+    """(F, rows, raised, o2, q) over the table of F°: F is the closed
+    potential lifted there, rows and raised are third_derivatives' tables
+    of it, o2(a, b) = d2F°/dt^a dt^b in t1..tN, s with s the index N+1,
+    and q(a, b, g) = Q(ab; g) = sum_v c^v_{ab} o2(v, g) + o2(a, b) o2(s, g).
+
+    Q is symmetric in (a, b), so q forms each Q once, on first use, keyed
+    by the sorted (a, b) and g."""
     tab = fo.table
     n = base.rank
     F = base.potential.substitute({}, tab)
     _, rows, raised = third_derivatives(F, base.eta_inv, tab.names[:n])
-    return F, rows, raised, partials(fo, tab.names[: n + 1], 2)
-
-
-def _open_contractions(base: FrobeniusStructure, fo: MPoly, tables=None) -> tuple:
-    """(q, o2) from tables = _open_tables(base, fo), formed if not given:
-    o2(a, b) = d2F°/dt^a dt^b with s the index N+1, and q(a, b, g) =
-    Q(ab; g) = sum_v c^v_{ab} o2(v, g) + o2(a, b) o2(s, g).
-
-    Q is symmetric in (a, b), so q forms each Q once, keyed by the sorted
-    (a, b) and g."""
-    n = base.rank
-    _, _, raised, d2o = tables or _open_tables(base, fo)
+    d2o = partials(fo, tab.names[: n + 1], 2)
 
     def o2(a, b):
         return d2o[(a, b) if a <= b else (b, a)]
@@ -254,17 +248,13 @@ def _open_contractions(base: FrobeniusStructure, fo: MPoly, tables=None) -> tupl
     form = _contractions(
         {ab: row + [d2o[ab]] for ab, row in raised.items()},
         {g: [o2(v, g) for v in idx] for g in idx},
-        fo.table,
+        tab,
     )
 
     def q(a, b, g):
         return form((a, b) if a <= b else (b, a), g)
 
-    return q, o2
-
-
-def _eq2(q, o2, al: int, be: int, s_ix: int) -> tuple:
-    return q(al, be, s_ix), o2(s_ix, al) * o2(s_ix, be)
+    return F, rows, raised, o2, q
 
 
 def _equations(n: int, q, o2):
@@ -274,7 +264,7 @@ def _equations(n: int, q, o2):
                 yield f"eq1({al},{be},{ga})", q(al, be, ga), q(ga, be, al)
     for al in range(1, n + 1):
         for be in range(al, n + 1):
-            yield f"eq2({al},{be})", *_eq2(q, o2, al, be, n + 1)
+            yield f"eq2({al},{be})", q(al, be, n + 1), o2(n + 1, al) * o2(n + 1, be)
 
 
 def verify_open_wdvv(ext: OpenExtension) -> Report:
@@ -284,7 +274,7 @@ def verify_open_wdvv(ext: OpenExtension) -> Report:
     base = ext.base
     n = base.rank
     fo = ext.potential
-    q, o2 = _open_contractions(base, fo)
+    *_, o2, q = _open_tables(base, fo)
 
     def outcomes():
         for al in range(1, n + 1):
@@ -313,7 +303,7 @@ def verify_vector_potential(ext: OpenExtension) -> Report:
       saito._raise_row.  A row of eta^{-1} with one live entry e (every
       constructed group's) compares two P's and scales only a failure's
       residual by e; other rows take one dot.
-    - L(s, b; cd) = Q(cd; b) (_open_contractions) for c, d <= N, and
+    - L(s, b; cd) = Q(cd; b) (_open_tables) for c, d <= N, and
       d2F°/dt^b ds d2F°/dt^c ds when d = s, the same on both sides.
     - L(a, b; cd) = 0 for a <= N when b, c or d is s, since dF^a/ds = 0.
     The conformal condition of a one-entry row reads dF/dt^a' itself.
@@ -324,9 +314,7 @@ def verify_vector_potential(ext: OpenExtension) -> Report:
     m = n + 1
     tab = ext.table
     fo = ext.potential
-    tables = _open_tables(base, fo)
-    F, rows, raised, _ = tables
-    q, o2 = _open_contractions(base, fo, tables)
+    F, rows, raised, o2, q = _open_tables(base, fo)
     closed = _wdvv_contractions(rows, raised, tab)
     eta_live = [_live(row) for row in base.eta_inv]
 
@@ -401,12 +389,12 @@ def verify_extension_theorems(family: str, n: int) -> Report:
     inv = [dt[a * n : (a + 1) * n] + [zero] for a in range(n)] + [s_row]
     got = pullback(cv, inv, jac, keys, tab)
 
-    _, _, raised, d2o = _open_tables(base, ext.potential)
+    _, _, raised, o2, _ = _open_tables(base, ext.potential)
 
     def outcomes():
         for (al, be, ga), p in got.items():
             if al > n:
-                want = d2o[(be, ga)]
+                want = o2(be, ga)
             elif ga <= n:
                 want = raised[(be, ga)][al - 1]
             else:
@@ -458,7 +446,7 @@ def check_coefw_lemma(n: int) -> bool:
     """The w-component of [x^{a+b-2}] in the extended D algebra equals the
     omega expansion for all 1 <= a, b <= n-1 (zero when a + b <= n)."""
     alg = extended_algebra("D", n)
-    ctab = alg.coeff_table
+    ctab = alg.table
     omegas = omega_sequence(n, max(n - 3, 0)).omegas
     lifted = [w.substitute({}, ctab) for w in omegas]
     s = MPoly.variable(ctab, f"v{n + 1}")

@@ -524,7 +524,7 @@ def metric_and_potential(
             )
             for a, b, c in keys
         ]
-        vmap = dict(zip(tensor.table.names, v_of_t))
+        vmap = dict(zip(parameter_table(u).names, v_of_t))
         # T is symmetric in all three slots, so rows (a, i) and (i, a) agree
         return substitute_all(low, vmap, ttab), _sorted_pair
 

@@ -330,29 +330,6 @@ class TestPolyBasics:
         got = p.substitute({"x": imgs[0], "y": imgs[1], "s": imgs[2]}, target)
         assert got == (u + 1) ** 2 * (u * u - 2) - (u + 1) * w ** -1 + (u + 1) ** 3 + 1
 
-    def test_rekey_onto_a_slice_matches_slot_by_slot(self, monkeypatch):
-        # the slice path shifts every key by 16g; _moved is the slot-by-slot
-        # path it bypasses, so it must not run here
-        moved = exactalg._moved
-        monkeypatch.setattr(exactalg, "_moved", None)
-        laurent = VarTable(("x", "y", "w", "a", "b", "s"), None, "s")
-        plain = VarTable(("x", "y", "w", "a", "b"))
-        cases = (
-            (laurent, ("a", "b", "s"), "s", "3*a^2*b*s^-1 - (1+i)*s + 1/5*b^4*s^3 - 7"),
-            (laurent, ("b", "s"), "s", "s^-1 - b"),
-            (plain, ("y", "w", "a"), None, "y^2*a - 1/3*w + 2*i*y*w*a^5"),
-            (plain, ("x", "y"), None, "x^3 - 1/2*x*y + 4"),
-            (plain, ("a",), None, "0"),
-        )
-        for src, names, li, text in cases:
-            target = VarTable(names, None, li)
-            p = parse(text, src)
-            got = exactalg._rekey(p, target)
-            want = moved(p, target)
-            assert got.table is target and want.table is target
-            assert (got._num, got._den, got._im) == (want._num, want._den, want._im)
-            assert got == parse(text, target)
-
     def test_rekey_onto_a_slice_refuses_a_dropped_variable(self):
         src = VarTable(("x", "y", "w", "a", "b", "s"), None, "s")
         target = VarTable(("a", "b", "s"), None, "s")

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from openwdvv import exactalg
-from openwdvv.exactalg import MPoly, PolyError, parse
+from openwdvv.exactalg import MPoly, PolyError, VarTable, parse
 from openwdvv.milnor import (
     QuotientAlgebra,
     StructureTensor,
@@ -70,9 +70,9 @@ class TestClosedAlgebra:
         # phi = (1, x, x^2); x^3 rewrites along dL/dx = x^3 + v2 + 2 v3 x
         assert alg.multiply(2, 3) == parse("-v2 - 2*v3*x", alg.unfolding.table)
         assert alg.coeffs(alg.phi(2) * alg.phi(3)) == [
-            parse("-v2", alg.coeff_table),
-            parse("-2*v3", alg.coeff_table),
-            MPoly.zero(alg.coeff_table),
+            parse("-v2", alg.table),
+            parse("-2*v3", alg.table),
+            MPoly.zero(alg.table),
         ]
 
     def test_d4_products(self):
@@ -161,23 +161,43 @@ class TestRewriteProof:
 class TestCoefficients:
     @pytest.mark.parametrize("family, n, extended", ALGEBRAS)
     def test_slice_rekey_matches_slot_by_slot(self, monkeypatch, family, n, extended):
-        # the coefficient table is a slice of the algebra table, so coeffs
-        # moves every key by one shift; the slot-by-slot _moved, which it
-        # used before, is the reference and must not run inside coeffs
-        u = build_unfolding(family, n)
-        alg = (build_extended_algebra if extended else build_closed_algebra)(u)
-        zero = MPoly.zero(alg.table)
+        # coeffs leaves every coefficient over the algebra table with the
+        # generator slots zero, and moves no key; the parameter ring is the
+        # slice of that table past the generators, so shifting every key
+        # past the generator fields must give what the slot-by-slot _moved
+        # gives there
+        alg = _algebra(family, n, extended)
+        g = len(alg.gens)
+        assert alg.gen_slots == tuple(range(g))
+        tab = alg.table
+        ptab = VarTable(tab.names[g:], tab.weights[g:], tab.laurent)
+        sh = exactalg._WIDTH * g
         moved = exactalg._moved
-        monkeypatch.setattr(exactalg, "_moved", None)
+        for name in ("_rekey", "_moved"):
+            monkeypatch.setattr(exactalg, name, None)
         for i in range(1, alg.rank + 1):
             for j in range(i, alg.rank + 1):
-                p = alg.phi(i) * alg.phi(j)
-                got = alg.coeffs(p)
-                parts = alg.normal_form(p).collect(alg.gens)
-                want = [moved(parts.get(b, zero), alg.coeff_table) for b in alg.basis]
-                assert [(c.table, c._num, c._den, c._im) for c in got] == [
-                    (c.table, c._num, c._den, c._im) for c in want
-                ]
+                for c in alg.coeffs(alg.phi(i) * alg.phi(j)):
+                    assert c.table is tab
+                    keys = c._num.keys() | (c._im or {}).keys()
+                    assert not any(tab._field(k, slot) for k in keys for slot in alg.gen_slots)
+                    im = {k >> sh: v for k, v in c._im.items()} if c._im else None
+                    got = moved(c, ptab)
+                    assert (got._num, got._den, got._im) == (
+                        {k >> sh: v for k, v in c._num.items()}, c._den, im
+                    )
+
+    def test_structure_constants_move_no_key(self, monkeypatch):
+        calls = []
+        rekey = exactalg._rekey
+        monkeypatch.setattr(
+            exactalg, "_rekey", lambda p, target: calls.append(target) or rekey(p, target)
+        )
+        for family, n, extended in ALGEBRAS:
+            alg = _algebra(family, n, extended)
+            ten = structure_constants(alg)
+            assert calls == [], alg.label()
+            assert ten.table is alg.table
 
 
 class TestExtendedAlgebra:
