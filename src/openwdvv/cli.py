@@ -22,7 +22,8 @@ for I2(6).  The groups each 'verify' identity takes:
 
 'verify all' takes no group; it sweeps those identities, the I2
 classification and the obstructions over every group up to --max-rank
-(the list is _sweep), through the builders the single requests use.
+(the list is _sweep), through the builders the single requests use;
+the parts of each A_n and D_n group read one set of tables (_verify_all).
 Only open-wdvv and vector take --lambda and --branch, and only 'verify
 all' takes --max-rank, from 1 to MAX_RANK (12); any other use of them
 exits 2.
@@ -72,7 +73,7 @@ from .openext import (
     verify_vector_potential,
 )
 from .report import Report, merge, tally
-from .saito import _flat_source, invert_coords, t_table, verify_wdvv
+from .saito import _flat_source, _sharing, invert_coords, t_table, verify_wdvv
 
 
 def _tag(family: str, n: int) -> str:
@@ -360,6 +361,37 @@ def _sweep(max_rank: int):
         yield "obstruction", family, n, "plus"
 
 
+# The parts of an A_n or D_n group that read one set of tables, in the order
+# its step runs them: the extension check's pullback ends before any table.
+_SHARED_PARTS = ("extension", "wdvv", "open-wdvv", "vector")
+
+
+def _verify_all(max_rank: int) -> list:
+    """The Reports of 'verify all', in _sweep's order.  The _SHARED_PARTS
+    of each A_n and D_n group run as one step, each through its builder,
+    in one saito._sharing block that drops the group's tables when it
+    ends.  The step runs where the sweep reaches the group's last shared
+    part, so that what its parts cache is built no earlier than there."""
+    plan = list(_sweep(max_rank))
+    groups = {}
+    for part in plan:
+        ident, family, n, branch = part
+        if family in ("A", "D") and ident in _SHARED_PARTS:
+            groups.setdefault((family, n, branch), []).append(part)
+    one = GaussianRational(1)
+    done = {}
+    for part in plan:
+        ident, family, n, branch = part
+        group = groups.get((family, n, branch), ())
+        if part not in group:
+            done[part] = _CHECKS[ident].build(family, n, one, branch)
+        elif part == group[-1]:
+            with _sharing():
+                for shared in sorted(group, key=lambda p: _SHARED_PARTS.index(p[0])):
+                    done[shared] = _CHECKS[shared[0]].build(family, n, one, branch)
+    return [done[part] for part in plan]
+
+
 def _cmd_verify(args) -> int:
     if args.identity == "all":
         takes = {"--max-rank"}
@@ -385,11 +417,7 @@ def _cmd_verify(args) -> int:
             raise PolyError("verify all takes no group; bound it with --max-rank")
         if not 1 <= max_rank <= MAX_RANK:
             raise PolyError(f"--max-rank must be between 1 and {MAX_RANK}, not {max_rank}")
-        one = GaussianRational(1)
-        parts = [
-            _CHECKS[ident].build(family, n, one, branch)
-            for ident, family, n, branch in _sweep(max_rank)
-        ]
+        parts = _verify_all(max_rank)
         rep = merge(f"all(max_rank={max_rank})", parts)
         return _emit_report(rep, args.format, parts)
     if args.family is None or args.n is None:

@@ -12,8 +12,10 @@ the flat F-manifold axioms for the vector potential, the matching of the
 extended multiplication tensor with (F, F°), and the combinatorial
 omega-identities that drive the D-case proof.  verify_vector_potential
 (ext) reads the vector axioms off the closed and open WDVV contractions
-of the same tables (_open_tables) as the other checks.  Every verifier
-yields one outcome per identity and report.tally counts them.
+of the same tables (_open_tables) as the other checks.  A call builds
+its own tables, except in a saito._sharing block (one per A/D group of
+`verify all`), where the sweeps of equal (F, F°) build one set.  Every
+verifier yields one outcome per identity and report.tally counts them.
 """
 
 from __future__ import annotations
@@ -42,15 +44,16 @@ from .report import Report, tally
 from .saito import (
     FrobeniusStructure,
     _contractions,
+    _extend,
     _first_monomial,
     _live,
     _raise_row,
-    _wdvv_contractions,
+    _shared,
+    _tables,
     _weighted_keys,
     frobenius_structure,
     partials,
     pullback,
-    third_derivatives,
 )
 
 __all__ = [
@@ -79,10 +82,6 @@ __all__ = [
 def extended_table(fs: FrobeniusStructure) -> VarTable:
     """t1..tN plus the Laurent slot s of weight (1 - delta)/2."""
     return _extend(fs.table, fs.delta)
-
-
-def _extend(table: VarTable, delta) -> VarTable:
-    return VarTable(table.names + ("s",), table.weights + ((1 - delta) / 2,), "s")
 
 
 @dataclass(frozen=True)
@@ -227,34 +226,39 @@ def open_wdvv_eq2(base: FrobeniusStructure, fo: MPoly, al: int, be: int) -> tupl
 
 
 def _open_tables(base: FrobeniusStructure, fo: MPoly) -> tuple:
-    """(F, rows, raised, o2, q) over the table of F°: F is the closed
-    potential lifted there, rows and raised are third_derivatives' tables
-    of it, o2(a, b) = d2F°/dt^a dt^b in t1..tN, s with s the index N+1,
-    and q(a, b, g) = Q(ab; g) = sum_v c^v_{ab} o2(v, g) + o2(a, b) o2(s, g).
+    """(F, raised, closed, o2, q) over the table of F°: F, raised and the
+    P memo closed are saito._tables' of the closed potential lifted there,
+    o2(a, b) = d2F°/dt^a dt^b in t1..tN, s with s the index N+1, and
+    q(a, b, g) = Q(ab; g) = sum_v c^v_{ab} o2(v, g) + o2(a, b) o2(s, g).
 
     Q is symmetric in (a, b), so q forms each Q once, on first use, keyed
-    by the sorted (a, b) and g."""
+    by the sorted (a, b) and g.  In a saito._sharing block the sweeps of
+    equal (F, F°) read one set of these tables."""
     tab = fo.table
     n = base.rank
-    F = base.potential.substitute({}, tab)
-    _, rows, raised = third_derivatives(F, base.eta_inv, tab.names[:n])
-    d2o = partials(fo, tab.names[: n + 1], 2)
+    F, _, raised, closed = _tables(base.potential, base.eta_inv, tab)
 
-    def o2(a, b):
-        return d2o[(a, b) if a <= b else (b, a)]
+    def build():
+        d2o = partials(fo, tab.names[: n + 1], 2)
 
-    # rows (c^1_ab, ..., c^N_ab, o2(a, b)) for a <= b, columns o2(., g)
-    idx = range(1, n + 2)
-    form = _contractions(
-        {ab: row + [d2o[ab]] for ab, row in raised.items()},
-        {g: [o2(v, g) for v in idx] for g in idx},
-        tab,
-    )
+        def o2(a, b):
+            return d2o[(a, b) if a <= b else (b, a)]
 
-    def q(a, b, g):
-        return form((a, b) if a <= b else (b, a), g)
+        # rows (c^1_ab, ..., c^N_ab, o2(a, b)) for a <= b, columns o2(., g)
+        idx = range(1, n + 2)
+        form = _contractions(
+            {ab: row + [d2o[ab]] for ab, row in raised.items()},
+            {g: [o2(v, g) for v in idx] for g in idx},
+            tab,
+        )
 
-    return F, rows, raised, o2, q
+        def q(a, b, g):
+            return form((a, b) if a <= b else (b, a), g)
+
+        return o2, q
+
+    o2, q = _shared((base.potential, base.eta_inv, tab, fo), build)
+    return F, raised, closed, o2, q
 
 
 def _equations(n: int, q, o2):
@@ -314,8 +318,7 @@ def verify_vector_potential(ext: OpenExtension) -> Report:
     m = n + 1
     tab = ext.table
     fo = ext.potential
-    F, rows, raised, o2, q = _open_tables(base, fo)
-    closed = _wdvv_contractions(rows, raised, tab)
+    F, raised, closed, o2, q = _open_tables(base, fo)
     eta_live = [_live(row) for row in base.eta_inv]
 
     def lowered(a, pick):
@@ -389,7 +392,7 @@ def verify_extension_theorems(family: str, n: int) -> Report:
     inv = [dt[a * n : (a + 1) * n] + [zero] for a in range(n)] + [s_row]
     got = pullback(cv, inv, jac, keys, tab)
 
-    _, _, raised, o2, _ = _open_tables(base, ext.potential)
+    _, raised, _, o2, _ = _open_tables(base, ext.potential)
 
     def outcomes():
         for (al, be, ga), p in got.items():

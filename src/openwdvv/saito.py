@@ -32,6 +32,8 @@ identity sweeps on them.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -84,6 +86,11 @@ def t_table(weights) -> VarTable:
     """Flat-coordinate table t1..tN with the given weights."""
     names = tuple(f"t{k}" for k in range(1, len(weights) + 1))
     return VarTable(names, tuple(Fraction(w) for w in weights))
+
+
+def _extend(table: VarTable, delta) -> VarTable:
+    """table plus the Laurent slot s of weight (1 - delta)/2."""
+    return VarTable(table.names + ("s",), table.weights + ((1 - delta) / 2,), "s")
 
 
 @dataclass(frozen=True)
@@ -713,7 +720,8 @@ def third_derivatives(F: MPoly, eta_inv, names) -> tuple:
     rows[(a, b)] lists c_{ab1}, ..., c_{abN} out of d3, and raised[(a, b)]
     lists c^v_{ab} = eta^{vm} c_{abm} for v = 1..N (a <= b), each row v of
     eta_inv raised by _raise_row.
-    Nothing is cached: every caller sweeps the tensors once and drops them.
+    Every call builds them; the verifiers call _tables, which builds them
+    once per potential in a _sharing block.
     """
     n = len(names)
     idx = range(1, n + 1)
@@ -736,15 +744,56 @@ def _wdvv_contractions(rows, raised, table):
     """contraction(a, b, c, d) = P(ab; cd) = sum_v c_{abv} c^v_{cd} over
     third_derivatives' rows and raised.  P is symmetric within each pair
     and, eta^{-1} being symmetric, under the pair swap, so each P is formed
-    once, keyed by the sorted pair of sorted pairs (_contractions)."""
-    form = _contractions(rows, raised, table)
+    once, keyed by the sorted pair of sorted pairs (_contractions), set up
+    at the first call."""
+    form = None
 
     def contraction(a, b, c, d):
+        nonlocal form
+        if form is None:
+            form = _contractions(rows, raised, table)
         ab = (a, b) if a <= b else (b, a)
         cd = (c, d) if c <= d else (d, c)
         return form(ab, cd) if ab <= cd else form(cd, ab)
 
     return contraction
+
+
+# The tables shared in the running _sharing block, by key; None outside one.
+_SHARED = ContextVar("shared_tables", default=None)
+
+
+@contextmanager
+def _sharing():
+    """Within the block, a table built through _shared is built once per
+    key, compared by value; the tables are dropped when the block ends."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _shared(key, build):
+    memo = _SHARED.get()
+    if memo is None:
+        return build()
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = build()
+    return got
+
+
+def _tables(F: MPoly, eta_inv, table: VarTable) -> tuple:
+    """(F, d3, raised, contraction): F lifted to table, whose first slots
+    are F's, third_derivatives' d3 and raised of it and the P memo on them."""
+
+    def build():
+        lifted = F if table is F.table else F.substitute({}, table)
+        d3, rows, raised = third_derivatives(lifted, eta_inv, F.table.names)
+        return lifted, d3, raised, _wdvv_contractions(rows, raised, table)
+
+    return _shared((F, eta_inv, table), build)
 
 
 def verify_wdvv(fs: FrobeniusStructure) -> Report:
@@ -756,12 +805,13 @@ def verify_wdvv(fs: FrobeniusStructure) -> Report:
 
     Identity (alpha, beta, gamma, delta) compares P(alpha beta; gamma delta)
     with P(delta beta; gamma alpha), where P(ab; cd) = sum_v c_{abv} c^v_{cd}
-    is formed once per call (_wdvv_contractions).
+    is formed once (_wdvv_contractions).  In a _sharing block F is lifted
+    to the extended table, where the open sweeps of F read the same tables;
+    a residual free of s renders the same there.
     """
     n = fs.rank
-    tab = fs.table
-    d3, rows, raised = third_derivatives(fs.potential, fs.eta_inv, tab.names)
-    contraction = _wdvv_contractions(rows, raised, tab)
+    tab = fs.table if _SHARED.get() is None else _extend(fs.table, fs.delta)
+    _, d3, _, contraction = _tables(fs.potential, fs.eta_inv, tab)
 
     def outcomes():
         for a in range(1, n + 1):

@@ -6,9 +6,13 @@ every identity, as the verifiers did before the sharing; both must give
 the same Report, failures in order included, on passing and on tampered
 inputs.  The dot counts pin the sharing itself."""
 
+import json
 import math
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,8 @@ from openwdvv.coxeter import _open_ansatz, coxeter_structure, open_family
 from openwdvv.exactalg import _WIDTH, GaussianRational, MPoly, dot, rat
 from openwdvv.openext import (
     OpenExtension,
+    extended_table,
+    open_extension,
     open_potential_A,
     open_potential_D,
     open_wdvv_eq2,
@@ -37,6 +43,8 @@ from openwdvv.saito import (
     third_derivatives,
     verify_wdvv,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GROUPS = ("A5", "D5", "B4", "I2(6)", "H3")
 OPEN_GROUPS = ("A5", "D5", "B4", "I2(6)")  # H3 has no polynomial F°
@@ -384,3 +392,149 @@ class TestDotCounts:
         # for the x-rows, one per y-row (c, 6) and one for (6, 6)
         got = count_dots(monkeypatch, residue_structure, "D", 6)
         assert got == 8 + 5 + 23 + 35 + 39
+
+    def test_verify_all_rank3(self):
+        # cold caches, every binding of the kernel's loop counted: 2370
+        # before the A/D groups shared their tables.  The 94 saved dots are
+        # the P and Q that the vector sweeps of A1-A3 and D3 now read off
+        # verify_wdvv and verify_open_wdvv (82), and D3's raised constants,
+        # whose scaled rows of eta^-1 took one dot each in verify_wdvv and
+        # again in verify_open_wdvv (6 + 6)
+        (got,) = cold(["verify", "all", "--max-rank", "3"])["requests"]
+        assert got["dot"] == 2276
+
+    def test_verify_all_third_derivatives_rank6(self):
+        # one build per A/D potential: 77 before the A/D groups shared their
+        # tables, four for each of the ten A/D potentials up to rank 6 and
+        # one for every other wdvv and open-wdvv part
+        (got,) = cold(["verify", "all", "--max-rank", "6"])["requests"]
+        assert got["third"] == 47
+
+
+# ---------- one set of tables per A/D group of `verify all` ----------
+
+# Runs requests in a fresh interpreter, so every cache starts empty, and
+# prints as JSON, per request, the dot calls (every module's binding of
+# exactalg.dot), the third_derivatives builds and the dots inside each
+# verify_vector_potential call; then whether any P memo that _tables
+# returned is still alive and whether the shared tables are unset.
+PROBE = """
+import contextlib, gc, io, json, sys, weakref
+sys.path[:0] = [SRC]
+from openwdvv import cli, coxeter, exactalg, milnor, openext, saito
+
+counts = {"dot": 0, "third": 0}
+
+def counting(key, fn):
+    def counted(*args):
+        counts[key] += 1
+        return fn(*args)
+    return counted
+
+dot = counting("dot", exactalg.dot)
+for module in (exactalg, milnor, saito, openext, coxeter):
+    module.dot = dot
+saito.third_derivatives = coxeter.third_derivatives = counting(
+    "third", saito.third_derivatives
+)
+memos = []
+tables = saito._tables
+
+def kept(*args):
+    got = tables(*args)
+    memos.append(weakref.ref(got[3]))
+    return got
+
+saito._tables = openext._tables = kept
+vector_dots = []
+verify_vector = cli.verify_vector_potential
+
+def vector(ext):
+    before = counts["dot"]
+    rep = verify_vector(ext)
+    vector_dots.append(counts["dot"] - before)
+    return rep
+
+cli.verify_vector_potential = vector
+requests = []
+for argv in json.loads(sys.argv[1]):
+    before = dict(counts)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    requests.append({"code": code, **{k: counts[k] - before[k] for k in counts}})
+gc.collect()
+print(json.dumps({
+    "requests": requests,
+    "vector_dots": vector_dots,
+    "live_memos": sum(ref() is not None for ref in memos),
+    "memos": len(memos),
+    "unset": saito._SHARED.get() is None,
+}))
+"""
+
+
+def cold(*requests) -> dict:
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE.replace("SRC", repr(str(ROOT / "src"))),
+         json.dumps(requests)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    assert all(r["code"] == 0 for r in got["requests"])
+    return got
+
+
+class TestSharedTables:
+    def test_scoped_to_the_request(self):
+        # no table outlives `verify all`, and a later single request forms
+        # every contraction itself, as it does in a fresh interpreter
+        after = cold(["verify", "all", "--max-rank", "3"], ["verify", "vector", "A", "3"])
+        assert after["unset"] and after["memos"] > 0 and after["live_memos"] == 0
+        fresh = cold(["verify", "vector", "A", "3"])
+        assert after["vector_dots"][-1] == fresh["vector_dots"][-1] == 52
+
+    @pytest.mark.parametrize("family", ["A", "D"])
+    def test_failures_as_the_verifiers_alone(self, monkeypatch, family):
+        # the group step of A4 or D4 on tampered inputs gives the Reports
+        # the four verifiers give when each runs alone, and shares tables
+        # only between parts whose F (and F°) are equal
+        fs = frobenius_structure(family, 4)
+        ext = open_potential_A(4) if family == "A" else open_potential_D(4)
+        bad_fs = replace(fs, potential=bumped(fs.potential))
+        bad_ext = replace(ext, base=bad_fs)
+        bad_fo = open_extension(fs, bumped(ext.potential))
+        group = [(i, family, 4, "plus") for i in ("wdvv", "open-wdvv", "extension", "vector")]
+        third = saito.third_derivatives
+        # (wdvv's F, the served extension, open_potential's, closed builds, oks)
+        for closed, served, extended, want_builds, oks in (
+            (bad_fs, bad_ext, bad_ext, 1, [False] * 4),  # F bumped everywhere
+            (fs, bad_fo, ext, 1, [True, False, True, False]),  # F° in two parts
+            (bad_fs, ext, ext, 2, [False, True, True, True]),  # F in wdvv only
+        ):
+            builds = []
+            monkeypatch.setattr(cli, "_sweep", lambda max_rank: iter(group))
+            monkeypatch.setattr(cli, "coxeter_structure", lambda tag: closed)
+            monkeypatch.setattr(cli, "_open_ext_for", lambda *args: served)
+            monkeypatch.setattr(openext, f"open_potential_{family}", lambda n: extended)
+            monkeypatch.setattr(saito, "third_derivatives", lambda *a: builds.append(a) or third(*a))
+            got = cli._verify_all(4)
+            assert len(builds) == want_builds
+            monkeypatch.setattr(saito, "third_derivatives", third)
+            alone = [
+                verify_wdvv(closed),
+                verify_open_wdvv(served),
+                openext.verify_extension_theorems(family, 4),
+                verify_vector_potential(served),
+            ]
+            assert got == alone and [r.ok for r in got] == oks
+            monkeypatch.undo()
+
+    def test_residuals_render_alike_on_the_extended_table(self):
+        # verify_wdvv's residuals in a group step live on the extended table
+        for family, n in (("A", 5), ("D", 5)):
+            fs = frobenius_structure(family, n)
+            residual = bumped(fs.potential) - fs.potential
+            lifted = residual.substitute({}, extended_table(fs))
+            assert _first_monomial(lifted) == _first_monomial(residual)
+            assert _first_monomial(-lifted) == _first_monomial(-residual)
