@@ -436,6 +436,7 @@ def _cmd_classify(args) -> int:
     coxeter_spec(_tag(args.family, args.n))  # an unknown group exits 2, not 1
     lam_text, branch = _lambda_branch(args)
     lam = _scalar(lam_text)
+    open_family(_tag(args.family, args.n))  # cached; an unbuildable group exits 2
     try:
         fam = classify_I2(args.n)
     except PolyError as exc:

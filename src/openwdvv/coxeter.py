@@ -138,10 +138,8 @@ def coxeter_spec(tag: str) -> CoxeterSpec:
         raise PolyError(f"unknown Coxeter group {tag!r}")
     canonical = f"I2({n})" if family == "I2" else f"{family}{n}"
     spec = CoxeterSpec(canonical, family, n, 2 if family == "I2" else n, degrees)
-    if spec.q[0] != 1 or spec.h != max(degrees):
+    if spec.h != max(degrees):
         raise PolyError(f"degree table of {tag} is inconsistent")
-    if Fraction(1 - spec.delta, 2) != Fraction(1, spec.h):
-        raise PolyError(f"boundary weight of {tag} is inconsistent")
     return spec
 
 

@@ -462,14 +462,6 @@ class MPoly:
         except ExponentError:
             return _GR0
 
-    def _rekeyed(self, fn, target: VarTable) -> "MPoly":
-        """The polynomial with key k moved to fn(k) over target; fn must be
-        injective."""
-        num = {fn(k): v for k, v in self._num.items()}
-        im = {fn(k): v for k, v in self._im.items()} if self._im else None
-        target._check_keys(num.keys() | (im.keys() if im else ()))
-        return MPoly._new(target, num, self._den, im)
-
     def collect(self, names) -> dict:
         """Group the terms by their exponents in the named variables:
         {exponent tuple over names: coefficient polynomial with those slots
@@ -880,27 +872,10 @@ def _same_table(a: VarTable, b: VarTable) -> None:
 
 
 def _rekey(p: MPoly, target: VarTable) -> MPoly:
-    """p over target, every variable of p mapped to the same name there.
-
-    When src is a prefix of target, with the Laurent slot at the same
-    place or only in target's new slots, every key moves by one addition
-    (for the Laurent bias).  Anything else goes slot by slot through
-    _moved, which raises for a term that has no place in target."""
-    src = p.table
-    if src.names == target.names[: src.arity] and (
-        src._li == target._li or (src._li is None and target._li >= src.arity)
-    ):
-        shift = target._one - src._one
-        if src.arity == target.arity and not shift:
-            return MPoly._new(target, p._num, p._den, p._im)
-        return p._rekeyed(lambda k: k + shift, target)
-    return _moved(p, target)
-
-
-def _moved(p: MPoly, target: VarTable) -> MPoly:
-    """p over target, each term moved slot by slot by name; PolyError when
-    a variable of a term is not in target, ExponentError when a negative
-    exponent lands outside target's Laurent slot."""
+    """p over target, every variable of p mapped to the same name there:
+    each term moves slot by slot.  PolyError when a variable of a term is
+    not in target, ExponentError when a negative exponent lands outside
+    target's Laurent slot."""
     src = p.table
     slots = {}
 
@@ -919,7 +894,10 @@ def _moved(p: MPoly, target: VarTable) -> MPoly:
                 out += e << (_WIDTH * t)
         return out
 
-    return p._rekeyed(move, target)
+    num = {move(k): v for k, v in p._num.items()}
+    im = {move(k): v for k, v in p._im.items()} if p._im else None
+    target._check_keys(num.keys() | (im.keys() if im else ()))
+    return MPoly._new(target, num, p._den, im)
 
 
 class _ImagePowers:

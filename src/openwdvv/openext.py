@@ -390,7 +390,7 @@ def verify_extension_theorems(family: str, n: int) -> Report:
     jac = [[vb.diff(x) for x in nm[:n]] + [zero] for vb in v] + [s_row]
     dt = substitute_all((t.diff(vn) for vn in sub for t in base.t_of_v), sub, tab)
     inv = [dt[a * n : (a + 1) * n] + [zero] for a in range(n)] + [s_row]
-    got = pullback(cv, inv, jac, keys, tab)
+    got = pullback(cv, inv, jac, keys, tab, lambda a, i: (a, i))
 
     _, raised, _, o2, _ = _open_tables(base, ext.potential)
 

@@ -271,7 +271,7 @@ def invert_coords(t_of_v, ttab: VarTable, images=None):
 # ---------- tensor calculus ----------
 
 
-def pullback(T, first, second, keys, table, row=None) -> dict:
+def pullback(T, first, second, keys, table, row) -> dict:
     """out[(al, be, ga)] = sum first[a][al] * second[i][be] * second[j][ga]
     * T[(a, i, j)] for every (al, be, ga) in keys.
 
@@ -289,10 +289,10 @@ def pullback(T, first, second, keys, table, row=None) -> dict:
     must be equal entry by entry, and P is formed once per (row key, ga),
     the first time L needs it.  A tensor whose rows repeat (a residue T,
     where T(a, i, .) depends on a + i) so forms one first-stage sum per
-    distinct row; by default each (a, i) is its own row.  L is symmetric
-    in (be, ga), so it is formed once per unordered pair.  Only the partial
-    sums that keys need and that have a nonzero term are formed; an empty
-    one is left out of the next contraction.
+    distinct row; row = lambda a, i: (a, i) makes each (a, i) its own
+    row.  L is symmetric in (be, ga), so it is formed once per unordered
+    pair.  Only the partial sums that keys need and that have a nonzero
+    term are formed; an empty one is left out of the next contraction.
     """
     keys = list(keys)
     c1 = [_live(col) for col in zip(*first)]
@@ -307,14 +307,10 @@ def pullback(T, first, second, keys, table, row=None) -> dict:
                 lower.setdefault((a, j), []).append((i, t))
     # each nonzero row (a, i): its entries and the memo of its first-stage
     # sums by ga, one memo per row key
-    if row is None:
-        rows1 = {ai: (pairs, {}) for ai, pairs in lower.items()}
-    else:
-        shared = {}
-        rows1 = {
-            ai: shared.setdefault(row(*ai), (pairs, {}))
-            for ai, pairs in lower.items()
-        }
+    shared = {}
+    rows1 = {
+        ai: shared.setdefault(row(*ai), (pairs, {})) for ai, pairs in lower.items()
+    }
     # (a, be, ga) under each key, and the nonzero rows (a, i) with
     # second[i][be] != 0 by (a, be)
     need2 = dict.fromkeys(
@@ -721,7 +717,8 @@ def third_derivatives(F: MPoly, eta_inv, names) -> tuple:
     lists c^v_{ab} = eta^{vm} c_{abm} for v = 1..N (a <= b), each row v of
     eta_inv raised by _raise_row.
     Every call builds them; the verifiers call _tables, which builds them
-    once per potential in a _sharing block.
+    for F lifted to the extended table, once per potential in a _sharing
+    block.
     """
     n = len(names)
     idx = range(1, n + 1)
@@ -744,14 +741,10 @@ def _wdvv_contractions(rows, raised, table):
     """contraction(a, b, c, d) = P(ab; cd) = sum_v c_{abv} c^v_{cd} over
     third_derivatives' rows and raised.  P is symmetric within each pair
     and, eta^{-1} being symmetric, under the pair swap, so each P is formed
-    once, keyed by the sorted pair of sorted pairs (_contractions), set up
-    at the first call."""
-    form = None
+    once, keyed by the sorted pair of sorted pairs (_contractions)."""
+    form = _contractions(rows, raised, table)
 
     def contraction(a, b, c, d):
-        nonlocal form
-        if form is None:
-            form = _contractions(rows, raised, table)
         ab = (a, b) if a <= b else (b, a)
         cd = (c, d) if c <= d else (d, c)
         return form(ab, cd) if ab <= cd else form(cd, ab)
@@ -786,10 +779,13 @@ def _shared(key, build):
 
 def _tables(F: MPoly, eta_inv, table: VarTable) -> tuple:
     """(F, d3, raised, contraction): F lifted to table, whose first slots
-    are F's, third_derivatives' d3 and raised of it and the P memo on them."""
+    are F's, third_derivatives' d3 and raised of it and the P memo on them.
+    table starts t1..tN, s: verify_wdvv passes _extend's table and the
+    open sweeps that of F°, so in a _sharing block the closed and open
+    sweeps of F read one set."""
 
     def build():
-        lifted = F if table is F.table else F.substitute({}, table)
+        lifted = F.substitute({}, table)
         d3, rows, raised = third_derivatives(lifted, eta_inv, F.table.names)
         return lifted, d3, raised, _wdvv_contractions(rows, raised, table)
 
@@ -805,12 +801,12 @@ def verify_wdvv(fs: FrobeniusStructure) -> Report:
 
     Identity (alpha, beta, gamma, delta) compares P(alpha beta; gamma delta)
     with P(delta beta; gamma alpha), where P(ab; cd) = sum_v c_{abv} c^v_{cd}
-    is formed once (_wdvv_contractions).  In a _sharing block F is lifted
-    to the extended table, where the open sweeps of F read the same tables;
-    a residual free of s renders the same there.
+    is formed once (_wdvv_contractions).  F is lifted to the extended
+    table, where the open sweeps of F read the same tables (_tables); a
+    residual free of s renders the same there.
     """
     n = fs.rank
-    tab = fs.table if _SHARED.get() is None else _extend(fs.table, fs.delta)
+    tab = _extend(fs.table, fs.delta)
     _, d3, _, contraction = _tables(fs.potential, fs.eta_inv, tab)
 
     def outcomes():

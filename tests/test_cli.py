@@ -390,6 +390,14 @@ class TestUsageErrors:
             assert code == 2, argv
             assert err.startswith("error: "), argv
 
+    def test_classify_refuses_a_group_it_cannot_build(self, capsys):
+        # the group's family is built before the solver runs, so a group
+        # whose exponents leave the packed range exits 2, as potential and
+        # open-potential do, and not 1 (a failed classification)
+        code, out, err = run(capsys, "classify", "I2", "40000")
+        assert (code, out) == (2, "")
+        assert err == "error: an exponent left the packed range of its slot\n"
+
     def test_verify_all_rank_bound(self, capsys, monkeypatch):
         # refused before the sweep starts; nothing past the bound is run
         monkeypatch.setattr(cli, "_sweep", lambda max_rank: pytest.fail("swept"))

@@ -123,6 +123,16 @@ class TestSpecs:
             assert spec.h == degrees[0]
             assert spec.q[0] == 1
 
+    def test_parse_forms_no_weights(self, monkeypatch):
+        # parsing forms no per-rank Fraction: q_1 = d_1/h = 1 and
+        # (1 - delta)/2 = 1/h hold by definition, so neither is checked
+        def read_q(spec):
+            pytest.fail(f"q of {spec.tag} read")
+
+        monkeypatch.setattr(coxeter.CoxeterSpec, "q", property(read_q))
+        for tag in ("A5", "B3", "D4", "E7", "F4", "H3", "I2(6)"):
+            assert coxeter_spec(tag).tag == tag
+
     def test_delta_values(self):
         assert coxeter_spec("H3").delta == Fraction(4, 5)
         assert coxeter_spec("H4").delta == Fraction(14, 15)

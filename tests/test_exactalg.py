@@ -335,13 +335,12 @@ class TestPolyBasics:
         target = VarTable(("a", "b", "s"), None, "s")
         for text, name in (("a*b + x^2*s^-1", "x"), ("w*s + s^2", "w"), ("a*y", "y")):
             p = parse(text, src)
-            for fn in (exactalg._rekey, exactalg._moved):
-                with pytest.raises(PolyError, match=f"unknown variable '{name}'"):
-                    fn(p, target)
+            with pytest.raises(PolyError, match=f"unknown variable '{name}'"):
+                exactalg._rekey(p, target)
             with pytest.raises(PolyError, match=f"unknown variable '{name}'"):
                 exactalg.substitute_all([parse("a", src), p], {}, target)
-        # a Laurent slot outside the slice, or not lined up with the
-        # target's, takes the slot-by-slot path
+        # the target may drop or add a Laurent slot that no term uses; a
+        # pole may land only in the target's Laurent slot
         for src, target, text in (
             (VarTable(("s", "a", "b"), None, "s"), VarTable(("a", "b")), "a*b^2 - 3"),
             (VarTable(("x", "a", "b")), VarTable(("a", "b"), None, "b"), "a*b^2 - 3"),
@@ -472,6 +471,47 @@ class TestPolyProperties:
         for _ in range(k):
             prod = prod * p
         assert p ** k == prod
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rekey_is_substitution_by_identity_images(self, data):
+        # _rekey moves each term slot by slot by name; substituting every
+        # variable by itself (_ImagePowers with no images given) must give
+        # the same polynomial, or refuse with the same error class.  The
+        # target keeps, drops, adds or permutes names, and keeps, moves,
+        # drops or adds the Laurent slot; when it drops a name, the source's
+        # Laurent variable is dropped too or stays Laurent, so no term has
+        # two faults that the two sides could meet in a different order
+        pool = ("a", "b", "c", "s")
+        names = data.draw(st.permutations(pool), label="source order")
+        names = names[: data.draw(st.integers(1, 4), label="source arity")]
+        src = VarTable(tuple(names), None, data.draw(
+            st.one_of(st.none(), st.sampled_from(names)), label="source Laurent"))
+        p = data.draw(polys(src, min_exp=-2, max_exp=3, max_terms=4), label="p")
+        kept = data.draw(st.one_of(st.just(list(names)), st.lists(
+            st.sampled_from(names), unique=True)), label="kept")
+        added = data.draw(st.lists(st.sampled_from(("u", "w")), unique=True), label="added")
+        tnames = tuple(data.draw(st.permutations(kept + added), label="target order"))
+        if len(kept) < len(names) and src.laurent in kept:
+            laurent = src.laurent
+        else:
+            laurent = data.draw(st.one_of(st.none(), st.sampled_from(tnames))
+                                if tnames else st.none(), label="target Laurent")
+        target = VarTable(tnames, None, laurent)
+
+        def outcome(fn):
+            try:
+                return fn()
+            except PolyError as exc:
+                return type(exc)
+
+        got = outcome(lambda: exactalg._rekey(p, target))
+        want = outcome(lambda: exactalg._ImagePowers(src, target, {}).apply(p))
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert isinstance(got, MPoly) and got == want and got.table is target
+            _assert_canonical(got)
 
 
 def _sympy_scalar(c):

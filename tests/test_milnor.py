@@ -162,19 +162,18 @@ class TestCoefficients:
     @pytest.mark.parametrize("family, n, extended", ALGEBRAS)
     def test_slice_rekey_matches_slot_by_slot(self, monkeypatch, family, n, extended):
         # coeffs leaves every coefficient over the algebra table with the
-        # generator slots zero, and moves no key; the parameter ring is the
-        # slice of that table past the generators, so shifting every key
-        # past the generator fields must give what the slot-by-slot _moved
-        # gives there
+        # generator slots zero, and moves no key (it may not call _rekey);
+        # the parameter ring is the slice of that table past the
+        # generators, so _rekey onto the slice, which moves each term slot
+        # by slot, must give every key shifted past the generator fields
         alg = _algebra(family, n, extended)
         g = len(alg.gens)
         assert alg.gen_slots == tuple(range(g))
         tab = alg.table
         ptab = VarTable(tab.names[g:], tab.weights[g:], tab.laurent)
         sh = exactalg._WIDTH * g
-        moved = exactalg._moved
-        for name in ("_rekey", "_moved"):
-            monkeypatch.setattr(exactalg, name, None)
+        rekey = exactalg._rekey
+        monkeypatch.setattr(exactalg, "_rekey", None)
         for i in range(1, alg.rank + 1):
             for j in range(i, alg.rank + 1):
                 for c in alg.coeffs(alg.phi(i) * alg.phi(j)):
@@ -182,7 +181,7 @@ class TestCoefficients:
                     keys = c._num.keys() | (c._im or {}).keys()
                     assert not any(tab._field(k, slot) for k in keys for slot in alg.gen_slots)
                     im = {k >> sh: v for k, v in c._im.items()} if c._im else None
-                    got = moved(c, ptab)
+                    got = rekey(c, ptab)
                     assert (got._num, got._den, got._im) == (
                         {k >> sh: v for k, v in c._num.items()}, c._den, im
                     )

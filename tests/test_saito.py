@@ -525,7 +525,7 @@ class TestPullback:
         ]
         symmetric = list(combinations_with_replacement(axes, 3))
         for keys in (restricted, symmetric, restricted[1:2]):
-            got = pullback(T, first, second, iter(keys), tab)
+            got = pullback(T, first, second, iter(keys), tab, lambda a, i: (a, i))
             assert list(got) == keys
             for key in keys:
                 assert got[key] == self.brute(T, first, second, key)
@@ -556,7 +556,7 @@ class TestPullback:
                     T[(a, i, j)] = parse(e, tab)
         keys = data.draw(st.lists(st.tuples(*[st.integers(1, m)] * 3), unique=True,
                                   max_size=8), label="keys")
-        got = pullback(T, first, second, keys, tab)
+        got = pullback(T, first, second, keys, tab, lambda a, i: (a, i))
         assert list(got) == keys
         for abc in keys:
             assert got[abc] == triple_sum(T, first, second, abc) and got[abc].table is tab
