@@ -34,7 +34,6 @@ from .exactalg import (
     MPoly,
     PolyError,
     VarTable,
-    _WIDTH,
     dot,
     parse,
     rat,
@@ -52,7 +51,6 @@ from .openext import (
 from .report import Report, tally
 from .saito import (
     FrobeniusStructure,
-    _weighted_keys,
     from_potential,
     frobenius_structure,
     residue_structure,
@@ -108,9 +106,6 @@ class CoxeterSpec:
     def delta(self) -> Fraction:
         return 1 - Fraction(2, self.h)
 
-    def table(self) -> VarTable:
-        return VarTable(tuple(f"t{a}" for a in range(1, self.rank + 1)), self.q)
-
 
 def coxeter_spec(tag: str) -> CoxeterSpec:
     """Parse a group tag: 'A5', 'B3', 'D4', 'E7', 'F4', 'H3', 'H4', 'I2(6)'.
@@ -160,7 +155,7 @@ def printed_potential(tag: str) -> MPoly:
     """A potential transcribed verbatim from its published display."""
     if tag not in ("D4", "D5", "F4", "H3", "H4"):
         raise PolyError(f"no printed potential stored for {tag}")
-    tab = coxeter_spec(tag).table()
+    tab = t_table(coxeter_spec(tag).q)
     return parse(_fixture_text(f"{tag.lower()}_closed.txt" if tag[0] == "D" else f"{tag.lower()}.txt"), tab)
 
 
@@ -210,7 +205,7 @@ def _restricted_structure(spec: CoxeterSpec) -> FrobeniusStructure:
     run on the group's subspace of its flat coordinates; the potential is
     the source potential there."""
     family, m = _source_family(spec)
-    images = _restriction_images(spec, spec.table())
+    images = _restriction_images(spec, t_table(spec.q))
     return residue_structure(family, m, images, spec.tag)
 
 
@@ -310,10 +305,7 @@ def _built_family(tag: str) -> SolutionFamily:
         base, gen = ext.base, ext.potential
     elif spec.family in ("B", "I2"):
         base = coxeter_structure(tag)
-        tab = extended_table(base)
-        images = _restriction_images(spec, tab)
-        live = [a for a, img in enumerate(images, start=1) if img]
-        gen = open_generator_A(len(images), tab, live)
+        gen = open_generator_A(_source_family(spec)[1], extended_table(base))
     else:
         raise PolyError(f"{spec.tag} has no polynomial open solutions")
     domain = "C*" if (0,) in gen.collect((gen.table.laurent,)) else "C"
@@ -459,20 +451,15 @@ def _open_ansatz(base: FrobeniusStructure) -> MPoly:
     """F° = t1*s + sum_m b_m * m/m! over the t1-free monomials m in t, s of
     weighted degree (3 - delta)/2 (m! = prod of its exponents' factorials;
     the unit condition leaves no other t1 term), over the extended table
-    followed by the weight-0 unknowns b0, b1, ... in _weighted_tuples order."""
+    followed by the weight-0 unknowns b0, b1, ... in weighted_keys order."""
     ext = extended_table(base)
-    total = (3 - base.delta) / 2
-    scale = math.lcm(total.denominator, *(w.denominator for w in ext.weights))
-    weights = [int(w * scale) for w in ext.weights[1:]]
-    shape = _weighted_keys(weights, int(total * scale))
+    shape = ext.weighted_keys(ext.names[1:], (3 - base.delta) / 2)
     m = len(shape)
     names = ext.names + tuple(f"b{j}" for j in range(m))
     tab = VarTable(names, ext.weights + (Fraction(0),) * m, "s")
-    n = base.rank
-    # the shape keys start at t2, slot 1 of tab; b_j sits in slot n + 1 + j
-    ratios = {tab.pack((1,) + (0,) * (n - 1) + (1,) + (0,) * m): (1, 1)}
+    ratios = {tab.pack((1,) + (0,) * (base.rank - 1) + (1,) + (0,) * m): (1, 1)}
     for j, (key, _, _, q) in enumerate(shape):
-        ratios[tab._one + (key << _WIDTH) + (1 << (_WIDTH * (n + 1 + j)))] = (1, q)
+        ratios[tab.pack(ext.unpack(key) + tuple(int(i == j) for i in range(m)))] = (1, q)
     return MPoly._from_ratios(tab, ratios)
 
 

@@ -19,15 +19,15 @@ Inside, a polynomial is held in an integer layout:
 * the imaginary numerators sit in a second map that exists only when
   some coefficient is not real.
 
-Products, sums, derivatives, the Euler operator, substitution and the
-builders of saito, openext and coxeter (int ratios by packed key, through
-MPoly._from_ratios) run on these ints.  dot is the one accumulation
-loop: every a + b, a - b, a * b, scalar multiple and substitution runs
-through it, and collect is the one grouping of terms by slot.  Fractions
-and GaussianRationals are made only at the edges: MPoly(table, terms),
-scalar operands, table weights and degrees, the read-only terms view
-(exponent tuple -> GaussianRational), the coefficient queries, and the
-text and JSON forms.
+Products, sums, derivatives, the Euler operator and substitution run on
+these ints.  No other module reads or adds packed keys: saito, openext and
+coxeter build on VarTable.weighted_keys and from_third_partials.  dot is
+the one accumulation loop: every a + b, a - b, a * b, scalar multiple and
+substitution runs through it, and collect is the one grouping of terms by
+slot.  Fractions and GaussianRationals are made only at the edges:
+MPoly(table, terms), scalar operands, table weights and degrees, the
+read-only terms view (exponent tuple -> GaussianRational), the coefficient
+queries, and the text and JSON forms.
 
 Canonical order is graded lexicographic: terms sort by total degree, then
 by exponent tuple.  The text form and the JSON form both list terms in this
@@ -54,6 +54,7 @@ __all__ = [
     "parse",
     "dot",
     "substitute_all",
+    "from_third_partials",
     "PolyError",
     "TableMismatchError",
     "ExponentError",
@@ -331,6 +332,46 @@ class VarTable:
             key >>= _WIDTH
         return tuple(out)
 
+    def weighted_keys(self, names, degree, bases=None) -> list:
+        """(key, m, p, q) per monomial prod x_i^a_i (a_i >= 0) in names of
+        weighted degree degree (an int or Fraction), lexicographic in
+        (a_1, a_2, ...) over names as given: key packs it over this table,
+        m = sum(a), p/q = prod bases[i]^a_i / prod a_i! (bases default 1).
+        PolyError without weights, for a repeated name or a weight <= 0;
+        ExponentError when an exponent could leave its packed field."""
+        if self.weights is None:
+            raise PolyError("weighted_keys needs table weights")
+        slots = [self.index(nm) for nm in names]
+        ws = [self._wnum[j] for j in slots]
+        if len(set(slots)) != len(slots) or min(ws, default=1) <= 0:
+            raise PolyError(f"weighted_keys needs distinct names of positive weight: {names}")
+        total, r = divmod(degree.numerator * self._wden, degree.denominator)
+        if r or total < 0:
+            return []
+        if not ws:
+            return [] if total else [(self._one, 0, 1, 1)]
+        if any(total // w + self._biases[j] >= _TOP for j, w in zip(slots, ws)):
+            raise ExponentError(f"degree {degree} leaves the packed range of a slot")
+        bases = bases or [1] * len(ws)
+        shifts = [_WIDTH * j for j in slots]
+        last = len(ws) - 1
+        out = []
+
+        def rec(i, rem, key, m, p, q):
+            w, b, sh = ws[i], bases[i], shifts[i]
+            if i == last:
+                a, r = divmod(rem, w)
+                if not r:
+                    out.append((key + (a << sh), m + a, p * b ** a, q * math.factorial(a)))
+                return
+            for a in range(rem // w + 1):
+                rec(i + 1, rem - w * a, key + (a << sh), m + a, p, q)
+                p *= b
+                q *= a + 1
+
+        rec(0, total, self._one, 0, 1, 1)
+        return out
+
     def _field(self, key: int, j: int) -> int:
         return ((key >> (_WIDTH * j)) & _FIELD) - self._biases[j]
 
@@ -449,6 +490,9 @@ class MPoly:
 
     def __bool__(self) -> bool:
         return bool(self._num) or self._im is not None
+
+    def is_real(self) -> bool:
+        return self._im is None
 
     def constant_term(self) -> GaussianRational:
         return self._coeff(self.table._one)
@@ -864,6 +908,27 @@ def _add_gaussian(num, im, D, off, a, bre, bim, bden) -> tuple:
                 k = k1 + k2
                 acc[k] = get(k, 0) + c1 * c2
     return D, im
+
+
+def from_third_partials(cflat, table: VarTable) -> MPoly:
+    """The polynomial F with no term below cubic and the third partials
+    cflat {(a, b, c): c_abc, a <= b <= c} (1-based slots), unchecked: its
+    monomial n*x_a*x_b*x_c with n free of x_1..x_{c-1} comes from c_abc
+    alone, over the falling factor the three derivatives put on it."""
+    if table.laurent_index is not None:
+        raise PolyError("no read-off of third partials over a table with a Laurent slot")
+    parts = ({}, {})  # packed key -> (p, q), real and imaginary
+    for abc, c in cflat.items():
+        low = (1 << (_WIDTH * (abc[-1] - 1))) - 1  # the fields of x_1..x_{c-1}
+        up = sum(1 << (_WIDTH * (a - 1)) for a in abc)
+        mult = [(_WIDTH * (a - 1), abc.count(a)) for a in set(abc)]
+        for part, maps in zip(parts, (c._num, c._im or {})):
+            for k, v in maps.items():
+                if not k & low:
+                    k += up
+                    fall = math.prod(math.perm((k >> sh) & _FIELD, r) for sh, r in mult)
+                    part[k] = (v, c._den * fall)
+    return MPoly._from_ratios(table, *parts)
 
 
 def _same_table(a: VarTable, b: VarTable) -> None:

@@ -50,7 +50,6 @@ from .saito import (
     _raise_row,
     _shared,
     _tables,
-    _weighted_keys,
     frobenius_structure,
     partials,
     pullback,
@@ -123,21 +122,17 @@ def open_extension(base: FrobeniusStructure, fo: MPoly) -> OpenExtension:
     return OpenExtension(base, tab, fo)
 
 
-def open_generator_A(n: int, tab: VarTable, slots=None) -> MPoly:
-    """F° of the A_n extension from the closed correlator formula, over a
-    table t1..tk, s whose t-slots are the coordinates t^a, a in slots
-    (default 1..n), in order; every other t^a is zero.  B_N and I2(k) pass
-    the A coordinates their subspace keeps.
-
-    The coefficient of prod (t^a)^{m_a} * s^k is (n_pts + k - 2)! divided
-    by the automorphisms prod m_a! * k!, summed over the multiplicity
-    vectors with sum m_a * (n + 2 - a) + k = n + 2."""
-    slots = range(1, n + 1) if slots is None else slots
-    if tab.arity != len(slots) + 1:
-        raise PolyError(f"the A{n} generator needs the table t1..t{len(slots)}, s")
+def open_generator_A(n: int, tab: VarTable) -> MPoly:
+    """F° of the A_n extension from the closed correlator formula over an
+    extended table whose weights are the A_n weights of the coordinates it
+    keeps (every other t^a is zero; B_N and I2(k) pass their own tables):
+    each monomial prod (t^a)^{m_a} * s^k of weighted degree (n + 2)/(n + 1)
+    with (n_pts + k - 2)! over its automorphisms prod m_a! * k!."""
+    if tab.weights[tab.index("s")] != rat(1, n + 1):
+        raise PolyError(f"the A{n} generator needs a table whose s has weight 1/{n + 1}")
     return MPoly._from_ratios(tab, {
-        key + tab._one: (math.factorial(m - 2), q)
-        for key, m, _, q in _weighted_keys([n + 2 - a for a in slots] + [1], n + 2)
+        key: (math.factorial(m - 2), q)
+        for key, m, _, q in tab.weighted_keys(tab.names, rat(n + 2, n + 1))
     })
 
 
@@ -419,16 +414,15 @@ class OmegaSequence:
 
 
 def omega_sequence(n: int, kmax: int) -> OmegaSequence:
-    """Closed multinomial form of every omega_k up to kmax, cross-checked
-    against the recursion omega_{k+1} = sum_i sbar_{n-i} omega_{k+1-i}."""
+    """Closed multinomial form of every omega_k (weighted degree k/(n - 1))
+    up to kmax, cross-checked by the recursion omega_{k+1} = sum_i sbar_{n-i} omega_{k+1-i}."""
     u = build_unfolding("D", n)
     vtab = VarTable(u.table.names[2 : n + 1], u.table.weights[2 : n + 1])
-    wts = [n - i for i in range(1, n)]
     bases = [1 - i for i in range(1, n)]
     closed = [
         MPoly._from_ratios(vtab, {
             key: (math.factorial(m) * p // q, 1)
-            for key, m, p, q in _weighted_keys(wts, k, bases)
+            for key, m, p, q in vtab.weighted_keys(vtab.names, rat(k, n - 1), bases)
         })
         for k in range(kmax + 1)
     ]

@@ -44,11 +44,9 @@ from .exactalg import (
     MPoly,
     PolyError,
     VarTable,
-    _FIELD,
     _ImagePowers,
-    _WIDTH,
-    _render_term,
     dot,
+    from_third_partials,
     rat,
     substitute_all,
 )
@@ -157,43 +155,18 @@ def invert_matrix(rows) -> tuple:
 # ---------- flat coordinates ----------
 
 
-def _weighted_keys(weights, total, bases=None) -> list:
-    """(key, m, p, q) for each tuple a >= 0 with sum weights[i]*a[i] == total,
-    in lexicographic order: key packs a (slot i at bit 16i, no bias),
-    m = sum(a) and p/q = prod bases[i]^a[i] / prod a[i]! (bases default 1)."""
-    bases = bases or [1] * len(weights)
-    last = len(weights) - 1
-    out = []
-
-    def rec(i, rem, key, m, p, q):
-        w, b, sh = weights[i], bases[i], _WIDTH * i
-        if i == last:
-            a, r = divmod(rem, w)
-            if not r:
-                out.append((key + (a << sh), m + a, p * b ** a, q * math.factorial(a)))
-            return
-        for a in range(rem // w + 1):
-            rec(i + 1, rem - w * a, key + (a << sh), m + a, p, q)
-            p *= b
-            q *= a + 1
-
-    rec(0, total, 0, 0, 1, 1)
-    return out
-
-
 def flat_coords_A(n: int) -> list:
     """Flat coordinates t^1..t^n of A_n as polynomials in v_1..v_n."""
     u = build_unfolding("A", n)
     vtab = parameter_table(u)
-    wts = [n + 2 - i for i in range(1, n + 1)]
     step = n + 1
     # t^g at v^a: prod_{0 < k < m} (n + 1 - g - k(n + 1)) / prod a_i!, m = sum(a)
     coords = [
         MPoly._from_ratios(vtab, {
             key: (math.prod(range(-g, -g - (m - 1) * step, -step)), q)
-            for key, m, _, q in _weighted_keys(wts, n + 2 - g)
+            for key, m, _, q in vtab.weighted_keys(vtab.names, q_g)
         })
-        for g in range(1, n + 1)
+        for g, q_g in enumerate(u.weights, start=1)
     ]
     _check_flat_homogeneity(coords, u)
     return coords
@@ -204,13 +177,12 @@ def flat_coords_D(n: int) -> list:
     v_1..v_{n-1}."""
     u = build_unfolding("D", n)
     vtab = parameter_table(u)
-    wts = [n - i for i in range(1, n)]
     step = 2 * (n - 1)
     coords = []
-    for g in range(1, n):
+    for g, q_g in enumerate(u.weights[: n - 1], start=1):
         # t^g at v^a: (-1/2)^{m-1} prod_{k < m-1} (2g - 1 + 2k(n - 1)) / prod a_i!
         ratios = {}
-        for key, m, _, q in _weighted_keys(wts, n - g):
+        for key, m, _, q in vtab.weighted_keys(vtab.names[: n - 1], q_g):
             p = math.prod(range(2 * g - 1, 2 * g - 1 + (m - 1) * step, step))
             ratios[key] = (p if m % 2 else -p, q << (m - 1))
         coords.append(MPoly._from_ratios(vtab, ratios))
@@ -431,33 +403,17 @@ def _read_off(cflat, ttab: VarTable, label: str, restricted: bool):
     """The structure whose potential has the flat third derivatives cflat
     {(a, b, c): c_abc, a <= b <= c} over ttab, as from_potential's.
 
-    F has no term below cubic (3 - delta > 2 >= q_a + q_b), so its monomial
-    n*t_a*t_b*t_c with a <= b <= c and n free of t_1..t_{c-1} comes from
-    c_abc alone, over the falling factor the three derivatives put on it.
-    Every c_abc must then be a third derivative of F (integrability); those
-    third partials give the t1 slice, which must be a constant
-    nondegenerate metric.  A restricted group must come out real.
-    """
-    if ttab.laurent_index is not None:
-        raise PolyError(f"no read-off of {label} over a table with a Laurent slot")
-    parts = ({}, {})  # packed key -> (p, q), real and imaginary
-    for abc, c in cflat.items():
-        low = (1 << (_WIDTH * (abc[-1] - 1))) - 1  # the fields of t_1..t_{c-1}
-        up = sum(1 << (_WIDTH * (a - 1)) for a in abc)
-        mult = [(_WIDTH * (a - 1), abc.count(a)) for a in set(abc)]
-        for part, maps in zip(parts, (c._num, c._im or {})):
-            for k, v in maps.items():
-                if not k & low:
-                    k += up
-                    fall = math.prod(math.perm((k >> sh) & _FIELD, r) for sh, r in mult)
-                    part[k] = (v, c._den * fall)
-    potential = MPoly._from_ratios(ttab, *parts)
+    F has no term below cubic (3 - delta > 2 >= q_a + q_b), so
+    from_third_partials reads it off.  Every c_abc must be a third partial
+    of F (integrability), the t1 slice a constant nondegenerate metric, and
+    a restricted group real."""
+    potential = from_third_partials(cflat, ttab)
 
     d3 = partials(potential, ttab.names, 3)
     for (al, be, ga), want in cflat.items():
         if d3[(al, be, ga)] != want:
             raise PolyError(f"integrability failure at ({al},{be},{ga}) for {label}")
-    if restricted and potential._im:
+    if restricted and not potential.is_real():
         raise PolyError(f"restriction for {label} left imaginary parts")
     m = ttab.arity
     pairs = combinations_with_replacement(range(1, m + 1), 2)
@@ -703,9 +659,7 @@ def from_potential(label: str, potential: MPoly) -> FrobeniusStructure:
 
 
 def _first_monomial(p: MPoly) -> str:
-    exp, c = p.sorted_terms()[0]
-    body, neg = _render_term(p.table, exp, c)
-    return ("-" if neg else "") + body
+    return MPoly(p.table, dict(p.sorted_terms()[:1])).text()
 
 
 def third_derivatives(F: MPoly, eta_inv, names) -> tuple:

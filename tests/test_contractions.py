@@ -7,7 +7,6 @@ the same Report, failures in order included, on passing and on tampered
 inputs.  The dot counts pin the sharing itself."""
 
 import json
-import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -19,7 +18,7 @@ import pytest
 from openwdvv import cli, openext, saito
 from openwdvv.cli import _tag
 from openwdvv.coxeter import _open_ansatz, coxeter_structure, open_family
-from openwdvv.exactalg import _WIDTH, GaussianRational, MPoly, dot, rat
+from openwdvv.exactalg import GaussianRational, MPoly, dot, rat
 from openwdvv.openext import (
     OpenExtension,
     extended_table,
@@ -34,7 +33,6 @@ from openwdvv.openext import (
 from openwdvv.report import Report
 from openwdvv.saito import (
     _first_monomial,
-    _weighted_keys,
     frobenius_structure,
     metric_and_potential,
     partials,
@@ -189,12 +187,8 @@ def bumped(p: MPoly) -> MPoly:
     """p plus every t1-free monomial of p's own weighted degree, each with
     coefficient 1: homogeneity and the unit conditions still hold."""
     tab = p.table
-    d = p.weighted_degree()
-    ws = tab.weights[1:]
-    scale = math.lcm(d.denominator, *(w.denominator for w in ws))
-    shape = _weighted_keys([int(w * scale) for w in ws], int(d * scale))
-    # the shape keys start at t2, slot 1 of tab
-    return p + MPoly._from_ints(tab, {tab._one + (k << _WIDTH): 1 for k, *_ in shape})
+    shape = tab.weighted_keys(tab.names[1:], p.weighted_degree())
+    return p + MPoly._from_ints(tab, {k: 1 for k, *_ in shape})
 
 
 def tampered(ext):

@@ -36,7 +36,7 @@ from openwdvv.openext import (
     open_wdvv_equations,
     verify_open_wdvv,
 )
-from openwdvv.saito import frobenius_structure, from_potential, verify_wdvv
+from openwdvv.saito import frobenius_structure, from_potential, t_table, verify_wdvv
 
 DEGREES = {
     "A3": (4, 3, 2),
@@ -95,7 +95,7 @@ def _substitution_reference(tag):
     replaces: B_N keeps the odd coordinates of A_{2N-1}, I2(k) the first
     and last of A_{k-1}, and H3 is D6 at t6 = i*t2."""
     spec = coxeter_spec(tag)
-    tab = spec.table()
+    tab = t_table(spec.q)
 
     def t(a):
         return MPoly.variable(tab, f"t{a}")
@@ -162,7 +162,7 @@ class TestSubstitutedPotentials:
 
     def test_b3_from_a5(self):
         src = frobenius_structure("A", 5)
-        tab = coxeter_spec("B3").table()
+        tab = t_table(coxeter_spec("B3").q)
         zero = MPoly.zero(tab)
         images = {
             "t1": MPoly.variable(tab, "t1"),
@@ -289,7 +289,7 @@ class TestOpenFamilies:
         # oracle: the whole A_m generator with the restriction images put in
         spec = coxeter_spec(tag)
         src = coxeter_spec(f"A{_source_family(spec)[1]}")
-        src_tab = _extend(src.table(), src.delta)
+        src_tab = _extend(t_table(src.q), src.delta)
         got = open_family(tag).generator
         tab = got.table
         images = dict(zip(src_tab.names, _restriction_images(spec, tab)))
@@ -467,10 +467,8 @@ class TestObstructions:
     def test_h3_candidate_monomials(self):
         # all (t1, t2, t3, s) monomials of weighted degree 11/10 under
         # weights (1, 3/5, 1/5, 1/10): the unit term plus nine unknowns
-        from openwdvv.saito import _weighted_keys
-
-        plain = VarTable(("t1", "t2", "t3", "s"))  # unpacks the unbiased keys
-        got = {plain.unpack(key) for key, *_ in _weighted_keys((10, 6, 2, 1), 11)}
+        tab = VarTable(("t1", "t2", "t3", "s"), (1, rat(3, 5), rat(1, 5), rat(1, 10)), "s")
+        got = {tab.unpack(key) for key, *_ in tab.weighted_keys(tab.names, rat(11, 10))}
         want = {
             (1, 0, 0, 1),
             (0, 1, 2, 1), (0, 1, 1, 3), (0, 1, 0, 5),

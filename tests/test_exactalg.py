@@ -1,6 +1,7 @@
 """Scalar and polynomial layer: hand cases, hypothesis properties, and a
 sympy cross-check of products and derivatives."""
 
+import itertools
 import json
 import math
 from collections.abc import Mapping
@@ -374,6 +375,73 @@ class TestPolyBasics:
     def test_weighted_degree_needs_weights(self):
         with pytest.raises(PolyError, match="needs table weights"):
             MPoly.variable(VarTable(("x",)), "x").weighted_degree()
+
+
+def brute_weighted_keys(tab, names, degree, bases):
+    """weighted_keys by brute force: every exponent tuple over names with
+    each a_i <= degree / w_i, in itertools.product's (lexicographic) order."""
+    ws = [tab.weights[tab.index(nm)] for nm in names]
+    out = []
+    for a in itertools.product(*(range(int(degree / w) + 1) for w in ws)):
+        if sum(w * e for w, e in zip(ws, a)) == degree:
+            exp = [0] * tab.arity
+            for nm, e in zip(names, a):
+                exp[tab.index(nm)] = e
+            out.append((
+                tab.pack(exp),
+                sum(a),
+                math.prod(b ** e for b, e in zip(bases, a)),
+                math.prod(math.factorial(e) for e in a),
+            ))
+    return out
+
+
+class TestWeightedKeys:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_against_brute_force(self, data):
+        arity = data.draw(st.integers(min_value=1, max_value=4))
+        names = tuple(f"x{j}" for j in range(arity))
+        weights = data.draw(st.lists(
+            st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=4),
+            min_size=arity, max_size=arity,
+        ))
+        laurent = data.draw(st.sampled_from((None,) + names))
+        tab = VarTable(names, tuple(weights), laurent)
+        # any subset of the names, in any order, the empty one included
+        picked = data.draw(st.permutations(names))[: data.draw(st.integers(0, arity))]
+        degree = data.draw(st.fractions(min_value=0, max_value=4, max_denominator=6))
+        bases = data.draw(st.lists(st.integers(-3, 3), min_size=len(picked),
+                                   max_size=len(picked)))
+        got = tab.weighted_keys(picked, degree, bases or None)
+        assert got == brute_weighted_keys(tab, picked, degree, bases or [1] * len(picked))
+
+    def test_empty_names(self):
+        assert WTAB.weighted_keys((), 0) == [(WTAB.pack((0, 0, 0)), 0, 1, 1)]
+        assert LTAB.weighted_keys((), 0) == [(LTAB.pack((0, 0)), 0, 1, 1)]
+        assert WTAB.weighted_keys((), Fraction(1, 2)) == []
+
+    def test_degree_without_monomials(self):
+        assert WTAB.weighted_keys(("x",), Fraction(1, 2)) == []
+        assert WTAB.weighted_keys(("x", "y"), Fraction(1, 3)) == []
+        assert WTAB.weighted_keys(("x", "y"), -1) == []
+
+    def test_order_follows_names(self):
+        keys = WTAB.weighted_keys(("z", "x"), 1)
+        assert [WTAB.unpack(k) for k, *_ in keys] == [(1, 0, 0), (0, 0, 3)]
+        keys = WTAB.weighted_keys(("x", "z"), 1)
+        assert [WTAB.unpack(k) for k, *_ in keys] == [(0, 0, 3), (1, 0, 0)]
+
+    def test_refusals(self):
+        tab = VarTable(("x", "b"), (Fraction(1), Fraction(0)))
+        assert tab.weighted_keys(("x",), 2) == [(tab.pack((2, 0)), 2, 1, 2)]
+        for names in (("x", "b"), ("b",), ("x", "x")):
+            with pytest.raises(PolyError, match="positive weight"):
+                tab.weighted_keys(names, 2)
+        with pytest.raises(PolyError, match="needs table weights"):
+            VarTable(("x",)).weighted_keys(("x",), 1)
+        with pytest.raises(ExponentError):
+            WTAB.weighted_keys(("z",), 2 ** 14)
 
 
 class TestOneAccumulationLoop:

@@ -85,7 +85,7 @@ def restriction(tag):
     """(source family, source rank, images) of a restricted group."""
     spec = coxeter_spec(tag)
     family, m = _source_family(spec)
-    return family, m, list(_restriction_images(spec, spec.table()))
+    return family, m, list(_restriction_images(spec, t_table(spec.q)))
 
 
 def triple_sum(T, first, second, key):
