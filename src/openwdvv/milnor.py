@@ -9,6 +9,10 @@ The extended algebras adjoin a generator w subject to
     D_N:  w = v_{N+1}*dL/dx,     dL/dy = 0,  2*w*x = v_{N+1}^2*w
 
 over C[v] resp. C[v, v_{N+1}^{-1}]; both stay free of rank N+1.
+extended_constants forms their structure constants over any target ring
+straight from these relations, one recurrence for NF(x^k); the library
+reads the extended multiplication there, and build_extended_algebra with
+structure_constants is its oracle in the tests.
 
 Reduction to the basis uses a small hand-oriented rewrite system per
 algebra rather than generic Groebner machinery: each rule replaces one
@@ -28,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import ge, mul
 
-from .exactalg import MPoly, PolyError, VarTable, dot
+from .exactalg import MPoly, PolyError, VarTable, dot, substitute_all
 from .report import Report, tally
 
 __all__ = [
@@ -39,6 +43,7 @@ __all__ = [
     "build_closed_algebra",
     "build_extended_algebra",
     "structure_constants",
+    "extended_constants",
     "ideal_quotient_consistency",
     "check_confluence",
     "check_associativity",
@@ -318,6 +323,41 @@ def build_closed_algebra(u: Unfolding) -> QuotientAlgebra:
     return QuotientAlgebra(u, tab, ("x", "y"), u.basis, rules, False)
 
 
+def _a_relations(u: Unfolding, vmap, ttab: VarTable) -> dict:
+    """rho of A_n at v -> v(t): x^n = sum_j rho[j] x^j in the Milnor ring,
+    read off W' = dL/dx = x^n + sum_{j < n} w_j x^j, so rho[j] = -w_j.  A
+    W' that is not monic is refused."""
+    parts = u.poly.diff("x").collect(("x",))
+    if parts.pop((u.n,)) != MPoly.constant(u.table, 1):
+        raise PolyError(f"W' of {u.label()} is not monic")
+    lower = substitute_all([-p for p in parts.values()], vmap, ttab)
+    return dict(zip([j for (j,) in parts], lower))
+
+
+def _d_relations(u: Unfolding, vmap, ttab: VarTable) -> tuple:
+    """(h, s) of D_n at v -> v(t): xy = h and y^2 = sum_j s[j] x^j in the
+    Milnor ring, read off dL/dy = 2xy + nu and
+    dL/dx = y^2 + x^{n-2} + sum_{j < n-2} w_j x^j, so h = -nu/2,
+    s[n-2] = -1 and s[j] = -w_j.  Any other shape is refused."""
+    n = u.n
+    one = MPoly.constant(u.table, 1)
+    dy = u.poly.diff("y").collect(("x", "y"))
+    dx = u.poly.diff("x").collect(("x", "y"))
+    nu = dy.pop((0, 0), MPoly.zero(u.table))
+    if dy != {(1, 1): 2 * one}:
+        raise PolyError(f"dL/dy of {u.label()} is not 2xy + nu")
+    if (
+        dx.pop((0, 2), None) != one
+        or dx.pop((n - 2, 0), None) != one
+        or any(b or a >= n - 2 for a, b in dx)
+    ):
+        raise PolyError(f"dL/dx of {u.label()} is not y^2 + x^{n - 2} + lower x")
+    nu, *ws = substitute_all([nu, *dx.values()], vmap, ttab)
+    s = {n - 2: MPoly.constant(ttab, -1)}
+    s.update((a, -w) for (a, _), w in zip(dx, ws))
+    return nu * Fraction(-1, 2), s
+
+
 def _extended_table(u: Unfolding, laurent: bool) -> VarTable:
     n = u.n
     if u.family == "A":
@@ -395,6 +435,72 @@ def structure_constants(alg: QuotientAlgebra) -> StructureTensor:
                 entries[a][j - 1][i - 1] = cs[a]
     frozen = tuple(tuple(tuple(row) for row in mat) for mat in entries)
     return StructureTensor(alg.table, frozen, alg.unfolding.l)
+
+
+def extended_constants(u: Unfolding, vmap, tab: VarTable) -> dict:
+    """The nonzero structure constants {(a, i, j): c^a_ij, i <= j} of the
+    extended algebra of A_n or D_n at v -> vmap, over tab, whose slot s
+    stands for v_{N+1}; indices are 1-based over the basis of
+    build_extended_algebra: x^0..x^(top-1), then y for D, then w.
+
+    The relations are those of the module docstring, written through the
+    closed ring's (_a_relations, _d_relations, as saito.residue_structure
+    reads them).  A, where x^n = sum_j rho_j x^j:
+    x^n = w + sum_j rho_j x^j, x^k w = s^k w and
+    w^2 = W'(s) w = (s^n - sum_j rho_j s^j) w.  D, where xy = h and
+    y^2 = sum_j s_j x^j: y^2 = s^-1 w + sum_j s_j x^j,
+    x^(n-1) = (s/2) w - h y + sum_{j < n-2} s_j x^(j+1),
+    x^k w = (s^2/2)^k w, y w = 2h s^-2 w and
+    w^2 = (4h^2 s^-3 - sum_j s_j s (s^2/2)^j) w.  NF(x^k) is x times
+    NF(x^(k-1)), one dot per component, so no algebra is built and nothing
+    is substituted after; the tests check every entry against
+    structure_constants(build_extended_algebra(u))."""
+    n = u.n
+    m = n + 1
+    zero, one = MPoly.zero(tab), MPoly.constant(tab, 1)
+
+    def s_pow(e, c=1):
+        return MPoly.monomial(tab, c, {"s": e})
+
+    if u.family == "A":
+        top, lam = n, s_pow(1)
+        rho = _a_relations(u, vmap, tab)
+        xhi = {**rho, n: one}  # x * x^(n-1), over the 0-based basis
+        T = {(m, m, m): s_pow(n) - dot(((r, s_pow(j)) for j, r in rho.items()), tab)}
+        T.update(((m, i, m), s_pow(i - 1)) for i in range(1, m))
+    else:
+        top, lam = n - 1, s_pow(2, Fraction(1, 2))
+        h, sj = _d_relations(u, vmap, tab)
+        xhi = {j + 1: c for j, c in sj.items() if j < top - 1}
+        xhi.update({n - 1: -h, n: s_pow(1, Fraction(1, 2))})
+        T = {
+            (m, m, m): dot(
+                [(h * h, s_pow(-3, 4))]
+                + [(c, s_pow(2 * j + 1, Fraction(-1, 2 ** j))) for j, c in sj.items()],
+                tab,
+            ),
+            (m, n, m): h * s_pow(-2, 2),
+            (m, n, n): s_pow(-1),
+            (n, 1, n): one,
+        }
+        T.update(((j + 1, n, n), c) for j, c in sj.items())
+        T.update(((i - 1, i, n), h) for i in range(2, n))
+        T.update(((m, i, m), s_pow(2 * i - 2, Fraction(1, 2 ** (i - 1)))) for i in range(1, n))
+    # x e_b = sum_a X[a][b] e_a: the rows of X, by the 0-based a
+    rows = [[(a - 1, 1)] if 0 < a < top else [] for a in range(m)]
+    for a, c in xhi.items():
+        rows[a].append((top - 1, c))
+    rows[n].append((n, lam))  # x w = lam w
+    if u.family == "D":
+        rows[0].append((n - 1, h))  # x y = h
+    nf = [[one if a == k else zero for a in range(m)] for k in range(top)]
+    for _ in range(top - 1):
+        c = nf[-1]
+        nf.append([dot([(c[b], f) for b, f in row if c[b]], tab) for row in rows])
+    for i in range(top):
+        for j in range(i, top):
+            T.update(((a, i + 1, j + 1), p) for a, p in enumerate(nf[i + j], 1) if p)
+    return T
 
 
 def ideal_quotient_consistency(ext: QuotientAlgebra, closed: QuotientAlgebra) -> bool:

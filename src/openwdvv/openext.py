@@ -10,7 +10,11 @@ Verifiers in this module treat every statement as an exact polynomial
 (or Laurent polynomial) identity: the open WDVV equations themselves,
 the flat F-manifold axioms for the vector potential, the matching of the
 extended multiplication tensor with (F, F°), and the combinatorial
-omega-identities that drive the D-case proof.  verify_vector_potential
+omega-identities that drive the D-case proof.  The extension and omega
+checks read the extended multiplication off milnor.extended_constants,
+one recurrence over the defining relations, formed over the ring they
+compare in (the flat coordinates, or the parameter ring), so they build
+no extended algebra and substitute no tensor.  verify_vector_potential
 (ext) reads the vector axioms off the closed and open WDVV contractions
 of the same tables (_open_tables) as the other checks.  A call builds
 its own tables, except in a saito._sharing block (one per A/D group of
@@ -35,11 +39,7 @@ from .exactalg import (
     sqrt_coefficient,
     substitute_all,
 )
-from .milnor import (
-    build_extended_algebra,
-    build_unfolding,
-    structure_constants,
-)
+from .milnor import build_unfolding, extended_constants, parameter_table
 from .report import Report, tally
 from .saito import (
     FrobeniusStructure,
@@ -69,7 +69,6 @@ __all__ = [
     "open_wdvv_eq2",
     "verify_open_wdvv",
     "verify_vector_potential",
-    "extended_algebra",
     "verify_extension_theorems",
     "omega_sequence",
     "check_coefw_lemma",
@@ -350,17 +349,13 @@ def verify_vector_potential(ext: OpenExtension) -> Report:
     return tally(f"vector-potential(vector({ext.label}))", outcomes())
 
 
-@lru_cache(maxsize=None)
-def extended_algebra(family: str, n: int):
-    """The extended Milnor algebra of A_n or D_n.  Cached, so the extension
-    and omega checks of one sweep share one algebra and its normal forms."""
-    return build_extended_algebra(build_unfolding(family, n))
-
-
 def verify_extension_theorems(family: str, n: int) -> Report:
     """The extended multiplication tensor, rewritten in the flat
     coordinates (t^1..t^N, s = v_{N+1}), must equal eta^{a mu} F_{mu b c}
-    on the first N slots and d2F°/dt^b dt^c on the last one."""
+    on the first N slots and d2F°/dt^b dt^c on the last one.  The tensor
+    is extended_constants' at v = v(t): the theorem is proved for the
+    ring its relations define, which the tests check entry by entry
+    against milnor's confluent rewrite system."""
     if family not in ("A", "D"):
         raise PolyError("extension theorems cover A and D only")
     ext = open_potential_A(n) if family == "A" else open_potential_D(n)
@@ -368,15 +363,13 @@ def verify_extension_theorems(family: str, n: int) -> Report:
     tab = ext.table
     nm = tab.names
     m = n + 1
-    tensor = structure_constants(extended_algebra(family, n))
 
     v = substitute_all(base.v_of_t, {}, tab)
     sub = dict(zip(base.v_table.names, v))
-    vmap = {**sub, f"v{m}": MPoly.variable(tab, "s")}
-    # every (a, i, j) with i <= j: the keys of the tensor and of its pullback
+    cv = extended_constants(build_unfolding(family, n), sub, tab)
+    # every (a, i, j) with i <= j: the keys of the pullback
     idx = range(1, m + 1)
     keys = [(a, i, j) for a in idx for i, j in combinations_with_replacement(idx, 2)]
-    cv = dict(zip(keys, substitute_all((tensor.c(*key) for key in keys), vmap, tab)))
 
     # Rows by source index: jac[b][be] = dv_b/dt^be, inv[a][al] = dt^al/dv_a
     # at v(t); the last source and target slot is s = v_{N+1}.
@@ -442,15 +435,17 @@ def omega_sequence(n: int, kmax: int) -> OmegaSequence:
 def check_coefw_lemma(n: int) -> bool:
     """The w-component of [x^{a+b-2}] in the extended D algebra equals the
     omega expansion for all 1 <= a, b <= n-1 (zero when a + b <= n)."""
-    alg = extended_algebra("D", n)
-    ctab = alg.table
+    u = build_unfolding("D", n)
+    ctab = _extend(parameter_table(u), u.delta)  # v1..vN, s = v_{N+1}
+    coef = extended_constants(u, {}, ctab)
     omegas = omega_sequence(n, max(n - 3, 0)).omegas
     lifted = [w.substitute({}, ctab) for w in omegas]
-    s = MPoly.variable(ctab, f"v{n + 1}")
+    s = MPoly.variable(ctab, "s")
+    zero = MPoly.zero(ctab)
     for p in range(2, 2 * n - 1):
-        xs = MPoly.monomial(alg.table, 1, {"x": p - 2})
-        got = alg.coeffs(xs)[alg.rank - 1]
-        want = MPoly.zero(ctab)
+        i = max(1, p - n + 1)  # x^(p-2) = phi_i phi_(p-i), both x-monomials
+        got = coef.get((n + 1, i, p - i), zero)
+        want = zero
         for k in range(p - n):
             want = want + lifted[k] * s ** (2 * p - 2 * n - 1 - 2 * k) / 2 ** (
                 p - n - k
@@ -498,7 +493,10 @@ def rspin_convention_rescale(p: MPoly, direction: str) -> MPoly:
 
     Every variable is scaled by -r with r = (number of t-slots) + 1, and
     the whole function by (-r)^-3 (closed) or (-r)^-2 (open, detected by
-    the s slot); 'to_rspin' and 'from_rspin' are mutually inverse."""
+    the s slot); 'to_rspin' and 'from_rspin' are mutually inverse.  On the
+    closed A_n potentials to_rspin gives the published genus-0 r-spin
+    correlators (tests); the open normalisation is not yet matched to a
+    published one."""
     tab = p.table
     is_open = tab.laurent_index is not None
     base_power = 2 if is_open else 3

@@ -53,6 +53,8 @@ from .exactalg import (
 from .milnor import (
     StructureTensor,
     Unfolding,
+    _a_relations,
+    _d_relations,
     build_closed_algebra,
     build_unfolding,
     parameter_table,
@@ -521,13 +523,9 @@ def residue_structure(
     def lowered(v_of_t, ttab, keys):
         vmap = dict(zip(t_of_v[0].table.names, v_of_t))
         # x^n = sum_j rho_j x^j in the Milnor ring, and phi_l = x^top
-        if family == "A":  # W' = x^n + sum_{j < n} w_j x^j
+        if family == "A":
             top = n - 1
-            parts = u.poly.diff("x").collect(("x",))
-            if parts.pop((n,)) != MPoly.constant(u.table, 1):
-                raise PolyError(f"W' of {u.label()} is not monic")
-            lower = substitute_all([-p for p in parts.values()], vmap, ttab)
-            rho = dict(zip([j for (j,) in parts], lower))
+            rho = _a_relations(u, vmap, ttab)
         else:  # x y^2 = h y gives x^n = -h^2 + sum_{j < n-2} s_j x^{j+2}
             top = n - 2
             h, s = _d_relations(u, vmap, ttab)
@@ -558,30 +556,6 @@ def _sorted_pair(a, i):
 def _x_row(a, i):
     """The row key of an x-row T(a, i, .) = r_{a+i+.-3} of a residue T."""
     return a + i
-
-
-def _d_relations(u: Unfolding, vmap, ttab: VarTable) -> tuple:
-    """(h, s) of D_n at v -> v(t): xy = h and y^2 = sum_j s[j] x^j in the
-    Milnor ring, read off dL/dy = 2xy + nu and
-    dL/dx = y^2 + x^{n-2} + sum_{j < n-2} w_j x^j, so h = -nu/2,
-    s[n-2] = -1 and s[j] = -w_j.  Any other shape is refused."""
-    n = u.n
-    one = MPoly.constant(u.table, 1)
-    dy = u.poly.diff("y").collect(("x", "y"))
-    dx = u.poly.diff("x").collect(("x", "y"))
-    nu = dy.pop((0, 0), MPoly.zero(u.table))
-    if dy != {(1, 1): 2 * one}:
-        raise PolyError(f"dL/dy of {u.label()} is not 2xy + nu")
-    if (
-        dx.pop((0, 2), None) != one
-        or dx.pop((n - 2, 0), None) != one
-        or any(b or a >= n - 2 for a, b in dx)
-    ):
-        raise PolyError(f"dL/dx of {u.label()} is not y^2 + x^{n - 2} + lower x")
-    nu, *ws = substitute_all([nu, *dx.values()], vmap, ttab)
-    s = {n - 2: MPoly.constant(ttab, -1)}
-    s.update((a, -w) for (a, _), w in zip(dx, ws))
-    return nu * rat(-1, 2), s
 
 
 def _residues(rho, n: int, top: int, ttab: VarTable) -> list:

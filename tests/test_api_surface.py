@@ -11,6 +11,7 @@ SRC = ROOT / "src" / "openwdvv"
 
 # public names no library module uses, by module
 UNCALLED = {
+    ("milnor", "build_extended_algebra"),
     ("milnor", "check_confluence"),
     ("milnor", "check_associativity"),
     ("milnor", "ideal_quotient_consistency"),

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import openwdvv
-from openwdvv import cli, openext, saito
+from openwdvv import cli, milnor, openext, saito
 from openwdvv.cli import _build_parser, _emit_report, main
 from openwdvv.coxeter import (
     classify_I2,
@@ -315,30 +316,47 @@ class TestVerifyVerbs:
 
     def test_verify_all_builds_each_singularity_once(self, capsys, monkeypatch):
         # every A and D source, and B_n, I2(k) and H3 restricted from them,
-        # is read off residues and builds no structure tensor; the D
-        # obstructions, which reduce one product of the closed D_n algebra
-        # and build no tensor either, start at D4
+        # is read off residues and builds no structure tensor; the extension
+        # and omega checks read milnor.extended_constants and build no
+        # algebra, so the only algebras are the closed ones of the D and E
+        # obstructions, which reduce one product each and build no tensor
         calls = []
         real = saito.structure_constants
         monkeypatch.setattr(
             saito, "structure_constants", lambda alg: calls.append(alg) or real(alg)
         )
-        # the extension and omega checks share one extended algebra
         built = []
-        real_ext = openext.build_extended_algebra
-        monkeypatch.setattr(
-            openext, "build_extended_algebra", lambda u: built.append(u) or real_ext(u)
-        )
+        real_init = milnor.QuotientAlgebra.__init__
+
+        def init(alg, *args):
+            real_init(alg, *args)
+            built.append(alg.label())
+
+        monkeypatch.setattr(milnor.QuotientAlgebra, "__init__", init)
         for cached in (
             saito.singularity_data, frobenius_structure, coxeter_structure,
-            open_family, open_potential_A, open_potential_D, openext.extended_algebra,
+            open_family, open_potential_A, open_potential_D,
         ):
             cached.cache_clear()
-        code, _, _ = run(capsys, "verify", "all", "--max-rank", "3")
+        code, _, _ = run(capsys, "verify", "all", "--max-rank", "6")
         assert code == 0
         assert [alg.label() for alg in calls] == []
-        # extension A1-A3, D3 and omega D3
-        assert sorted(u.label() for u in built) == ["A1", "A2", "A3", "D3"]
+        assert built == ["D4 closed", "D5 closed", "D6 closed", "E6 closed"]
+
+    def test_verify_extension_reads_the_relations(self, capsys, monkeypatch):
+        # with F and F° cached, a tampered unfolding changes the relations the
+        # extension tensor is read off, and every failure names an entry c^a_(b,c)
+        for family, n in (("A", 4), ("D", 5)):
+            assert openext.verify_extension_theorems(family, n).ok
+            u = milnor.build_unfolding(family, n)
+            x, v2 = (MPoly.variable(u.table, nm) for nm in ("x", "v2"))
+            bumped = replace(u, poly=u.poly + 3 * v2 * x)
+            monkeypatch.setattr(openext, "build_unfolding", lambda *_: bumped)
+            rep = openext.verify_extension_theorems(family, n)
+            code, out, _ = run(capsys, "verify", "extension", family, str(n))
+            monkeypatch.undo()
+            assert rep.failures and all(f.startswith("c^") for f in rep.failures)
+            assert code == 1 and f"extension({family}{n}): FAIL" in out
 
     def test_failing_report_maps_to_exit_1(self, capsys):
         rep = Report("demo", 3, ("broken",))

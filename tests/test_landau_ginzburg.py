@@ -1,4 +1,5 @@
-"""Landau-Ginzburg oracles for the A_n structures.
+"""Landau-Ginzburg oracles for the A_n structures, and for the gradient of
+the D_n open potential.
 
 W = p^(n+1) + (n+1) sum_k v_k p^(k-1) is n + 1 times the A_n unfolding at
 x = p.  Three classical formulas read the flat coordinates, the second
@@ -17,7 +18,7 @@ below is that series at e = a/(n+1)."""
 from fractions import Fraction
 
 from openwdvv.exactalg import MPoly, dot, substitute_all
-from openwdvv.openext import open_potential_A
+from openwdvv.openext import open_potential_A, open_potential_D
 from openwdvv.saito import flat_coords_A, frobenius_structure, partials
 
 RANKS = range(1, 11)
@@ -75,3 +76,19 @@ def test_open_gradient():
             f = substitute_all(lg_series(n, al, al + 1, fs.v_table), at_t, tab)
             pairs = ((f[k], s ** (al - k)) for k in range(al + 1))
             assert dot(pairs, tab, al) == ext.potential.diff(f"t{al}"), (n, al)
+
+
+def test_open_gradient_D():
+    # (c) for D_n: eliminating y from the unfolding by dL/dy = 0
+    # (y = -v_n/(2x)) leaves L_D = x^(n-1)/(n-1) + sum_(k<n) v_k x^(k-1)
+    # - v_n^2/(4x), and dF°/ds = L_D at x = s^2/2, at v = v(t).  This shares
+    # no code with the extended algebra or its relations.
+    for n in range(3, 9):
+        ext = open_potential_D(n)
+        tab = ext.table
+        x = MPoly.variable(tab, "s") ** 2 / 2
+        v = substitute_all(ext.base.v_of_t, {}, tab)
+        ld = x ** (n - 1) / (n - 1) - v[n - 1] * v[n - 1] * x ** -1 / 4
+        for k in range(1, n):
+            ld = ld + v[k - 1] * x ** (k - 1)
+        assert ext.potential.diff("s") == ld, n

@@ -17,10 +17,13 @@ from openwdvv.milnor import (
     build_unfolding,
     check_associativity,
     check_confluence,
+    extended_constants,
     ideal_quotient_consistency,
+    parameter_table,
     structure_constants,
 )
-from openwdvv.saito import _flat_source
+from openwdvv.openext import extended_table
+from openwdvv.saito import _extend, _flat_source, frobenius_structure
 
 
 class TestUnfoldings:
@@ -213,6 +216,52 @@ class TestExtendedAlgebra:
         assert ext.rank == u.rank + 1
         assert check_confluence(ext).ok
         assert check_associativity(ext).ok
+
+
+RECURRENCE_RANKS = [("A", n) for n in range(1, 11)] + [("D", n) for n in range(3, 11)]
+
+
+class TestExtendedConstants:
+    """extended_constants, which `verify extension` and the omega lemma
+    read, against the rewrite system: every c^a_ij, i <= j, equals
+    structure_constants(build_extended_algebra(u)) with v -> v(t) and
+    v_{N+1} -> s over the extended flat table, and over the parameter ring
+    the w-coefficients of NF(x^k) equal the algebra's."""
+
+    @pytest.mark.parametrize("family,n", RECURRENCE_RANKS)
+    def test_every_entry_at_v_of_t(self, family, n):
+        u = build_unfolding(family, n)
+        fs = frobenius_structure(family, n)
+        tab = extended_table(fs)
+        v = dict(zip(fs.v_table.names, exactalg.substitute_all(fs.v_of_t, {}, tab)))
+        got = extended_constants(u, v, tab)
+        ten = structure_constants(build_extended_algebra(u))
+        m = n + 1
+        keys = [
+            (a, i, j)
+            for a in range(1, m + 1)
+            for i in range(1, m + 1)
+            for j in range(i, m + 1)
+        ]
+        vmap = {**v, f"v{m}": MPoly.variable(tab, "s")}
+        want = exactalg.substitute_all([ten.c(*key) for key in keys], vmap, tab)
+        zero = MPoly.zero(tab)
+        assert set(got) <= set(keys)
+        assert [k for k, w in zip(keys, want) if got.get(k, zero) != w] == []
+        assert all(got.values())  # zero entries are left out
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_w_coefficients_over_the_parameter_ring(self, n):
+        u = build_unfolding("D", n)
+        ctab = _extend(parameter_table(u), u.delta)
+        got = extended_constants(u, {}, ctab)
+        alg = build_extended_algebra(u)
+        to_s = {f"v{n + 1}": MPoly.variable(ctab, "s")}
+        zero = MPoly.zero(ctab)
+        for k in range(2 * n - 3):  # x^k = phi_i phi_(k+2-i), both x-monomials
+            i = max(1, k + 3 - n)
+            want = alg.coeffs(MPoly.monomial(alg.table, 1, {"x": k}))[-1]
+            assert got.get((n + 1, i, k + 2 - i), zero) == want.substitute(to_s, ctab), k
 
 
 def _tensor_associative(ten: StructureTensor) -> bool:

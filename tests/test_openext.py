@@ -2,7 +2,10 @@
 WDVV and vector-potential sweeps, coordinate recovery, the omega
 combinatorics, and the convention rescaling."""
 
+import math
 from dataclasses import replace
+from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -194,6 +197,37 @@ class TestConventionRescale:
         q = frobenius_structure("A", 3).potential
         there = rspin_convention_rescale(q, "to_rspin")
         assert rspin_convention_rescale(there, "from_rspin") == q
+
+    def test_closed_a_correlators_match_the_rspin_theory(self):
+        # to_rspin of A_n, each coefficient times prod m_a!, gives the genus-0
+        # r-spin correlators, r = n + 1 and t_(a+1) <-> tau_a:
+        # <tau_a tau_b tau_c> = 1 when a + b + c = r - 2, and
+        # <tau_a1 .. tau_a4> = (1/r) min_i min(a_i, r - 1 - a_i) when
+        # sum a_i = 2r - 2 (Jarvis, Kimura & Vaintrob, Compositio Math. 126
+        # (2001); Pandharipande, Pixton & Zvonkine, J. Amer. Math. Soc. 28
+        # (2015)); every other 3- and 4-point coefficient is 0
+        nonzero = {3: 0, 4: 0}
+        for n in range(1, 13):
+            r = n + 1
+            p = frobenius_structure("A", n).potential
+            got = {
+                exp: c * math.prod(map(math.factorial, exp))
+                for exp, c in rspin_convention_rescale(p, "to_rspin").terms.items()
+                if sum(exp) in (3, 4)
+            }
+            for k in (3, 4):
+                for idx in combinations_with_replacement(range(n), k):
+                    if k == 3:
+                        want = int(sum(idx) == r - 2)
+                    elif sum(idx) == 2 * r - 2:
+                        want = Fraction(min(min(a, r - 1 - a) for a in idx), r)
+                    else:
+                        want = 0
+                    nonzero[k] += bool(want)
+                    exp = tuple(map(idx.count, range(n)))
+                    assert got.pop(exp, 0) == want, (n, idx)
+            assert got == {}, n
+        assert nonzero == {3: 83, 4: 203}
 
     def test_rejects_unknown_direction(self):
         p = open_potential_A(1).potential
