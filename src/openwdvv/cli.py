@@ -73,7 +73,7 @@ from .openext import (
     verify_vector_potential,
 )
 from .report import Report, merge, tally
-from .saito import _flat_source, _sharing, invert_coords, t_table, verify_wdvv
+from .saito import _flat_source, invert_coords, t_table, verify_wdvv
 
 
 def _tag(family: str, n: int) -> str:
@@ -323,8 +323,9 @@ _IDENTITIES = (*(k for k, c in _CHECKS.items() if c.choice), "all")
 _PRINTED = (("F", 4), ("H", 3), ("H", 4))  # swept whatever the rank bound
 
 # Largest 'verify all --max-rank', so that an allowed sweep ends in about a
-# minute: from the command line rank 12 took 14-37 s (peak RSS 195 MB), rank
-# 13 74-92 s (401 MB) and rank 14 199 s (827 MB).
+# minute: from the command line (median of three) rank 12 took 12.2 s at
+# 99 MB peak RSS and rank 13, with this bound lifted, 30.0 s at 192 MB; an
+# older measurement gave rank 14 199 s at 827 MB.
 MAX_RANK = 12
 
 
@@ -369,8 +370,8 @@ _SHARED_PARTS = ("extension", "wdvv", "open-wdvv", "vector")
 def _verify_all(max_rank: int) -> list:
     """The Reports of 'verify all', in _sweep's order.  The _SHARED_PARTS
     of each A_n and D_n group run as one step, each through its builder,
-    in one saito._sharing block that drops the group's tables when it
-    ends.  The step runs where the sweep reaches the group's last shared
+    so each part reads the tables that saito._shared kept of the part
+    before.  The step runs where the sweep reaches the group's last shared
     part, so that what its parts cache is built no earlier than there."""
     plan = list(_sweep(max_rank))
     groups = {}
@@ -386,9 +387,8 @@ def _verify_all(max_rank: int) -> list:
         if part not in group:
             done[part] = _CHECKS[ident].build(family, n, one, branch)
         elif part == group[-1]:
-            with _sharing():
-                for shared in sorted(group, key=lambda p: _SHARED_PARTS.index(p[0])):
-                    done[shared] = _CHECKS[shared[0]].build(family, n, one, branch)
+            for shared in sorted(group, key=lambda p: _SHARED_PARTS.index(p[0])):
+                done[shared] = _CHECKS[shared[0]].build(family, n, one, branch)
     return [done[part] for part in plan]
 
 

@@ -16,10 +16,10 @@ one recurrence over the defining relations, formed over the ring they
 compare in (the flat coordinates, or the parameter ring), so they build
 no extended algebra and substitute no tensor.  verify_vector_potential
 (ext) reads the vector axioms off the closed and open WDVV contractions
-of the same tables (_open_tables) as the other checks.  A call builds
-its own tables, except in a saito._sharing block (one per A/D group of
-`verify all`), where the sweeps of equal (F, F°) build one set.  Every
-verifier yields one outcome per identity and report.tally counts them.
+of the same tables (_open_tables) as the other checks.  The last set of
+closed and of open tables outlives its call (saito._shared), so
+consecutive sweeps of equal (F, F°) build one set.  Every verifier
+yields one outcome per identity and report.tally counts them.
 """
 
 from __future__ import annotations
@@ -226,8 +226,8 @@ def _open_tables(base: FrobeniusStructure, fo: MPoly) -> tuple:
     q(a, b, g) = Q(ab; g) = sum_v c^v_{ab} o2(v, g) + o2(a, b) o2(s, g).
 
     Q is symmetric in (a, b), so q forms each Q once, on first use, keyed
-    by the sorted (a, b) and g.  In a saito._sharing block the sweeps of
-    equal (F, F°) read one set of these tables."""
+    by the sorted (a, b) and g.  Consecutive sweeps of equal (F, F°) read
+    one set of these tables (saito._shared's "open" slot)."""
     tab = fo.table
     n = base.rank
     F, _, raised, closed = _tables(base.potential, base.eta_inv, tab)
@@ -251,7 +251,7 @@ def _open_tables(base: FrobeniusStructure, fo: MPoly) -> tuple:
 
         return o2, q
 
-    o2, q = _shared((base.potential, base.eta_inv, tab, fo), build)
+    o2, q = _shared("open", (base.potential, base.eta_inv, tab, fo), build)
     return F, raised, closed, o2, q
 
 

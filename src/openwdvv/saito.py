@@ -32,8 +32,6 @@ identity sweeps on them.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -644,9 +642,9 @@ def third_derivatives(F: MPoly, eta_inv, names) -> tuple:
     rows[(a, b)] lists c_{ab1}, ..., c_{abN} out of d3, and raised[(a, b)]
     lists c^v_{ab} = eta^{vm} c_{abm} for v = 1..N (a <= b), each row v of
     eta_inv raised by _raise_row.
-    Every call builds them; the verifiers call _tables, which builds them
-    for F lifted to the extended table, once per potential in a _sharing
-    block.
+    Every call builds them; the verifiers call _tables, which keeps the
+    last set, built for F lifted to the extended table, until a call asks
+    for another potential.
     """
     n = len(names)
     idx = range(1, n + 1)
@@ -680,44 +678,34 @@ def _wdvv_contractions(rows, raised, table):
     return contraction
 
 
-# The tables shared in the running _sharing block, by key; None outside one.
-_SHARED = ContextVar("shared_tables", default=None)
+# The last tables of each kind ("closed": _tables, "open":
+# openext._open_tables) with the key they were built for.
+_SLOTS = {}
 
 
-@contextmanager
-def _sharing():
-    """Within the block, a table built through _shared is built once per
-    key, compared by value; the tables are dropped when the block ends."""
-    token = _SHARED.set({})
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
-
-def _shared(key, build):
-    memo = _SHARED.get()
-    if memo is None:
-        return build()
-    got = memo.get(key)
-    if got is None:
-        got = memo[key] = build()
-    return got
+def _shared(kind: str, key, build):
+    """build()'s tables for key, kept in kind's slot until a call of that
+    kind asks for another key, compared by value: consecutive calls on one
+    potential build one set, and a variant never reads another's."""
+    if kind not in _SLOTS or _SLOTS[kind][0] != key:
+        _SLOTS.pop(kind, None)  # free the old set before building the new
+        _SLOTS[kind] = (key, build())
+    return _SLOTS[kind][1]
 
 
 def _tables(F: MPoly, eta_inv, table: VarTable) -> tuple:
     """(F, d3, raised, contraction): F lifted to table, whose first slots
     are F's, third_derivatives' d3 and raised of it and the P memo on them.
     table starts t1..tN, s: verify_wdvv passes _extend's table and the
-    open sweeps that of F°, so in a _sharing block the closed and open
-    sweeps of F read one set."""
+    open sweeps that of F°, so consecutive closed and open sweeps of F
+    read one set (_shared's "closed" slot)."""
 
     def build():
         lifted = F.substitute({}, table)
         d3, rows, raised = third_derivatives(lifted, eta_inv, F.table.names)
         return lifted, d3, raised, _wdvv_contractions(rows, raised, table)
 
-    return _shared((F, eta_inv, table), build)
+    return _shared("closed", (F, eta_inv, table), build)
 
 
 def verify_wdvv(fs: FrobeniusStructure) -> Report:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from openwdvv import cli, openext, saito
+from openwdvv import cli, coxeter, milnor, openext, saito
 from openwdvv.cli import _tag
 from openwdvv.coxeter import _open_ansatz, coxeter_structure, open_family
 from openwdvv.exactalg import GaussianRational, MPoly, dot, rat
@@ -303,14 +303,16 @@ class TestSameReports:
 
 
 def count_dots(monkeypatch, fn, *args):
+    """The dot calls of fn(*args) through every library module's binding
+    of exactalg.dot; the MPoly operators' own calls are not counted."""
     calls = []
 
     def counted(pairs, table):
         calls.append(None)
         return dot(pairs, table)
 
-    monkeypatch.setattr(saito, "dot", counted)
-    monkeypatch.setattr(openext, "dot", counted)
+    for module in (milnor, saito, openext, coxeter):
+        monkeypatch.setattr(module, "dot", counted)
     fn(*args)
     monkeypatch.undo()
     return len(calls)
@@ -352,11 +354,10 @@ class TestDotCounts:
         got = count_dots(monkeypatch, openext.verify_extension_theorems, "A", 6)
         # pullback contracts the two lower slots first, over the nonzero
         # entries of the tensor, and forms no empty partial sum; the want
-        # side's raising re-keys and takes no dot.  The tensor comes from
-        # milnor.extended_constants, whose dots are milnor's and are not
-        # counted here, as the extended algebra's reductions were not;
-        # test_verify_all_rank3 counts them
-        assert got == 303
+        # side's raising re-keys and takes no dot: 303.  The tensor comes
+        # from milnor.extended_constants, one dot per component of the
+        # recurrence: 36 more
+        assert got == 303 + 36
 
     def test_eq2_over_an_ansatz(self, monkeypatch):
         fs = coxeter_structure("H3")
@@ -404,18 +405,20 @@ class TestDotCounts:
     def test_verify_all_third_derivatives_rank6(self):
         # one build per A/D potential: 77 before the A/D groups shared their
         # tables, four for each of the ten A/D potentials up to rank 6 and
-        # one for every other wdvv and open-wdvv part
+        # one for every other wdvv and open-wdvv part: 47.  Kept tables
+        # save the three minus branches of I2(4), I2(6) and I2(8), whose
+        # open-wdvv part follows the plus branch's on the same F
         (got,) = cold(["verify", "all", "--max-rank", "6"])["requests"]
-        assert got["third"] == 47
+        assert got["third"] == 47 - 3
 
 
-# ---------- one set of tables per A/D group of `verify all` ----------
+# ---------- the last closed and open tables, kept across calls ----------
 
 # Runs requests in a fresh interpreter, so every cache starts empty, and
 # prints as JSON, per request, the dot calls (every module's binding of
 # exactalg.dot), the third_derivatives builds and the dots inside each
-# verify_vector_potential call; then whether any P memo that _tables
-# returned is still alive and whether the shared tables are unset.
+# verify_vector_potential call; then how many distinct P memos (_tables)
+# and Q memos (_open_tables) were made and how many are still alive.
 PROBE = """
 import contextlib, gc, io, json, sys, weakref
 sys.path[:0] = [SRC]
@@ -435,15 +438,19 @@ for module in (exactalg, milnor, saito, openext, coxeter):
 saito.third_derivatives = coxeter.third_derivatives = counting(
     "third", saito.third_derivatives
 )
-memos = []
-tables = saito._tables
+memos = {"closed": [], "open": []}
 
-def kept(*args):
-    got = tables(*args)
-    memos.append(weakref.ref(got[3]))
-    return got
+def kept(kind, fn, memo):
+    def tables(*args):
+        got = fn(*args)
+        refs = memos[kind]
+        if not refs or refs[-1]() is not got[memo]:  # a new memo
+            refs.append(weakref.ref(got[memo]))
+        return got
+    return tables
 
-saito._tables = openext._tables = kept
+saito._tables = openext._tables = kept("closed", saito._tables, 3)
+openext._open_tables = kept("open", openext._open_tables, 4)
 vector_dots = []
 verify_vector = cli.verify_vector_potential
 
@@ -464,9 +471,8 @@ gc.collect()
 print(json.dumps({
     "requests": requests,
     "vector_dots": vector_dots,
-    "live_memos": sum(ref() is not None for ref in memos),
-    "memos": len(memos),
-    "unset": saito._SHARED.get() is None,
+    "made": {kind: len(refs) for kind, refs in memos.items()},
+    "alive": {kind: sum(ref() is not None for ref in refs) for kind, refs in memos.items()},
 }))
 """
 
@@ -484,13 +490,51 @@ def cold(*requests) -> dict:
 
 
 class TestSharedTables:
-    def test_scoped_to_the_request(self):
-        # no table outlives `verify all`, and a later single request forms
-        # every contraction itself, as it does in a fresh interpreter
-        after = cold(["verify", "all", "--max-rank", "3"], ["verify", "vector", "A", "3"])
-        assert after["unset"] and after["memos"] > 0 and after["live_memos"] == 0
+    def test_one_slot_per_kind(self):
+        # whatever ran before, at most one P memo (_tables) and one Q memo
+        # (_open_tables) outlive a request: the last of each kind
+        got = cold(
+            ["verify", "all", "--max-rank", "3"],
+            ["verify", "wdvv", "A", "3"],
+            ["verify", "open-wdvv", "D", "4"],
+            ["verify", "vector", "I2", "5"],
+        )
+        assert got["made"]["closed"] > 1 and got["made"]["open"] > 1
+        assert got["alive"]["closed"] <= 1 and got["alive"]["open"] <= 1
+
+    def test_reused_by_the_next_request(self):
+        # after `verify wdvv A 3` the vector sweep reads the P that
+        # verify_wdvv formed and forms only the rest
         fresh = cold(["verify", "vector", "A", "3"])
-        assert after["vector_dots"][-1] == fresh["vector_dots"][-1] == 52
+        after = cold(["verify", "wdvv", "A", "3"], ["verify", "vector", "A", "3"])
+        assert fresh["vector_dots"] == [52]
+        assert after["vector_dots"] == [40]
+        assert after["requests"][1]["third"] == 0
+
+    @pytest.mark.parametrize("family", ["A", "D"])
+    def test_no_stale_tables(self, family):
+        # a run of untampered, tampered and again untampered sweeps gives
+        # every Report that the same sweep gives with no tables kept, as
+        # in a fresh interpreter
+        fs = frobenius_structure(family, 4)
+        ext = open_potential_A(4) if family == "A" else open_potential_D(4)
+        bad_fs = replace(fs, potential=bumped(fs.potential))
+        bad_f = replace(ext, base=bad_fs)
+        bad_fo = replace(ext, potential=bumped(ext.potential))
+        wdvv, open_wdvv, vector = verify_wdvv, verify_open_wdvv, verify_vector_potential
+        run = [
+            (wdvv, fs, True), (open_wdvv, ext, True), (vector, ext, True),
+            (wdvv, bad_fs, False), (vector, bad_f, False), (open_wdvv, bad_f, False),
+            (open_wdvv, bad_fo, False), (vector, bad_fo, False), (wdvv, fs, True),
+            (vector, ext, True), (open_wdvv, ext, True), (vector, bad_fo, False),
+        ]
+        got = [verify(arg) for verify, arg, _ in run]
+        fresh = []
+        for verify, arg, _ in run:
+            saito._SLOTS.clear()
+            fresh.append(verify(arg))
+        assert got == fresh
+        assert [rep.ok for rep in got] == [ok for *_, ok in run]
 
     @pytest.mark.parametrize("family", ["A", "D"])
     def test_failures_as_the_verifiers_alone(self, monkeypatch, family):
@@ -519,12 +563,15 @@ class TestSharedTables:
             got = cli._verify_all(4)
             assert len(builds) == want_builds
             monkeypatch.setattr(saito, "third_derivatives", third)
-            alone = [
-                verify_wdvv(closed),
-                verify_open_wdvv(served),
-                openext.verify_extension_theorems(family, 4),
-                verify_vector_potential(served),
-            ]
+            alone = []
+            for verify, *args in (
+                (verify_wdvv, closed),
+                (verify_open_wdvv, served),
+                (openext.verify_extension_theorems, family, 4),
+                (verify_vector_potential, served),
+            ):
+                saito._SLOTS.clear()  # no tables kept: each verifier alone
+                alone.append(verify(*args))
             assert got == alone and [r.ok for r in got] == oks
             monkeypatch.undo()
 
