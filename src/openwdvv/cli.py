@@ -25,7 +25,7 @@ classification and the obstructions over every group up to --max-rank
 (the list is _sweep), through the builders the single requests use;
 the parts of each A_n and D_n group read one set of tables (_verify_all).
 Only open-wdvv and vector take --lambda and --branch, and only 'verify
-all' takes --max-rank, from 1 to MAX_RANK (12); any other use of them
+all' takes --max-rank, from 1 to MAX_RANK (13); any other use of them
 exits 2.
 
 Exit status is 0 when every requested identity holds, 1 when a
@@ -323,10 +323,10 @@ _IDENTITIES = (*(k for k, c in _CHECKS.items() if c.choice), "all")
 _PRINTED = (("F", 4), ("H", 3), ("H", 4))  # swept whatever the rank bound
 
 # Largest 'verify all --max-rank', so that an allowed sweep ends in about a
-# minute: from the command line (median of three) rank 12 took 12.2 s at
-# 99 MB peak RSS and rank 13, with this bound lifted, 30.0 s at 192 MB; an
-# older measurement gave rank 14 199 s at 827 MB.
-MAX_RANK = 12
+# minute: from the command line (median of three) rank 12 took 12.7 s at
+# 99 MB peak RSS and rank 13 21.6 s at 192 MB; an older measurement, not
+# repeated, gave rank 14 199 s at 827 MB.
+MAX_RANK = 13
 
 
 def _sweep(max_rank: int):

@@ -34,7 +34,6 @@ from .exactalg import (
     MPoly,
     PolyError,
     VarTable,
-    dot,
     parse,
     rat,
     sqrt_coefficient,
@@ -276,7 +275,9 @@ class SolutionFamily:
 
 
 def lambda_rescale(fo: MPoly, lam) -> MPoly:
-    """lambda^{-1} F°(t, lambda s): the term c t^m s^j picks up lambda^{j-1}.
+    """lambda^{-1} F°(t, lambda s): the term c t^m s^j picks up lambda^{j-1},
+    in one pass over the terms (MPoly.scale_terms); lambda = 1 returns F°
+    itself.
 
     lambda = 0 keeps exactly the s-linear part and is defined only when
     F° vanishes at s = 0 (and has no pole)."""
@@ -286,15 +287,12 @@ def lambda_rescale(fo: MPoly, lam) -> MPoly:
         raise PolyError("open potential table has no s slot")
     if not isinstance(lam, GaussianRational):
         lam = GaussianRational(rat(lam))
+    if lam:
+        return fo if lam == 1 else fo.scale_terms(s, lambda j: lam ** (j - 1))
     parts = fo.collect((s,))
-    if not lam:
-        if any(j <= 0 for (j,) in parts):
-            raise PolyError("lambda = 0 needs F° to vanish at s = 0")
-        return parts.get((1,), MPoly.zero(tab)) * MPoly.variable(tab, s)
-    return dot(
-        ((part, MPoly.monomial(tab, lam ** (j - 1), {s: j})) for (j,), part in parts.items()),
-        tab,
-    )
+    if any(j <= 0 for (j,) in parts):
+        raise PolyError("lambda = 0 needs F° to vanish at s = 0")
+    return parts.get((1,), MPoly.zero(tab)) * MPoly.variable(tab, s)
 
 
 @lru_cache(maxsize=None)

@@ -23,8 +23,9 @@ Products, sums, derivatives, the Euler operator and substitution run on
 these ints.  No other module reads or adds packed keys: saito, openext and
 coxeter build on VarTable.weighted_keys and from_third_partials.  dot is
 the one accumulation loop: every a + b, a - b, a * b, scalar multiple and
-substitution runs through it, and collect is the one grouping of terms by
-slot.  Fractions and GaussianRationals are made only at the edges:
+substitution runs through it; collect is the one grouping of terms by slot
+and scale_terms the one scaling of each term by its exponent in a slot.
+Fractions and GaussianRationals are made only at the edges:
 MPoly(table, terms), scalar operands, table weights and degrees, the
 read-only terms view (exponent tuple -> GaussianRational), the coefficient
 queries, and the text and JSON forms.
@@ -673,6 +674,21 @@ class MPoly:
         num = {k: v * wdeg(k) for k, v in self._num.items()}
         im = {k: v * wdeg(k) for k, v in self._im.items()} if self._im else None
         return MPoly._from_ints(tab, num, self._den * tab._wden, im)
+
+    def scale_terms(self, name: str, factor) -> "MPoly":
+        """Each term times the scalar factor(e), e its exponent of name, in
+        one pass over the numerators: one factor call per distinct e."""
+        tab, j, keys = self.table, self.table.index(name), self._keys()
+        scalars = {e: _scalar_ints(factor(e)) for e in {tab._field(k, j) for k in keys}}
+        lcm = math.lcm(1, *(d for *_, d in scalars.values()))
+        nums, ims = self._num, self._im or {}
+        num, im = {}, {}
+        for k in keys:
+            re, bi, d = scalars[tab._field(k, j)]
+            x, y, f = nums.get(k, 0), ims.get(k, 0), lcm // d
+            num[k] = (x * re - y * bi) * f
+            im[k] = (x * bi + y * re) * f
+        return MPoly._from_ints(tab, num, self._den * lcm, im)
 
     def weighted_degree(self) -> Fraction | None:
         """Degree if weighted-homogeneous (None for zero); raises otherwise."""

@@ -18,16 +18,18 @@ no extended algebra and substitute no tensor.  verify_vector_potential
 (ext) reads the vector axioms off the closed and open WDVV contractions
 of the same tables (_open_tables) as the other checks.  The last set of
 closed and of open tables outlives its call (saito._shared), so
-consecutive sweeps of equal (F, F°) build one set.  Every verifier
-yields one outcome per identity and report.tally counts them.
+consecutive sweeps of equal (F, F°) build one set, and one verdict per
+family of identities (each pairs up one index multiset twice), so a sweep
+compares identity by identity only when its verdict fails.  Every
+verifier yields one outcome per identity and report.tally counts them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations_with_replacement
+from functools import cache, lru_cache
+from itertools import chain, combinations_with_replacement, repeat
 
 from .exactalg import (
     GaussianRational,
@@ -209,7 +211,7 @@ def open_wdvv_equations(base: FrobeniusStructure, fo: MPoly):
     d2F°/ds dt^g.  Q is symmetric in (a, b), so each Q is formed once per
     call, over the v that are live on both sides (saito._contractions)."""
     *_, o2, q = _open_tables(base, fo)
-    return _equations(base.rank, q, o2)
+    return chain(_eq1(base.rank, q), _eq2(base.rank, q, o2))
 
 
 def open_wdvv_eq2(base: FrobeniusStructure, fo: MPoly, al: int, be: int) -> tuple:
@@ -219,18 +221,34 @@ def open_wdvv_eq2(base: FrobeniusStructure, fo: MPoly, al: int, be: int) -> tupl
     return q(al, be, s_ix), o2(s_ix, al) * o2(s_ix, be)
 
 
+def _q_agree(q, n: int) -> bool:
+    """Whether each multiset a <= b <= c, a < c, of 1..n gives one Q:
+    Q(ab; c) = Q(bc; a), and = Q(ac; b) when a < b < c."""
+    return all(
+        (p := q(a, b, c)) == q(b, c, a) and (not a < b < c or p == q(a, c, b))
+        for a, b, c in combinations_with_replacement(range(1, n + 1), 3)
+        if a != c
+    )
+
+
+def _eq2_hold(q, o2, n: int) -> bool:
+    """Whether every eq2 holds, each side formed once."""
+    return all(left == right for _, left, right in _eq2(n, q, o2))
+
+
 def _open_tables(base: FrobeniusStructure, fo: MPoly) -> tuple:
-    """(F, raised, closed, o2, q) over the table of F°: F, raised and the
-    P memo closed are saito._tables' of the closed potential lifted there,
-    o2(a, b) = d2F°/dt^a dt^b in t1..tN, s with s the index N+1, and
-    q(a, b, g) = Q(ab; g) = sum_v c^v_{ab} o2(v, g) + o2(a, b) o2(s, g).
+    """(F, raised, closed, paired, q_agree, eq2_hold, o2, q) over the table
+    of F°: the first four are saito._tables' of the closed potential lifted
+    there, o2(a, b) = d2F°/dt^a dt^b in t1..tN, s with s the index N+1,
+    q(a, b, g) = Q(ab; g) = sum_v c^v_{ab} o2(v, g) + o2(a, b) o2(s, g),
+    and q_agree() and eq2_hold() their verdicts, each formed on first call.
 
     Q is symmetric in (a, b), so q forms each Q once, on first use, keyed
     by the sorted (a, b) and g.  Consecutive sweeps of equal (F, F°) read
     one set of these tables (saito._shared's "open" slot)."""
     tab = fo.table
     n = base.rank
-    F, _, raised, closed = _tables(base.potential, base.eta_inv, tab)
+    F, _, raised, closed, paired = _tables(base.potential, base.eta_inv, tab)
 
     def build():
         d2o = partials(fo, tab.names[: n + 1], 2)
@@ -249,17 +267,22 @@ def _open_tables(base: FrobeniusStructure, fo: MPoly) -> tuple:
         def q(a, b, g):
             return form((a, b) if a <= b else (b, a), g)
 
-        return o2, q
+        return cache(lambda: _q_agree(q, n)), cache(lambda: _eq2_hold(q, o2, n)), o2, q
 
-    o2, q = _shared("open", (base.potential, base.eta_inv, tab, fo), build)
-    return F, raised, closed, o2, q
+    kept = _shared("open", (base.potential, base.eta_inv, tab, fo), build)
+    return F, raised, closed, paired, *kept
 
 
-def _equations(n: int, q, o2):
+def _eq1(n: int, q):
+    """(label, left, right) of every eq1, in sweep order."""
     for be in range(1, n + 1):
         for al in range(1, n + 1):
             for ga in range(al + 1, n + 1):
                 yield f"eq1({al},{be},{ga})", q(al, be, ga), q(ga, be, al)
+
+
+def _eq2(n: int, q, o2):
+    """(label, left, right) of every eq2, in sweep order."""
     for al in range(1, n + 1):
         for be in range(al, n + 1):
             yield f"eq2({al},{be})", q(al, be, n + 1), o2(n + 1, al) * o2(n + 1, be)
@@ -268,19 +291,28 @@ def _equations(n: int, q, o2):
 def verify_open_wdvv(ext: OpenExtension) -> Report:
     """Both open WDVV families (open_wdvv_equations) plus the unit and
     homogeneity conditions.  D-type residuals pass through poles down to
-    s^-4 and must still cancel identically."""
+    s^-4 and must still cancel identically.  Every eq1 passes uncompared
+    when the verdict q_agree() holds (each compares two Q's of one
+    multiset), every eq2 when eq2_hold() does."""
     base = ext.base
     n = base.rank
     fo = ext.potential
-    *_, o2, q = _open_tables(base, fo)
+    *_, q_agree, eq2_hold, o2, q = _open_tables(base, fo)
 
     def outcomes():
         for al in range(1, n + 1):
             yield bool(o2(1, al)) and f"unit(1,{al})"
         yield o2(1, n + 1) != MPoly.constant(ext.table, 1) and "unit(1,s)"
         yield fo.euler() != fo * rat((3 - base.delta) / 2) and "homogeneity"
-        for label, left, right in _equations(n, q, o2):
-            yield left != right and f"{label}: {_first_monomial(left - right)}"
+        for held, size, family in (
+            (q_agree(), n * n * (n - 1) // 2, _eq1(n, q)),
+            (eq2_hold(), n * (n + 1) // 2, _eq2(n, q, o2)),
+        ):
+            if held:
+                yield from repeat(False, size)
+                continue
+            for label, left, right in family:
+                yield left != right and f"{label}: {_first_monomial(left - right)}"
 
     return tally(f"open-wdvv({base.label})", outcomes())
 
@@ -301,9 +333,12 @@ def verify_vector_potential(ext: OpenExtension) -> Report:
       saito._raise_row.  A row of eta^{-1} with one live entry e (every
       constructed group's) compares two P's and scales only a failure's
       residual by e; other rows take one dot.
-    - L(s, b; cd) = Q(cd; b) (_open_tables) for c, d <= N, and
-      d2F°/dt^b ds d2F°/dt^c ds when d = s, the same on both sides.
+    - L(s, b; cd) = Q(cd; b) (_open_tables) for c, d <= N, and the side
+      of eq2(b, c) when d = s.
     - L(a, b; cd) = 0 for a <= N when b, c or d is s, since dF^a/ds = 0.
+    Both sides pair up one index multiset, so the P rows pass uncompared
+    when the verdict paired() holds, the Q rows when q_agree() does and
+    the eq2 rows when eq2_hold() does.
     The conformal condition of a one-entry row reads dF/dt^a' itself.
     Trivially equal identities are counted as passes.  The Report is
     labelled vector-potential(vector(<label of ext>))."""
@@ -312,7 +347,7 @@ def verify_vector_potential(ext: OpenExtension) -> Report:
     m = n + 1
     tab = ext.table
     fo = ext.potential
-    F, raised, closed, o2, q = _open_tables(base, fo)
+    F, raised, closed, paired, q_agree, eq2_hold, o2, q = _open_tables(base, fo)
     eta_live = [_live(row) for row in base.eta_inv]
 
     def lowered(a, pick):
@@ -324,12 +359,15 @@ def verify_vector_potential(ext: OpenExtension) -> Report:
                 want = MPoly.constant(tab, 1 if a == b else 0)
                 got = o2(1, b) if a == m else raised[(1, b)][a - 1] if b <= n else want
                 yield got != want and f"unit({a},{b})"
+        closed_held, open_held, eq2_held = paired(), q_agree(), eq2_hold()
         for be in range(1, m + 1):
             for ga in range(be + 1, m + 1):
                 for al in range(1, m + 1):
                     for de in range(1, m + 1):
-                        if de == m or (al <= n and ga == m):
-                            yield False  # both sides vanish or are one product
+                        if de == m or (al <= n and (ga == m or closed_held)) or (
+                            al == m and (eq2_held if ga == m else open_held)
+                        ):
+                            yield False  # both sides vanish or are one product, or held
                             continue
                         if al <= n:
                             left, e = lowered(al, lambda a1: closed(a1, be, ga, de))
@@ -380,7 +418,7 @@ def verify_extension_theorems(family: str, n: int) -> Report:
     inv = [dt[a * n : (a + 1) * n] + [zero] for a in range(n)] + [s_row]
     got = pullback(cv, inv, jac, keys, tab, lambda a, i: (a, i))
 
-    _, raised, _, o2, _ = _open_tables(base, ext.potential)
+    _, raised, *_, o2, _ = _open_tables(base, ext.potential)
 
     def outcomes():
         for (al, be, ga), p in got.items():

@@ -9,9 +9,10 @@ from dataclasses import dataclass
 class Report:
     """Outcome of one exact verification sweep.
 
-    checked is the number of identities the sweep compares, counted by
-    tally; failures holds one short label per violated identity, e.g. an
-    index quadruple plus the first offending monomial.
+    checked is the number of identities the sweep covers, counted by
+    tally, whether compared one by one or decided by a verdict; failures
+    holds one short label per violated identity, e.g. an index quadruple
+    plus the first offending monomial.
     """
 
     label: str
@@ -35,7 +36,7 @@ class Report:
 
 def tally(label: str, outcomes) -> Report:
     """The Report of a sweep that yields one outcome per identity it
-    compares: a false value when the identity holds, its failure label
+    covers: a false value when the identity holds, its failure label
     when it does not.  Sweeps write `left != right and label`, so a label
     is formatted only for an identity that fails."""
     checked = 0

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations_with_replacement
 
 from .exactalg import (
@@ -693,9 +693,22 @@ def _shared(kind: str, key, build):
     return _SLOTS[kind][1]
 
 
+def _pairings_agree(contraction, n: int) -> bool:
+    """Whether each multiset a <= b <= c <= d of 1..n gives one P: ab|cd =
+    ad|bc, and = ac|bd when a < b < c < d.  One with a == c or b == d has
+    one pairing and is skipped, so no P is formed that a sweep would not."""
+    return all(
+        (p := contraction(a, b, c, d)) == contraction(a, d, b, c)
+        and (not a < b < c < d or p == contraction(a, c, b, d))
+        for a, b, c, d in combinations_with_replacement(range(1, n + 1), 4)
+        if a != c and b != d
+    )
+
+
 def _tables(F: MPoly, eta_inv, table: VarTable) -> tuple:
-    """(F, d3, raised, contraction): F lifted to table, whose first slots
-    are F's, third_derivatives' d3 and raised of it and the P memo on them.
+    """(F, d3, raised, contraction, paired): F lifted to table, whose first
+    slots are F's, third_derivatives' d3 and raised of it, the P memo on
+    them and its verdict paired() (_pairings_agree, computed on first call).
     table starts t1..tN, s: verify_wdvv passes _extend's table and the
     open sweeps that of F°, so consecutive closed and open sweeps of F
     read one set (_shared's "closed" slot)."""
@@ -703,7 +716,9 @@ def _tables(F: MPoly, eta_inv, table: VarTable) -> tuple:
     def build():
         lifted = F.substitute({}, table)
         d3, rows, raised = third_derivatives(lifted, eta_inv, F.table.names)
-        return lifted, d3, raised, _wdvv_contractions(rows, raised, table)
+        contraction = _wdvv_contractions(rows, raised, table)
+        paired = cache(lambda: _pairings_agree(contraction, F.table.arity))
+        return lifted, d3, raised, contraction, paired
 
     return _shared("closed", (F, eta_inv, table), build)
 
@@ -717,23 +732,28 @@ def verify_wdvv(fs: FrobeniusStructure) -> Report:
 
     Identity (alpha, beta, gamma, delta) compares P(alpha beta; gamma delta)
     with P(delta beta; gamma alpha), where P(ab; cd) = sum_v c_{abv} c^v_{cd}
-    is formed once (_wdvv_contractions).  F is lifted to the extended
-    table, where the open sweeps of F read the same tables (_tables); a
-    residual free of s renders the same there.
+    is formed once (_wdvv_contractions).  Both pair up one multiset, so
+    every quadruple passes uncompared when the verdict paired() holds.  F
+    is lifted to the extended table, where the open sweeps of F read the
+    same tables (_tables); a residual free of s renders the same there.
     """
     n = fs.rank
     tab = _extend(fs.table, fs.delta)
-    _, d3, _, contraction = _tables(fs.potential, fs.eta_inv, tab)
+    _, d3, _, contraction, paired = _tables(fs.potential, fs.eta_inv, tab)
 
     def outcomes():
         for a in range(1, n + 1):
             for b in range(a, n + 1):
                 want = MPoly.constant(tab, fs.eta[a - 1][b - 1])
                 yield d3[(1, a, b)] != want and f"unit({a},{b})"
+        held = paired()
         for al in range(1, n + 1):
             for de in range(al + 1, n + 1):
                 for be in range(1, n + 1):
                     for ga in range(be + 1, n + 1):
+                        if held:
+                            yield False
+                            continue
                         left = contraction(al, be, ga, de)
                         right = contraction(de, be, ga, al)
                         yield left != right and (

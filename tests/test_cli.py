@@ -422,7 +422,7 @@ class TestUsageErrors:
         for rank in (cli.MAX_RANK + 1, 10 ** 9, 0):
             code, out, err = run(capsys, "verify", "all", f"--max-rank={rank}")
             assert (code, out) == (2, ""), rank
-            assert err == f"error: --max-rank must be between 1 and 12, not {rank}\n"
+            assert err == f"error: --max-rank must be between 1 and 13, not {rank}\n"
 
     def test_d_has_no_sign_branch(self, capsys):
         for argv in (
@@ -543,7 +543,7 @@ OPTIONS = st.one_of(
     st.tuples(st.just("--source"), st.sampled_from(("auto", "printed", "none"))),
     st.tuples(st.just("--max-n"), INTS),
     # only refused ranks: an accepted one would run a whole sweep
-    st.tuples(st.just("--max-rank"), st.sampled_from(("0", "13", str(10 ** 9)))),
+    st.tuples(st.just("--max-rank"), st.sampled_from(("0", "14", str(10 ** 9)))),
     st.just(("-h",)),
 )
 IDENTITIES = st.sampled_from(cli._IDENTITIES + ("bogus",))

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ import pytest
 from openwdvv import cli, coxeter, milnor, openext, saito
 from openwdvv.cli import _tag
 from openwdvv.coxeter import _open_ansatz, coxeter_structure, open_family
-from openwdvv.exactalg import GaussianRational, MPoly, dot, rat
+from openwdvv.exactalg import GaussianRational, MPoly, VarTable, dot, rat
 from openwdvv.openext import (
     OpenExtension,
     extended_table,
@@ -210,6 +211,16 @@ VECTOR_INPUTS = (
 )
 
 
+def mixed_d4():
+    """The D4 extension in the coordinates t2 + t4, t4, labelled D4'."""
+    ext = open_potential_D(4)
+    base = ext.base
+    base_mix = {"t2": MPoly.variable(base.table, "t2") + MPoly.variable(base.table, "t4")}
+    ext_mix = {"t2": MPoly.variable(ext.table, "t2") + MPoly.variable(ext.table, "t4")}
+    mixed = saito.from_potential("D4'", base.potential.substitute(base_mix, base.table))
+    return openext.open_extension(mixed, ext.potential.substitute(ext_mix, ext.table))
+
+
 def open_extension_of(tag):
     if tag == "A5":
         return open_potential_A(5)
@@ -285,13 +296,8 @@ class TestSameReports:
     def test_vector_general_metric_row(self):
         # D4 in the coordinates t2 + t4, t4: eta^{-1} has a row with two
         # live entries, so that row is raised by a dot, not re-keyed
-        ext = open_potential_D(4)
-        base = ext.base
-        base_mix = {"t2": MPoly.variable(base.table, "t2") + MPoly.variable(base.table, "t4")}
-        ext_mix = {"t2": MPoly.variable(ext.table, "t2") + MPoly.variable(ext.table, "t4")}
-        mixed = saito.from_potential("D4'", base.potential.substitute(base_mix, base.table))
-        assert max(sum(1 for e in row if e) for row in mixed.eta_inv) == 2
-        ext = openext.open_extension(mixed, ext.potential.substitute(ext_mix, ext.table))
+        ext = mixed_d4()
+        assert max(sum(1 for e in row if e) for row in ext.base.eta_inv) == 2
         rep = verify_vector_potential(ext)
         assert rep.ok and rep == reference_vector(ext.vector_potential(), "vector(D4')")
         for bad in tampered(ext):
@@ -299,12 +305,126 @@ class TestSameReports:
             assert not rep.ok and rep == reference_vector(bad.vector_potential(), "vector(D4')")
 
 
+# ---------- verdicts: one comparison per index multiset ----------
+
+
+def without_verdicts(monkeypatch, runs) -> list:
+    """The Reports of runs [(verify, arg)], asserted equal to the Reports
+    the same runs give when every verdict of the kept tables fails, so that
+    each sweep compares and labels every identity; each forced run starts
+    with no kept tables, so no verdict computed before is read."""
+    got = [verify(arg) for verify, arg in runs]
+    monkeypatch.setattr(saito, "_pairings_agree", lambda *args: False)
+    monkeypatch.setattr(openext, "_q_agree", lambda *args: False)
+    monkeypatch.setattr(openext, "_eq2_hold", lambda *args: False)
+    forced = []
+    for verify, arg in runs:
+        saito._SLOTS.clear()
+        forced.append(verify(arg))
+    monkeypatch.undo()
+    saito._SLOTS.clear()  # no failed verdict outlives the forced runs
+    assert got == forced
+    return got
+
+
+WDVV_TAGS = (
+    [f"A{n}" for n in range(1, 8)] + [f"D{n}" for n in range(3, 8)]
+    + [f"B{n}" for n in range(2, 6)] + [f"I2({k})" for k in range(3, 9)] + ["F4", "H3", "H4"]
+)
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("tag", WDVV_TAGS)
+    def test_wdvv(self, monkeypatch, tag):
+        fs = coxeter_structure(tag)
+        bad = replace(fs, potential=bumped(fs.potential))
+        runs = [(verify_wdvv, fs)] + [(verify_wdvv, bad)] * (fs.rank > 1)
+        reps = without_verdicts(monkeypatch, runs)
+        # the verdict decides the untampered sweep; every rank-2 potential
+        # is associative, so a bumped one passes too
+        assert saito._tables(fs.potential, fs.eta_inv, extended_table(fs))[4]()
+        assert reps[0].ok and all(r.ok == (fs.rank <= 2) for r in reps[1:])
+
+    @pytest.mark.parametrize(
+        "family, n, branch", VECTOR_INPUTS, ids=[_tag(*i[:2]) + i[2] for i in VECTOR_INPUTS]
+    )
+    def test_open_wdvv_and_vector(self, monkeypatch, family, n, branch):
+        sweeps = (verify_open_wdvv, verify_vector_potential)
+        exts = [
+            cli._open_ext_for(family, n, GaussianRational(lam), branch)
+            for lam in (1, 2, Fraction(-1, 3))
+        ]
+        bad = tampered(exts[0])
+        reps = without_verdicts(monkeypatch, [(v, e) for e in exts + list(bad) for v in sweeps])
+        assert all(r.ok for r in reps[:6])
+        # A1's bumped F° only moves the s^3 coefficient, which stays a solution
+        assert all(r.ok == (_tag(family, n) == "A1") for r in reps[6:])
+
+    def test_each_distinct_contraction_is_compared(self):
+        # fake contractions that are one constant but on one pairing of one
+        # multiset: a verdict fails exactly when that multiset has another
+        # pairing, and reads no contraction of a one-pairing multiset
+        n = 4
+        tab = VarTable(("t1",))
+        one, two = MPoly.constant(tab, 1), MPoly.constant(tab, 2)
+
+        def pair(a, b):
+            return (a, b) if a <= b else (b, a)
+
+        def p_key(a, b, c, d):
+            return tuple(sorted((pair(a, b), pair(c, d))))
+
+        def q_key(a, b, g):
+            return pair(a, b), g
+
+        for key, verdict, size in (
+            (p_key, saito._pairings_agree, 4),
+            (q_key, openext._q_agree, 3),
+        ):
+            for ix in product(range(1, n + 1), repeat=size):
+                read = []
+
+                def fake(*args, odd=key(*ix)):
+                    read.append(sorted(args))
+                    return two if key(*args) == odd else one
+
+                distinct = {key(*p) for p in permutations(ix)}
+                assert verdict(fake, n) == (len(distinct) == 1), ix
+                assert all(len({key(*p) for p in permutations(r)}) > 1 for r in read)
+        # eq2(a, b): Q(ab; s) against o2(s, a) o2(s, b), here 1 = 1 * 1
+        for bad in ((1, 2), (3, 3), None):
+
+            def q(a, b, g, bad=bad):
+                return two if (a, b) == bad else one
+
+            assert openext._eq2_hold(q, lambda a, b: one, n) == (bad is None)
+
+    def test_general_metric_row_and_an_ansatz(self, monkeypatch):
+        # the mixed D4 (eta^{-1} with a two-entry row, so the vector sweep's
+        # P rows are raised by a dot when compared one by one), bumped as in
+        # tests/test_failure_paths.py and as tampered(), and H3 over its
+        # open ansatz, whose equations carry the unknowns
+        ext = mixed_d4()
+        base = ext.base
+        t4_bumped = replace(base, potential=base.potential + MPoly.variable(base.table, "t4") ** 5)
+        exts = [ext, replace(ext, base=t4_bumped), *tampered(ext)]
+        runs = [(v, e) for e in exts for v in (verify_open_wdvv, verify_vector_potential)]
+        runs += [(verify_wdvv, e.base) for e in exts]
+        fs = coxeter_structure("H3")
+        fo = _open_ansatz(fs)
+        runs.append((verify_open_wdvv, OpenExtension(fs, fo.table, fo)))
+        reps = without_verdicts(monkeypatch, runs)
+        # wdvv: the bumped F° leaves the closed potential as it is
+        assert [r.ok for r in reps] == [True, True] + [False] * 6 + [True, False, False, True, False]
+
+
 # ---------- dot counts ----------
 
 
 def count_dots(monkeypatch, fn, *args):
     """The dot calls of fn(*args) through every library module's binding
-    of exactalg.dot; the MPoly operators' own calls are not counted."""
+    of exactalg.dot (coxeter has none since lambda_rescale scales in the
+    kernel); the MPoly operators' own calls are not counted."""
     calls = []
 
     def counted(pairs, table):
@@ -312,7 +432,8 @@ def count_dots(monkeypatch, fn, *args):
         return dot(pairs, table)
 
     for module in (milnor, saito, openext, coxeter):
-        monkeypatch.setattr(module, "dot", counted)
+        if hasattr(module, "dot"):
+            monkeypatch.setattr(module, "dot", counted)
     fn(*args)
     monkeypatch.undo()
     return len(calls)
@@ -337,11 +458,14 @@ class TestDotCounts:
         pairs = n * (n + 1) // 2
         # at most one dot per distinct P(ab; cd) and per distinct Q(ab; g);
         # eta^-1 of A6 is a permutation, so neither the raising nor a row
-        # of L takes a dot of its own
+        # of L takes a dot of its own.  366 while the sweep compared every
+        # row: the n(n - 1) = 30 rows of a multiset {x, x, x, y} have one
+        # pairing P(xx; xy), which the verdicts never form, so the P of
+        # verify_wdvv (195) and the Q of verify_open_wdvv (141) are left
         bound = pairs * (pairs + 1) // 2 + pairs * (n + 1)
         got = count_dots(monkeypatch, verify_vector_potential, ext)
         assert got <= bound
-        assert got == 366
+        assert got == 195 + 141
 
     def test_open_wdvv(self, monkeypatch):
         # one dot per distinct Q(ab; g); the raising re-keys (signed
@@ -398,9 +522,14 @@ class TestDotCounts:
         # whose scaled rows of eta^-1 took one dot each in verify_wdvv and
         # again in verify_open_wdvv (6 + 6).  2276 before the extension and
         # omega checks read milnor.extended_constants in place of reducing
-        # every product in an extended algebra (228 fewer)
+        # every product in an extended algebra (228 fewer).  2048 before
+        # the verdicts (54 fewer): the vector sweeps of A1-A3 and D3 form
+        # neither the n(n - 1) P(xx; xy) of one-pairing multisets nor the
+        # n^2 products o2(s, a) o2(s, b) of their eq2 rows, which the
+        # open-wdvv verdict formed once per unordered pair (37), and the 17
+        # lambda_rescale calls at lambda = 1 take no dot (17)
         (got,) = cold(["verify", "all", "--max-rank", "3"])["requests"]
-        assert got["dot"] == 2048
+        assert got["dot"] == 1994
 
     def test_verify_all_third_derivatives_rank6(self):
         # one build per A/D potential: 77 before the A/D groups shared their
@@ -416,15 +545,17 @@ class TestDotCounts:
 
 # Runs requests in a fresh interpreter, so every cache starts empty, and
 # prints as JSON, per request, the dot calls (every module's binding of
-# exactalg.dot), the third_derivatives builds and the dots inside each
-# verify_vector_potential call; then how many distinct P memos (_tables)
-# and Q memos (_open_tables) were made and how many are still alive.
+# exactalg.dot), the third_derivatives builds and the MPoly comparisons
+# (MPoly.__eq__, which != calls too), and the dots and comparisons inside
+# each verify_vector_potential call; then how many distinct P memos
+# (_tables) and Q memos (_open_tables) were made and how many are still
+# alive.
 PROBE = """
 import contextlib, gc, io, json, sys, weakref
 sys.path[:0] = [SRC]
 from openwdvv import cli, coxeter, exactalg, milnor, openext, saito
 
-counts = {"dot": 0, "third": 0}
+counts = {"dot": 0, "third": 0, "eq": 0}
 
 def counting(key, fn):
     def counted(*args):
@@ -438,6 +569,7 @@ for module in (exactalg, milnor, saito, openext, coxeter):
 saito.third_derivatives = coxeter.third_derivatives = counting(
     "third", saito.third_derivatives
 )
+exactalg.MPoly.__eq__ = counting("eq", exactalg.MPoly.__eq__)
 memos = {"closed": [], "open": []}
 
 def kept(kind, fn, memo):
@@ -450,14 +582,15 @@ def kept(kind, fn, memo):
     return tables
 
 saito._tables = openext._tables = kept("closed", saito._tables, 3)
-openext._open_tables = kept("open", openext._open_tables, 4)
-vector_dots = []
+openext._open_tables = kept("open", openext._open_tables, -1)
+vector_dots, vector_eqs = [], []
 verify_vector = cli.verify_vector_potential
 
 def vector(ext):
-    before = counts["dot"]
+    before = dict(counts)
     rep = verify_vector(ext)
-    vector_dots.append(counts["dot"] - before)
+    vector_dots.append(counts["dot"] - before["dot"])
+    vector_eqs.append(counts["eq"] - before["eq"])
     return rep
 
 cli.verify_vector_potential = vector
@@ -471,6 +604,7 @@ gc.collect()
 print(json.dumps({
     "requests": requests,
     "vector_dots": vector_dots,
+    "vector_eqs": vector_eqs,
     "made": {kind: len(refs) for kind, refs in memos.items()},
     "alive": {kind: sum(ref() is not None for ref in refs) for kind, refs in memos.items()},
 }))
@@ -504,12 +638,21 @@ class TestSharedTables:
 
     def test_reused_by_the_next_request(self):
         # after `verify wdvv A 3` the vector sweep reads the P that
-        # verify_wdvv formed and forms only the rest
+        # verify_wdvv formed and forms only the rest.  52 and 40 dots
+        # before the verdicts: the 6 P(xx; xy) of one-pairing multisets and
+        # 3 of the 9 eq2 products (one per unordered pair is left) are gone
         fresh = cold(["verify", "vector", "A", "3"])
         after = cold(["verify", "wdvv", "A", "3"], ["verify", "vector", "A", "3"])
-        assert fresh["vector_dots"] == [52]
-        assert after["vector_dots"] == [40]
+        assert fresh["vector_dots"] == [52 - 9]
+        assert after["vector_dots"] == [40 - 9]
         assert after["requests"][1]["third"] == 0
+        # and it compares no P pair: its comparisons are the 16 unit and 4
+        # conformal rows, the Q verdict's 8 (seven 3-multisets with a < c,
+        # and Q(13; 2) for {1, 2, 3}) and the eq2 verdict's 6; alone, it
+        # also takes the P verdict's 6 (the six 4-multisets of 1..3 with
+        # a < c and b < d, none with four distinct indices)
+        assert after["vector_eqs"] == [16 + 4 + 8 + 6]
+        assert fresh["vector_eqs"] == [16 + 4 + 8 + 6 + 6]
 
     @pytest.mark.parametrize("family", ["A", "D"])
     def test_no_stale_tables(self, family):

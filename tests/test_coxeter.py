@@ -9,6 +9,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openwdvv import coxeter, milnor
 from openwdvv.coxeter import (
@@ -28,11 +30,12 @@ from openwdvv.coxeter import (
     printed_open_potential,
     printed_potential,
 )
-from openwdvv.exactalg import GaussianRational, MPoly, PolyError, VarTable, parse, rat
+from openwdvv.exactalg import GaussianRational, MPoly, PolyError, VarTable, dot, parse, rat
 from openwdvv.openext import (
     _extend,
     extended_table,
     open_generator_A,
+    open_potential_D,
     open_wdvv_equations,
     verify_open_wdvv,
 )
@@ -337,6 +340,65 @@ class TestOpenFamilies:
     def test_no_open_family_for_d(self):
         with pytest.raises(PolyError):
             open_family("D4")
+
+
+def rescale_by_parts(fo, lam):
+    """lambda^{-1} F°(t, lambda s) by collect, one monomial per s-degree and
+    a dot: the formula lambda_rescale used before it scaled each term in one
+    kernel pass (MPoly.scale_terms), kept as the oracle."""
+    tab = fo.table
+    s = tab.laurent
+    parts = fo.collect((s,)).items()
+    return dot(((part, MPoly.monomial(tab, lam ** (j - 1), {s: j})) for (j,), part in parts), tab)
+
+
+def open_potentials():
+    """F° of A1-A8, B2-B5, I2(3)-I2(10) on each branch, and D3-D8 with the
+    pole, by tag."""
+    out = {f"A{n}": open_family(f"A{n}").generator for n in range(1, 9)}
+    out |= {f"B{n}": open_family(f"B{n}").generator for n in range(2, 6)}
+    for k in range(3, 11):
+        fam = open_family(f"I2({k})")
+        out |= {f"I2({k}){b}": fam.member(1, b) for b in fam.branches}
+    return out | {f"D{n}": open_potential_D(n).potential for n in range(3, 9)}
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+NONZERO_SCALARS = st.builds(GaussianRational, SMALL, SMALL).filter(bool)
+
+
+class TestLambdaRescale:
+    LAMBDAS = (1, 2, rat(1, 2), rat(-1, 3), rat(3, 2), GaussianRational(1, 1))
+
+    def test_equals_the_formula_by_parts(self):
+        for tag, fo in open_potentials().items():
+            for lam in self.LAMBDAS:
+                got = lambda_rescale(fo, lam)
+                # == on one table compares the normalised numerators, the
+                # imaginary ones and the denominator
+                scalar = lam if isinstance(lam, GaussianRational) else GaussianRational(lam)
+                assert got == rescale_by_parts(fo, scalar), (tag, lam)
+            assert lambda_rescale(fo, 1) is fo
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from((("A3", "plus"), ("B3", "plus"), ("I2(6)", "minus"), ("D5", None))),
+        NONZERO_SCALARS,
+        NONZERO_SCALARS,
+    )
+    def test_is_an_action(self, member, a, b):
+        tag, branch = member
+        fo = open_potential_D(5).potential if branch is None else open_family(tag).member(1, branch)
+        assert lambda_rescale(lambda_rescale(fo, a), b) == lambda_rescale(fo, a * b)
+
+    def test_refusals(self):
+        pole = open_potential_D(4).potential  # the D pole t4^2/(2s)
+        s_free = open_family("A2").generator  # A2 has an s-free part
+        for fo in (pole, s_free):
+            with pytest.raises(PolyError, match="^lambda = 0 needs F° to vanish at s = 0$"):
+                lambda_rescale(fo, 0)
+        with pytest.raises(PolyError, match="^open potential table has no s slot$"):
+            lambda_rescale(coxeter_structure("A2").potential, 2)
 
 
 class TestCorrelators:

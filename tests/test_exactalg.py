@@ -376,6 +376,25 @@ class TestPolyBasics:
         with pytest.raises(PolyError, match="needs table weights"):
             MPoly.variable(VarTable(("x",)), "x").weighted_degree()
 
+    def test_scale_terms_by_slot(self):
+        # one factor call per distinct exponent of s; a zero factor drops
+        # its terms and the result is normalised
+        p = parse("x*s^-1 + 2*x^2*s^-1 + 1/3*s + i*x*s + x^3", LTAB)
+        seen = []
+
+        def factor(e):
+            seen.append(e)
+            return 0 if e < 0 else GaussianRational(rat(3, 2), 1) if e else 5
+
+        got = p.scale_terms("s", factor)
+        assert sorted(seen) == [-1, 0, 1]
+        want = parse("(1/2+1/3*i)*s + (3/2*i-1)*x*s + 5*x^3", LTAB)
+        assert got == want
+        _assert_canonical(got)
+        assert p.scale_terms("x", lambda e: 1) == p
+        with pytest.raises(PolyError, match="unknown variable"):
+            p.scale_terms("y", lambda e: 1)
+
 
 def brute_weighted_keys(tab, names, degree, bases):
     """weighted_keys by brute force: every exponent tuple over names with
@@ -633,6 +652,17 @@ class TestAgainstSympy:
         want = sum((_to_sympy(a, syms) * _to_sympy(b, syms) for a, b in pairs),
                    sympy.Integer(0))
         assert sympy.expand(_to_sympy(dot(pairs, LTAB), syms) - want) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(laurent_polys(), scalars().filter(bool))
+    def test_scale_terms_is_the_lambda_action(self, p, lam):
+        # lambda^{-1} p(x, lambda s), which coxeter.lambda_rescale puts on F°
+        s = self.syms[1]
+        got = p.scale_terms("s", lambda j: lam ** (j - 1))
+        _assert_canonical(got)
+        lam_s = _sympy_scalar(lam)
+        want = _to_sympy(p, self.syms).subs(s, lam_s * s) / lam_s
+        assert sympy.expand(_to_sympy(got, self.syms) - want) == 0
 
     def test_dot_leaving_the_packed_range_raises(self):
         s, x = MPoly.variable(LTAB, "s"), MPoly.variable(LTAB, "x")
