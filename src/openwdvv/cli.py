@@ -23,7 +23,7 @@ for I2(6).  The groups each 'verify' identity takes:
 'verify all' takes no group; it sweeps those identities, the I2
 classification and the obstructions over every group up to --max-rank
 (the list is _sweep), through the builders the single requests use;
-the parts of each A_n and D_n group read one set of tables (_verify_all).
+the parts of each group and branch read one set of tables (_verify_all).
 Only open-wdvv and vector take --lambda and --branch, and only 'verify
 all' takes --max-rank, from 1 to MAX_RANK (13); any other use of them
 exits 2.
@@ -322,10 +322,10 @@ _IDENTITIES = (*(k for k, c in _CHECKS.items() if c.choice), "all")
 
 _PRINTED = (("F", 4), ("H", 3), ("H", 4))  # swept whatever the rank bound
 
-# Largest 'verify all --max-rank', so that an allowed sweep ends in about a
-# minute: from the command line (median of three) rank 12 took 12.7 s at
-# 99 MB peak RSS and rank 13 21.6 s at 192 MB; an older measurement, not
-# repeated, gave rank 14 199 s at 827 MB.
+# Largest 'verify all --max-rank'.  From the command line (median of three)
+# rank 12 takes 1.95 s at 32 MB peak RSS and rank 13 4.6 s at 43 MB, well
+# within a minute; the bound is kept until it is measured again past rank
+# 13, where the sweeps without certificates took 199 s at 827 MB (rank 14).
 MAX_RANK = 13
 
 
@@ -362,22 +362,24 @@ def _sweep(max_rank: int):
         yield "obstruction", family, n, "plus"
 
 
-# The parts of an A_n or D_n group that read one set of tables, in the order
-# its step runs them: the extension check's pullback ends before any table.
+# The parts of a group that read one set of tables, in the order its step
+# runs them: the extension check's pullback ends before any table.
 _SHARED_PARTS = ("extension", "wdvv", "open-wdvv", "vector")
 
 
 def _verify_all(max_rank: int) -> list:
     """The Reports of 'verify all', in _sweep's order.  The _SHARED_PARTS
-    of each A_n and D_n group run as one step, each through its builder,
+    of each group and branch run as one step, each through its builder,
     so each part reads the tables that saito._shared kept of the part
-    before.  The step runs where the sweep reaches the group's last shared
-    part, so that what its parts cache is built no earlier than there."""
+    before (the open-wdvv part of B_n or I2(k) reads the closed tables and
+    certificate of its wdvv part).  The step runs where the sweep reaches
+    the group's last shared part, so that what its parts cache is built no
+    earlier than there."""
     plan = list(_sweep(max_rank))
     groups = {}
     for part in plan:
         ident, family, n, branch = part
-        if family in ("A", "D") and ident in _SHARED_PARTS:
+        if ident in _SHARED_PARTS:
             groups.setdefault((family, n, branch), []).append(part)
     one = GaussianRational(1)
     done = {}

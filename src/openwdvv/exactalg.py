@@ -25,6 +25,8 @@ coxeter build on VarTable.weighted_keys and from_third_partials.  dot is
 the one accumulation loop: every a + b, a - b, a * b, scalar multiple and
 substitution runs through it; collect is the one grouping of terms by slot
 and scale_terms the one scaling of each term by its exponent in a slot.
+values_mod evaluates many polynomials at one integer point modulo a prime,
+the one evaluation the verifiers' cyclicity certificates take.
 Fractions and GaussianRationals are made only at the edges:
 MPoly(table, terms), scalar operands, table weights and degrees, the
 read-only terms view (exponent tuple -> GaussianRational), the coefficient
@@ -55,6 +57,7 @@ __all__ = [
     "parse",
     "dot",
     "substitute_all",
+    "values_mod",
     "from_third_partials",
     "PolyError",
     "TableMismatchError",
@@ -675,6 +678,16 @@ class MPoly:
         im = {k: v * wdeg(k) for k, v in self._im.items()} if self._im else None
         return MPoly._from_ints(tab, num, self._den * tab._wden, im)
 
+    def is_homogeneous(self, degree) -> bool:
+        """Whether euler() == degree * self, read off the keys with no
+        polynomial formed: every term has weighted degree degree (zero is
+        homogeneous of every degree); requires table weights."""
+        tab = self.table
+        if tab.weights is None:
+            raise PolyError("Euler derivative needs table weights")
+        d, wdeg = Fraction(degree) * tab._wden, tab._wdeg
+        return all(wdeg(k) == d for k in self._keys())
+
     def scale_terms(self, name: str, factor) -> "MPoly":
         """Each term times the scalar factor(e), e its exponent of name, in
         one pass over the numerators: one factor call per distinct e."""
@@ -1057,6 +1070,50 @@ def substitute_all(polys, images: Mapping[str, MPoly], target: VarTable | None =
         return [_rekey(p, target) for p in polys]
     table = _ImagePowers(src, target, imgs)
     return [table.apply(p) for p in polys]
+
+
+def values_mod(polys, point, prime: int) -> list | None:
+    """[p(point) mod prime for p in polys], all over one table: point has
+    an int per slot and i goes to g^((prime - 1)/4) for the least g that
+    makes it a root of -1, so this is a ring map on the polys whose
+    denominators prime (1 mod 4) does not divide.  None when it is
+    undefined on one: prime divides a denominator, or the coordinate under
+    a negative exponent.  One table of powers per slot serves every term."""
+    if prime % 4 != 1:
+        raise PolyError(f"-1 has no square root modulo {prime}")
+    polys = list(polys)
+    if not polys:
+        return []
+    tab = polys[0].table
+    roots = (pow(g, prime // 4, prime) for g in range(2, prime))
+    i = next(r for r in roots if r * r % prime == prime - 1)
+    slots = [(x, b, {}) for x, b in zip(point, tab._biases)]
+    monos = {}
+
+    def mono(key):
+        got = monos.get(key)
+        if got is None:
+            got, k = 1, key
+            for x, b, powers in slots:
+                e = (k & _FIELD) - b
+                k >>= _WIDTH
+                if e:
+                    if e not in powers:
+                        powers[e] = pow(x, e, prime)
+                    got = got * powers[e] % prime
+            monos[key] = got
+        return got
+
+    try:
+        out = []
+        for p in polys:
+            polys[0]._check_table(p)
+            acc = sum(v * mono(k) for k, v in p._num.items())
+            acc += i * sum(v * mono(k) for k, v in (p._im or {}).items())
+            out.append(acc * pow(p._den, -1, prime) % prime)
+        return out
+    except ValueError:  # prime divides a denominator or a pole's coordinate
+        return None
 
 
 def _json_rational(pair):

@@ -18,9 +18,10 @@ no extended algebra and substitute no tensor.  verify_vector_potential
 (ext) reads the vector axioms off the closed and open WDVV contractions
 of the same tables (_open_tables) as the other checks.  The last set of
 closed and of open tables outlives its call (saito._shared), so
-consecutive sweeps of equal (F, F°) build one set, and one verdict per
-family of identities (each pairs up one index multiset twice), so a sweep
-compares identity by identity only when its verdict fails.  Every
+consecutive sweeps of equal (F, F°) build one set.  The open WDVV and
+vector identities are entries of commutators of the multiplications on
+t1..tN, s, so one certificate decides them all (_open_certified), and a
+sweep compares identity by identity only when it does not.  Every
 verifier yields one outcome per identity and report.tally counts them.
 """
 
@@ -46,6 +47,7 @@ from .report import Report, tally
 from .saito import (
     FrobeniusStructure,
     _contractions,
+    _cyclic,
     _extend,
     _first_monomial,
     _live,
@@ -118,7 +120,7 @@ def open_extension(base: FrobeniusStructure, fo: MPoly) -> OpenExtension:
     tab = fo.table
     if fo.diff(base.table.names[0]) != MPoly.variable(tab, "s"):
         raise PolyError(f"unit condition fails for {base.label}")
-    if fo.euler() != fo * rat((3 - base.delta) / 2):
+    if not fo.is_homogeneous((3 - base.delta) / 2):
         raise PolyError(f"homogeneity fails for {base.label}")
     return OpenExtension(base, tab, fo)
 
@@ -221,34 +223,46 @@ def open_wdvv_eq2(base: FrobeniusStructure, fo: MPoly, al: int, be: int) -> tupl
     return q(al, be, s_ix), o2(s_ix, al) * o2(s_ix, be)
 
 
-def _q_agree(q, n: int) -> bool:
-    """Whether each multiset a <= b <= c, a < c, of 1..n gives one Q:
-    Q(ab; c) = Q(bc; a), and = Q(ac; b) when a < b < c."""
-    return all(
-        (p := q(a, b, c)) == q(b, c, a) and (not a < b < c or p == q(a, c, b))
-        for a, b, c in combinations_with_replacement(range(1, n + 1), 3)
-        if a != c
+def _open_certified(n: int, certified, raised, o2, q, table: VarTable) -> bool:
+    """Whether every eq1, eq2 and vector row holds: saito._certified on
+    t1..tN, s, with (L~_b)^a_c = d2F^a/dt^b dt^c (F^a = eta^{a mu} dF/dt^mu,
+    F^s = F°); False also when undecided.  [L~_b, L~_c] has the closed
+    block [L_b, L_c] and the s-row Q(cd; b) - Q(bd; c) (eq1), the s-row of
+    [L~_b, L~_s] is eq2(b, d)'s residual, every other entry is 0, and the
+    vector rows are entries of these.  So certified(), [L~_2, L~_g] = 0 for
+    every g and a cyclic L~_2 suffice."""
+    s = n + 1
+    return (
+        certified()
+        and all(
+            q(ga, de, 2) == q(2, de, ga)
+            for ga in range(1, s)
+            if ga != 2
+            for de in range(1, s)
+        )
+        and all(q(2, de, s) == o2(s, 2) * o2(s, de) for de in range(1, s))
+        and _cyclic(
+            [raised[(c, 2) if c < 2 else (2, c)] + [o2(2, c)] for c in range(1, s)]
+            + [[MPoly.zero(table)] * n + [o2(2, s)]],
+            table,
+        )
     )
 
 
-def _eq2_hold(q, o2, n: int) -> bool:
-    """Whether every eq2 holds, each side formed once."""
-    return all(left == right for _, left, right in _eq2(n, q, o2))
-
-
 def _open_tables(base: FrobeniusStructure, fo: MPoly) -> tuple:
-    """(F, raised, closed, paired, q_agree, eq2_hold, o2, q) over the table
-    of F°: the first four are saito._tables' of the closed potential lifted
-    there, o2(a, b) = d2F°/dt^a dt^b in t1..tN, s with s the index N+1,
-    q(a, b, g) = Q(ab; g) = sum_v c^v_{ab} o2(v, g) + o2(a, b) o2(s, g),
-    and q_agree() and eq2_hold() their verdicts, each formed on first call.
+    """(F, raised, closed, certified, open_certified, o2, q) over the
+    table of F°: the first four are saito._tables' of the closed potential
+    lifted there, o2(a, b) = d2F°/dt^a dt^b in t1..tN, s with s the index
+    N+1, q(a, b, g) = Q(ab; g) = sum_v c^v_{ab} o2(v, g) + o2(a, b) o2(s, g),
+    and open_certified() the certificate of the open families
+    (_open_certified), on first call.
 
     Q is symmetric in (a, b), so q forms each Q once, on first use, keyed
     by the sorted (a, b) and g.  Consecutive sweeps of equal (F, F°) read
     one set of these tables (saito._shared's "open" slot)."""
     tab = fo.table
     n = base.rank
-    F, _, raised, closed, paired = _tables(base.potential, base.eta_inv, tab)
+    F, _, raised, closed, certified = _tables(base.potential, base.eta_inv, tab)
 
     def build():
         d2o = partials(fo, tab.names[: n + 1], 2)
@@ -267,10 +281,10 @@ def _open_tables(base: FrobeniusStructure, fo: MPoly) -> tuple:
         def q(a, b, g):
             return form((a, b) if a <= b else (b, a), g)
 
-        return cache(lambda: _q_agree(q, n)), cache(lambda: _eq2_hold(q, o2, n)), o2, q
+        return cache(lambda: _open_certified(n, certified, raised, o2, q, tab)), o2, q
 
     kept = _shared("open", (base.potential, base.eta_inv, tab, fo), build)
-    return F, raised, closed, paired, *kept
+    return F, raised, closed, certified, *kept
 
 
 def _eq1(n: int, q):
@@ -291,28 +305,24 @@ def _eq2(n: int, q, o2):
 def verify_open_wdvv(ext: OpenExtension) -> Report:
     """Both open WDVV families (open_wdvv_equations) plus the unit and
     homogeneity conditions.  D-type residuals pass through poles down to
-    s^-4 and must still cancel identically.  Every eq1 passes uncompared
-    when the verdict q_agree() holds (each compares two Q's of one
-    multiset), every eq2 when eq2_hold() does."""
+    s^-4 and must still cancel identically.  Every eq1 and eq2 passes
+    uncompared when the commutation certificate open_certified() holds
+    (_open_certified); otherwise each is compared and labelled."""
     base = ext.base
     n = base.rank
     fo = ext.potential
-    *_, q_agree, eq2_hold, o2, q = _open_tables(base, fo)
+    *_, open_certified, o2, q = _open_tables(base, fo)
 
     def outcomes():
         for al in range(1, n + 1):
             yield bool(o2(1, al)) and f"unit(1,{al})"
         yield o2(1, n + 1) != MPoly.constant(ext.table, 1) and "unit(1,s)"
-        yield fo.euler() != fo * rat((3 - base.delta) / 2) and "homogeneity"
-        for held, size, family in (
-            (q_agree(), n * n * (n - 1) // 2, _eq1(n, q)),
-            (eq2_hold(), n * (n + 1) // 2, _eq2(n, q, o2)),
-        ):
-            if held:
-                yield from repeat(False, size)
-                continue
-            for label, left, right in family:
-                yield left != right and f"{label}: {_first_monomial(left - right)}"
+        yield not fo.is_homogeneous((3 - base.delta) / 2) and "homogeneity"
+        if open_certified():
+            yield from repeat(False, n * n * (n - 1) // 2 + n * (n + 1) // 2)
+            return
+        for label, left, right in chain(_eq1(n, q), _eq2(n, q, o2)):
+            yield left != right and f"{label}: {_first_monomial(left - right)}"
 
     return tally(f"open-wdvv({base.label})", outcomes())
 
@@ -336,10 +346,10 @@ def verify_vector_potential(ext: OpenExtension) -> Report:
     - L(s, b; cd) = Q(cd; b) (_open_tables) for c, d <= N, and the side
       of eq2(b, c) when d = s.
     - L(a, b; cd) = 0 for a <= N when b, c or d is s, since dF^a/ds = 0.
-    Both sides pair up one index multiset, so the P rows pass uncompared
-    when the verdict paired() holds, the Q rows when q_agree() does and
-    the eq2 rows when eq2_hold() does.
-    The conformal condition of a one-entry row reads dF/dt^a' itself.
+    Each row is an entry of [L~_beta, L~_gamma], so the P rows pass
+    uncompared when certified() holds and the others when open_certified()
+    does (_open_certified).  The conformal condition is read off the
+    weighted degrees of F^a's terms; a one-entry row reads dF/dt^a'.
     Trivially equal identities are counted as passes.  The Report is
     labelled vector-potential(vector(<label of ext>))."""
     base = ext.base
@@ -347,7 +357,7 @@ def verify_vector_potential(ext: OpenExtension) -> Report:
     m = n + 1
     tab = ext.table
     fo = ext.potential
-    F, raised, closed, paired, q_agree, eq2_hold, o2, q = _open_tables(base, fo)
+    F, raised, closed, certified, open_certified, o2, q = _open_tables(base, fo)
     eta_live = [_live(row) for row in base.eta_inv]
 
     def lowered(a, pick):
@@ -359,13 +369,13 @@ def verify_vector_potential(ext: OpenExtension) -> Report:
                 want = MPoly.constant(tab, 1 if a == b else 0)
                 got = o2(1, b) if a == m else raised[(1, b)][a - 1] if b <= n else want
                 yield got != want and f"unit({a},{b})"
-        closed_held, open_held, eq2_held = paired(), q_agree(), eq2_hold()
+        closed_held, open_held = certified(), open_certified()
         for be in range(1, m + 1):
             for ga in range(be + 1, m + 1):
                 for al in range(1, m + 1):
                     for de in range(1, m + 1):
                         if de == m or (al <= n and (ga == m or closed_held)) or (
-                            al == m and (eq2_held if ga == m else open_held)
+                            al == m and open_held
                         ):
                             yield False  # both sides vanish or are one product, or held
                             continue
@@ -382,7 +392,7 @@ def verify_vector_potential(ext: OpenExtension) -> Report:
         grads = [F.diff(nm) for nm in tab.names[:n]]
         for a in range(1, m + 1):
             comp = lowered(a, lambda a1: grads[a1 - 1])[0] if a <= n else fo
-            yield comp.euler() != comp * rat(1 + tab.weights[a - 1]) and f"conformal({a})"
+            yield not comp.is_homogeneous(1 + tab.weights[a - 1]) and f"conformal({a})"
 
     return tally(f"vector-potential(vector({ext.label}))", outcomes())
 

@@ -5,7 +5,7 @@ Flat coordinates come from closed-form sums over exponent tuples; the
 coordinate change is inverted exactly in one pass of increasing weight.
 Coordinates and potential are formed as ints over one denominator;
 Fractions are made only for weights, delta, the metric (invert_matrix)
-and the factors of verify_homogeneity.
+and the degrees verify_homogeneity compares.
 Every structure is built by one driver (_build) from the fully lowered
 tensor T(a, b, c) = [phi_l] phi_a phi_b phi_c at v = v(t), and two routes
 form T.  Every build, A_n, D_n and each restriction of them (B_n, I2(k),
@@ -26,7 +26,10 @@ for printed potentials.  `pullback` is the one Jacobian contraction
 of a three-index tensor, `partials` the one table of shared partial
 derivatives and `_contractions` the one memo of the bilinear
 contractions the verifiers compare; every module builds its tensors and
-identity sweeps on them.
+identity sweeps on them.  Every WDVV quadruple is an entry of a
+commutator of the multiplications L_b, so one certificate decides them
+all (_certified: every L commutes with L_2, and L_2 is cyclic by one
+Krylov determinant mod a prime); each is compared only when it does not.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from .exactalg import (
     _ImagePowers,
     dot,
     from_third_partials,
-    rat,
     substitute_all,
+    values_mod,
 )
 from .milnor import (
     StructureTensor,
@@ -693,32 +696,72 @@ def _shared(kind: str, key, build):
     return _SLOTS[kind][1]
 
 
-def _pairings_agree(contraction, n: int) -> bool:
-    """Whether each multiset a <= b <= c <= d of 1..n gives one P: ab|cd =
-    ad|bc, and = ac|bd when a < b < c < d.  One with a == c or b == d has
-    one pairing and is skipped, so no P is formed that a sweep would not."""
+# _cyclic evaluates at slot j (1-based) = 7 + 3j modulo this prime, which is
+# 1 mod 4, so i has an image and evaluation is a ring map (values_mod)
+_PRIME = 10**9 + 9
+
+
+def _cyclic(columns, table: VarTable) -> bool:
+    """Whether the matrix A with these columns (MPolys over table) is
+    cyclic: the Krylov determinant det(e1, A e1, ..., A^(m-1) e1) is nonzero
+    at the point mod _PRIME, so nonzero.  False also when undecided."""
+    m = len(columns)
+    point = [7 + 3 * j for j in range(1, table.arity + 1)]
+    flat = values_mod((e for col in columns for e in col), point, _PRIME)
+    if flat is None:
+        return False
+    cols = [flat[c * m : (c + 1) * m] for c in range(m)]
+    rows, v = [], [1] + [0] * (m - 1)
+    for _ in range(m):
+        rows.append(v)
+        v = [sum(x * col[r] for x, col in zip(v, cols)) % _PRIME for r in range(m)]
+    for c in range(m):  # the determinant is nonzero when every column has a pivot
+        pivot = next((r for r in rows if r[c]), None)
+        if pivot is None:
+            return False
+        rows.remove(pivot)
+        f = pow(pivot[c], -1, _PRIME)
+        rows = [[(x - r[c] * f * y) % _PRIME for x, y in zip(r, pivot)] for r in rows]
+    return True
+
+
+def _certified(contraction, raised, eta_inv, table: VarTable) -> bool:
+    """Whether every quadruple of verify_wdvv holds; False also when
+    undecided.  With (L_b)^v_c = c^v_bc, quadruple (al, be, ga, de) is the
+    entry (al, de) of the skew (eta^{-1})^{-1} [L_be, L_ga] when eta^{-1}
+    is symmetric and invertible.  If every L_ga, L_1 included (it is the
+    identity only while the unit rows hold), commutes with a cyclic L_2,
+    each is a polynomial in L_2 (Gantmacher, vol. 1, ch. VIII): all commute."""
+    n = len(eta_inv)
+    if n < 2 or eta_inv != tuple(zip(*eta_inv)):
+        return False
+    try:
+        invert_matrix(eta_inv)
+    except PolyError:
+        return False
     return all(
-        (p := contraction(a, b, c, d)) == contraction(a, d, b, c)
-        and (not a < b < c < d or p == contraction(a, c, b, d))
-        for a, b, c, d in combinations_with_replacement(range(1, n + 1), 4)
-        if a != c and b != d
-    )
+        contraction(al, 2, ga, de) == contraction(de, 2, ga, al)
+        for ga in range(1, n + 1)
+        if ga != 2
+        for al in range(1, n + 1)
+        for de in range(al + 1, n + 1)
+    ) and _cyclic([raised[(c, 2) if c < 2 else (2, c)] for c in range(1, n + 1)], table)
 
 
 def _tables(F: MPoly, eta_inv, table: VarTable) -> tuple:
-    """(F, d3, raised, contraction, paired): F lifted to table, whose first
-    slots are F's, third_derivatives' d3 and raised of it, the P memo on
-    them and its verdict paired() (_pairings_agree, computed on first call).
-    table starts t1..tN, s: verify_wdvv passes _extend's table and the
-    open sweeps that of F°, so consecutive closed and open sweeps of F
-    read one set (_shared's "closed" slot)."""
+    """(F, d3, raised, contraction, certified): F lifted to table, whose
+    first slots are F's, third_derivatives' d3 and raised of it, the P memo
+    on them and the certificate certified() of every quadruple (_certified,
+    on first call).  table starts t1..tN, s: verify_wdvv passes _extend's
+    table and the open sweeps that of F°, so consecutive closed and open
+    sweeps of F read one set (_shared's "closed" slot)."""
 
     def build():
         lifted = F.substitute({}, table)
         d3, rows, raised = third_derivatives(lifted, eta_inv, F.table.names)
         contraction = _wdvv_contractions(rows, raised, table)
-        paired = cache(lambda: _pairings_agree(contraction, F.table.arity))
-        return lifted, d3, raised, contraction, paired
+        certified = cache(lambda: _certified(contraction, raised, eta_inv, table))
+        return lifted, d3, raised, contraction, certified
 
     return _shared("closed", (F, eta_inv, table), build)
 
@@ -732,21 +775,22 @@ def verify_wdvv(fs: FrobeniusStructure) -> Report:
 
     Identity (alpha, beta, gamma, delta) compares P(alpha beta; gamma delta)
     with P(delta beta; gamma alpha), where P(ab; cd) = sum_v c_{abv} c^v_{cd}
-    is formed once (_wdvv_contractions).  Both pair up one multiset, so
-    every quadruple passes uncompared when the verdict paired() holds.  F
-    is lifted to the extended table, where the open sweeps of F read the
-    same tables (_tables); a residual free of s renders the same there.
+    is formed once (_wdvv_contractions).  Every quadruple passes uncompared
+    when the commutation certificate certified() holds (_certified), and is
+    compared and labelled otherwise.  F is lifted to the extended table,
+    where the open sweeps of F read the same tables (_tables); a residual
+    free of s renders the same there.
     """
     n = fs.rank
     tab = _extend(fs.table, fs.delta)
-    _, d3, _, contraction, paired = _tables(fs.potential, fs.eta_inv, tab)
+    _, d3, _, contraction, certified = _tables(fs.potential, fs.eta_inv, tab)
 
     def outcomes():
         for a in range(1, n + 1):
             for b in range(a, n + 1):
                 want = MPoly.constant(tab, fs.eta[a - 1][b - 1])
                 yield d3[(1, a, b)] != want and f"unit({a},{b})"
-        held = paired()
+        held = certified()
         for al in range(1, n + 1):
             for de in range(al + 1, n + 1):
                 for be in range(1, n + 1):
@@ -767,11 +811,8 @@ def verify_homogeneity(fs: FrobeniusStructure) -> Report:
     """Euler(F) = (3 - delta) F, and E t^i = q_i t^i when maps are present."""
 
     def outcomes():
-        F = fs.potential
-        d = 3 - fs.delta
-        yield F.euler() != F * rat(d.numerator, d.denominator) and "potential"
+        yield not fs.potential.is_homogeneous(3 - fs.delta) and "potential"
         for g, t in enumerate(fs.t_of_v or (), start=1):
-            qg = fs.weights[g - 1]
-            yield t.euler() != t * rat(qg.numerator, qg.denominator) and f"t^{g}"
+            yield not t.is_homogeneous(fs.weights[g - 1]) and f"t^{g}"
 
     return tally(f"homogeneity({fs.label})", outcomes())

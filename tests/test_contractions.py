@@ -11,7 +11,6 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,7 @@ import pytest
 from openwdvv import cli, coxeter, milnor, openext, saito
 from openwdvv.cli import _tag
 from openwdvv.coxeter import _open_ansatz, coxeter_structure, open_family
-from openwdvv.exactalg import GaussianRational, MPoly, VarTable, dot, rat
+from openwdvv.exactalg import GaussianRational, MPoly, VarTable, dot, parse, rat
 from openwdvv.openext import (
     OpenExtension,
     extended_table,
@@ -305,26 +304,36 @@ class TestSameReports:
             assert not rep.ok and rep == reference_vector(bad.vector_potential(), "vector(D4')")
 
 
-# ---------- verdicts: one comparison per index multiset ----------
+# ---------- the commutation certificate ----------
 
 
-def without_verdicts(monkeypatch, runs) -> list:
+def without_certificate(monkeypatch, runs) -> list:
     """The Reports of runs [(verify, arg)], asserted equal to the Reports
-    the same runs give when every verdict of the kept tables fails, so that
-    each sweep compares and labels every identity; each forced run starts
-    with no kept tables, so no verdict computed before is read."""
+    the same runs give when the closed and the open certificate never
+    decide, so that each sweep compares and labels every identity; each
+    forced run starts with no kept tables, so no verdict computed before
+    is read."""
     got = [verify(arg) for verify, arg in runs]
-    monkeypatch.setattr(saito, "_pairings_agree", lambda *args: False)
-    monkeypatch.setattr(openext, "_q_agree", lambda *args: False)
-    monkeypatch.setattr(openext, "_eq2_hold", lambda *args: False)
+    monkeypatch.setattr(saito, "_certified", lambda *args: False)
+    monkeypatch.setattr(openext, "_open_certified", lambda *args: False)
     forced = []
     for verify, arg in runs:
         saito._SLOTS.clear()
         forced.append(verify(arg))
     monkeypatch.undo()
-    saito._SLOTS.clear()  # no failed verdict outlives the forced runs
+    saito._SLOTS.clear()  # no undecided verdict outlives the forced runs
     assert got == forced
     return got
+
+
+def closed_certified(fs) -> bool:
+    """Whether the closed certificate decides verify_wdvv(fs)."""
+    return saito._tables(fs.potential, fs.eta_inv, extended_table(fs))[4]()
+
+
+def open_certified(ext) -> bool:
+    """Whether the open certificate decides the open sweeps of ext."""
+    return openext._open_tables(ext.base, ext.potential)[4]()
 
 
 WDVV_TAGS = (
@@ -332,17 +341,30 @@ WDVV_TAGS = (
     + [f"B{n}" for n in range(2, 6)] + [f"I2({k})" for k in range(3, 9)] + ["F4", "H3", "H4"]
 )
 
+# (family, n, branch) of the open families the `session` benchmark serves,
+# each at every lambda it draws
+SESSION_MEMBERS = (
+    [("A", n, "plus") for n in range(3, 8)]
+    + [("D", n, "plus") for n in range(4, 8)]
+    + [("I2", k, b) for k in range(3, 11) for b in ("plus", "minus")[: 2 - k % 2]]
+)
+SESSION_LAMBDAS = (1, 2, Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2))
+
 
 class TestVerdicts:
+    """The verdicts of the kept tables are the commutation certificates
+    (saito._certified, openext._open_certified)."""
+
     @pytest.mark.parametrize("tag", WDVV_TAGS)
     def test_wdvv(self, monkeypatch, tag):
         fs = coxeter_structure(tag)
         bad = replace(fs, potential=bumped(fs.potential))
         runs = [(verify_wdvv, fs)] + [(verify_wdvv, bad)] * (fs.rank > 1)
-        reps = without_verdicts(monkeypatch, runs)
-        # the verdict decides the untampered sweep; every rank-2 potential
-        # is associative, so a bumped one passes too
-        assert saito._tables(fs.potential, fs.eta_inv, extended_table(fs))[4]()
+        reps = without_certificate(monkeypatch, runs)
+        # the certificate decides the untampered sweep from rank 2 on (A1
+        # has no index 2); every rank-2 potential is associative, so a
+        # bumped one passes too
+        assert closed_certified(fs) == (fs.rank > 1)
         assert reps[0].ok and all(r.ok == (fs.rank <= 2) for r in reps[1:])
 
     @pytest.mark.parametrize(
@@ -354,50 +376,12 @@ class TestVerdicts:
             cli._open_ext_for(family, n, GaussianRational(lam), branch)
             for lam in (1, 2, Fraction(-1, 3))
         ]
+        assert all(open_certified(e) == (n > 1) for e in exts)
         bad = tampered(exts[0])
-        reps = without_verdicts(monkeypatch, [(v, e) for e in exts + list(bad) for v in sweeps])
+        reps = without_certificate(monkeypatch, [(v, e) for e in exts + list(bad) for v in sweeps])
         assert all(r.ok for r in reps[:6])
         # A1's bumped F° only moves the s^3 coefficient, which stays a solution
         assert all(r.ok == (_tag(family, n) == "A1") for r in reps[6:])
-
-    def test_each_distinct_contraction_is_compared(self):
-        # fake contractions that are one constant but on one pairing of one
-        # multiset: a verdict fails exactly when that multiset has another
-        # pairing, and reads no contraction of a one-pairing multiset
-        n = 4
-        tab = VarTable(("t1",))
-        one, two = MPoly.constant(tab, 1), MPoly.constant(tab, 2)
-
-        def pair(a, b):
-            return (a, b) if a <= b else (b, a)
-
-        def p_key(a, b, c, d):
-            return tuple(sorted((pair(a, b), pair(c, d))))
-
-        def q_key(a, b, g):
-            return pair(a, b), g
-
-        for key, verdict, size in (
-            (p_key, saito._pairings_agree, 4),
-            (q_key, openext._q_agree, 3),
-        ):
-            for ix in product(range(1, n + 1), repeat=size):
-                read = []
-
-                def fake(*args, odd=key(*ix)):
-                    read.append(sorted(args))
-                    return two if key(*args) == odd else one
-
-                distinct = {key(*p) for p in permutations(ix)}
-                assert verdict(fake, n) == (len(distinct) == 1), ix
-                assert all(len({key(*p) for p in permutations(r)}) > 1 for r in read)
-        # eq2(a, b): Q(ab; s) against o2(s, a) o2(s, b), here 1 = 1 * 1
-        for bad in ((1, 2), (3, 3), None):
-
-            def q(a, b, g, bad=bad):
-                return two if (a, b) == bad else one
-
-            assert openext._eq2_hold(q, lambda a, b: one, n) == (bad is None)
 
     def test_general_metric_row_and_an_ansatz(self, monkeypatch):
         # the mixed D4 (eta^{-1} with a two-entry row, so the vector sweep's
@@ -413,9 +397,136 @@ class TestVerdicts:
         fs = coxeter_structure("H3")
         fo = _open_ansatz(fs)
         runs.append((verify_open_wdvv, OpenExtension(fs, fo.table, fo)))
-        reps = without_verdicts(monkeypatch, runs)
+        reps = without_certificate(monkeypatch, runs)
         # wdvv: the bumped F° leaves the closed potential as it is
         assert [r.ok for r in reps] == [True, True] + [False] * 6 + [True, False, False, True, False]
+        assert open_certified(ext) and closed_certified(base)
+
+    def test_decides_verify_all_rank8(self, monkeypatch):
+        # a silent fallback to the sweeps would cost the whole gain: every
+        # closed and open family of `verify all --max-rank 8` is decided by
+        # the certificate, A1 (no index 2) alone excepted
+        calls = []
+
+        def recorded(module, name, rank):
+            fn = getattr(module, name)
+
+            def verdict(*args):
+                calls.append((name, rank(args), fn(*args)))
+                return calls[-1][-1]
+
+            monkeypatch.setattr(module, name, verdict)
+
+        recorded(saito, "_certified", lambda args: len(args[2]))
+        recorded(openext, "_open_certified", lambda args: args[0])
+        saito._SLOTS.clear()
+        cli._verify_all(8)
+        monkeypatch.undo()
+        saito._SLOTS.clear()
+        # one closed verdict per group (8 A, 6 D, 7 B, 6 I2, F4, H3, H4) and
+        # one open verdict per open family (the I2 minus branches too)
+        assert sum(name == "_certified" for name, *_ in calls) == 30
+        assert sum(name == "_open_certified" for name, *_ in calls) == 30
+        assert [c for c in calls if not c[2]] == [("_certified", 1, False), ("_open_certified", 1, False)]
+
+    def test_decides_the_session_members(self):
+        # every lambda member and both I2 branches the session serves
+        for family, n, branch in SESSION_MEMBERS:
+            for lam in SESSION_LAMBDAS:
+                ext = cli._open_ext_for(family, n, GaussianRational(lam), branch)
+                assert open_certified(ext) and closed_certified(ext.base), (family, n, branch, lam)
+
+    def test_metric_not_symmetric_or_singular(self, monkeypatch):
+        # the certificate lowers by (eta^{-1})^{-1}: with eta^{-1} not
+        # symmetric, or singular, it does not decide, and the sweeps give
+        # the Reports they give with the certificate forced off
+        fs, ext = coxeter_structure("A4"), open_potential_A(4)
+        skew = [list(row) for row in fs.eta_inv]
+        skew[0][1] = GaussianRational(1)
+        singular = [list(row) for row in fs.eta_inv]
+        singular[0][3] = singular[3][0] = GaussianRational(0)
+        runs = []
+        for inv in (skew, singular):
+            bad = replace(fs, eta_inv=tuple(map(tuple, inv)))
+            bad_ext = replace(ext, base=bad)
+            assert not closed_certified(bad) and not open_certified(bad_ext)
+            runs += [(verify_wdvv, bad), (verify_open_wdvv, bad_ext), (verify_vector_potential, bad_ext)]
+        reps = without_certificate(monkeypatch, runs)
+        assert not any(r.ok for r in reps)
+
+    def test_not_cyclic_at_the_point(self, monkeypatch):
+        # F = (u1^3 + u2^3 + u3^3)/6 with u = (t1 + t2 + t3, t1 + t2, t1):
+        # the constant algebra C^3, where L_2 has eigenvalues 1, 1, 0 and is
+        # cyclic nowhere, though every L commutes; the sweep proves it
+        tab = VarTable(("t1", "t2", "t3"), (1, 1, 1))
+        t1, t2, t3 = (MPoly.variable(tab, nm) for nm in tab.names)
+        fs = saito.from_potential("C3", ((t1 + t2 + t3) ** 3 + (t1 + t2) ** 3 + t1**3) / 6)
+        assert not closed_certified(fs)
+        monkeypatch.setattr(saito, "_cyclic", lambda *args: True)
+        saito._SLOTS.clear()
+        assert closed_certified(fs)  # only cyclicity is missing
+        monkeypatch.undo()
+        saito._SLOTS.clear()
+        (rep,) = without_certificate(monkeypatch, [(verify_wdvv, fs)])
+        assert rep.ok and rep == reference_wdvv(fs)
+        # open families whose Krylov determinant an evaluation patched to
+        # zero makes vanish: the sweeps run and give the same Reports
+        exts = [open_potential_A(4), open_potential_D(5), open_family("B3").extension(),
+                open_family("I2(6)").extension(2, "minus")]
+        runs = [
+            run for e in exts
+            for run in ((verify_wdvv, e.base), (verify_open_wdvv, e), (verify_vector_potential, e))
+        ]
+        got = [verify(arg) for verify, arg in runs]
+        monkeypatch.setattr(saito, "values_mod", lambda polys, point, prime: [0] * len(list(polys)))
+        saito._SLOTS.clear()
+        assert not any(closed_certified(e.base) or open_certified(e) for e in exts)
+        assert [verify(arg) for verify, arg in runs] == got
+        monkeypatch.undo()
+        saito._SLOTS.clear()
+        assert all(r.ok for r in got)
+
+    def test_metric_guards(self):
+        # every contraction equal and L_2 a nilpotent shift (cyclic): only
+        # the symmetry and invertibility of eta^{-1} keep the certificate
+        # from a verdict
+        tab = VarTable(("t1", "t2", "t3", "s"), (1, 1, 1, 1), "s")
+        one, zero = MPoly.constant(tab, 1), MPoly.zero(tab)
+        raised = {(1, 2): [zero, one, zero], (2, 2): [zero, zero, one], (2, 3): [zero] * 3}
+        g0, g1 = GaussianRational(0), GaussianRational(1)
+        eye = ((g1, g0, g0), (g0, g1, g0), (g0, g0, g1))
+        skew = ((g1, g1, g0), (g0, g1, g0), (g0, g0, g1))
+        singular = ((g1, g0, g0), (g0, g1, g0), (g0, g0, g0))
+        assert saito._certified(lambda *idx: one, raised, eye, tab)
+        assert not saito._certified(lambda *idx: one, raised, skew, tab)
+        assert not saito._certified(lambda *idx: one, raised, singular, tab)
+
+    def test_open_krylov_is_on_the_extended_space(self, monkeypatch):
+        # the open certificate's matrix is L~_2 on t1..tN, s: the columns of
+        # L_2 over o2(2, c), then the s column (0, ..., 0, o2(2, s))
+        seen = []
+        monkeypatch.setattr(openext, "_cyclic", lambda cols, tab: seen.append(cols) or True)
+        ext = open_potential_D(4)
+        saito._SLOTS.clear()
+        assert open_certified(ext)
+        F, raised, *_, o2, _ = openext._open_tables(ext.base, ext.potential)
+        zero = MPoly.zero(ext.table)
+        want = [raised[(1, 2)] + [o2(2, 1)]] + [raised[(2, c)] + [o2(2, c)] for c in range(2, 5)]
+        assert seen == [want + [[zero] * 4 + [o2(2, 5)]]]
+        monkeypatch.undo()
+        saito._SLOTS.clear()
+
+    @pytest.mark.parametrize("tag, extra", [("I2(4)", "t1*t2^3"), ("I2(6)", "t1*t2^4")])
+    def test_broken_through_index_1(self, monkeypatch, tag, extra):
+        # t1*t2^k breaks the unit row (2,2) and the one quadruple (1,1,2,2),
+        # which only [L_2, L_1] sees: the certificate does not decide, and
+        # the sweep reports the quadruple
+        fs = coxeter_structure(tag)
+        bad = replace(fs, potential=fs.potential + parse(extra, fs.table))
+        assert not closed_certified(bad)
+        (rep,) = without_certificate(monkeypatch, [(verify_wdvv, bad)])
+        assert rep == reference_wdvv(bad)
+        assert [f.split(":")[0] for f in rep.failures] == ["unit(2,2)", "(1,1,2,2)"]
 
 
 # ---------- dot counts ----------
@@ -424,8 +535,10 @@ class TestVerdicts:
 def count_dots(monkeypatch, fn, *args):
     """The dot calls of fn(*args) through every library module's binding
     of exactalg.dot (coxeter has none since lambda_rescale scales in the
-    kernel); the MPoly operators' own calls are not counted."""
+    kernel), with no tables kept from before; the MPoly operators' own
+    calls are not counted."""
     calls = []
+    saito._SLOTS.clear()
 
     def counted(pairs, table):
         calls.append(None)
@@ -446,11 +559,14 @@ class TestDotCounts:
         pairs = n * (n + 1) // 2
         # eta^-1 of A6 is a permutation, so third_derivatives raises by
         # re-keying and takes no dot; then at most one dot per unordered
-        # pair of index pairs
+        # pair of index pairs.  195 while the multiset verdicts paired up
+        # every multiset: the certificate compares only the quadruples with
+        # beta = 2, (alpha, 2, gamma, delta) for gamma != 2 and alpha < delta
+        # (5 * 15 = 75 identities), which take 100 distinct P
         bound = pairs * (pairs + 1) // 2
         got = count_dots(monkeypatch, verify_wdvv, fs)
         assert got <= bound
-        assert got == 195
+        assert got == 100
 
     def test_vector_a6(self, monkeypatch):
         ext = open_potential_A(6)
@@ -459,19 +575,23 @@ class TestDotCounts:
         # at most one dot per distinct P(ab; cd) and per distinct Q(ab; g);
         # eta^-1 of A6 is a permutation, so neither the raising nor a row
         # of L takes a dot of its own.  366 while the sweep compared every
-        # row: the n(n - 1) = 30 rows of a multiset {x, x, x, y} have one
-        # pairing P(xx; xy), which the verdicts never form, so the P of
-        # verify_wdvv (195) and the Q of verify_open_wdvv (141) are left
+        # row, 336 = 195 + 141 under the multiset verdicts; the certificates
+        # form the P of the closed one (100, as verify_wdvv) and the Q of
+        # [L~_2, L~_g]: 20 Q(gd; 2), 30 Q(2d; g) for g != 2 and 6 Q(2d; s)
         bound = pairs * (pairs + 1) // 2 + pairs * (n + 1)
         got = count_dots(monkeypatch, verify_vector_potential, ext)
         assert got <= bound
-        assert got == 195 + 141
+        assert got == 100 + 56
 
     def test_open_wdvv(self, monkeypatch):
-        # one dot per distinct Q(ab; g); the raising re-keys (signed
-        # permutations) and takes none
-        assert count_dots(monkeypatch, verify_open_wdvv, open_potential_A(6)) == 141
-        assert count_dots(monkeypatch, verify_open_wdvv, open_potential_D(5)) == 85
+        # one dot per distinct P and Q the certificates compare; the raising
+        # re-keys (signed permutations) and takes none.  141 and 85 under the
+        # multiset verdicts, which formed Q only: the open certificate needs
+        # the closed one, so on cold tables it forms its P as well (A6 100 +
+        # 56, D5 56 + 39).  In `verify all` and in a session the wdvv part
+        # runs first on the same kept tables, and those P are there already
+        assert count_dots(monkeypatch, verify_open_wdvv, open_potential_A(6)) == 100 + 56
+        assert count_dots(monkeypatch, verify_open_wdvv, open_potential_D(5)) == 56 + 39
 
     def test_extension_a6(self, monkeypatch):
         open_potential_A(6)
@@ -527,18 +647,25 @@ class TestDotCounts:
         # neither the n(n - 1) P(xx; xy) of one-pairing multisets nor the
         # n^2 products o2(s, a) o2(s, b) of their eq2 rows, which the
         # open-wdvv verdict formed once per unordered pair (37), and the 17
-        # lambda_rescale calls at lambda = 1 take no dot (17)
+        # lambda_rescale calls at lambda = 1 take no dot (17).  1994 before
+        # the commutation certificate: 1911 with it (83 fewer; B2, B3 and
+        # the I2 groups also read their wdvv part's tables), and the 66
+        # products p * degree that the Euler identities took are gone, now
+        # that homogeneity is read off the weighted degrees of the keys (38
+        # in open_extension, 15 homogeneity and 13 conformal rows)
         (got,) = cold(["verify", "all", "--max-rank", "3"])["requests"]
-        assert got["dot"] == 1994
+        assert got["dot"] == 1994 - 83 - 66
 
     def test_verify_all_third_derivatives_rank6(self):
         # one build per A/D potential: 77 before the A/D groups shared their
         # tables, four for each of the ten A/D potentials up to rank 6 and
         # one for every other wdvv and open-wdvv part: 47.  Kept tables
         # save the three minus branches of I2(4), I2(6) and I2(8), whose
-        # open-wdvv part follows the plus branch's on the same F
+        # open-wdvv part follows the plus branch's on the same F, and B2-B6
+        # and the plus branches of I2(3)-I2(8), whose open-wdvv part now runs
+        # right after the wdvv part of its group
         (got,) = cold(["verify", "all", "--max-rank", "6"])["requests"]
-        assert got["third"] == 47 - 3
+        assert got["third"] == 47 - 3 - 5 - 6
 
 
 # ---------- the last closed and open tables, kept across calls ----------
@@ -638,21 +765,22 @@ class TestSharedTables:
 
     def test_reused_by_the_next_request(self):
         # after `verify wdvv A 3` the vector sweep reads the P that
-        # verify_wdvv formed and forms only the rest.  52 and 40 dots
-        # before the verdicts: the 6 P(xx; xy) of one-pairing multisets and
-        # 3 of the 9 eq2 products (one per unordered pair is left) are gone
+        # verify_wdvv formed and forms only the rest: the 14 Q of the open
+        # certificate and its 3 eq2 products o2(s, 2) o2(s, d); alone, also
+        # the 10 P of the closed one.  52 and 40 dots before the multiset
+        # verdicts, 43 and 31 under them; the certificates form fewer Q, and
+        # the 4 conformal rows no longer take a product each
         fresh = cold(["verify", "vector", "A", "3"])
         after = cold(["verify", "wdvv", "A", "3"], ["verify", "vector", "A", "3"])
-        assert fresh["vector_dots"] == [52 - 9]
-        assert after["vector_dots"] == [40 - 9]
+        assert fresh["vector_dots"] == [10 + 14 + 3]
+        assert after["vector_dots"] == [14 + 3]
         assert after["requests"][1]["third"] == 0
-        # and it compares no P pair: its comparisons are the 16 unit and 4
-        # conformal rows, the Q verdict's 8 (seven 3-multisets with a < c,
-        # and Q(13; 2) for {1, 2, 3}) and the eq2 verdict's 6; alone, it
-        # also takes the P verdict's 6 (the six 4-multisets of 1..3 with
-        # a < c and b < d, none with four distinct indices)
-        assert after["vector_eqs"] == [16 + 4 + 8 + 6]
-        assert fresh["vector_eqs"] == [16 + 4 + 8 + 6 + 6]
+        # and it compares no P pair: its comparisons are the 16 unit rows,
+        # the open certificate's 6 Q(g d; 2) = Q(2 d; g) and 3 eq2(2, d);
+        # alone, it also takes the closed certificate's 6 P pairs (gamma in
+        # {1, 3}, alpha < delta).  The conformal rows compare no polynomial
+        assert after["vector_eqs"] == [16 + 6 + 3]
+        assert fresh["vector_eqs"] == [16 + 6 + 3 + 6]
 
     @pytest.mark.parametrize("family", ["A", "D"])
     def test_no_stale_tables(self, family):

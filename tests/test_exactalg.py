@@ -688,3 +688,93 @@ class TestAgainstSympy:
         x, y, usym = sympy.symbols("x y u")
         want = sympy.expand((x ** 2 * y - 3 * y ** 2 + 1).subs({x: usym + 1, y: 2 * usym}))
         assert _to_sympy(got, (usym,)) == want
+
+
+class TestHomogeneity:
+    @given(st.data())
+    def test_is_the_euler_identity(self, data):
+        # E(p) = d * p exactly when every term of p has weighted degree d,
+        # read off the keys; MPoly.euler is the oracle, zero included
+        p = data.draw(st.one_of(
+            polys(), polys(max_terms=1), polys(LTAB, min_exp=-2, max_exp=3), laurent_polys()
+        ))
+        tab = p.table
+        degrees = [sum(w * e for w, e in zip(tab.weights, exp)) for exp in p.terms]
+        d = data.draw(st.sampled_from(degrees) | small_fractions() if degrees else small_fractions())
+        assert p.is_homogeneous(d) == (p.euler() == p * rat(d))
+        for zero in (MPoly.zero(WTAB), MPoly.zero(LTAB)):
+            assert zero.is_homogeneous(d) and zero.euler() == zero * rat(d)
+
+    def test_forms_no_polynomial(self, monkeypatch):
+        p, q = parse("x^2*y + x*y^3 + 7", WTAB), parse("x^2*y^2 + y^6", WTAB)
+        monkeypatch.setattr(exactalg, "dot", None)
+        monkeypatch.setattr(MPoly, "_new", None)
+        assert not p.is_homogeneous(rat(5, 2)) and q.is_homogeneous(3)
+
+    def test_needs_weights(self):
+        with pytest.raises(PolyError):
+            MPoly.variable(VarTable(("x",)), "x").is_homogeneous(1)
+
+
+P = 10**9 + 9
+I = pow(11, P // 4, P)  # the root of -1 values_mod takes: 2..10 are squares mod P
+
+
+def _reduced(c: GaussianRational, i: int):
+    """c mod P with i for the imaginary unit, or None when P divides a
+    denominator."""
+    if c.re.denominator % P == 0 or c.im.denominator % P == 0:
+        return None
+    return (c.re.numerator * pow(c.re.denominator, -1, P)
+            + i * c.im.numerator * pow(c.im.denominator, -1, P)) % P
+
+
+def _p_denominators():
+    """Gaussian coefficients whose denominators P divides now and then."""
+    return st.builds(
+        lambda a, b, q: GaussianRational(Fraction(a, q), Fraction(b, q)),
+        st.integers(-9, 9), st.integers(-9, 9), st.sampled_from([1, 2, 6, P, 3 * P]),
+    )
+
+
+class TestValuesMod:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.one_of(laurent_polys(), polys(LTAB, -2, 3, 3, _p_denominators())),
+                 max_size=4),
+        st.tuples(st.integers(-30, 30) | st.just(P), st.integers(-30, 30).filter(bool) | st.just(P)),
+    )
+    @example([parse("x^2 + 3*s^-1", LTAB)], (5, P))  # a pole at a point 0 mod P
+    def test_is_exact_evaluation_reduced(self, ps, point):
+        # a ring map from Q(i)[x, s, 1/s] to Z/P with i a root of -1: the
+        # exact value reduced mod P, or None (undecided) when the map is
+        # not defined on some poly, never a wrong value
+        i = I
+        got = exactalg.values_mod(ps, point, P)
+        want = []
+        for p in ps:
+            coeffs = [_reduced(c, i) for c in p.terms.values()]
+            pole = any(exp[1] < 0 for exp in p.terms) and point[1] % P == 0
+            if None in coeffs or pole:
+                assert got is None
+                return
+            value = sum(
+                (c * Fraction(point[0]) ** e0 * Fraction(point[1]) ** e1
+                 for (e0, e1), c in p.terms.items()),
+                GaussianRational(0),
+            )
+            want.append(_reduced(value, i))
+        assert got == want
+
+    def test_refuses_a_prime_without_a_root_of_minus_one(self):
+        with pytest.raises(PolyError):
+            exactalg.values_mod([MPoly.variable(LTAB, "x")], (1, 1), 7)
+
+    def test_hand_case(self):
+        assert I * I % P == P - 1
+        p = parse("x^3*s^-1 + i*x^3 + 2", LTAB)
+        assert exactalg.values_mod([p, p * p, MPoly.zero(LTAB)], (2, 3), P) == [
+            (8 * pow(3, -1, P) + 8 * I + 2) % P,
+            (8 * pow(3, -1, P) + 8 * I + 2) ** 2 % P,
+            0,
+        ]
