@@ -42,8 +42,8 @@ import argparse
 import json
 import re
 import sys
+from collections.abc import Callable
 from functools import lru_cache
-from typing import Callable, NamedTuple
 
 from .coxeter import (
     boundary_power,
@@ -58,7 +58,7 @@ from .coxeter import (
     printed_open_potential,
     printed_potential,
 )
-from .exactalg import GaussianRational, MPoly, ParseError, PolyError, rat
+from .exactalg import GaussianRational, MPoly, ParseError, PolyError, Record, rat
 from .openext import (
     check_coefw_lemma,
     check_dn_second_derivative_identity,
@@ -297,7 +297,7 @@ def _obstruction(family, n, lam, branch) -> Report:
     return obstruction_check(_tag(family, n))
 
 
-class _Identity(NamedTuple):
+class _Identity(Record):
     build: Callable  # (family, n, lam, branch) -> Report
     families: tuple | None = None  # None: the library refuses what it lacks
     refusal: str = ""  # the error for a family outside families

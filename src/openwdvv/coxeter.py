@@ -23,16 +23,15 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from itertools import combinations_with_replacement
 
 from .exactalg import (
     GaussianRational,
     MPoly,
     PolyError,
+    Record,
     VarTable,
     parse,
     rat,
@@ -80,8 +79,7 @@ _E_DEGREES = {
 }
 
 
-@dataclass(frozen=True)
-class CoxeterSpec:
+class CoxeterSpec(Record):
     """Invariant-degree data of a finite irreducible Coxeter group.
 
     degrees lists d_1..d_N in the coordinate order of the potential, so
@@ -145,6 +143,8 @@ def _spec(group) -> CoxeterSpec:
 
 
 def _fixture_text(name: str) -> str:
+    from importlib import resources  # only the printed potentials read it
+
     return (
         resources.files(__package__).joinpath("fixtures", name).read_text().strip()
     )
@@ -248,8 +248,7 @@ def potential_coxeter(group) -> MPoly:
 # ---------- open solution families ----------
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
+class SolutionFamily(Record):
     """An open WDVV solution family of one group: lambda runs over the
     domain, and for even I2(k) a sign branch doubles the family.  Only for
     I2(k) is it proved to hold every solution (classify_I2)."""

@@ -32,6 +32,10 @@ MPoly(table, terms), scalar operands, table weights and degrees, the
 read-only terms view (exponent tuple -> GaussianRational), the coefficient
 queries, and the text and JSON forms.
 
+Record is the base of the library's immutable records (VarTable, Report
+and the structures of the other modules), and replace derives a variant
+of one through its constructor.
+
 Canonical order is graded lexicographic: terms sort by total degree, then
 by exponent tuple.  The text form and the JSON form both list terms in this
 order, so serialization is deterministic and round-trips exactly.
@@ -42,15 +46,15 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import or_
+from operator import attrgetter, or_
 from types import MappingProxyType
-from typing import Union
 
 __all__ = [
     "rat",
+    "Record",
+    "replace",
     "GaussianRational",
     "VarTable",
     "MPoly",
@@ -65,7 +69,7 @@ __all__ = [
     "ParseError",
 ]
 
-RatLike = Union[int, str, Fraction]
+RatLike = int | str | Fraction
 
 
 class PolyError(ValueError):
@@ -245,6 +249,60 @@ def _sqrt_rat(x: Fraction) -> Fraction:
     return Fraction(rp, rq)
 
 
+class Record:
+    """Base of the immutable records (VarTable, Report, the structures).
+
+    The annotated names of a subclass are its fields, in order, and a class
+    attribute of the same name is a field's default.  Each subclass gets
+    its own __init__ by position or keyword, which then calls
+    __post_init__ when the class defines one (to check the fields and set
+    derived attributes with object.__setattr__).  Records are equal, and
+    hash alike, by their field tuple, and only to a record of the same
+    class; assigning or deleting an attribute raises AttributeError."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = fields
+        cls._values = attrgetter(*fields)
+        params = ", ".join(f"{f}=_cls.{f}" if hasattr(cls, f) else f for f in fields)
+        body = "".join(f"\n    _set(self, {f!r}, {f})" for f in fields)
+        if hasattr(cls, "__post_init__"):
+            body += "\n    self.__post_init__()"
+        scope = {"_cls": cls, "_set": object.__setattr__}
+        exec(f"def __init__(self, {params}):{body}", scope)
+        cls.__init__ = scope["__init__"]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+def replace(record: Record, **changes) -> Record:
+    """A new record of record's class with the given fields changed, built
+    through its __init__, so validation runs again; TypeError for a name
+    that is not a field."""
+    fields = {f: getattr(record, f) for f in record._fields}
+    return type(record)(**(fields | changes))
+
+
 Exponent = tuple  # tuple[int, ...], one slot per VarTable entry
 
 # Packed exponents: one _WIDTH-bit field per slot; the top bit of each field
@@ -255,8 +313,7 @@ _TOP = 1 << (_WIDTH - 1)
 _BIAS = 1 << (_WIDTH - 2)
 
 
-@dataclass(frozen=True)
-class VarTable:
+class VarTable(Record):
     """Ordered variable names with optional weights and one optional Laurent slot.
 
     weights, when present, give the quasi-homogeneous weight of each

@@ -27,12 +27,11 @@ check, reduces every basis triple product both ways.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import ge, mul
 
-from .exactalg import MPoly, PolyError, VarTable, dot, substitute_all
+from .exactalg import MPoly, PolyError, Record, VarTable, dot, substitute_all
 from .report import Report, tally
 
 __all__ = [
@@ -57,8 +56,7 @@ _E_BASIS = {
 }
 
 
-@dataclass(frozen=True)
-class Unfolding:
+class Unfolding(Record):
     """A versal deformation L(x, y, v_1..v_N) with its quasi-homogeneous data.
 
     l is the distinguished basis index: the Saito pairing of two basis
@@ -247,8 +245,7 @@ class QuotientAlgebra:
         return self.normal_form(self.phi(j) * self.phi(k))
 
 
-@dataclass(frozen=True)
-class StructureTensor:
+class StructureTensor(Record):
     """Structure constants c[a][i][j] over the algebra table, with the
     generator slots zero; the metric row is c[l]: eta(d/dv_i, d/dv_j) =
     c^l_{ij}."""

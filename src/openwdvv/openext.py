@@ -28,7 +28,6 @@ verifier yields one outcome per identity and report.tally counts them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import chain, combinations_with_replacement, repeat
 
@@ -36,6 +35,7 @@ from .exactalg import (
     GaussianRational,
     MPoly,
     PolyError,
+    Record,
     VarTable,
     dot,
     rat,
@@ -86,8 +86,7 @@ def extended_table(fs: FrobeniusStructure) -> VarTable:
     return _extend(fs.table, fs.delta)
 
 
-@dataclass(frozen=True)
-class OpenExtension:
+class OpenExtension(Record):
     """A closed Frobenius structure with a solution F° of its open WDVV
     system; unit and homogeneity conditions hold by construction."""
 
@@ -443,8 +442,7 @@ def verify_extension_theorems(family: str, n: int) -> Report:
     return tally(f"extension({family}{n})", outcomes())
 
 
-@dataclass(frozen=True)
-class OmegaSequence:
+class OmegaSequence(Record):
     """omega_0..omega_kmax over v_1..v_{n-1}, the w-coefficient generating
     polynomials of the extended D algebra in the shifted variables
     sbar_i = (1 - i) v_i."""
@@ -454,28 +452,33 @@ class OmegaSequence:
     omegas: tuple
 
 
+def _omegas(table: VarTable, n: int, kmax: int) -> list:
+    """The closed multinomial form of omega_0..omega_kmax over table, which
+    holds v_1..v_{n-1} with their D_n weights: omega_k sums over the
+    monomials of weighted degree k/(n - 1)."""
+    names = table.names[: n - 1]
+    bases = [1 - i for i in range(1, n)]
+    return [
+        MPoly._from_ratios(table, {
+            key: (math.factorial(m) * p // q, 1)
+            for key, m, p, q in table.weighted_keys(names, rat(k, n - 1), bases)
+        })
+        for k in range(kmax + 1)
+    ]
+
+
 def omega_sequence(n: int, kmax: int) -> OmegaSequence:
     """Closed multinomial form of every omega_k (weighted degree k/(n - 1))
     up to kmax, cross-checked by the recursion omega_{k+1} = sum_i sbar_{n-i} omega_{k+1-i}."""
     u = build_unfolding("D", n)
     vtab = VarTable(u.table.names[2 : n + 1], u.table.weights[2 : n + 1])
-    bases = [1 - i for i in range(1, n)]
-    closed = [
-        MPoly._from_ratios(vtab, {
-            key: (math.factorial(m) * p // q, 1)
-            for key, m, p, q in vtab.weighted_keys(vtab.names, rat(k, n - 1), bases)
-        })
-        for k in range(kmax + 1)
-    ]
+    closed = _omegas(vtab, n, kmax)
     sbar = [
         (1 - i) * MPoly.variable(vtab, f"v{i}") for i in range(1, n)
     ]
     for k in range(kmax):
-        rec = MPoly.zero(vtab)
-        for i in range(1, n):
-            if k + 1 - i >= 0:
-                rec = rec + sbar[n - i - 1] * closed[k + 1 - i]
-        if rec != closed[k + 1]:
+        pairs = [(sbar[n - i - 1], closed[k + 1 - i]) for i in range(1, min(n, k + 2))]
+        if dot(pairs, vtab) != closed[k + 1]:
             raise PolyError(f"omega recursion fails at k={k + 1} for D{n}")
     return OmegaSequence(n, vtab, tuple(closed))
 
@@ -486,18 +489,16 @@ def check_coefw_lemma(n: int) -> bool:
     u = build_unfolding("D", n)
     ctab = _extend(parameter_table(u), u.delta)  # v1..vN, s = v_{N+1}
     coef = extended_constants(u, {}, ctab)
-    omegas = omega_sequence(n, max(n - 3, 0)).omegas
-    lifted = [w.substitute({}, ctab) for w in omegas]
-    s = MPoly.variable(ctab, "s")
+    omegas = _omegas(ctab, n, max(n - 3, 0))
     zero = MPoly.zero(ctab)
     for p in range(2, 2 * n - 1):
         i = max(1, p - n + 1)  # x^(p-2) = phi_i phi_(p-i), both x-monomials
         got = coef.get((n + 1, i, p - i), zero)
-        want = zero
-        for k in range(p - n):
-            want = want + lifted[k] * s ** (2 * p - 2 * n - 1 - 2 * k) / 2 ** (
-                p - n - k
-            )
+        # sum_k omega_k s^(2j-1) / 2^j with j = p - n - k, one monomial per j
+        want = dot([
+            (omegas[p - n - j], MPoly.monomial(ctab, rat(1, 2**j), {"s": 2 * j - 1}))
+            for j in range(p - n, 0, -1)
+        ], ctab)
         if got != want:
             return False
     return True
@@ -512,9 +513,12 @@ def check_dn_second_derivative_identity(n: int) -> bool:
     vn = vtab.names
     # -sbar_i = (i - 1) v_i, the weights of the tail
     neg_sbar = [(i - 1) * MPoly.variable(vtab, f"v{i}") for i in range(1, n)]
+    zero = MPoly.zero(vtab)
     for g in range(1, n):
         t = base.t_of_v[g - 1]
         d2 = partials(t, vn[: n - 1], 2)
+        # the right side of every (a, b) with a + b - n = c >= 1
+        rhs = [zero] + [t.diff(vn[c - 1]) * rat(-(2 * c - 1), 2) for c in range(1, n - 1)]
         for a in range(1, n):
             for b in range(1, n):
                 lhs = dot(
@@ -525,13 +529,7 @@ def check_dn_second_derivative_identity(n: int) -> bool:
                     ],
                     vtab,
                 )
-                if a + b >= n + 1:
-                    rhs = t.diff(vn[a + b - n - 1]) * rat(
-                        -(2 * (a + b - n) - 1), 2
-                    )
-                else:
-                    rhs = MPoly.zero(vtab)
-                if lhs != rhs:
+                if lhs != rhs[max(a + b - n, 0)]:
                     return False
     return True
 

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .exactalg import Record
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     """Outcome of one exact verification sweep.
 
     checked is the number of identities the sweep covers, counted by

@@ -35,7 +35,6 @@ Krylov determinant mod a prime); each is compared only when it does not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations_with_replacement
@@ -44,10 +43,12 @@ from .exactalg import (
     GaussianRational,
     MPoly,
     PolyError,
+    Record,
     VarTable,
     _ImagePowers,
     dot,
     from_third_partials,
+    replace,
     substitute_all,
     values_mod,
 )
@@ -94,8 +95,7 @@ def _extend(table: VarTable, delta) -> VarTable:
     return VarTable(table.names + ("s",), table.weights + ((1 - delta) / 2,), "s")
 
 
-@dataclass(frozen=True)
-class FrobeniusStructure:
+class FrobeniusStructure(Record):
     """A potential in flat coordinates with its constant metric and grading.
 
     t_of_v / v_of_t are the exact coordinate changes when the structure

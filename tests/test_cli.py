@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from openwdvv.coxeter import (
     lambda_rescale,
     open_family,
 )
-from openwdvv.exactalg import MPoly
+from openwdvv.exactalg import MPoly, replace
 from openwdvv.openext import open_potential_A, open_potential_D
 from openwdvv.report import Report
 from openwdvv.saito import frobenius_structure

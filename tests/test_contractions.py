@@ -9,7 +9,6 @@ inputs.  The dot counts pin the sharing itself."""
 import json
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import pytest
 from openwdvv import cli, coxeter, milnor, openext, saito
 from openwdvv.cli import _tag
 from openwdvv.coxeter import _open_ansatz, coxeter_structure, open_family
-from openwdvv.exactalg import GaussianRational, MPoly, VarTable, dot, parse, rat
+from openwdvv.exactalg import GaussianRational, MPoly, VarTable, dot, parse, rat, replace
 from openwdvv.openext import (
     OpenExtension,
     extended_table,
@@ -652,9 +651,11 @@ class TestDotCounts:
         # the I2 groups also read their wdvv part's tables), and the 66
         # products p * degree that the Euler identities took are gone, now
         # that homogeneity is read off the weighted degrees of the keys (38
-        # in open_extension, 15 homogeneity and 13 conformal rows)
+        # in open_extension, 15 homogeneity and 13 conformal rows).  1845
+        # before D3's omega checks formed one dot per recursion step (24 -> 8)
+        # and per boundary expansion, read over the extended table (15 -> 12)
         (got,) = cold(["verify", "all", "--max-rank", "3"])["requests"]
-        assert got["dot"] == 1994 - 83 - 66
+        assert got["dot"] == 1994 - 83 - 66 - 16 - 3
 
     def test_verify_all_third_derivatives_rank6(self):
         # one build per A/D potential: 77 before the A/D groups shared their

@@ -8,11 +8,10 @@ Report is compared: label, count and every failure label in order."""
 import io
 import json
 from contextlib import redirect_stdout
-from dataclasses import replace
 
 from openwdvv import cli, coxeter, openext, saito
 from openwdvv.coxeter import coxeter_spec, coxeter_structure, obstruction_check
-from openwdvv.exactalg import MPoly, PolyError, VarTable, parse
+from openwdvv.exactalg import MPoly, PolyError, VarTable, parse, replace
 from openwdvv.openext import open_potential_A, open_potential_D, verify_open_wdvv
 from openwdvv.report import Report
 from openwdvv.saito import frobenius_structure, verify_homogeneity

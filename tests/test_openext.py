@@ -3,14 +3,13 @@ WDVV and vector-potential sweeps, coordinate recovery, the omega
 combinatorics, and the convention rescaling."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
 from openwdvv import openext
-from openwdvv.exactalg import MPoly, PolyError, parse, rat
+from openwdvv.exactalg import MPoly, PolyError, parse, rat, replace
 from openwdvv.openext import (
     check_coefw_lemma,
     check_dn_second_derivative_identity,

@@ -3,7 +3,6 @@ metrics and potentials, the graded inversion against the fixed-point loop
 it replaced, the residue route against the tensor route, the WDVV and
 homogeneity sweeps, and negative controls on tampered data."""
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement, product
@@ -25,6 +24,7 @@ from openwdvv.exactalg import (
     PolyError,
     VarTable,
     parse,
+    replace,
     substitute_all,
 )
 from openwdvv.milnor import StructureTensor
