@@ -250,8 +250,10 @@ def potential_coxeter(group) -> MPoly:
 
 class SolutionFamily(Record):
     """An open WDVV solution family of one group: lambda runs over the
-    domain, and for even I2(k) a sign branch doubles the family.  Only for
-    I2(k) is it proved to hold every solution (classify_I2)."""
+    domain, and for the rank-2 groups of even Coxeter number (even I2(k)
+    and B2 = I2(4)) a sign branch doubles the family.  Only for I2(k) is
+    it proved to hold every solution (classify_I2); B2 shares I2(4)'s
+    potential, generator, domain and branches, and A2 those of I2(3)."""
 
     spec: CoxeterSpec
     base: FrobeniusStructure
@@ -314,11 +316,9 @@ def _built_family(tag: str) -> SolutionFamily:
     )
     if domain != expected:
         raise PolyError(f"lambda-domain of {spec.tag} contradicts the table")
-    branches = (
-        ("plus", "minus")
-        if spec.family == "I2" and spec.n % 2 == 0
-        else ("plus",)
-    )
+    # the reflection 2*t1*s - F° solves too for the rank-2 groups of even
+    # h: even I2(k) and B2 = I2(4), not A2 = I2(3)
+    branches = ("plus", "minus") if spec.rank == 2 and spec.h % 2 == 0 else ("plus",)
     open_extension(base, gen)  # unit and homogeneity
     return SolutionFamily(spec, base, domain, branches, gen)
 

@@ -38,7 +38,8 @@ of one through its constructor.
 
 Canonical order is graded lexicographic: terms sort by total degree, then
 by exponent tuple.  The text form and the JSON form both list terms in this
-order, so serialization is deterministic and round-trips exactly.
+order, so serialization is deterministic and round-trips exactly.  parse
+reads the term lists text writes, in one pass; it is no expression parser.
 """
 
 from __future__ import annotations
@@ -1212,9 +1213,7 @@ def _render_term(tab: VarTable, exp: Exponent, c: GaussianRational):
     return (mono if mono else "1"), neg
 
 
-# ---------- text parser ----------
-
-_TOKEN_CHARS = set("+-*/^() \t\n")
+# ---------- text reader ----------
 
 
 def _tokenize(src: str) -> list:
@@ -1231,7 +1230,10 @@ def _tokenize(src: str) -> list:
             j = i
             while j < n and src[j].isdigit():
                 j += 1
-            toks.append(int(src[i:j]))
+            try:
+                toks.append(int(src[i:j]))
+            except ValueError:  # over int()'s digit limit, or a digit it refuses
+                raise ParseError(f"bad integer literal at offset {i}") from None
             i = j
         elif ch.isalpha() or ch == "_":
             j = i
@@ -1244,111 +1246,79 @@ def _tokenize(src: str) -> list:
     return toks
 
 
-_MAX_POWER = 1000  # largest exponent of a parsed power of a non-monomial
-_MAX_POWER_TERMS = 10_000  # most terms such a power may expand to
-_MAX_PRODUCT = 1_000_000  # most term products one parsed product may take
-
-
-class _Parser:
-    def __init__(self, toks: list, tab: VarTable):
-        self.toks = toks
-        self.pos = 0
-        self.tab = tab
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok):
-        got = self.next()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, got {got!r}")
-
-    def parse_expr(self) -> MPoly:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.next() == "-":
-                sign = -sign
-        acc = self.parse_term() * sign
-        while self.peek() in ("+", "-"):
-            sign = 1
-            while self.peek() in ("+", "-"):
-                if self.next() == "-":
-                    sign = -sign
-            acc = acc + self.parse_term() * sign
-        return acc
-
-    def parse_term(self) -> MPoly:
-        acc = self.parse_factor()
-        while self.peek() in ("*", "/"):
-            op = self.next()
-            rhs = self.parse_factor()
-            if op == "*" and len(acc) * len(rhs) > _MAX_PRODUCT:
-                raise ParseError(
-                    f"product of {len(acc)} and {len(rhs)} terms is too large "
-                    f"(at most {_MAX_PRODUCT} term products)"
-                )
-            acc = acc * rhs if op == "*" else acc / rhs
-        return acc
-
-    def parse_factor(self) -> MPoly:
-        base = self.parse_atom()
-        if self.peek() == "^":
-            self.next()
-            sign = 1
-            if self.peek() == "-":
-                self.next()
-                sign = -1
-            e = self.next()
-            if not isinstance(e, int):
-                raise ParseError(f"bad exponent {e!r}")
-            k = len(base)
-            # a k-term power has up to C(e + k - 1, k - 1) terms
-            if k >= 2 and (
-                e > _MAX_POWER or math.comb(e + k - 1, k - 1) > _MAX_POWER_TERMS
-            ):
-                raise ParseError(
-                    f"power {e} of a {k}-term base is too large (at most exponent "
-                    f"{_MAX_POWER} and {_MAX_POWER_TERMS} terms)"
-                )
-            return base ** (sign * e)
-        return base
-
-    def parse_atom(self) -> MPoly:
-        tok = self.next()
-        if tok == "(":
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        if isinstance(tok, int):
-            return MPoly.constant(self.tab, tok)
-        if tok == "i":
-            return MPoly.constant(self.tab, _GRI)
-        if isinstance(tok, str) and tok not in _TOKEN_CHARS:
-            return MPoly.variable(self.tab, tok)
-        raise ParseError(f"unexpected token {tok!r}")
+def _read_sum(toks: list, pos: int, tab: VarTable | None) -> tuple:
+    """({exponent tuple: coefficient}, next position) for the signed terms
+    from toks[pos] on, like terms adding.  tab None reads the inside of a
+    parenthesized coefficient: constants only, all keyed None."""
+    terms = {}
+    while True:
+        c, exp = _GR1, None if tab is None else [0] * tab.arity
+        while toks[pos] in ("+", "-"):
+            c = -c if toks[pos] == "-" else c
+            pos += 1
+        while True:  # the factors of one term
+            tok = toks[pos]
+            pos += 1
+            if type(tok) is int or tok == "i":
+                c = c * (_GRI if tok == "i" else tok)
+            elif tok == "(" and tab is not None:
+                group, pos = _read_sum(toks, pos, None)
+                if toks[pos] != ")":
+                    raise ParseError(f"expected ')', got {toks[pos]!r}")
+                c, pos = c * group[None], pos + 1
+            elif tok is None or tok in "+-*/^()" or tab is None:
+                # the end, an operator, or a group or a name inside a group
+                raise ParseError("unexpected end of input" if tok is None
+                                 else f"unexpected token {tok!r}")
+            else:
+                j, e = tab.index(tok), 1
+                if toks[pos] == "^":
+                    neg = toks[pos + 1] == "-"
+                    e = toks[pos + 1 + neg]
+                    if type(e) is not int:
+                        raise ParseError(f"bad exponent {e!r}")
+                    if neg and j != tab.laurent_index:
+                        raise ExponentError(f"negative exponent for non-Laurent variable {tok}")
+                    e = -e if neg else e
+                    pos += 2 + neg
+                exp[j] += e
+            while toks[pos] == "/":
+                if type(toks[pos + 1]) is not int or not toks[pos + 1]:
+                    raise ParseError(f"division by {toks[pos + 1]!r}, not a nonzero integer")
+                c, pos = c / toks[pos + 1], pos + 2
+            if toks[pos] == "^":
+                raise ParseError("only a variable takes a power")
+            if toks[pos] != "*":
+                break
+            pos += 1
+        key = None if exp is None else tuple(exp)
+        terms[key] = terms[key] + c if key in terms else c
+        if toks[pos] not in ("+", "-"):
+            return terms, pos
 
 
 def parse(src: str, tab: VarTable) -> MPoly:
-    """Parse canonical (or free-form) polynomial text over a fixed table.
+    """Read the term lists text() writes over a fixed table, the terms in
+    any order and like terms adding.
 
-    Accepts +, -, *, /, ^, parentheses, integers, 'i', and the table's
-    variable names.  Division is by constants or invertible monomials only.
-    A power e of a base with k >= 2 terms is refused when e > 1000 or
-    when it could expand to C(e + k - 1, k - 1) > 10000 terms, and a
-    product a*b when len(a)*len(b) > 10^6 term products.  Stored values
-    admit at most a simple pole in the Laurent slot.
+    Terms are joined by runs of + and -, factors by *.  A factor is an
+    integer, the unit i, one parenthesized sum of such constants as in
+    (1/2-3*i), or a table variable with an optional integer exponent x^e,
+    negative only in the Laurent slot; any factor may be divided by a
+    nonzero integer, as in 1/24.  One pass over the tokens fills one dict
+    of terms and forms no polynomial sum or product, so the work is linear
+    in the text.  ParseError for anything else (a power of a non-variable,
+    division by a non-integer, nested parentheses, a variable inside them,
+    an over-long literal), PolyError for an unknown name and ExponentError
+    for an exponent out of range.  Stored values admit at most a simple
+    pole in the Laurent slot.
     """
-    p = _Parser(_tokenize(src), tab)
-    out = p.parse_expr()
-    if p.peek() is not None:
-        raise ParseError(f"trailing input at token {p.peek()!r}")
+    toks = _tokenize(src)
+    toks.append(None)  # the end: every read stops at it
+    terms, pos = _read_sum(toks, 0, tab)
+    if toks[pos] is not None:
+        raise ParseError(f"trailing input at token {toks[pos]!r}")
+    out = MPoly(tab, terms)
     li = tab.laurent_index
     if li is not None and out and min(tab._field(k, li) for k in out._keys()) < -1:
         raise ParseError("stored values admit at most a simple pole")

@@ -21,8 +21,7 @@ monomials.  "Lower" is an integer weight order on (x, y, w): A (2, 1, 1),
 D (2, n-1, 1), E6/E7/E8 (2, 3)/(1, 2)/(3, 5); a rule that does not
 strictly decrease it is refused at construction, so reduction terminates.
 check_confluence proves the normal forms unique by joining every critical
-pair of rules (Newman's lemma).  check_associativity, an independent
-check, reduces every basis triple product both ways.
+pair of rules (Newman's lemma).
 """
 
 from __future__ import annotations
@@ -43,9 +42,7 @@ __all__ = [
     "build_extended_algebra",
     "structure_constants",
     "extended_constants",
-    "ideal_quotient_consistency",
     "check_confluence",
-    "check_associativity",
 ]
 
 _E_ORDER = {6: (2, 3), 7: (1, 2), 8: (3, 5)}  # (x, y) weights; see the docstring
@@ -239,10 +236,6 @@ class QuotientAlgebra:
                 raise PolyError(f"normal form leaves the basis span: {g}")
         zero = MPoly.zero(self.table)
         return [parts.get(b, zero) for b in self.basis]
-
-    def multiply(self, j: int, k: int) -> MPoly:
-        """Normal form of phi_j*phi_k (1-based)."""
-        return self.normal_form(self.phi(j) * self.phi(k))
 
 
 class StructureTensor(Record):
@@ -500,24 +493,6 @@ def extended_constants(u: Unfolding, vmap, tab: VarTable) -> dict:
     return T
 
 
-def ideal_quotient_consistency(ext: QuotientAlgebra, closed: QuotientAlgebra) -> bool:
-    """True when the extension restricts to the closed algebra: closed-index
-    products agree, and w never feeds back into the closed block."""
-    if ext.unfolding is not closed.unfolding and ext.unfolding != closed.unfolding:
-        raise PolyError("algebras come from different unfoldings")
-    n = closed.rank
-    ce = structure_constants(ext)
-    cc = structure_constants(closed)
-    for a in range(1, n + 1):
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                if cc.c(a, i, j).substitute({}, ext.table) != ce.c(a, i, j):
-                    return False
-            if ce.c(a, i, n + 1):
-                return False
-    return True
-
-
 def check_confluence(alg: QuotientAlgebra) -> Report:
     """Proof that normal forms are unique: for every two rules whose left
     sides l1, l2 share a generator, (lcm/l1)*r1 and (lcm/l2)*r2 reduce to
@@ -539,18 +514,3 @@ def check_confluence(alg: QuotientAlgebra) -> Report:
 
     return tally(f"confluence({alg.label()})", outcomes())
 
-
-def check_associativity(alg: QuotientAlgebra) -> Report:
-    """(phi_a*phi_b)*phi_c = phi_a*(phi_b*phi_c) after reduction, all triples."""
-    nf = alg.normal_form
-
-    def outcomes():
-        for a in range(1, alg.rank + 1):
-            for b in range(a, alg.rank + 1):
-                ab = alg.multiply(a, b)
-                for c in range(b, alg.rank + 1):
-                    left = nf(ab * alg.phi(c))
-                    right = nf(alg.phi(a) * nf(alg.phi(b) * alg.phi(c)))
-                    yield left != right and f"({a},{b},{c})"
-
-    return tally(f"associativity({alg.label()})", outcomes())

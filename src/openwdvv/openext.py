@@ -338,19 +338,18 @@ def verify_vector_potential(ext: OpenExtension) -> Report:
     differentiated twice: d2F^a/dt^b dt^c = c^a_bc for a, b, c <= N, and
     every L is read off the contractions the WDVV sweeps form once per call:
     - L(a, b; cd) = sum_a' eta^{aa'} P(a'b; cd) for a, b, c, d <= N, with
-      P verify_wdvv's (saito._wdvv_contractions), raised by
-      saito._raise_row.  A row of eta^{-1} with one live entry e (every
-      constructed group's) compares two P's and scales only a failure's
-      residual by e; other rows take one dot.
+      P verify_wdvv's (saito._wdvv_contractions), each side raised by one
+      eta-weighted dot.
     - L(s, b; cd) = Q(cd; b) (_open_tables) for c, d <= N, and the side
       of eq2(b, c) when d = s.
     - L(a, b; cd) = 0 for a <= N when b, c or d is s, since dF^a/ds = 0.
-    Each row is an entry of [L~_beta, L~_gamma], so the P rows pass
-    uncompared when certified() holds and the others when open_certified()
-    does (_open_certified).  The conformal condition is read off the
-    weighted degrees of F^a's terms; a one-entry row reads dF/dt^a'.
-    Trivially equal identities are counted as passes.  The Report is
-    labelled vector-potential(vector(<label of ext>))."""
+    Each row is an entry of [L~_beta, L~_gamma], so every row passes
+    uncompared when certified() and open_certified() both hold
+    (_open_certified), as in verify_wdvv and verify_open_wdvv; otherwise
+    each is compared.  The conformal condition is read off the weighted
+    degrees of F^a's terms; a one-entry row of eta^{-1} reads dF/dt^a'
+    (saito._raise_row).  Trivially equal identities are counted as passes.
+    The Report is labelled vector-potential(vector(<label of ext>))."""
     base = ext.base
     n = base.rank
     m = n + 1
@@ -359,8 +358,25 @@ def verify_vector_potential(ext: OpenExtension) -> Report:
     F, raised, closed, certified, open_certified, o2, q = _open_tables(base, fo)
     eta_live = [_live(row) for row in base.eta_inv]
 
-    def lowered(a, pick):
-        return _raise_row(eta_live[a - 1], pick, tab)
+    def compatibility():
+        for be in range(1, m + 1):
+            for ga in range(be + 1, m + 1):
+                for al in range(1, m + 1):
+                    for de in range(1, m + 1):
+                        if de == m or (al <= n and ga == m):
+                            yield False  # both sides vanish or are one product
+                            continue
+                        if al <= n:
+                            left, right = (
+                                dot([(closed(a1, b, c, de), e) for a1, e in eta_live[al - 1]], tab)
+                                for b, c in ((be, ga), (ga, be))
+                            )
+                        else:
+                            left = o2(be, m) * o2(de, m) if ga == m else q(ga, de, be)
+                            right = q(be, de, ga)
+                        yield left != right and (
+                            f"({al},{be},{ga},{de}): {_first_monomial(left - right)}"
+                        )
 
     def outcomes():
         for a in range(1, m + 1):
@@ -368,29 +384,13 @@ def verify_vector_potential(ext: OpenExtension) -> Report:
                 want = MPoly.constant(tab, 1 if a == b else 0)
                 got = o2(1, b) if a == m else raised[(1, b)][a - 1] if b <= n else want
                 yield got != want and f"unit({a},{b})"
-        closed_held, open_held = certified(), open_certified()
-        for be in range(1, m + 1):
-            for ga in range(be + 1, m + 1):
-                for al in range(1, m + 1):
-                    for de in range(1, m + 1):
-                        if de == m or (al <= n and (ga == m or closed_held)) or (
-                            al == m and open_held
-                        ):
-                            yield False  # both sides vanish or are one product, or held
-                            continue
-                        if al <= n:
-                            left, e = lowered(al, lambda a1: closed(a1, be, ga, de))
-                            right, _ = lowered(al, lambda a1: closed(a1, ga, be, de))
-                        else:
-                            e = 1
-                            left = o2(be, m) * o2(de, m) if ga == m else q(ga, de, be)
-                            right = q(be, de, ga)
-                        yield left != right and (
-                            f"({al},{be},{ga},{de}): {_first_monomial((left - right) * e)}"
-                        )
+        if certified() and open_certified():
+            yield from repeat(False, m * m * m * (m - 1) // 2)
+        else:
+            yield from compatibility()
         grads = [F.diff(nm) for nm in tab.names[:n]]
         for a in range(1, m + 1):
-            comp = lowered(a, lambda a1: grads[a1 - 1])[0] if a <= n else fo
+            comp = _raise_row(eta_live[a - 1], lambda a1: grads[a1 - 1], tab)[0] if a <= n else fo
             yield not comp.is_homogeneous(1 + tab.weights[a - 1]) and f"conformal({a})"
 
     return tally(f"vector-potential(vector({ext.label}))", outcomes())

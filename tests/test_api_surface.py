@@ -13,8 +13,6 @@ SRC = ROOT / "src" / "openwdvv"
 UNCALLED = {
     ("milnor", "build_extended_algebra"),
     ("milnor", "check_confluence"),
-    ("milnor", "check_associativity"),
-    ("milnor", "ideal_quotient_consistency"),
     ("openext", "open_wdvv_equations"),
     ("openext", "rspin_convention_rescale"),
     ("saito", "metric_and_potential"),

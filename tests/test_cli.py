@@ -83,6 +83,21 @@ class TestConstructiveVerbs:
         want = open_family("I2(4)").member("1/2", "minus")
         assert out.strip() == want.text()
 
+    def test_b2_minus_branch(self, capsys):
+        # B2 = I2(4): the rank-2 groups of even Coxeter number have both
+        # branches, and B2's minus member is I2(4)'s
+        for argv, want in (
+            (("verify", "open-wdvv", "B", "2", "--branch", "minus"),
+             "open-wdvv(B2): pass (9 identities)\n"),
+            (("verify", "vector", "B", "2", "--branch", "minus"),
+             "vector-potential(vector(B2)): pass (39 identities)\n"),
+            (("open-potential", "B", "2", "--branch", "minus"),
+             "t1*s - 1/2*t2^2*s - 1/3*t2*s^3 - 1/20*s^5\n"),
+            (("open-potential", "I2", "4", "--branch", "minus"),
+             "t1*s - 1/2*t2^2*s - 1/3*t2*s^3 - 1/20*s^5\n"),
+        ):
+            assert run(capsys, *argv) == (0, want, ""), argv
+
     def test_open_potential_d_pole(self, capsys):
         code, out, _ = run(capsys, "open-potential", "D", "5", "--format", "json")
         assert code == 0
@@ -372,6 +387,7 @@ class TestUsageErrors:
             ("open-potential", "A", "2", "--lambda", "0"),
             ("open-potential", "A", "2", "--lambda", "0.5"),
             ("open-potential", "A", "3", "--branch", "minus"),
+            ("open-potential", "B", "3", "--branch", "minus"),
             ("flat-coords", "B", "3"),
             ("correlators", "D", "4"),
             ("verify", "foan", "D", "4"),

@@ -653,9 +653,12 @@ class TestDotCounts:
         # that homogeneity is read off the weighted degrees of the keys (38
         # in open_extension, 15 homogeneity and 13 conformal rows).  1845
         # before D3's omega checks formed one dot per recursion step (24 -> 8)
-        # and per boundary expansion, read over the extended table (15 -> 12)
+        # and per boundary expansion, read over the extended table (15 -> 12).
+        # 1826 before parse read term lists into one dict: the free-form
+        # parser formed a dot per sum and product of the printed F4 and H4
+        # potentials (70 + 131)
         (got,) = cold(["verify", "all", "--max-rank", "3"])["requests"]
-        assert got["dot"] == 1994 - 83 - 66 - 16 - 3
+        assert got["dot"] == 1994 - 83 - 66 - 16 - 3 - 201
 
     def test_verify_all_third_derivatives_rank6(self):
         # one build per A/D potential: 77 before the A/D groups shared their

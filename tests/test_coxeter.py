@@ -271,6 +271,23 @@ class TestPotentialPins:
             got = hashlib.sha256(potential_coxeter(tag).text().encode()).hexdigest()
             assert got == want, tag
 
+    def test_every_printed_potential_reads_back(self):
+        # parse(p.text()) == p for each closed and open potential the CLI
+        # prints and each member of the open families, and for the fixtures
+        polys = [printed_potential(tag) for tag in ("D4", "D5", "F4", "H3", "H4")]
+        polys += [printed_open_potential(tag) for tag in ("D4", "D5")]
+        polys += [frobenius_structure("D", n).potential for n in range(3, 13)]
+        polys += [open_potential_D(n).potential for n in range(3, 13)]
+        for tag in ("F4", "H3", "H4"):
+            polys.append(coxeter_structure(tag).potential)
+        # the A, B and I2 closed potentials are their families' bases
+        for tag in ([f"A{n}" for n in range(1, 17)] + [f"B{n}" for n in range(2, 9)]
+                    + [f"I2({k})" for k in range(3, 13)]):
+            fam = open_family(tag)
+            polys.append(fam.base.potential)
+            polys += [fam.member(1, branch) for branch in fam.branches]
+        assert [p.text() for p in polys if parse(p.text(), p.table) != p] == []
+
     def test_from_potential_reads_back_every_structure(self):
         for tag in POTENTIAL_DIGESTS:
             fs = coxeter_structure(tag)
@@ -310,8 +327,20 @@ class TestOpenFamilies:
     def test_branches(self):
         assert open_family("I2(5)").branches == ("plus",)
         assert open_family("I2(6)").branches == ("plus", "minus")
+        assert open_family("B3").branches == ("plus",)
         with pytest.raises(PolyError):
             open_family("I2(5)").member(1, "minus")
+
+    @pytest.mark.parametrize("tag, twin", [("A2", "I2(3)"), ("B2", "I2(4)")])
+    def test_rank_two_twins(self, tag, twin):
+        # A2 = I2(3) and B2 = I2(4): one potential, generator, domain and
+        # set of branches, read off the group in both spellings
+        fam, other = open_family(tag), open_family(twin)
+        assert fam.base.potential == other.base.potential
+        assert fam.generator == other.generator
+        assert (fam.domain, fam.branches) == (other.domain, other.branches)
+        for branch in fam.branches:
+            assert fam.member("1/2", branch) == other.member("1/2", branch)
 
     def test_members_solve_open_wdvv(self):
         for tag in ("A3", "B3", "I2(5)", "I2(6)"):

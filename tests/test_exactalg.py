@@ -4,6 +4,7 @@ sympy cross-check of products and derivatives."""
 import itertools
 import json
 import math
+import re
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -148,38 +149,50 @@ class TestPolyBasics:
         assert parse(src, tab).text() == "1/2*t1^2*t3 - 1/24*t3^3*t4^2"
 
     def test_parse_errors(self):
-        tab = VarTable(("x",))
-        for bad in ("x +", "x ^ y", "(x", "x 2"):
+        tab = VarTable(("x", "y"))
+        # text() writes none of these; each is a ParseError at once: no
+        # recursion past one group, no bare ValueError from int(), no
+        # expansion of a power
+        for bad in (
+            "x +", "x ^ y", "(x", "x 2", "", "x*", "x^", "(1", "()",
+            "(" * 5000 + "x" + ")" * 5000, "1" * 5000,
+            "(x+1)^3", "x/y", "x/0", "2^3", "x^2^3", "(1+i)^2", "(x)", "((1))",
+        ):
             with pytest.raises(ParseError):
                 parse(bad, tab)
         with pytest.raises(PolyError):
-            parse("y", tab)
+            parse("z", tab)
 
-    def test_parse_bounds_powers_of_non_monomials(self):
-        # the bound is checked before expanding, so refused sizes cost nothing
-        for bad in (
-            "(x+1)^1001",
-            "(x+y+1)^140",  # C(142, 2) = 10011 terms
-            "(x+y+z+1)^40",  # C(43, 3) = 12341 terms
-            "((x+y)^100)^100",  # the inner power has 101 terms
-            "(x-z)^99999999999999999999",
+    def test_parse_reads_term_lists(self):
+        # runs of signs, terms in any order, like terms adding, a
+        # parenthesized constant and division of any factor by an integer
+        want = MPoly(LTAB, {(2, 0): rat(7, 6), (0, -1): GaussianRational(rat(-1, 2), 3)})
+        for src in (
+            "7/6*x^2 + (-1/2+3*i)*s^-1",
+            "(3*i-1/2)*s^-1 - -x^2 + 1/6*x*x",
+            "+x^2/3 - s^-1/2 + 3*i*s^-1 + 5/6*x^2",
+            "2*x^2 - 5/6*x^2 + i*3*s^-1 - - - 1/2*s^-1",
         ):
-            with pytest.raises(ParseError, match="too large"):
-                parse(bad, WTAB)
-        assert parse("(x+1)^3", WTAB) == parse("x^3 + 3*x^2 + 3*x + 1", WTAB)
-        assert len(parse("(x+y+z)^4", WTAB)) == 15
-        assert parse("(2*x*y)^1001", WTAB) == parse("2^1001*x^1001*y^1001", WTAB)
+            assert parse(src, LTAB) == want, src
+        assert parse("s*s^-1 + 0*x", LTAB) == MPoly.constant(LTAB, 1)
+        assert parse("s^-1 - s^-1", LTAB) == 0
+        with pytest.raises(ExponentError):
+            parse("x^-1", LTAB)  # a negative exponent outside the Laurent slot
+        with pytest.raises(ExponentError):
+            parse("x^32768", LTAB)
 
-    def test_parse_bounds_products(self, monkeypatch):
-        # the bound is checked before multiplying: 1771 * 1771 term products
-        with pytest.raises(ParseError, match="product of 1771 and 1771 terms"):
-            parse("(x+y+z+1)^20*(x+y+z+1)^20", WTAB)
-        monkeypatch.setattr(exactalg, "_MAX_PRODUCT", 100)
-        assert len(parse("(x+1)^9*(y+1)^9", WTAB)) == 100
-        assert parse("x*(x+1)^99*2", WTAB) == parse("2*x*(x+1)^99", WTAB)
-        for bad in ("(x+1)^10*(y+1)^9", "(x+1)^9*(y+1)^9*(z+1)"):
-            with pytest.raises(ParseError, match="at most 100 term products"):
-                parse(bad, WTAB)
+    def test_parse_forms_no_dot(self, monkeypatch):
+        # the reader fills one dict of terms: reading 2000 terms forms no
+        # polynomial sum or product, whatever their order
+        tab = VarTable(("x", "y", "s"), None, "s")
+        p = MPoly(tab, {
+            (a, b, e): GaussianRational(rat(a - b, e + 3), b % 3 + 1)
+            for a in range(20) for b in range(20) for e in range(-1, 4)
+        })
+        assert len(p) == 2000
+        text = p.text()
+        monkeypatch.setattr(exactalg, "dot", None)
+        assert parse(text, tab) == p
 
     def test_from_ratios(self):
         x, s = LTAB.pack((1, 0)), LTAB.pack((0, -1))
@@ -528,6 +541,14 @@ class TestPolyProperties:
     @given(polys(LTAB, min_exp=-1, max_exp=3))
     def test_text_round_trip(self, p):
         assert parse(p.text(), LTAB) == p
+
+    @given(polys(LTAB, min_exp=-1, max_exp=3), st.randoms())
+    def test_text_round_trip_in_any_term_order(self, p, rnd):
+        # text() joins terms by " + " and " - "; no coefficient holds a space
+        head, *rest = re.split(r" (?=[+-] )", p.text())
+        terms = [head if head[0] == "-" else "+ " + head, *rest]
+        rnd.shuffle(terms)
+        assert parse(" ".join(terms), LTAB) == p
 
     @given(polys(LTAB, min_exp=-1, max_exp=3))
     def test_json_round_trip(self, p):

@@ -15,15 +15,54 @@ from openwdvv.milnor import (
     build_closed_algebra,
     build_extended_algebra,
     build_unfolding,
-    check_associativity,
     check_confluence,
     extended_constants,
-    ideal_quotient_consistency,
     parameter_table,
     structure_constants,
 )
 from openwdvv.openext import extended_table
+from openwdvv.report import Report, tally
 from openwdvv.saito import _extend, _flat_source, frobenius_structure
+
+
+def multiply(alg: QuotientAlgebra, j: int, k: int) -> MPoly:
+    """Normal form of phi_j*phi_k (1-based)."""
+    return alg.normal_form(alg.phi(j) * alg.phi(k))
+
+
+def check_associativity(alg: QuotientAlgebra) -> Report:
+    """(phi_a*phi_b)*phi_c = phi_a*(phi_b*phi_c) after reduction, all
+    triples: an oracle independent of the confluence proof."""
+    nf = alg.normal_form
+
+    def outcomes():
+        for a in range(1, alg.rank + 1):
+            for b in range(a, alg.rank + 1):
+                ab = multiply(alg, a, b)
+                for c in range(b, alg.rank + 1):
+                    left = nf(ab * alg.phi(c))
+                    right = nf(alg.phi(a) * nf(alg.phi(b) * alg.phi(c)))
+                    yield left != right and f"({a},{b},{c})"
+
+    return tally(f"associativity({alg.label()})", outcomes())
+
+
+def ideal_quotient_consistency(ext: QuotientAlgebra, closed: QuotientAlgebra) -> bool:
+    """True when the extension restricts to the closed algebra: closed-index
+    products agree, and w never feeds back into the closed block."""
+    if ext.unfolding is not closed.unfolding and ext.unfolding != closed.unfolding:
+        raise PolyError("algebras come from different unfoldings")
+    n = closed.rank
+    ce = structure_constants(ext)
+    cc = structure_constants(closed)
+    for a in range(1, n + 1):
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                if cc.c(a, i, j).substitute({}, ext.table) != ce.c(a, i, j):
+                    return False
+            if ce.c(a, i, n + 1):
+                return False
+    return True
 
 
 class TestUnfoldings:
@@ -71,7 +110,7 @@ class TestClosedAlgebra:
     def test_a3_reduction(self):
         alg = build_closed_algebra(build_unfolding("A", 3))
         # phi = (1, x, x^2); x^3 rewrites along dL/dx = x^3 + v2 + 2 v3 x
-        assert alg.multiply(2, 3) == parse("-v2 - 2*v3*x", alg.unfolding.table)
+        assert multiply(alg, 2, 3) == parse("-v2 - 2*v3*x", alg.unfolding.table)
         assert alg.coeffs(alg.phi(2) * alg.phi(3)) == [
             parse("-v2", alg.table),
             parse("-2*v3", alg.table),
@@ -82,15 +121,15 @@ class TestClosedAlgebra:
         alg = build_closed_algebra(build_unfolding("D", 4))
         tab = alg.unfolding.table
         # phi = (1, x, x^2, y)
-        assert alg.multiply(2, 4) == parse("-1/2*v4", tab)
-        assert alg.multiply(4, 4) == parse("-x^2 - v2 - 2*v3*x", tab)
-        assert alg.multiply(2, 3) == parse("1/2*v4*y - v2*x - 2*v3*x^2", tab)
+        assert multiply(alg, 2, 4) == parse("-1/2*v4", tab)
+        assert multiply(alg, 4, 4) == parse("-x^2 - v2 - 2*v3*x", tab)
+        assert multiply(alg, 2, 3) == parse("1/2*v4*y - v2*x - 2*v3*x^2", tab)
 
     def test_unit_row(self):
         for family, n in (("A", 4), ("D", 5), ("E", 6)):
             alg = build_closed_algebra(build_unfolding(family, n))
             for j in range(1, alg.rank + 1):
-                assert alg.multiply(1, j) == alg.phi(j)
+                assert multiply(alg, 1, j) == alg.phi(j)
 
     def test_confluence_and_associativity(self):
         for family, n in (("A", 4), ("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8)):
