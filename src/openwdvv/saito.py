@@ -508,43 +508,18 @@ def residue_structure(
     T(a, n, n) = sum_j s_j r_{a-1+j} and T(n, n, n) = 0.  T(1, 1, n) is
     [x^{n-2}] y = 0.  So T(a, i, .) depends on a + i alone when a, i < n,
     and on the other index alone when one of them is n: those are the row
-    keys lowered hands the pullback.  The r_s are formed over the target
-    ring, with v already v(t), and _build pulls T back and reads F off, as for
-    metric_and_potential.  No Milnor algebra is built.  images and label
+    keys _residue_tensor hands the pullback, here and in the extension
+    check.  The r_s are formed over the target ring, with v already v(t),
+    and _build pulls T back and reads F off, as for metric_and_potential.
+    No Milnor algebra is built.  images and label
     are as for metric_and_potential, and the same checks are made.
     """
     if family not in ("A", "D"):
         raise PolyError(f"no residue route for family {family!r}")
     u, t_of_v = _flat_source(family, n)
 
-    def d_row(a, i):
-        # x-rows by a + i; rows (a, n) and (n, a) by ("y", a), (n, n) by ("y", n)
-        return a + i if a < n and i < n else ("y", a + i - n)
-
     def lowered(v_of_t, ttab, keys):
-        vmap = dict(zip(t_of_v[0].table.names, v_of_t))
-        # x^n = sum_j rho_j x^j in the Milnor ring, and phi_l = x^top
-        if family == "A":
-            top = n - 1
-            rho = _a_relations(u, vmap, ttab)
-        else:  # x y^2 = h y gives x^n = -h^2 + sum_{j < n-2} s_j x^{j+2}
-            top = n - 2
-            h, s = _d_relations(u, vmap, ttab)
-            rho = {0: -(h * h)} | {j + 2: c for j, c in s.items() if j < top}
-        r = _residues(rho, n, top, ttab)
-        if family == "A":
-            return [r[a + b + c - 3] for a, b, c in keys], _x_row
-        # T(a, b, n) = hr[a + b - 2]; hr[0] is T(1, 1, n) = [x^top] y = 0
-        zero = MPoly.zero(ttab)
-        hr = [zero] + [h * x for x in r[: 2 * top]]
-        return [
-            r[a + b + c - 3] if c < n
-            else hr[a + b - 2] if b < n
-            else dot(((w, r[a - 1 + j]) for j, w in s.items() if r[a - 1 + j]), ttab)
-            if a < n
-            else zero
-            for a, b, c in keys
-        ], d_row
+        return _residue_tensor(u, dict(zip(t_of_v[0].table.names, v_of_t)), ttab, keys)
 
     return _build(u, t_of_v, images, label, lowered)
 
@@ -557,6 +532,41 @@ def _sorted_pair(a, i):
 def _x_row(a, i):
     """The row key of an x-row T(a, i, .) = r_{a+i+.-3} of a residue T."""
     return a + i
+
+
+def _residue_tensor(u: Unfolding, vmap, ttab: VarTable, keys) -> tuple:
+    """(values, row) of T(a, b, c) = [phi_l] phi_a phi_b phi_c of A_n or
+    D_n at v -> vmap, over ttab (residue_structure): T at each sorted
+    triple of keys, and the key row(a, i) under which rows T(a, i, .) are
+    equal."""
+    n = u.n
+    # x^n = sum_j rho_j x^j in the Milnor ring, and phi_l = x^top
+    if u.family == "A":
+        top = n - 1
+        rho = _a_relations(u, vmap, ttab)
+    else:  # x y^2 = h y gives x^n = -h^2 + sum_{j < n-2} s_j x^{j+2}
+        top = n - 2
+        h, s = _d_relations(u, vmap, ttab)
+        rho = {0: -(h * h)} | {j + 2: c for j, c in s.items() if j < top}
+    r = _residues(rho, n, top, ttab)
+    if u.family == "A":
+        return [r[a + b + c - 3] for a, b, c in keys], _x_row
+
+    def d_row(a, i):
+        # x-rows by a + i; rows (a, n) and (n, a) by ("y", a), (n, n) by ("y", n)
+        return a + i if a < n and i < n else ("y", a + i - n)
+
+    # T(a, b, n) = hr[a + b - 2]; hr[0] is T(1, 1, n) = [x^top] y = 0
+    zero = MPoly.zero(ttab)
+    hr = [zero] + [h * x for x in r[: 2 * top]]
+    return [
+        r[a + b + c - 3] if c < n
+        else hr[a + b - 2] if b < n
+        else dot(((w, r[a - 1 + j]) for j, w in s.items() if r[a - 1 + j]), ttab)
+        if a < n
+        else zero
+        for a, b, c in keys
+    ], d_row
 
 
 def _residues(rho, n: int, top: int, ttab: VarTable) -> list:

@@ -595,12 +595,16 @@ class TestDotCounts:
     def test_extension_a6(self, monkeypatch):
         open_potential_A(6)
         got = count_dots(monkeypatch, openext.verify_extension_theorems, "A", 6)
-        # pullback contracts the two lower slots first, over the nonzero
-        # entries of the tensor, and forms no empty partial sum; the want
-        # side's raising re-keys and takes no dot: 303.  The tensor comes
-        # from milnor.extended_constants, one dot per component of the
-        # recurrence: 36 more
-        assert got == 303 + 36
+        # the tensor comes from milnor.extended_constants, one dot per
+        # component of the recurrence: 36.  The closed block is decided in
+        # v (openext._closed_block_held): the residues r_6..r_15 of the
+        # lowered tensor T (10), and sum_d T(a, d, 1) cv(d, i, j) once per a
+        # and distinct column cv(., i, j), which for A6 depends on i + j
+        # alone (6 * 11 = 66).  Then only the s-row is pulled back, the two
+        # lower slots first, over the nonzero entries of the tensor, with no
+        # empty partial sum: 48.  339 = 303 + 36 while every entry was
+        # pulled back through dt/dv and dv/dt
+        assert got == 36 + 10 + 66 + 48
 
     def test_eq2_over_an_ansatz(self, monkeypatch):
         fs = coxeter_structure("H3")
@@ -656,9 +660,11 @@ class TestDotCounts:
         # and per boundary expansion, read over the extended table (15 -> 12).
         # 1826 before parse read term lists into one dict: the free-form
         # parser formed a dot per sum and product of the printed F4 and H4
-        # potentials (70 + 131)
+        # potentials (70 + 131).  1625 before the extension checks of A1-A3
+        # and D3 decided the closed block in v and pulled back only the
+        # s-row (36 fewer)
         (got,) = cold(["verify", "all", "--max-rank", "3"])["requests"]
-        assert got["dot"] == 1994 - 83 - 66 - 16 - 3 - 201
+        assert got["dot"] == 1994 - 83 - 66 - 16 - 3 - 201 - 36
 
     def test_verify_all_third_derivatives_rank6(self):
         # one build per A/D potential: 77 before the A/D groups shared their
