@@ -15,10 +15,10 @@ checks read the extended multiplication off milnor.extended_constants,
 one recurrence over the defining relations, formed over the ring they
 compare in (the flat coordinates, or the parameter ring), so they build
 no extended algebra and substitute no tensor; the extension check
-pulls back only the s-row when the rest is decided in v
-(_closed_block_held).  verify_vector_potential
-(ext) reads the vector axioms off the closed and open WDVV contractions
-of the same tables (_open_tables) as the other checks.  The last set of
+pulls back only the s-row and decides the rest in v.
+verify_vector_potential(ext) reads the vector axioms off the closed and
+open WDVV contractions of the same tables (_open_tables) as the other
+checks.  The last set of
 closed and of open tables outlives its call (saito._shared), so
 consecutive sweeps of equal (F, F°) build one set.  The open WDVV and
 vector identities are entries of commutators of the multiplications on
@@ -400,100 +400,75 @@ def verify_vector_potential(ext: OpenExtension) -> Report:
     return tally(f"vector-potential(vector({ext.label}))", outcomes())
 
 
-def _closed_block_held(family: str, n: int, ext: OpenExtension, cv, jac, vmap, table) -> bool:
-    """Whether the pulled-back closed block is eta^{-1} F''' (raised) and
-    the s-column zero, decided in v; False also when undecided.  Needs
-    (a) cv(a, i, N+1) = 0 for a <= N (w spans an ideal),
-    (b) J e_1 = e_1 for J = dv/dt,
-    (c) ext.base is the library's build, whose read-off proved F''' = J^3 T
-        for T = saito._residue_tensor at v = v(t) (vmap), and
-    (d) sum_d T(a, d, 1) cv(d, i, j) = T(a, i, j) for a, i, j <= N, formed
-        once per distinct column cv(., i, j) (for A, one per i + j).
-    Proof: row and column N+1 of J and of dt/dv = J^{-1} are e_{N+1}, so by
-    (a) the s-column is zero and the closed block is C = J^{-1} cv J J.
-    T(., ., 1) is the residue pairing eta_v, so (b) and (c) give
-    eta_t = F'''(1, ., .) = J^T eta_v J, and (d) says eta_v cv = T.  Then
-    eta_t C = J^T T J J = F''', so C = eta_t^{-1} F''' = raised."""
+def verify_extension_theorems(family: str, n: int) -> Report:
+    """The extended multiplication tensor, rewritten in the flat
+    coordinates (t^1..t^N, s = v_{N+1}), must equal eta^{a mu} F_{mu b c}
+    on the first N slots and d2F°/dt^b dt^c on the last one.  The tensor
+    cv is extended_constants' at v = v(t): the theorem is proved for the
+    ring its relations define, which the tests check entry by entry
+    against milnor's confluent rewrite system.
+
+    Only the s-row holds what the build has not proved, so each key
+    (a, i, j) with a <= N is decided in v and only the keys (N+1, b, c)
+    are pulled back, with e_{N+1} as pullback's first matrix.  Row and
+    column N+1 of J = dv/dt and of J^{-1} are e_{N+1}, so the pulled-back
+    s-column is zero exactly when cv(a, i, N+1) = 0 for a <= N, and the
+    closed block is C = J^{-1} cv J J.  The base is the library's build,
+    whose read-off proved F''' = J^3 T for T = saito._residue_tensor at
+    v = v(t), and T(., ., 1) is the residue pairing eta_v; with J e_1 = e_1
+    (else PolyError), eta_t = F'''(1, ., .) = J^T eta_v J.  So
+    eta_t C = J^T (eta_v cv) J J, and C = eta_t^{-1} F''' exactly when
+    sum_d T(a, d, 1) cv(d, i, j) = T(a, i, j) for a, i, j <= N, formed once
+    per distinct column cv(., i, j) (for A, one per i + j).  A key decided
+    in v fails as c^a_(i,j) in v."""
+    if family not in ("A", "D"):
+        raise PolyError("extension theorems cover A and D only")
+    ext = open_potential_A(n) if family == "A" else open_potential_D(n)
+    base = frobenius_structure(family, n)
+    tab = ext.table
+    m = n + 1
+
+    v = substitute_all(base.v_of_t, {}, tab)
+    sub = dict(zip(base.v_table.names, v))
+    cv = extended_constants(build_unfolding(family, n), sub, tab)
+    # rows by source index: jac[b][be] = dv_b/dt^be; the last source and
+    # target slot is s = v_{N+1}
+    zero, one = MPoly.zero(tab), MPoly.constant(tab, 1)
+    s_row = [zero] * n + [one]
+    jac = [[vb.diff(x) for x in tab.names[:n]] + [zero] for vb in v] + [s_row]
+    if [row[0] for row in jac[:n]] != [one] + [zero] * (n - 1):
+        raise PolyError(f"dv/dt1 is not e1 for {base.label}")
+
     idx = range(1, n + 1)
-    zero, one = MPoly.zero(table), MPoly.constant(table, 1)
-    if (
-        any(j > n and a <= n and p for (a, _, j), p in cv.items())
-        or [row[0] for row in jac[:n]] != [one] + [zero] * (n - 1)
-        or ext.base != frobenius_structure(family, n)
-    ):
-        return False
     triples = list(combinations_with_replacement(idx, 3))
-    values, _ = _residue_tensor(_flat_source(family, n)[0], vmap, table, triples)
+    values, _ = _residue_tensor(_flat_source(family, n)[0], sub, tab, triples)
     low = dict(zip(triples, values))
 
     def T(a, b, c):
         return low[tuple(sorted((a, b, c)))]
 
     pairing = [[T(a, d, 1) for d in idx] for a in idx]
-    lowered = {}
-    for i, j in combinations_with_replacement(idx, 2):
-        col = tuple(cv.get((d, i, j), zero) for d in idx)
-        got = lowered.get(col)
-        if got is None:
-            got = lowered[col] = [dot(zip(row, col), table) for row in pairing]
-        if any(g != T(a, i, j) for a, g in enumerate(got, 1)):
-            return False
-    return True
 
+    @cache
+    def lower(col):
+        return [dot(zip(row, col), tab) for row in pairing]
 
-def verify_extension_theorems(family: str, n: int) -> Report:
-    """The extended multiplication tensor, rewritten in the flat
-    coordinates (t^1..t^N, s = v_{N+1}), must equal eta^{a mu} F_{mu b c}
-    on the first N slots and d2F°/dt^b dt^c on the last one.  The tensor
-    is extended_constants' at v = v(t): the theorem is proved for the
-    ring its relations define, which the tests check entry by entry
-    against milnor's confluent rewrite system.  Only the s-row holds what
-    the build has not proved: when _closed_block_held decides the rest,
-    it passes uncompared and only the keys (N+1, b, c) are pulled back;
-    otherwise every key is pulled back through dt/dv and compared."""
-    if family not in ("A", "D"):
-        raise PolyError("extension theorems cover A and D only")
-    ext = open_potential_A(n) if family == "A" else open_potential_D(n)
-    base = ext.base
-    tab = ext.table
-    nm = tab.names
-    m = n + 1
-
-    v = substitute_all(base.v_of_t, {}, tab)
-    sub = dict(zip(base.v_table.names, v))
-    cv = extended_constants(build_unfolding(family, n), sub, tab)
-    # every (a, i, j) with i <= j: the keys of the pullback
-    idx = range(1, m + 1)
-    pairs = list(combinations_with_replacement(idx, 2))
-    keys = [(a, i, j) for a in idx for i, j in pairs]
-
-    # Rows by source index: jac[b][be] = dv_b/dt^be, and first[a][al] =
-    # dt^al/dv_a at v(t) unless the s-row alone is pulled back; the last
-    # source and target slot is s = v_{N+1}.
-    zero = MPoly.zero(tab)
-    s_row = [zero] * n + [MPoly.constant(tab, 1)]
-    jac = [[vb.diff(x) for x in nm[:n]] + [zero] for vb in v] + [s_row]
-    held = _closed_block_held(family, n, ext, cv, jac, sub, tab)
-    if held:  # the s-row alone: e_{N+1} picks a = N+1
-        first, keys = [[zero] * m] * n + [s_row], keys[n * len(pairs) :]
-    else:
-        dt = substitute_all((t.diff(vn) for vn in sub for t in base.t_of_v), sub, tab)
-        first = [dt[a * n : (a + 1) * n] + [zero] for a in range(n)] + [s_row]
-    got = pullback(cv, first, jac, keys, tab, lambda a, i: (a, i))
-
-    _, raised, *_, o2, _ = _open_tables(base, ext.potential)
+    lowered = {
+        (i, j): lower(tuple(cv.get((d, i, j), zero) for d in idx))
+        for i, j in combinations_with_replacement(idx, 2)
+    }
+    pairs = list(combinations_with_replacement(range(1, m + 1), 2))
+    first = [[zero] * m] * n + [s_row]  # e_{N+1} picks a = N+1
+    got = pullback(cv, first, jac, [(m, i, j) for i, j in pairs], tab, lambda a, i: (a, i))
+    *_, o2, _ = _open_tables(base, ext.potential)
 
     def outcomes():
-        if held:
-            yield from repeat(False, n * len(pairs))
-        for (al, be, ga), p in got.items():
-            if al > n:
-                want = o2(be, ga)
-            elif ga <= n:
-                want = raised[(be, ga)][al - 1]
-            else:
-                want = zero
-            yield p != want and f"c^{al}_({be},{ga})"
+        for a in idx:
+            for i, j in pairs:
+                bad = cv.get((a, i, j)) if j > n else lowered[(i, j)][a - 1] != T(a, i, j)
+                yield bool(bad) and f"c^{a}_({i},{j}) in v"
+        for (_, be, ga), p in got.items():
+            yield p != o2(be, ga) and f"c^{m}_({be},{ga})"
 
     return tally(f"extension({family}{n})", outcomes())
 
@@ -597,8 +572,9 @@ def rspin_convention_rescale(p: MPoly, direction: str) -> MPoly:
     the whole function by (-r)^-3 (closed) or (-r)^-2 (open, detected by
     the s slot); 'to_rspin' and 'from_rspin' are mutually inverse.  On the
     closed A_n potentials to_rspin gives the published genus-0 r-spin
-    correlators (tests); the open normalisation is not yet matched to a
-    published one."""
+    correlators, and on the open ones (k + l - 2)!/(-r)^(k+l-2) for
+    l closed and k boundary insertions (tests), a convention not yet
+    matched to a published one."""
     tab = p.table
     is_open = tab.laurent_index is not None
     base_power = 2 if is_open else 3

@@ -508,8 +508,9 @@ def residue_structure(
     T(a, n, n) = sum_j s_j r_{a-1+j} and T(n, n, n) = 0.  T(1, 1, n) is
     [x^{n-2}] y = 0.  So T(a, i, .) depends on a + i alone when a, i < n,
     and on the other index alone when one of them is n: those are the row
-    keys _residue_tensor hands the pullback, here and in the extension
-    check.  The r_s are formed over the target ring, with v already v(t),
+    keys _residue_tensor hands the pullback here (the extension check,
+    which lowers through _residue_tensor too, keys each (a, i) itself).
+    The r_s are formed over the target ring, with v already v(t),
     and _build pulls T back and reads F off, as for metric_and_potential.
     No Milnor algebra is built.  images and label
     are as for metric_and_potential, and the same checks are made.

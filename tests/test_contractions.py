@@ -596,8 +596,8 @@ class TestDotCounts:
         open_potential_A(6)
         got = count_dots(monkeypatch, openext.verify_extension_theorems, "A", 6)
         # the tensor comes from milnor.extended_constants, one dot per
-        # component of the recurrence: 36.  The closed block is decided in
-        # v (openext._closed_block_held): the residues r_6..r_15 of the
+        # component of the recurrence: 36.  The keys (a, i, j), a <= N, are
+        # decided in v: the residues r_6..r_15 of the
         # lowered tensor T (10), and sum_d T(a, d, 1) cv(d, i, j) once per a
         # and distinct column cv(., i, j), which for A6 depends on i + j
         # alone (6 * 11 = 66).  Then only the s-row is pulled back, the two
@@ -821,7 +821,9 @@ class TestSharedTables:
     def test_failures_as_the_verifiers_alone(self, monkeypatch, family):
         # the group step of A4 or D4 on tampered inputs gives the Reports
         # the four verifiers give when each runs alone, and shares tables
-        # only between parts whose F (and F°) are equal
+        # only between parts whose F (and F°) are equal.  The extension
+        # part reads F off the build (frobenius_structure), never off the
+        # extension it is served
         fs = frobenius_structure(family, 4)
         ext = open_potential_A(4) if family == "A" else open_potential_D(4)
         bad_fs = replace(fs, potential=bumped(fs.potential))
@@ -831,7 +833,7 @@ class TestSharedTables:
         third = saito.third_derivatives
         # (wdvv's F, the served extension, open_potential's, closed builds, oks)
         for closed, served, extended, want_builds, oks in (
-            (bad_fs, bad_ext, bad_ext, 1, [False] * 4),  # F bumped everywhere
+            (bad_fs, bad_ext, bad_ext, 2, [False, False, True, False]),  # F bumped on every input
             (fs, bad_fo, ext, 1, [True, False, True, False]),  # F° in two parts
             (bad_fs, ext, ext, 2, [False, True, True, True]),  # F in wdvv only
         ):

@@ -228,6 +228,23 @@ class TestConventionRescale:
             assert got == {}, n
         assert nonzero == {3: 83, 4: 203}
 
+    def test_open_a_convention(self):
+        # to_rspin of the A_n open potential, each coefficient of
+        # prod (t^a)^(m_a) s^k times prod m_a! k!, is
+        # <tau_a1 .. tau_al sigma^k> = (k + l - 2)!/(-r)^(k + l - 2) with
+        # l = sum m_a and r = n + 1: the convention measured here, pinned
+        # until it is settled against Buryak, Clader & Tessler's
+        # "Open r-spin theory" (ROADMAP item 18)
+        sizes = []
+        for n in range(1, 11):
+            r = n + 1
+            p = rspin_convention_rescale(open_potential_A(n).potential, "to_rspin")
+            for exp, c in p.terms.items():
+                e = sum(exp) - 2
+                assert c * math.prod(map(math.factorial, exp)) == Fraction(math.factorial(e), (-r) ** e)
+            sizes.append(len(p))
+        assert (min(sizes), max(sizes)) == (2, 76)
+
     def test_rejects_unknown_direction(self):
         p = open_potential_A(1).potential
         with pytest.raises(PolyError):
