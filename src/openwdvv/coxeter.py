@@ -566,7 +566,7 @@ def obstruction_check(group) -> Report:
 # ---------- classification for I2(k) ----------
 
 
-def classify_I2(k: int, free_coefficient=None) -> SolutionFamily:
+def classify_I2(k: int) -> SolutionFamily:
     """Solve the open WDVV system for I2(k) over the homogeneous ansatz.
 
     Only one equation is not forced by the unit condition; its rows in
@@ -576,8 +576,8 @@ def classify_I2(k: int, free_coefficient=None) -> SolutionFamily:
     rational, otherwise there is no polynomial solution and that is
     reported as an error), the next row vanishes identically, one lower
     coefficient is free, and the rest follow linearly.  The free
-    coefficient defaults to the generator's value, so the plus branch
-    reproduces open_family exactly; other values land elsewhere on the
+    coefficient takes the generator's value, so the plus branch
+    reproduces open_family exactly; member(lambda) gives the rest of the
     lambda-orbit."""
     fam = open_family(coxeter_spec(f"I2({k})"))
     base = fam.base
@@ -595,14 +595,7 @@ def classify_I2(k: int, free_coefficient=None) -> SolutionFamily:
         return gen.coefficient({"t2": i, "s": j}) * (fact(i) * fact(j))
 
     free_index = len(bnames) - (1 if k % 2 else 2)
-    free = gen_beta(free_index) if free_coefficient is None else (
-        free_coefficient
-        if isinstance(free_coefficient, GaussianRational)
-        else GaussianRational(rat(free_coefficient))
-    )
-    if k % 2 and not free:
-        raise PolyError("the top coefficient of an odd family is nonzero")
-    sol = {f"b{free_index}": free}
+    sol = {f"b{free_index}": gen_beta(free_index)}
 
     def known_images():
         return {bn: MPoly.constant(btab, v) for bn, v in sol.items()}
@@ -643,7 +636,7 @@ def classify_I2(k: int, free_coefficient=None) -> SolutionFamily:
         {bn: MPoly.constant(tab, v) for bn, v in sol.items()}, tab
     )
     open_extension(base, fo)
-    if free_coefficient is None and fo != gen:
+    if fo != gen:
         raise PolyError(f"classification of I2({k}) misses the generator")
     return SolutionFamily(
         fam.spec,

@@ -253,12 +253,12 @@ def _open_certified(n: int, certified, raised, o2, q, table: VarTable) -> bool:
 
 
 def _open_tables(base: FrobeniusStructure, fo: MPoly) -> tuple:
-    """(F, raised, closed, certified, open_certified, o2, q) over the
-    table of F°: the first four are saito._tables' of the closed potential
-    lifted there, o2(a, b) = d2F°/dt^a dt^b in t1..tN, s with s the index
-    N+1, q(a, b, g) = Q(ab; g) = sum_v c^v_{ab} o2(v, g) + o2(a, b) o2(s, g),
+    """(F, raised, closed, open_certified, o2, q) over the table of F°:
+    the first three are saito._tables' of the closed potential lifted
+    there, o2(a, b) = d2F°/dt^a dt^b in t1..tN, s with s the index N+1,
+    q(a, b, g) = Q(ab; g) = sum_v c^v_{ab} o2(v, g) + o2(a, b) o2(s, g),
     and open_certified() the certificate of the open families
-    (_open_certified), on first call.
+    (_open_certified, closed certificate included), on first call.
 
     Q is symmetric in (a, b), so q forms each Q once, on first use, keyed
     by the sorted (a, b) and g.  Consecutive sweeps of equal (F, F°) read
@@ -287,7 +287,7 @@ def _open_tables(base: FrobeniusStructure, fo: MPoly) -> tuple:
         return cache(lambda: _open_certified(n, certified, raised, o2, q, tab)), o2, q
 
     kept = _shared("open", (base.potential, base.eta_inv, tab, fo), build)
-    return F, raised, closed, certified, *kept
+    return F, raised, closed, *kept
 
 
 def _eq1(n: int, q):
@@ -348,18 +348,18 @@ def verify_vector_potential(ext: OpenExtension) -> Report:
       of eq2(b, c) when d = s.
     - L(a, b; cd) = 0 for a <= N when b, c or d is s, since dF^a/ds = 0.
     Each row is an entry of [L~_beta, L~_gamma], so every row passes
-    uncompared when certified() and open_certified() both hold
-    (_open_certified), as in verify_wdvv and verify_open_wdvv; otherwise
-    each is compared.  The conformal condition is read off the weighted
-    degrees of F^a's terms; a one-entry row of eta^{-1} reads dF/dt^a'
-    (saito._raise_row).  Trivially equal identities are counted as passes.
+    uncompared when open_certified() holds (_open_certified, which starts
+    with the closed certificate), as in verify_wdvv and verify_open_wdvv;
+    otherwise each is compared.  The conformal condition is read off the
+    weighted degrees of F^a's terms; a one-entry row of eta^{-1} reads
+    dF/dt^a' (saito._raise_row).  Trivially equal identities are counted as passes.
     The Report is labelled vector-potential(vector(<label of ext>))."""
     base = ext.base
     n = base.rank
     m = n + 1
     tab = ext.table
     fo = ext.potential
-    F, raised, closed, certified, open_certified, o2, q = _open_tables(base, fo)
+    F, raised, closed, open_certified, o2, q = _open_tables(base, fo)
     eta_live = [_live(row) for row in base.eta_inv]
 
     def compatibility():
@@ -388,7 +388,7 @@ def verify_vector_potential(ext: OpenExtension) -> Report:
                 want = MPoly.constant(tab, 1 if a == b else 0)
                 got = o2(1, b) if a == m else raised[(1, b)][a - 1] if b <= n else want
                 yield got != want and f"unit({a},{b})"
-        if certified() and open_certified():
+        if open_certified():
             yield from repeat(False, m * m * m * (m - 1) // 2)
         else:
             yield from compatibility()
@@ -441,8 +441,7 @@ def verify_extension_theorems(family: str, n: int) -> Report:
 
     idx = range(1, n + 1)
     triples = list(combinations_with_replacement(idx, 3))
-    values, _ = _residue_tensor(_flat_source(family, n)[0], sub, tab, triples)
-    low = dict(zip(triples, values))
+    low = dict(zip(triples, _residue_tensor(_flat_source(family, n)[0], sub, tab, triples)))
 
     def T(a, b, c):
         return low[tuple(sorted((a, b, c)))]
@@ -459,7 +458,7 @@ def verify_extension_theorems(family: str, n: int) -> Report:
     }
     pairs = list(combinations_with_replacement(range(1, m + 1), 2))
     first = [[zero] * m] * n + [s_row]  # e_{N+1} picks a = N+1
-    got = pullback(cv, first, jac, [(m, i, j) for i, j in pairs], tab, lambda a, i: (a, i))
+    got = pullback(cv, first, jac, [(m, i, j) for i, j in pairs], tab)
     *_, o2, _ = _open_tables(base, ext.potential)
 
     def outcomes():

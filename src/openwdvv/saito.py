@@ -15,14 +15,14 @@ dL/dy, so no Milnor algebra is built.  The tensor route
 (metric_and_potential, fed by singularity_data) lowers Milnor structure
 constants and substitutes v(t); the tests keep it as the oracle of the
 residue route.  The driver pulls T back through J = dv/dt to the flat
-third derivatives c_{abc}; each route names the rows of T that are equal
-by a row key (a + i for a residue x-row, the sorted pair for the
-symmetric tensor route), so the pullback forms one first-stage sum per
-distinct row.  F is read off the c_{abc}: the potential has no term
-below cubic (3 - delta > 2 >= q_a + q_b), so each monomial is fixed by the
-c_{abc} of its three smallest indices; the third partials that check
-integrability then give the metric and grading, as from_potential does
-for printed potentials.  `pullback` is the one Jacobian contraction
+third derivatives c_{abc}, forming one first-stage sum per set of rows
+of T that hold the same entry objects (a residue x-row reuses the r_s,
+and every permutation of a triple reads one entry), so neither route
+says which rows repeat.  F is read off the c_{abc}: the potential has no
+term below cubic (3 - delta > 2 >= q_a + q_b), so each monomial is fixed
+by the c_{abc} of its three smallest indices; the third partials that
+check integrability then give the metric and grading, as from_potential
+does for printed potentials.  `pullback` is the one Jacobian contraction
 of a three-index tensor, `partials` the one table of shared partial
 derivatives and `_contractions` the one memo of the bilinear
 contractions the verifiers compare; every module builds its tensors and
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import combinations_with_replacement
 
 from .exactalg import (
@@ -246,7 +246,7 @@ def invert_coords(t_of_v, ttab: VarTable, images=None):
 # ---------- tensor calculus ----------
 
 
-def pullback(T, first, second, keys, table, row) -> dict:
+def pullback(T, first, second, keys, table) -> dict:
     """out[(al, be, ga)] = sum first[a][al] * second[i][be] * second[j][ga]
     * T[(a, i, j)] for every (al, be, ga) in keys.
 
@@ -256,18 +256,20 @@ def pullback(T, first, second, keys, table, row) -> dict:
     contracted at a time, the two lower slots first and over the nonzero
     entries of T only:
 
-        P(k, ga) = sum_j T[(a, i, j)] * second[j][ga]   for k = row(a, i)
-        L(a, be, ga) = sum_i second[i][be] * P(row(a, i), ga)   (be <= ga)
+        P(a, i, ga) = sum_j T[(a, i, j)] * second[j][ga]
+        L(a, be, ga) = sum_i second[i][be] * P(a, i, ga)   (be <= ga)
         out = sum_a first[a][al] * L(a, be, ga)
 
-    row(a, i) is the row key of the row T(a, i, .): rows that share a key
-    must be equal entry by entry, and P is formed once per (row key, ga),
-    the first time L needs it.  A tensor whose rows repeat (a residue T,
-    where T(a, i, .) depends on a + i) so forms one first-stage sum per
-    distinct row; row = lambda a, i: (a, i) makes each (a, i) its own
-    row.  L is symmetric in (be, ga), so it is formed once per unordered
-    pair.  Only the partial sums that keys need and that have a nonzero
-    term are formed; an empty one is left out of the next contraction.
+    Rows T(a, i, .) that hold the same entry objects at the same j share
+    one P per ga, formed the first time L needs it: a tensor whose rows
+    repeat (a residue T, where T(a, i, .) depends on a + i) so forms one
+    first-stage sum per distinct row.  A row is keyed by the ids of its
+    entries, which T keeps alive for the whole call, so only rows of the
+    same objects merge; equal rows of distinct objects are summed apart,
+    which costs time and never correctness.  L is symmetric in (be, ga),
+    so it is formed once per unordered pair.  Only the partial sums that
+    keys need and that have a nonzero term are formed; an empty one is
+    left out of the next contraction.
     """
     keys = list(keys)
     c1 = [_live(col) for col in zip(*first)]
@@ -281,10 +283,11 @@ def pullback(T, first, second, keys, table, row) -> dict:
             if i != j:
                 lower.setdefault((a, j), []).append((i, t))
     # each nonzero row (a, i): its entries and the memo of its first-stage
-    # sums by ga, one memo per row key
+    # sums by ga, one memo per row of the same entry objects
     shared = {}
     rows1 = {
-        ai: shared.setdefault(row(*ai), (pairs, {})) for ai, pairs in lower.items()
+        ai: shared.setdefault(tuple((j, id(t)) for j, t in pairs), (pairs, {}))
+        for ai, pairs in lower.items()
     }
     # (a, be, ga) under each key, and the nonzero rows (a, i) with
     # second[i][be] != 0 by (a, be)
@@ -430,31 +433,30 @@ def _build(u: Unfolding, t_of_v, images, label, lowered) -> FrobeniusStructure:
 
     images and the target table are checked (_target), v(t) is inverted over
     the target table (invert_coords) and J = dv/dt has one column per target
-    coordinate.  lowered(v_of_t, ttab, keys) gives T at each sorted triple
-    of keys, the source indices whose row of J is nonzero, and the row key
-    row(a, i) under which rows T(a, i, .) are equal; one pullback gives
-    c_{al be ga} = sum J_{a al} J_{b be} J_{c ga} T(a, b, c), forming one
-    first-stage sum per row key, and _read_off takes F and its checks from
-    there.  The Euler field is diagonal, so restriction commutes with every
-    step; the coordinate changes are kept only for the identity.
+    coordinate.  lowered(vmap, ttab, keys) gives T at each sorted triple of
+    keys, the source indices whose row of J is nonzero, with vmap the
+    substitution v -> v(t); every permutation of a triple reads that one
+    entry.  One pullback gives c_{al be ga} = sum J_{a al} J_{b be} J_{c ga}
+    T(a, b, c), and _read_off takes F and its checks from there.  The
+    Euler field is diagonal, so restriction commutes with every step; the
+    coordinate changes are kept only for the identity.
     """
     ttab, images, restricted = _target(u.weights, images)
     v_of_t = invert_coords(t_of_v, ttab, images)
+    vtab = t_of_v[0].table
     jac = [[v.diff(nm) for nm in ttab.names] for v in v_of_t]
     live = [a for a, row in enumerate(jac, 1) if any(row)]
     keys = list(combinations_with_replacement(live, 3))
-    values, row = lowered(v_of_t, ttab, keys)
-    low = dict(zip(keys, values))
+    low = dict(zip(keys, lowered(dict(zip(vtab.names, v_of_t)), ttab, keys)))
     T = {
         (a, b, c): low[tuple(sorted((a, b, c)))]
         for a in live
         for b, c in combinations_with_replacement(live, 2)
     }
     targets = combinations_with_replacement(range(1, ttab.arity + 1), 3)
-    cflat = pullback(T, jac, jac, targets, ttab, row)
+    cflat = pullback(T, jac, jac, targets, ttab)
     fs = _read_off(cflat, ttab, label or u.label(), restricted)
     if not restricted:
-        vtab = t_of_v[0].table
         fs = replace(fs, v_table=vtab, t_of_v=tuple(t_of_v), v_of_t=tuple(v_of_t))
     return fs
 
@@ -478,7 +480,7 @@ def metric_and_potential(
     """
     n = u.rank
 
-    def lowered(v_of_t, ttab, keys):
+    def lowered(vmap, ttab, keys):
         low = [
             dot(
                 ((tensor.c(d, a, b), tensor.c(tensor.l, d, c)) for d in range(1, n + 1)),
@@ -486,9 +488,7 @@ def metric_and_potential(
             )
             for a, b, c in keys
         ]
-        vmap = dict(zip(parameter_table(u).names, v_of_t))
-        # T is symmetric in all three slots, so rows (a, i) and (i, a) agree
-        return substitute_all(low, vmap, ttab), _sorted_pair
+        return substitute_all(low, vmap, ttab)
 
     return _build(u, t_of_v, images, label, lowered)
 
@@ -507,39 +507,23 @@ def residue_structure(
     y^2 = sum_j s_j x^j (_d_relations): T(a, b, n) = h r_{a+b-3},
     T(a, n, n) = sum_j s_j r_{a-1+j} and T(n, n, n) = 0.  T(1, 1, n) is
     [x^{n-2}] y = 0.  So T(a, i, .) depends on a + i alone when a, i < n,
-    and on the other index alone when one of them is n: those are the row
-    keys _residue_tensor hands the pullback here (the extension check,
-    which lowers through _residue_tensor too, keys each (a, i) itself).
-    The r_s are formed over the target ring, with v already v(t),
-    and _build pulls T back and reads F off, as for metric_and_potential.
-    No Milnor algebra is built.  images and label
-    are as for metric_and_potential, and the same checks are made.
+    and on the other index alone when one of them is n; _residue_tensor
+    gives the rows of one such class the same objects, so the pullback
+    forms their first-stage sums once.  The r_s are formed over the target
+    ring, with v already v(t), and _build pulls T back and reads F off, as
+    for metric_and_potential.  No Milnor algebra is built.  images and
+    label are as for metric_and_potential, and the same checks are made.
     """
     if family not in ("A", "D"):
         raise PolyError(f"no residue route for family {family!r}")
     u, t_of_v = _flat_source(family, n)
-
-    def lowered(v_of_t, ttab, keys):
-        return _residue_tensor(u, dict(zip(t_of_v[0].table.names, v_of_t)), ttab, keys)
-
-    return _build(u, t_of_v, images, label, lowered)
+    return _build(u, t_of_v, images, label, partial(_residue_tensor, u))
 
 
-def _sorted_pair(a, i):
-    """The row key of a tensor symmetric in all three slots."""
-    return (a, i) if a <= i else (i, a)
-
-
-def _x_row(a, i):
-    """The row key of an x-row T(a, i, .) = r_{a+i+.-3} of a residue T."""
-    return a + i
-
-
-def _residue_tensor(u: Unfolding, vmap, ttab: VarTable, keys) -> tuple:
-    """(values, row) of T(a, b, c) = [phi_l] phi_a phi_b phi_c of A_n or
-    D_n at v -> vmap, over ttab (residue_structure): T at each sorted
-    triple of keys, and the key row(a, i) under which rows T(a, i, .) are
-    equal."""
+def _residue_tensor(u: Unfolding, vmap, ttab: VarTable, keys) -> list:
+    """T(a, b, c) = [phi_l] phi_a phi_b phi_c of A_n or D_n at v -> vmap,
+    over ttab, at each sorted triple of keys (residue_structure); entries
+    read off one r_s or h r_s are that one object."""
     n = u.n
     # x^n = sum_j rho_j x^j in the Milnor ring, and phi_l = x^top
     if u.family == "A":
@@ -551,12 +535,7 @@ def _residue_tensor(u: Unfolding, vmap, ttab: VarTable, keys) -> tuple:
         rho = {0: -(h * h)} | {j + 2: c for j, c in s.items() if j < top}
     r = _residues(rho, n, top, ttab)
     if u.family == "A":
-        return [r[a + b + c - 3] for a, b, c in keys], _x_row
-
-    def d_row(a, i):
-        # x-rows by a + i; rows (a, n) and (n, a) by ("y", a), (n, n) by ("y", n)
-        return a + i if a < n and i < n else ("y", a + i - n)
-
+        return [r[a + b + c - 3] for a, b, c in keys]
     # T(a, b, n) = hr[a + b - 2]; hr[0] is T(1, 1, n) = [x^top] y = 0
     zero = MPoly.zero(ttab)
     hr = [zero] + [h * x for x in r[: 2 * top]]
@@ -567,7 +546,7 @@ def _residue_tensor(u: Unfolding, vmap, ttab: VarTable, keys) -> tuple:
         if a < n
         else zero
         for a, b, c in keys
-    ], d_row
+    ]
 
 
 def _residues(rho, n: int, top: int, ttab: VarTable) -> list:

@@ -2,7 +2,9 @@
 __all__ name and every public method of a library class is used by its
 own module or another library module, or is one of the listed entry
 points that only the tests and users call, each named in README with its
-role."""
+role.  No private helper is left behind either: every private top-level
+function, class and constant is used by library code other than its own
+definition."""
 
 import ast
 from pathlib import Path
@@ -58,6 +60,41 @@ def _references(tree: ast.Module) -> set:
     return out
 
 
+def _defined(node: ast.stmt) -> list:
+    """The names a top-level def, class or assignment defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return []
+
+
+def _loaded(node: ast.AST) -> set:
+    """Names node reads, as a name or an attribute; imports do not count."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def _orphans() -> set:
+    """(module, name) of every private top-level function, class and
+    constant that no top-level statement of the library but its own
+    definition reads."""
+    stmts = [
+        (p.stem, node) for p in sorted(SRC.glob("*.py")) for node in ast.parse(p.read_text()).body
+    ]
+    reads = [_loaded(node) for _, node in stmts]
+    return {
+        (mod, name)
+        for k, (mod, node) in enumerate(stmts)
+        for name in _defined(node)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in used for m, used in enumerate(reads) if m != k)
+    }
+
+
 def _uncalled() -> set:
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     refs = {mod: _references(tree) for mod, tree in trees.items()}
@@ -76,3 +113,7 @@ def test_public_names_without_a_library_caller_are_the_listed_ones():
 def test_readme_names_every_uncalled_public_name():
     readme = (ROOT / "README.md").read_text()
     assert [name for _, name in sorted(UNCALLED) if f"`{name}`" not in readme] == []
+
+
+def test_every_private_helper_has_a_library_caller():
+    assert _orphans() == set()

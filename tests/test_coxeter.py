@@ -605,23 +605,25 @@ class TestClassification:
         assert fam.member(1, "minus") == mirror - fam.generator
 
     def test_free_coefficient_moves_along_orbit(self):
+        # every member is open_family's, and the free coefficient b_i of
+        # t2^i s^j / (i! j!) picks up lambda^(j - 1) along the orbit
         for k, lam in ((5, 3), (4, 2)):
-            fam = open_family(f"I2({k})")
+            fam = classify_I2(k)
             member = fam.member(lam)
-            if k % 2:
-                l = (k - 1) // 2
-                idx, jpow = l + 1, 0
-            else:
-                l = k // 2
-                idx, jpow = l - 1, 3
-            c = member.coefficient({"t2": idx, "s": jpow})
-            c = c * (math.factorial(idx) * math.factorial(jpow))
-            assert classify_I2(k, free_coefficient=c).generator == member
+            assert member == open_family(f"I2({k})").member(lam)
+            i = len(fam.coefficients) - (1 if k % 2 else 2)
+            j = k + 1 - 2 * i
+            c = member.coefficient({"t2": i, "s": j}) * (math.factorial(i) * math.factorial(j))
+            moved = fam.coefficients[i] * GaussianRational(Fraction(lam) ** (j - 1))
+            assert c == moved != fam.coefficients[i], k
 
     def test_even_top_coefficient_is_lambda_invariant(self):
-        base = classify_I2(4).coefficients
-        moved = classify_I2(4, free_coefficient=8).coefficients
-        assert base[2] == moved[2]
+        # b_2 of I2(4) is the coefficient of t2^2 s / 2, so j = 1
+        fam = classify_I2(4)
+        for lam in (2, 8, "-1/3"):
+            member = fam.member(lam)
+            assert member == open_family("I2(4)").member(lam)
+            assert member.coefficient({"t2": 2, "s": 1}) * 2 == fam.coefficients[2]
 
     def test_solution_solves_the_ansatz_equations(self):
         for k in range(3, 9):
@@ -644,7 +646,3 @@ class TestClassification:
                 lab for lab, l, r in open_wdvv_equations(fam.base, moved) if l != r
             ]
             assert any(lab.startswith("eq2") for lab in broken), k
-
-    def test_zero_top_coefficient_rejected_for_odd(self):
-        with pytest.raises(PolyError):
-            classify_I2(5, free_coefficient=0)

@@ -40,7 +40,7 @@ def reference_extension(family, n) -> Report:
     jac = [[vb.diff(x) for x in tab.names[:n]] + [zero] for vb in v] + [s_row]
     dt = substitute_all((t.diff(vn) for vn in sub for t in base.t_of_v), sub, tab)
     inv = [dt[a * n : (a + 1) * n] + [zero] for a in range(n)] + [s_row]
-    got = saito.pullback(cv, inv, jac, keys, tab, lambda a, i: (a, i))
+    got = saito.pullback(cv, inv, jac, keys, tab)
     F = base.potential.substitute({}, tab)
     _, _, raised = saito.third_derivatives(F, base.eta_inv, base.table.names)
     o2 = saito.partials(ext.potential, tab.names[:m], 2)
@@ -72,9 +72,9 @@ def pullbacks(monkeypatch, family, n) -> tuple:
     seen, subs = [], []
     pullback, substitute = openext.pullback, openext.substitute_all
 
-    def recorded(T, first, second, keys, table, row):
+    def recorded(T, first, second, keys, table):
         seen.append((first, list(keys)))
-        return pullback(T, first, second, keys, table, row)
+        return pullback(T, first, second, keys, table)
 
     def counted(*args):
         subs.append(None)

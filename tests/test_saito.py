@@ -23,6 +23,7 @@ from openwdvv.exactalg import (
     MPoly,
     PolyError,
     VarTable,
+    dot,
     parse,
     replace,
     substitute_all,
@@ -289,48 +290,57 @@ class TestResidueRoute:
             for abc, t in want.items():
                 assert got[abc] == t, (family, m, tag, abc)
 
-    def test_row_keys_name_equal_rows(self, monkeypatch):
-        # every build hands the pullback a row key under which the rows
-        # T(a, i, .) must be equal; a key that merged two different rows
-        # would give a wrong c_abc that only integrability might catch
-        def keyed_rows(build, *args):
+    def test_pullback_finds_repeated_rows(self, monkeypatch):
+        # no build says which rows T(a, i, .) repeat: the pullback shares a
+        # first-stage sum between rows that hold the same entry objects.
+        # The row keys the routes once handed it are the oracle: the nonzero
+        # rows of one entry identity must be exactly those of one key
+        def sorted_pair(a, i):
+            return (a, i) if a <= i else (i, a)
+
+        def residue_row(family, m):
+            # x-rows by a + i; for D_m rows (a, m) and (m, a) by a, (m, m) alone
+            def row(a, i):
+                return a + i if family == "A" or a < m and i < m else ("y", a + i - m)
+            return row
+
+        def classes(key, build, *args):
             seen = []
 
-            def capture(T, first, second, keys, table, row):
-                seen.append((T, row))
-                return pullback(T, first, second, keys, table, row)
+            def capture(T, *rest):
+                seen.append(T)
+                return pullback(T, *rest)
 
             monkeypatch.setattr(saito, "pullback", capture)
             build(*args)
             monkeypatch.undo()
-            ((T, row),) = seen
+            (T,) = seen
             live = sorted({a for a, _, _ in T})
-            groups = {}
+            by_id, by_key = {}, {}
             for a, i in product(live, repeat=2):
-                entries = [T[(a, *sorted((i, j)))] for j in live]
-                groups.setdefault(row(a, i), []).append(((a, i), entries))
-            for k, members in groups.items():
-                (a, i), entries = members[0]
-                for ai, other in members[1:]:
-                    assert other == entries, (k, (a, i), ai)
+                entries = [(j, T[(a, *sorted((i, j)))]) for j in live]
+                ids = tuple((j, id(t)) for j, t in entries if t)
+                if ids:  # the pullback forms no sum for a zero row
+                    by_id.setdefault(ids, set()).add((a, i))
+                    by_key.setdefault(key(a, i), set()).add((a, i))
+            got = sorted(map(sorted, by_id.values()))
+            assert got == sorted(map(sorted, by_key.values())), args
             # the grouping is not the trivial one past a single live index
-            assert len(groups) < len(live) ** 2 or len(live) == 1
-            return groups
+            assert len(got) < len(live) ** 2 or len(live) == 1
+            return len(got)
 
         cases = [("A", n, None, None) for n in range(1, 13)]
         cases += [("D", n, None, None) for n in range(3, 11)]
         tags = [f"B{n}" for n in range(2, 7)] + [f"I2({k})" for k in range(3, 11)]
         cases += [(*restriction(tag), tag) for tag in tags + ["H3"]]
         for family, m, images, tag in cases:
-            groups = keyed_rows(residue_structure, family, m, images, tag)
+            got = classes(residue_row(family, m), residue_structure, family, m, images, tag)
             if images is None:
-                # x-rows by a + i; for D_m also (a, m) and (m, a) by a, (m, m) alone
-                want = 2 * m - 1 if family == "A" else (2 * m - 3) + m
-                assert len(groups) == want, (family, m)
+                assert got == (2 * m - 1 if family == "A" else (2 * m - 3) + m), (family, m)
         for family, ranks in (("A", range(1, 9)), ("D", range(3, 9))):
             for m in ranks:
-                groups = keyed_rows(metric_and_potential, *singularity_data(family, m))
-                assert len(groups) == m * (m + 1) // 2, (family, m)
+                got = classes(sorted_pair, metric_and_potential, *singularity_data(family, m))
+                assert got == m * (m + 1) // 2, (family, m)
 
     def test_refuses_other_d_relations(self, monkeypatch):
         u, coords = saito._flat_source("D", 4)
@@ -525,7 +535,7 @@ class TestPullback:
         ]
         symmetric = list(combinations_with_replacement(axes, 3))
         for keys in (restricted, symmetric, restricted[1:2]):
-            got = pullback(T, first, second, iter(keys), tab, lambda a, i: (a, i))
+            got = pullback(T, first, second, iter(keys), tab)
             assert list(got) == keys
             for key in keys:
                 assert got[key] == self.brute(T, first, second, key)
@@ -556,49 +566,30 @@ class TestPullback:
                     T[(a, i, j)] = parse(e, tab)
         keys = data.draw(st.lists(st.tuples(*[st.integers(1, m)] * 3), unique=True,
                                   max_size=8), label="keys")
-        got = pullback(T, first, second, keys, tab, lambda a, i: (a, i))
+        got = pullback(T, first, second, keys, tab)
         assert list(got) == keys
         for abc in keys:
             assert got[abc] == triple_sum(T, first, second, abc) and got[abc].table is tab
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_keyed_rows_match_triple_sum(self, data):
-        # any grouping of the rows (a, i) under row keys, and a tensor whose
-        # rows under one key are equal entry by entry, zero and absent
-        # entries included: one first-stage sum per key gives the brute sum
+    def test_shared_rows_match_triple_sum(self, data):
+        # every entry of T is one of a few parsed polynomials, so rows often
+        # hold the same objects and share their first-stage sums; a text
+        # drawn twice gives equal entries of distinct objects, and zero and
+        # absent entries are included
         tab = self.TAB
         n = data.draw(st.integers(1, 4), label="source rank")
         m = data.draw(st.integers(1, 3), label="target rank")
-        texts = ("1", "-2", "x", "y", "x - 3*y", "1/2*x*y")
-        entry = st.one_of(st.none(), st.just("0"), st.sampled_from(texts))
-        idx = range(1, n + 1)
-        rows = list(product(idx, repeat=2))
-        groups = data.draw(st.lists(st.integers(0, 3), min_size=len(rows),
-                                    max_size=len(rows)), label="row keys")
-        key = dict(zip(rows, groups))
-        # entry j of row (a, i) is T[(a, min(i, j), max(i, j))]: merge the
-        # slots that rows of one key share, then draw one value per class
-        slot = {(a, *ij): (a, *ij) for a in idx for ij in combinations_with_replacement(idx, 2)}
-
-        def find(s):
-            while slot[s] != s:
-                s = slot[s]
-            return s
-
-        for (a, i), (b, k) in combinations_with_replacement(rows, 2):
-            if key[(a, i)] == key[(b, k)]:
-                for j in idx:
-                    slot[find((a, *sorted((i, j))))] = find((b, *sorted((k, j))))
-        value = {}
+        texts = ("0", "1", "-2", "x", "y", "x - 3*y", "1/2*x*y")
+        pool = [parse(e, tab) for e in data.draw(
+            st.lists(st.sampled_from(texts), min_size=1, max_size=3), label="pool")]
         T = {}
-        for a in idx:
-            for i, j in combinations_with_replacement(idx, 2):
-                root = find((a, i, j))
-                if root not in value:
-                    value[root] = data.draw(entry, label=f"T{root}")
-                if value[root] is not None:
-                    T[(a, i, j)] = parse(value[root], tab)
+        for a in range(1, n + 1):
+            for i, j in combinations_with_replacement(range(1, n + 1), 2):
+                k = data.draw(st.none() | st.integers(0, len(pool) - 1), label=f"T{a}{i}{j}")
+                if k is not None:
+                    T[(a, i, j)] = pool[k]
 
         def matrix(label):
             cells = st.lists(st.sampled_from(("0", "0") + texts), min_size=m, max_size=m)
@@ -608,10 +599,37 @@ class TestPullback:
         first, second = matrix("first"), matrix("second")
         keys = data.draw(st.lists(st.tuples(*[st.integers(1, m)] * 3), unique=True,
                                   max_size=8), label="keys")
-        got = pullback(T, first, second, keys, tab, lambda a, i: key[(a, i)])
+        got = pullback(T, first, second, keys, tab)
         assert list(got) == keys
         for abc in keys:
             assert got[abc] == triple_sum(T, first, second, abc) and got[abc].table is tab
+
+    def test_rows_of_one_object_share_a_first_stage_sum(self, monkeypatch):
+        # rows (1, 1) and (1, 2) of T(1, ., .) = q hold the same object at
+        # each j: one first-stage sum per ga (2), then three L(1, be, ga)
+        # and six outputs; a copy of q in each slot takes one per row (4)
+        tab = self.TAB
+        first = [[parse(e, tab) for e in row] for row in (("1", "x"), ("0", "0"))]
+        second = [[parse(e, tab) for e in row] for row in (("1", "x"), ("y", "2"))]
+        keys = [(al, *bg) for al in (1, 2) for bg in combinations_with_replacement((1, 2), 2)]
+        calls = []
+
+        def counted(pairs, table):
+            calls.append(None)
+            return dot(pairs, table)
+
+        monkeypatch.setattr(saito, "dot", counted)
+        slots = [(1, 1, 1), (1, 1, 2), (1, 2, 2)]
+        shared = dict.fromkeys(slots, parse("x + y", tab))
+        copies = {abc: parse("x + y", tab) for abc in slots}
+        counts, results = [], []
+        for T in (shared, copies):
+            calls.clear()
+            results.append(pullback(T, first, second, keys, tab))
+            counts.append(len(calls))
+        assert counts == [2 + 3 + 6, 4 + 3 + 6]
+        for got in results:
+            assert all(got[k] == triple_sum(shared, first, second, k) for k in keys)
 
 
 class TestFromPotential:
