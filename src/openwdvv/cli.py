@@ -26,7 +26,9 @@ classification and the obstructions over every group up to --max-rank
 the parts of each group and branch read one set of tables (_verify_all).
 Only open-wdvv and vector take --lambda and --branch, and only 'verify
 all' takes --max-rank, from 1 to MAX_RANK (13); any other use of them
-exits 2.
+exits 2.  A member at a nonzero --lambda is verified through its
+generator, the member at lambda = 1 (_member), so a group's open checks
+read one set of open tables whatever --lambda each is given.
 
 Exit status is 0 when every requested identity holds, 1 when a
 verification or classification fails, and 2 for requests the library
@@ -248,8 +250,29 @@ def _wdvv(family, n, lam, branch) -> Report:
     return verify_wdvv(coxeter_structure(_tag(family, n)))
 
 
+def _member(verify, family, n, lam, branch) -> Report:
+    """verify's Report on the lambda-member of the family, read off its
+    generator (the member at lambda = 1) when that passes.
+
+    For lambda != 0, sigma: s -> lambda s is an automorphism of the ring
+    of t and s (Laurent in s), and the member is lambda^-1 sigma(F°).  So
+    o2 = d2F°/dt^a dt^b becomes lambda^([a=s] + [b=s] - 1) sigma(o2),
+    Q(ab; g) becomes lambda^([g=s] - 1) sigma(Q) for a, b <= N, and L~_b
+    becomes lambda^[b=s] D sigma(L~_b) D^-1 with D = diag(1, ..., 1,
+    lambda^-1): each unit, homogeneity, eq1, eq2, compatibility and
+    conformal row of the member holds exactly when the generator's does,
+    under the same labels and counts.  A passing generator's Report is
+    therefore the member's; a failing one, or lambda = 0 (no automorphism),
+    verifies the member itself, so its failure labels are its own."""
+    if lam:
+        rep = verify(_open_ext_for(family, n, 1, branch))
+        if rep.ok or lam == 1:
+            return rep
+    return verify(_open_ext_for(family, n, lam, branch))
+
+
 def _open_wdvv(family, n, lam, branch) -> Report:
-    return verify_open_wdvv(_open_ext_for(family, n, lam, branch))
+    return _member(verify_open_wdvv, family, n, lam, branch)
 
 
 def _extension(family, n, lam, branch) -> Report:
@@ -278,7 +301,7 @@ def _extract(family, n, lam, branch) -> Report:
 
 
 def _vector(family, n, lam, branch) -> Report:
-    return verify_vector_potential(_open_ext_for(family, n, lam, branch))
+    return _member(verify_vector_potential, family, n, lam, branch)
 
 
 def _omega(family, n, lam, branch) -> Report:

@@ -263,6 +263,10 @@ class SolutionFamily(Record):
     coefficients: tuple | None = None  # solved beta_0..beta_top, if classified
 
     def member(self, lam=1, branch: str = "plus") -> MPoly:
+        """lambda_rescale of the branch's generator: for lambda != 0 the
+        image of an automorphism s -> lambda s (up to the factor
+        lambda^-1), so it solves the open system exactly when the
+        generator does; lambda = 0 is no automorphism."""
         if branch not in self.branches:
             raise PolyError(f"{self.spec.tag} has no {branch} branch")
         fo = self.generator
@@ -280,8 +284,12 @@ def lambda_rescale(fo: MPoly, lam) -> MPoly:
     in one pass over the terms (MPoly.scale_terms); lambda = 1 returns F°
     itself.
 
-    lambda = 0 keeps exactly the s-linear part and is defined only when
-    F° vanishes at s = 0 (and has no pole)."""
+    For lambda != 0, s -> lambda s is an automorphism of the (Laurent)
+    polynomial ring in t and s, and every open WDVV, unit, homogeneity and
+    vector-potential row of the image is a unit times the image of F°'s
+    row, so the image passes each check exactly when F° does.  lambda = 0
+    is no automorphism: it keeps exactly the s-linear part and is defined
+    only when F° vanishes at s = 0 (and has no pole)."""
     tab = fo.table
     s = tab.laurent
     if s is None:

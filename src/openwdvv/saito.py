@@ -266,7 +266,9 @@ def pullback(T, first, second, keys, table) -> dict:
     first-stage sum per distinct row.  A row is keyed by the ids of its
     entries, which T keeps alive for the whole call, so only rows of the
     same objects merge; equal rows of distinct objects are summed apart,
-    which costs time and never correctness.  L is symmetric in (be, ga),
+    which costs time and never correctness.  Only the rows whose a has a
+    nonzero entry in first are indexed and keyed, and no other entry of T
+    is read.  L is symmetric in (be, ga),
     so it is formed once per unordered pair.  Only the partial sums that
     keys need and that have a nonzero term are formed; an empty one is
     left out of the next contraction.
@@ -275,10 +277,12 @@ def pullback(T, first, second, keys, table) -> dict:
     c1 = [_live(col) for col in zip(*first)]
     c2 = [_live(col) for col in zip(*second)]
     rows2 = [dict(_live(row)) for row in second]
-    # the nonzero T[(a, i, j)] by (a, i), both orders of i != j
+    # the nonzero T[(a, i, j)] by (a, i), both orders of i != j, for the a
+    # that first reads
+    read = {a for col in c1 for a, _ in col}
     lower = {}
     for (a, i, j), t in T.items():
-        if t:
+        if a in read and t:
             lower.setdefault((a, i), []).append((j, t))
             if i != j:
                 lower.setdefault((a, j), []).append((i, t))

@@ -25,7 +25,13 @@ from openwdvv.coxeter import (
     open_family,
 )
 from openwdvv.exactalg import MPoly, replace
-from openwdvv.openext import open_potential_A, open_potential_D
+from openwdvv.openext import (
+    open_extension,
+    open_potential_A,
+    open_potential_D,
+    verify_open_wdvv,
+    verify_vector_potential,
+)
 from openwdvv.report import Report
 from openwdvv.saito import frobenius_structure
 
@@ -54,6 +60,14 @@ def run(capsys, *argv):
         code = ("SystemExit", exc.code)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def recorded_lambdas(monkeypatch) -> list:
+    """The lambda of every cli._open_ext_for call from now on, in order."""
+    lams = []
+    real = cli._open_ext_for
+    monkeypatch.setattr(cli, "_open_ext_for", lambda *args: lams.append(args[2]) or real(*args))
+    return lams
 
 
 def stdout_sha256(capsys, *argv):
@@ -371,6 +385,68 @@ class TestVerifyVerbs:
             monkeypatch.undo()
             assert rep.failures and all(f.startswith("c^") for f in rep.failures)
             assert code == 1 and f"extension({family}{n}): FAIL" in out
+
+    def test_members_are_verified_through_their_generator(self, capsys, monkeypatch):
+        # a passing generator (lambda = 1) stands for its member: the member
+        # is never built; lambda = 0 is no automorphism and builds the
+        # member alone
+        lams = recorded_lambdas(monkeypatch)
+        for argv, want in (
+            (("verify", "open-wdvv", "A", "3", "--lambda", "2"), [1]),
+            (("verify", "vector", "I2", "6", "--lambda", "1/2", "--branch", "minus"), [1]),
+            (("verify", "vector", "D", "4", "--lambda=-1/3"), [1]),
+            (("verify", "open-wdvv", "B", "2", "--lambda", "0"), [0]),
+        ):
+            lams.clear()
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and "pass" in out, argv
+            assert lams == want, argv
+
+    def test_a_failing_generator_verifies_the_member(self, capsys, monkeypatch):
+        # with the generator bumped by every t1-free monomial of its weight,
+        # `verify open-wdvv` and `verify vector` at lambda = 2 print the
+        # member's own failing Report, as the library gives it, and not the
+        # generator's (whose residuals differ)
+        def bumped(p):
+            tab = p.table
+            shape = tab.weighted_keys(tab.names[1:], p.weighted_degree())
+            return p + MPoly._from_ints(tab, {k: 1 for k, *_ in shape})
+
+        fam = open_family("A4")
+        bad_fam = replace(fam, generator=bumped(fam.generator))
+        ext = open_potential_D(4)
+        bad_d = open_extension(ext.base, bumped(ext.potential))
+        for family, patch, generator, member in (
+            ("A", ("open_family", lambda tag: bad_fam), bad_fam.extension(1), bad_fam.extension(2)),
+            ("D", ("open_potential_D", lambda n: bad_d), bad_d,
+             open_extension(ext.base, lambda_rescale(bad_d.potential, 2))),
+        ):
+            monkeypatch.setattr(cli, *patch)
+            for ident, verify in (("open-wdvv", verify_open_wdvv), ("vector", verify_vector_potential)):
+                want = verify(member)
+                assert not want.ok and want != verify(generator)
+                code, out, _ = run(capsys, "verify", ident, family, "4", "--lambda", "2",
+                                   "--format", "json")
+                assert code == 1, (family, ident)
+                assert json.loads(out) == {
+                    "label": want.label, "checked": want.checked,
+                    "failures": list(want.failures), "ok": False,
+                }, (family, ident)
+            monkeypatch.undo()
+
+    def test_lambda_zero_refusal_is_the_members(self, capsys, monkeypatch):
+        # on a C* group (and D, with its pole) lambda = 0 is refused by
+        # lambda_rescale as the member is built, and no generator is built
+        lams = recorded_lambdas(monkeypatch)
+        for argv in (
+            ("verify", "open-wdvv", "A", "2", "--lambda", "0"),
+            ("verify", "vector", "I2", "5", "--lambda", "0"),
+            ("verify", "open-wdvv", "D", "4", "--lambda", "0"),
+        ):
+            lams.clear()
+            code, out, err = run(capsys, *argv)
+            assert (code, out, lams) == (2, "", [0]), argv
+            assert err == "error: lambda = 0 needs F° to vanish at s = 0\n", argv
 
     def test_failing_report_maps_to_exit_1(self, capsys):
         rep = Report("demo", 3, ("broken",))

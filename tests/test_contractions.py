@@ -684,8 +684,9 @@ class TestDotCounts:
 
 # Runs requests in a fresh interpreter, so every cache starts empty, and
 # prints as JSON, per request, the dot calls (every module's binding of
-# exactalg.dot), the third_derivatives builds and the MPoly comparisons
-# (MPoly.__eq__, which != calls too), and the dots and comparisons inside
+# exactalg.dot), the third_derivatives builds, the MPoly comparisons
+# (MPoly.__eq__, which != calls too) and the open certificates formed
+# (openext._open_certified), and the dots and comparisons inside
 # each verify_vector_potential call; then how many distinct P memos
 # (_tables) and Q memos (_open_tables) were made and how many are still
 # alive.
@@ -694,7 +695,7 @@ import contextlib, gc, io, json, sys, weakref
 sys.path[:0] = [SRC]
 from openwdvv import cli, coxeter, exactalg, milnor, openext, saito
 
-counts = {"dot": 0, "third": 0, "eq": 0}
+counts = {"dot": 0, "third": 0, "eq": 0, "certified": 0}
 
 def counting(key, fn):
     def counted(*args):
@@ -709,6 +710,7 @@ saito.third_derivatives = coxeter.third_derivatives = counting(
     "third", saito.third_derivatives
 )
 exactalg.MPoly.__eq__ = counting("eq", exactalg.MPoly.__eq__)
+openext._open_certified = counting("certified", openext._open_certified)
 memos = {"closed": [], "open": []}
 
 def kept(kind, fn, memo):
@@ -793,6 +795,19 @@ class TestSharedTables:
         # {1, 3}, alpha < delta).  The conformal rows compare no polynomial
         assert after["vector_eqs"] == [16 + 6 + 3]
         assert fresh["vector_eqs"] == [16 + 6 + 3 + 6]
+
+    def test_a_group_builds_one_open_set(self):
+        # the lambda = 2 and 1/2 members of A5 pass through their generator,
+        # whose F° the extension check reads too: one open table set and
+        # one open certificate for the three requests (three sets and two
+        # certificates when each member was verified itself)
+        got = cold(
+            ["verify", "open-wdvv", "A", "5", "--lambda", "2"],
+            ["verify", "extension", "A", "5"],
+            ["verify", "vector", "A", "5", "--lambda", "1/2"],
+        )
+        assert got["made"]["open"] == 1
+        assert [r["certified"] for r in got["requests"]] == [1, 0, 0]
 
     @pytest.mark.parametrize("family", ["A", "D"])
     def test_no_stale_tables(self, family):

@@ -34,10 +34,12 @@ from openwdvv.exactalg import GaussianRational, MPoly, PolyError, VarTable, dot,
 from openwdvv.openext import (
     _extend,
     extended_table,
+    open_extension,
     open_generator_A,
     open_potential_D,
     open_wdvv_equations,
     verify_open_wdvv,
+    verify_vector_potential,
 )
 from openwdvv.saito import frobenius_structure, from_potential, t_table, verify_wdvv
 
@@ -381,15 +383,28 @@ def rescale_by_parts(fo, lam):
     return dot(((part, MPoly.monomial(tab, lam ** (j - 1), {s: j})) for (j,), part in parts), tab)
 
 
-def open_potentials():
-    """F° of A1-A8, B2-B5, I2(3)-I2(10) on each branch, and D3-D8 with the
-    pole, by tag."""
-    out = {f"A{n}": open_family(f"A{n}").generator for n in range(1, 9)}
-    out |= {f"B{n}": open_family(f"B{n}").generator for n in range(2, 6)}
+def open_generators():
+    """The extension at lambda = 1 of A1-A8, B2-B5, I2(3)-I2(10) on each
+    branch, and D3-D8 with the pole, by tag."""
+    out = {f"A{n}": open_family(f"A{n}").extension() for n in range(1, 9)}
+    out |= {f"B{n}": open_family(f"B{n}").extension() for n in range(2, 6)}
     for k in range(3, 11):
         fam = open_family(f"I2({k})")
-        out |= {f"I2({k}){b}": fam.member(1, b) for b in fam.branches}
-    return out | {f"D{n}": open_potential_D(n).potential for n in range(3, 9)}
+        out |= {f"I2({k}){b}": fam.extension(1, b) for b in fam.branches}
+    return out | {f"D{n}": open_potential_D(n) for n in range(3, 9)}
+
+
+def open_potentials():
+    """F° of every open_generators() extension, by tag."""
+    return {tag: ext.potential for tag, ext in open_generators().items()}
+
+
+def bumped(p: MPoly) -> MPoly:
+    """p plus every t1-free monomial of its weighted degree: the unit and
+    homogeneity conditions still hold."""
+    tab = p.table
+    shape = tab.weighted_keys(tab.names[1:], p.weighted_degree())
+    return p + MPoly._from_ints(tab, {k: 1 for k, *_ in shape})
 
 
 SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -419,6 +434,33 @@ class TestLambdaRescale:
         tag, branch = member
         fo = open_potential_D(5).potential if branch is None else open_family(tag).member(1, branch)
         assert lambda_rescale(lambda_rescale(fo, a), b) == lambda_rescale(fo, a * b)
+
+    def test_members_verify_as_their_generator(self):
+        # for lambda != 0, s -> lambda s is a ring automorphism and every
+        # open row of a member is a unit times its image of the generator's,
+        # so a passing generator's Reports are its members' Reports
+        for tag, ext in open_generators().items():
+            for verify in (verify_open_wdvv, verify_vector_potential):
+                want = verify(ext)
+                assert want.ok, (tag, want.summary())
+                for lam in self.LAMBDAS[1:]:
+                    member = open_extension(ext.base, lambda_rescale(ext.potential, lam))
+                    assert verify(member) == want, (tag, lam)
+
+    def test_bumped_members_fail_as_their_generator(self):
+        # and a row fails on a member exactly where it fails on the
+        # generator: the same labels in order, each residual's first
+        # monomial aside
+        def rows(rep):
+            return rep.label, rep.checked, [f.partition(":")[0] for f in rep.failures]
+
+        for tag, ext in open_generators().items():
+            bad = open_extension(ext.base, bumped(ext.potential))
+            for verify in (verify_open_wdvv, verify_vector_potential):
+                want = verify(bad)
+                for lam in self.LAMBDAS[1:]:
+                    member = open_extension(ext.base, lambda_rescale(bad.potential, lam))
+                    assert rows(verify(member)) == rows(want), (tag, lam)
 
     def test_refusals(self):
         pole = open_potential_D(4).potential  # the D pole t4^2/(2s)

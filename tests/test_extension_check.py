@@ -197,6 +197,46 @@ class TestSameReports:
         assert s_row_only(family, n, seen)
 
 
+class Unread:
+    """An entry of T that fails the test if pullback reads it."""
+
+    def __bool__(self):
+        raise AssertionError("pullback read an entry its first matrix skips")
+
+
+def triple_sum(T, first, second, key, table) -> MPoly:
+    """sum first[a][al] * second[i][be] * second[j][ga] * T(a, i, j) over
+    every a, i, j with the three factors nonzero, T symmetric in i, j."""
+    al, be, ga = key
+    total = MPoly.zero(table)
+    for a, f in enumerate((row[al - 1] for row in first), 1):
+        for i, g in enumerate((row[be - 1] for row in second), 1):
+            for j, h in enumerate((row[ga - 1] for row in second), 1):
+                if f and g and h:
+                    total = total + f * g * h * T.get((a, *sorted((i, j))), MPoly.zero(table))
+    return total
+
+
+class TestSRowPullback:
+    @pytest.mark.parametrize("family, n", [("A", 3), ("A", 7), ("D", 4), ("D", 7)])
+    def test_reads_only_the_s_rows(self, monkeypatch, family, n):
+        # the check's first matrix is e_{N+1}, so pullback indexes only the
+        # rows T(N+1, i, .): with every other entry sealed, it returns the
+        # same pulled-back s-row, which is the brute-force triple sum
+        seen = []
+        pullback = openext.pullback
+        monkeypatch.setattr(openext, "pullback", lambda *args: seen.append(args) or pullback(*args))
+        assert openext.verify_extension_theorems(family, n).ok
+        ((cv, first, second, keys, tab),) = seen
+        m = n + 1
+        sealed = {key: t if key[0] == m else Unread() for key, t in cv.items()}
+        assert len(sealed) > sum(key[0] == m for key in cv)
+        got = saito.pullback(sealed, first, second, keys, tab)
+        assert got == pullback(cv, first, second, keys, tab)
+        for key in keys:
+            assert got[key] == triple_sum(cv, first, second, key, tab), key
+
+
 class TestDecision:
     def test_each_guard_refuses(self, monkeypatch):
         # A4 with one input broken at a time: a broken key in v fails

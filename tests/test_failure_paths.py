@@ -1,7 +1,7 @@
 """Failure branches of the identity sweeps, pinned Report by Report.
 
 Every sweep reports a violated identity by a label.  The inputs below are
-tampered (dataclasses.replace, or a monkeypatched module global the sweep
+tampered (exactalg.replace, or a monkeypatched module global the sweep
 reads) so that the branches no passing input reaches fire, and the whole
 Report is compared: label, count and every failure label in order."""
 
